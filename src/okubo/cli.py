@@ -3,7 +3,8 @@
 Every subcommand reads rationals as 'p/q' strings (inline flags or JSON
 parameter files), emits a JSON report, and uses the exit code to state
 its verdict: 0 for success / verdict-true / residual below tolerance,
-1 for verdict-false or an exceeded tolerance, 2 for input errors.  The
+1 for verdict-false or an exceeded tolerance, 2 for input errors, 3 for
+an internal inconsistency (a bug, never a verdict).  The
 environment variable OKUBO_PRECISION overrides the default float
 comparison tolerance of 1e-10.
 """
@@ -19,12 +20,13 @@ import numpy as np
 
 from . import accessory, dotsenko_fateev as df, hgsystem, sampling, series, \
     verify
-from .errors import InputError, OkuboError
+from .errors import InputError, InternalInconsistency, OkuboError
 from .exact import matrix_from_json, to_fraction
 
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _tolerance() -> float:
@@ -234,15 +236,17 @@ def cmd_df_solve(args):
     params = _df_params(args)
     x, nodes = args.x, args.nodes
     if args.params:
-        # the parameter file may carry the evaluation point and node count
+        # the parameter file may carry the evaluation point and node count;
+        # flags given on the command line take precedence
         data = _load_json(args.params)
         if x is None and "x" in data:
             x = float(data["x"])
-        if "nodes" in data and nodes == 128:
+        if nodes is None and "nodes" in data:
             nodes = int(data["nodes"])
     if x is None:
         raise InputError("df-solve needs --x in (0, 1)")
-    spec = df.EulerTransformSpec(mu=params.g / 2, nodes=nodes)
+    spec = df.EulerTransformSpec(mu=params.g / 2,
+                                 nodes=128 if nodes is None else nodes)
     report = df.df_integral_solution(params, x, spec)
     out = report.to_json()
     out["params"] = params.to_json()
@@ -298,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--terms", type=int, default=80)
         p.add_argument("--mode", default="float", choices=["exact", "float"])
         p.add_argument("--x", type=float)
-        p.add_argument("--nodes", type=int, default=128)
+        p.add_argument("--nodes", type=int,
+                       help="quadrature nodes (default 128)")
         p.add_argument("--seed", type=int, default=0)
         return p
 
@@ -339,6 +344,10 @@ def main(argv=None) -> int:
     except OkuboError as exc:
         _emit(exc.as_json(), getattr(args, "out", None))
         return EXIT_INPUT
+    except InternalInconsistency as exc:
+        _emit({"error": {"code": "internal", "message": str(exc)}},
+              getattr(args, "out", None))
+        return EXIT_INTERNAL
     if report is not None:
         _emit(report, args.out)
     return code

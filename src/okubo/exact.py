@@ -40,10 +40,6 @@ def to_fraction(value) -> Fraction:
                      {"value": repr(value)})
 
 
-def format_fraction(q: Fraction) -> str:
-    return str(q)
-
-
 class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
@@ -68,10 +64,6 @@ class Poly:
     def variable(cls) -> "Poly":
         """The polynomial z."""
         return cls([0, 1])
-
-    @classmethod
-    def monomial(cls, degree: int, c: Scalar = 1) -> "Poly":
-        return cls([0] * degree + [c])
 
     @classmethod
     def interpolate(cls, points: Sequence[tuple]) -> "Poly":
@@ -263,9 +255,6 @@ class RationalMatrix:
 
     def trace(self) -> Fraction:
         return sum((self.rows[i][i] for i in range(self.dim)), Fraction(0))
-
-    def map(self, fn) -> "RationalMatrix":
-        return RationalMatrix([[fn(x) for x in row] for row in self.rows])
 
     def to_complex(self):
         import numpy as np
@@ -494,9 +483,6 @@ class PolyMatrix:
     def reflected(self) -> "PolyMatrix":
         """Entrywise substitution z -> -z."""
         return PolyMatrix([[e.reflected() for e in row] for row in self.entries])
-
-    def max_degree(self) -> int:
-        return max(e.degree for row in self.entries for e in row)
 
     def trace(self) -> Poly:
         return sum((self.entries[i][i] for i in range(self.dim)), Poly())

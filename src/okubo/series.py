@@ -19,26 +19,42 @@ singular, each step solves the two invertible rows for the next top
 constraint; the admissibility condition on (a, b, c, d) keeps every one
 of those solves nonsingular.
 
-Exact mode runs the recurrences in rational arithmetic (the recurrence
-then holds with zero error); float mode runs them in complex double
-precision.  Series are only summed well inside their convergence discs:
+Exact mode runs the recurrences fraction-free: each coefficient vector is
+four integer numerators over one shared positive denominator, every step
+is a handful of integer products, and one gcd per step keeps the vector
+in lowest terms (the recurrence then holds with zero error).  At the
+finite points only the two solved rows of ((r+rho) I - A) g(r) are
+formed.  At infinity the step matrix is inverted in closed form,
+
+  ((s+sigma+1) I + A)^{-1} = -N(-w) / ((w^2-c^2)(w^2-d^2)),
+  w = s+sigma+1,
+
+with N the resolvent numerator of accessory.resolvent_numerator, the same
+cubic the sameness verdict reduces; the identity
+(zI - A) N(z) = (z^2-c^2)(z^2-d^2) I is checked exactly once per series.
+The output coefficients are reduced Fractions.  Float mode runs the
+recurrences in complex double precision.  Series are only summed well
+inside their convergence discs:
 |x| <= 0.6 and |x-1| <= 0.6 at the finite points, |x-1| >= 1.7 at
 infinity.  Powers x^rho use the principal branch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InputError, OutsideDisc
-from .exact import RationalMatrix
-from .hgsystem import (HGParams, OkuboSystem, build_diagonalizer,
-                       build_product_system, gauge_matrix, lam)
-from .accessory import require_admissible
+from .errors import (AdmissibilityError, InputError, InternalInconsistency,
+                     OutsideDisc)
+from .exact import PolyMatrix, RationalMatrix
+from .hgsystem import (HGParams, OkuboSystem, _even_quartic,
+                       build_diagonalizer, build_product_system,
+                       gauge_matrix, lam)
+from .accessory import require_admissible, resolvent_numerator
 
 #: evaluation discs (see module docstring)
 DISC_FINITE = 0.6
@@ -341,34 +357,17 @@ def _finite_starts(system: OkuboSystem, base: str, rho: Fraction) -> list:
 
 def _series_at_finite(system: OkuboSystem, base: str, rho: Fraction,
                       start: list, terms: int, mode: str) -> SeriesSolution:
-    a, b = system.a, system.b
     exact = mode == "exact"
     if exact:
-        amat = [list(row) for row in system.coeff.rows]
-        g = [Fraction(x) for x in start]
-        diag_exp = a if base == "0" else b
+        coeffs = _finite_coeffs_exact(system, base, Fraction(rho), start,
+                                      terms)
     else:
+        a, b = system.a, system.b
         amat = system.coeff.to_complex()
         g = np.array([complex(x) for x in start])
-        diag_exp = complex(a if base == "0" else b)
-    coeffs = [tuple(g)]
-    for r in range(terms - 1):
-        z = r + rho  # current index plus exponent
-        if exact:
-            rhs = [z * g[i] - sum(amat[i][j] * g[j] for j in range(4))
-                   for i in range(4)]
-            step = z + 1
-            if base == "1":
-                top = [-rhs[0] / step, -rhs[1] / step]
-                mixed = system.lower_left().apply(top)
-                nxt = top + [mixed[0] / (step - b), mixed[1] / (step + b)]
-            else:
-                bottom = [rhs[2] / step, rhs[3] / step]
-                mixed = system.upper_right().apply(bottom)
-                nxt = [mixed[0] / (step - a), mixed[1] / (step + a)] + bottom
-            g = nxt
-        else:
-            zf = float(z)
+        coeffs = [tuple(g)]
+        for r in range(terms - 1):
+            zf = float(r + rho)
             rhs = zf * g - amat @ g
             step = zf + 1.0
             if base == "1":
@@ -381,11 +380,81 @@ def _series_at_finite(system: OkuboSystem, base: str, rho: Fraction,
                 mixed = amat[:2, 2:] @ bottom
                 top = mixed / np.array([step - float(a), step + float(a)])
                 g = np.concatenate([top, bottom])
-        coeffs.append(tuple(g))
+            coeffs.append(tuple(g))
     return SeriesSolution(base=base, exponent=Fraction(rho),
                           coeffs=tuple(coeffs),
                           variable="x" if base == "0" else "x-1",
                           exact=exact)
+
+
+def _integer_rows(rows) -> tuple:
+    """(integer rows, positive common denominator) of rational rows."""
+    den = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return [[int(x * den) for x in row] for row in rows], den
+
+
+def _reduced(nums: list, den: int, index: int) -> tuple:
+    """nums / den with a positive denominator and no common factor.
+
+    ``den`` is the step's denominator; zero means the exponents resonate
+    at this step, which no admissible system reaches.
+    """
+    if den == 0:
+        raise AdmissibilityError(
+            "series recurrence step has a zero denominator",
+            {"step": index})
+    if den < 0:
+        nums, den = [-n for n in nums], -den
+    g = math.gcd(den, *nums)
+    return [n // g for n in nums], den // g
+
+
+def _finite_coeffs_exact(system: OkuboSystem, base: str, rho: Fraction,
+                         start: list, terms: int) -> list:
+    """Exact coefficient vectors g(0..terms-1) at x = 0 or x = 1.
+
+    Each g(r) is kept as four integers over one positive denominator.
+    With A = A'/D (A' integer), rho = p/q and the block exponent
+    e = a (at 0) or b (at 1) = e'/q_e, one step reads, for s = (r+1)q + p
+    (so step = r + rho + 1 = s/q) and t_-+ = s q_e -+ e' q:
+
+      R_i  = (r q + p) D n_i - q (A' n)_i          for the two solved rows,
+      n'_i = sign D t_- t_+ R_i                     (sign -1 at 1, +1 at 0),
+      n'_k = q q_e t_+- (A'_blk (sign R))_k         for the coupled rows,
+      den' = D^2 den s t_- t_+,
+
+    where the coupled rows divide by step -+ e.  One gcd then reduces the
+    vector.
+    """
+    amat, dmat = _integer_rows(system.coeff.rows)
+    p, q = rho.numerator, rho.denominator
+    e = system.a if base == "0" else system.b
+    ep, eq = e.numerator, e.denominator
+    if base == "1":
+        solved, coupled, sign = (0, 1), (2, 3), -1
+    else:
+        solved, coupled, sign = (2, 3), (0, 1), 1
+    rows = [amat[i] for i in solved]
+    blk = [[amat[k][j] for j in solved] for k in coupled]
+    qe = q * eq
+    (nums,), den = _integer_rows([start])
+    coeffs = [tuple(Fraction(x) for x in start)]
+    for r in range(terms - 1):
+        zq = r * q + p
+        s = zq + q
+        tm, tp = s * eq - ep * q, s * eq + ep * q
+        r0, r1 = (sign * (zq * dmat * nums[i]
+                          - q * sum(a * n for a, n in zip(row, nums)))
+                  for i, row in zip(solved, rows))
+        m0 = blk[0][0] * r0 + blk[0][1] * r1
+        m1 = blk[1][0] * r0 + blk[1][1] * r1
+        scale = dmat * tm * tp
+        nxt = [0] * 4
+        nxt[solved[0]], nxt[solved[1]] = scale * r0, scale * r1
+        nxt[coupled[0]], nxt[coupled[1]] = qe * tp * m0, qe * tm * m1
+        nums, den = _reduced(nxt, dmat * dmat * den * s * tm * tp, r + 1)
+        coeffs.append(tuple(Fraction(n, den) for n in nums))
+    return coeffs
 
 
 def _series_at_infinity(system: OkuboSystem, sigma: Fraction,
@@ -398,15 +467,7 @@ def _series_at_infinity(system: OkuboSystem, sigma: Fraction,
     h0 = null[0]
     exact = mode == "exact"
     if exact:
-        h = [Fraction(x) for x in h0]
-        coeffs = [tuple(h)]
-        ident = RationalMatrix.identity(4)
-        for s in range(terms - 1):
-            z = s + sigma
-            rhs = [-(z) * h[0], -(z) * h[1], Fraction(0), Fraction(0)]
-            step_matrix = system.coeff + ident.scale(z + 1)
-            h = step_matrix.inverse().apply(rhs)
-            coeffs.append(tuple(h))
+        coeffs = _infinity_coeffs_exact(system, Fraction(sigma), h0, terms)
     else:
         amat = system.coeff.to_complex()
         h = np.array([complex(x) for x in h0])
@@ -420,6 +481,70 @@ def _series_at_infinity(system: OkuboSystem, sigma: Fraction,
     return SeriesSolution(base="inf", exponent=Fraction(sigma),
                           coeffs=tuple(coeffs), variable="1/(x-1)",
                           exact=exact)
+
+
+def _checked_resolvent(system: OkuboSystem) -> PolyMatrix:
+    """N(z) with (zI - A) N(z) = (z^2-c^2)(z^2-d^2) I, checked exactly."""
+    numer = resolvent_numerator(system.coeff, system.c, system.d)
+    coeff = system.coeff
+    shifted = PolyMatrix.from_matrix_coeffs(
+        [-coeff, RationalMatrix.identity(coeff.dim)])
+    char = _even_quartic(system.c, system.d)
+    if shifted * numer != PolyMatrix.from_constant(
+            RationalMatrix.identity(coeff.dim)) * char:
+        raise InternalInconsistency(
+            "resolvent numerator does not invert zI - A "
+            f"(c = {system.c}, d = {system.d})")
+    return numer
+
+
+def _infinity_coeffs_exact(system: OkuboSystem, sigma: Fraction, h0: list,
+                           terms: int) -> list:
+    """Exact coefficient vectors h(0..terms-1) at x = infinity.
+
+    The step matrix A + wI (w = s + sigma + 1) has the closed inverse
+    -N(-w) / P(w), with N the resolvent numerator and
+    P(w) = (w^2-c^2)(w^2-d^2), and the right-hand side -z (h_1, h_2, 0, 0)
+    (z = w - 1) meets only the first two columns of N.  With sigma = p/q,
+    Z = qz, W = qw, those columns cleared to integers N'_k = L N_k and K
+    clearing the coefficients of P, one step reads
+
+      n'  = Z (sum_k K q^(3-k) N'_k (-W)^k) n_top,
+      den' = L den K q^4 P(w),
+
+    a Horner evaluation of integer cubics and a 4x2 integer product,
+    followed by one gcd.
+    """
+    numer = _checked_resolvent(system)
+    p, q = sigma.numerator, sigma.denominator
+    (flat,), lden = _integer_rows([[numer[i, j].coeff(k) for k in range(4)
+                                    for i in range(4) for j in (0, 1)]])
+    c2, d2 = system.c * system.c, system.d * system.d
+    kden = math.lcm((c2 + d2).denominator, (c2 * d2).denominator)
+    quartic = (kden, -int((c2 + d2) * kden) * q * q,
+               int(c2 * d2 * kden) * q ** 4)
+    # mats[k][i][j] = K q^(3-k) N'_k[i][j]
+    mats = [[[kden * q ** (3 - k) * flat[8 * k + 2 * i + j] for j in (0, 1)]
+             for i in range(4)] for k in range(4)]
+    (nums,), den = _integer_rows([h0])
+    coeffs = [tuple(Fraction(x) for x in h0)]
+    for s in range(terms - 1):
+        zq = s * q + p
+        wq = zq + q
+        u = -wq
+        top0, top1 = nums[0], nums[1]
+        nxt = []
+        for i in range(4):
+            col0 = ((mats[3][i][0] * u + mats[2][i][0]) * u
+                    + mats[1][i][0]) * u + mats[0][i][0]
+            col1 = ((mats[3][i][1] * u + mats[2][i][1]) * u
+                    + mats[1][i][1]) * u + mats[0][i][1]
+            nxt.append(zq * (col0 * top0 + col1 * top1))
+        w2 = wq * wq
+        quartic_w = (quartic[0] * w2 + quartic[1]) * w2 + quartic[2]
+        nums, den = _reduced(nxt, lden * den * quartic_w, s + 1)
+        coeffs.append(tuple(Fraction(n, den) for n in nums))
+    return coeffs
 
 
 def recurrence_defects(system: OkuboSystem, sol: SeriesSolution) -> list:

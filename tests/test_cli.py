@@ -7,8 +7,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from okubo import hgsystem
 from okubo.accessory import solve_accessory
-from okubo.cli import main
+from okubo.cli import EXIT_INTERNAL, main
+from okubo.errors import InternalInconsistency
 from okubo.exact import RationalMatrix
 from okubo.hgsystem import HGParams, build_okubo_system
 from okubo.sampling import draw_perturbed_chart, rng_for
@@ -150,6 +152,29 @@ def test_df_subcommands(capsys, tmp_path):
     code, data = run_json(capsys, "df-verify", "--a", "1/3", "--b", "1/5",
                           "--c", "1/7", "--g", "1/11")
     assert code == 0
+
+
+def test_df_solve_explicit_nodes_beat_params_file(capsys, tmp_path):
+    df_file = tmp_path / "df.json"
+    df_file.write_text(json.dumps({"a": "1/3", "b": "1/5", "c": "1/7",
+                                   "g": "1/2", "x": 0.4, "nodes": 256}))
+    code, data = run_json(capsys, "df-solve", "--params", str(df_file),
+                          "--nodes", "128")
+    # the report counts the nodes of the finer refinement, 2 * 128
+    assert code == 0 and data["nodes"] == 256
+
+
+def test_internal_inconsistency_exits_3(capsys, monkeypatch,
+                                        okubo_params_file):
+    def broken(params):
+        raise InternalInconsistency("gauge lost its determinant")
+
+    monkeypatch.setattr(hgsystem, "build_okubo_system", broken)
+    code, data = run_json(capsys, "build-okubo", "--params",
+                          okubo_params_file)
+    assert code == EXIT_INTERNAL == 3
+    assert data["error"]["code"] == "internal"
+    assert "gauge lost its determinant" in data["error"]["message"]
 
 
 def test_recover_chart_cli(capsys, tmp_path, okubo_params_file):

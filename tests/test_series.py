@@ -13,9 +13,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from okubo import series
 from okubo.accessory import realize_product_system, solve_accessory
-from okubo.errors import InputError, OutsideDisc
-from okubo.exact import RationalMatrix
+from okubo.errors import (InputError, InternalInconsistency, OkuboError,
+                          OutsideDisc)
+from okubo.exact import PolyMatrix, RationalMatrix
 from okubo.hgsystem import HGParams, build_okubo_system, gauge_matrix, lam
 from okubo.sampling import sample_disc
 from okubo.series import (EvalReport, SeriesSolution, check_in_disc,
@@ -172,12 +174,76 @@ def test_initial_vectors():
 
 
 def test_exact_recurrence_has_zero_defect():
+    for system in (special_system(), build_okubo_system(POK)[1]):
+        for base in ("0", "1", "inf"):
+            for idx in range(len(exponents_at(system, base))):
+                for sol in local_series(system, base, idx, 60, mode="exact"):
+                    defects = recurrence_defects(system, sol)
+                    assert all(x == 0 for vec in defects for x in vec)
+
+
+def fraction_reference(system, sol, terms):
+    """The recurrence stepped in Fraction arithmetic from sol's g(0), with
+    an exact 4x4 inverse of the step matrix at every step at infinity."""
+    amat, rho = system.coeff, sol.exponent
+    a12, a21 = system.upper_right(), system.lower_left()
+    g = list(sol.coeffs[0])
+    out = [tuple(g)]
+    for r in range(terms - 1):
+        z = r + rho
+        if sol.base == "inf":
+            step = amat + RationalMatrix.identity(4).scale(z + 1)
+            g = step.inverse().apply([-z * g[0], -z * g[1], F(0), F(0)])
+        else:
+            rhs = [z * gi - ai for gi, ai in zip(g, amat.apply(g))]
+            step, e = z + 1, system.b if sol.base == "1" else system.a
+            if sol.base == "1":
+                top = [-rhs[0] / step, -rhs[1] / step]
+                mixed = a21.apply(top)
+                g = top + [mixed[0] / (step - e), mixed[1] / (step + e)]
+            else:
+                bottom = [rhs[2] / step, rhs[3] / step]
+                mixed = a12.apply(bottom)
+                g = [mixed[0] / (step - e), mixed[1] / (step + e)] + bottom
+        out.append(tuple(g))
+    return tuple(out)
+
+
+def test_exact_kernel_matches_fraction_reference():
+    for system in (special_system(), build_okubo_system(POK)[1]):
+        for base in ("0", "1", "inf"):
+            for idx in range(len(exponents_at(system, base))):
+                for sol in local_series(system, base, idx, 40, mode="exact"):
+                    assert sol.coeffs == fraction_reference(system, sol, 40)
+                    assert all(type(x) is F for vec in sol.coeffs
+                               for x in vec)
+
+
+def test_perturbed_resolvent_is_an_internal_inconsistency(monkeypatch):
     system = special_system()
-    for base in ("0", "1", "inf"):
-        for idx in range(len(exponents_at(system, base))):
-            for sol in local_series(system, base, idx, 25, mode="exact"):
-                defects = recurrence_defects(system, sol)
-                assert all(x == 0 for vec in defects for x in vec)
+    honest = series.resolvent_numerator
+
+    def perturbed(matrix, c, d):
+        return honest(matrix, c, d) + PolyMatrix.from_constant(
+            RationalMatrix.diagonal([F(1, 10**6), 0, 0, 0]))
+
+    monkeypatch.setattr(series, "resolvent_numerator", perturbed)
+    with pytest.raises(InternalInconsistency):
+        local_series(system, "inf", 0, 10, mode="exact")
+
+
+def test_zero_step_denominator_raises():
+    system = special_system()
+    # rho = -1 makes step = r + rho + 1 vanish at r = 0; rho = b - 1 makes
+    # step - b vanish there
+    for rho in (F(-1), system.b - 1):
+        with pytest.raises(OkuboError):
+            series._series_at_finite(system, "1", rho, [F(1), F(0), F(0),
+                                                         F(0)], 4, "exact")
+    # sigma = c - 1 puts w = c, a root of (w^2-c^2)(w^2-d^2), at s = 0
+    with pytest.raises(OkuboError):
+        series._infinity_coeffs_exact(system, system.c - 1,
+                                      [F(1), F(0), F(0), F(0)], 4)
 
 
 def test_float_recurrence_defect_is_small():
