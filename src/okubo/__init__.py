@@ -18,9 +18,9 @@ from .accessory import (AccessoryChart, CubicBlockDecomposition,
                         epsilon_delta, is_admissible, okubo_from_chart,
                         realize_product_system, recover_chart,
                         solve_accessory, special_matrix, substantially_same)
-from .dotsenko_fateev import (DFParams, EulerTransformSpec, df_residues,
-                              df_eigenvector_matrix, df_integral_solution,
-                              check_df_transformation, euler_reduce)
+from .dotsenko_fateev import (DFParams, df_residues, df_eigenvector_matrix,
+                              df_integral_solution, check_df_transformation,
+                              euler_reduce)
 from .exact import (Poly, PolyMatrix, Rational, RationalMatrix,
                     left_eigenvectors, mat_mul, poly_adjugate, to_fraction)
 from .hgsystem import (FuchsianSystem, HGParams, OkuboSystem,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccessoryChart", "CubicBlockDecomposition", "DifferenceSystem",
-    "DFParams", "EulerTransformSpec", "EvalReport", "FuchsianSystem",
+    "DFParams", "EvalReport", "FuchsianSystem",
     "HGParams", "Obstructions", "OkuboSystem", "Poly", "PolyMatrix",
     "Rational", "RationalMatrix", "RealizationReport", "SamenessVerdict",
     "SeriesSolution", "build_diagonalizer", "build_okubo_system",

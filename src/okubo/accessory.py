@@ -403,17 +403,14 @@ class DifferenceSystem:
     """A 2x2 first-order rational difference system
     f(z+1) = (scalar_numerator(z) / scalar_denominator(z)) matrix(z) f(z).
 
-    ``matrix`` entries have degree <= 3.  ``direction`` records the
-    orientation in which the system arises from the series recurrence
-    (coefficient systems at a finite point run backward in z and are
-    stored here after inverting the step); the stored form is always
-    forward.
+    ``matrix`` entries have degree <= 3.  The stored form is always
+    forward: coefficient systems at a finite point run backward in z and
+    are stored after inverting the step.
     """
 
     matrix: PolyMatrix
     scalar_numerator: Poly
     scalar_denominator: Poly
-    direction: str
     label: str
 
     def step(self, z0) -> RationalMatrix:
@@ -445,7 +442,7 @@ def difference_systems(chart: AccessoryChart, point_pair: str = "1-inf") -> tupl
             matrix=blocks.adjugate_block(),
             scalar_numerator=Poly.constant(-1),
             scalar_denominator=Poly([1, 1]) * Poly([-(b * b), 0, 1]),
-            direction="backward-in-z", label="g-at-1")
+            label="g-at-1")
         # series at infinity, top block, already forward; reflecting z
         # pulls a sign out of the odd part
         h_matrix = PolyMatrix.from_matrix_coeffs(
@@ -454,8 +451,7 @@ def difference_systems(chart: AccessoryChart, point_pair: str = "1-inf") -> tupl
         h_sys = DifferenceSystem(
             matrix=h_matrix,
             scalar_numerator=-(zvar - Poly.constant(1)),
-            scalar_denominator=fall,
-            direction="forward-in-z", label="h-at-inf")
+            scalar_denominator=fall, label="h-at-inf")
         return g_sys, h_sys
     if point_pair == "0-inf":
         numer = resolvent_numerator(okubo_from_chart(chart).coeff, c, d)
@@ -469,13 +465,12 @@ def difference_systems(chart: AccessoryChart, point_pair: str = "1-inf") -> tupl
                 adj + [RationalMatrix.identity(2)]),
             scalar_numerator=Poly.constant(1),
             scalar_denominator=Poly([1, 1]) * Poly([-(a * a), 0, 1]),
-            direction="backward-in-z", label="g-at-0")
+            label="g-at-0")
         h_sys = DifferenceSystem(
             matrix=PolyMatrix.from_matrix_coeffs(
                 [-b0, b1_, -b2_, RationalMatrix.identity(2)]),
             scalar_numerator=zvar - Poly.constant(1),
-            scalar_denominator=fall,
-            direction="forward-in-z", label="h-at-inf-dual")
+            scalar_denominator=fall, label="h-at-inf-dual")
         return g_sys, h_sys
     raise InputError(f"unknown point pair {point_pair!r}")
 

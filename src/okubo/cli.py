@@ -4,7 +4,9 @@ Every subcommand reads rationals as 'p/q' strings (inline flags or JSON
 parameter files), emits a JSON report, and uses the exit code to state
 its verdict: 0 for success / verdict-true / residual below tolerance,
 1 for verdict-false or an exceeded tolerance, 2 for input errors, 3 for
-an internal inconsistency (a bug, never a verdict).  The
+an internal inconsistency (a bug, never a verdict).  Each subcommand
+accepts only the flags its handler reads (COMMANDS); any other flag is a
+usage error, which argparse reports with exit code 2.  The
 environment variable OKUBO_PRECISION overrides the default float
 comparison tolerance of 1e-10.
 """
@@ -166,7 +168,7 @@ def cmd_residual(args):
     reports = []
     worst = 0.0
     for sol in sols:
-        samples = [_disc_sample(rng, args.base) for _ in range(8)]
+        samples = [sampling.series_sample(rng, args.base) for _ in range(8)]
         rep = series.residual_report(system, sol, samples)
         worst = max(worst, rep.max_residual)
         reports.append(rep.to_json())
@@ -175,14 +177,6 @@ def cmd_residual(args):
              "max_residual": format(worst, ".17g"),
              "reports": reports},
             EXIT_OK if worst <= tol else EXIT_FALSE)
-
-
-def _disc_sample(rng, base: str) -> complex:
-    if base == "0":
-        return sampling.sample_disc(rng, 0.1, 0.55, 2.4)
-    if base == "1":
-        return 1 + sampling.sample_disc(rng, 0.1, 0.55, 2.4)
-    return 1 + sampling.sample_disc(rng, 1.8, 3.0, 2.4)
 
 
 def cmd_v_vector(args):
@@ -245,9 +239,9 @@ def cmd_df_solve(args):
             nodes = int(data["nodes"])
     if x is None:
         raise InputError("df-solve needs --x in (0, 1)")
-    spec = df.EulerTransformSpec(mu=params.g / 2,
-                                 nodes=128 if nodes is None else nodes)
-    report = df.df_integral_solution(params, x, spec)
+    # without a node count anywhere, df_integral_solution's default applies
+    options = {} if nodes is None else {"nodes": nodes}
+    report = df.df_integral_solution(params, x, **options)
     out = report.to_json()
     out["params"] = params.to_json()
     out["x"] = format(x, ".17g")
@@ -273,66 +267,75 @@ def cmd_verify_all(args):
 # argument parsing
 # --------------------------------------------------------------------------
 
+#: every flag a handler may read, with its argparse settings
+FLAGS = {
+    "params": dict(help="JSON parameter file"),
+    "chart": dict(help="JSON chart file"),
+    "matrix": dict(help="JSON matrix file"),
+    "a": {}, "b": {}, "c": {}, "d": {}, "g": {},
+    "scale": dict(default="1"),
+    "branch": dict(default="auto", choices=["via-r4", "via-r3", "auto"]),
+    "pair": dict(default="1-inf", choices=["1-inf", "0-inf"]),
+    "base": dict(default="1", choices=["0", "1", "inf"]),
+    "index": dict(type=int, default=0),
+    "terms": dict(type=int, default=80),
+    "mode": dict(default="float", choices=["exact", "float"]),
+    "x": dict(type=float),
+    "nodes": dict(type=int, help="quadrature nodes (overrides the "
+                                 "parameter file's \"nodes\")"),
+    "seed": dict(type=int, default=0),
+}
+
+SYSTEM_FLAGS = ("chart", "params", "a", "b", "c", "d", "branch")
+SERIES_FLAGS = SYSTEM_FLAGS + ("base", "index", "terms", "mode")
+DF_FLAGS = ("params", "a", "b", "c", "g")
+
+#: (subcommand, handler, the flags it reads besides --out, help)
+COMMANDS = (
+    ("build-product", cmd_build_product, ("params",),
+     "residue matrices of the product system"),
+    ("build-okubo", cmd_build_okubo, ("params",),
+     "gauge the product system into Okubo form"),
+    ("recover-chart", cmd_recover_chart, ("matrix", "a", "b", "c", "d"),
+     "normalize a coefficient matrix into chart form"),
+    ("solve-accessory", cmd_solve_accessory,
+     ("a", "b", "c", "d", "scale", "branch"),
+     "solve the obstructions for the special accessory values"),
+    ("check-same", cmd_check_same, ("chart", "pair"),
+     "decide whether the reduced difference systems match"),
+    ("verify-realize", cmd_verify_realize, ("params",),
+     "check the diagonal conjugation onto the product system"),
+    ("series", cmd_series, SERIES_FLAGS, "build a local series solution"),
+    ("residual", cmd_residual, SERIES_FLAGS + ("seed",),
+     "residual of a local series inside its disc"),
+    ("v-vector", cmd_v_vector, ("params", "x", "terms"),
+     "contiguous product vector, both computation paths"),
+    ("df-build", cmd_df_build, DF_FLAGS, "size-three residue matrices"),
+    ("df-reduce", cmd_df_reduce, DF_FLAGS,
+     "Euler-shift reduction to size three"),
+    ("df-verify", cmd_df_verify, DF_FLAGS,
+     "verify the size-three conjugation identities"),
+    ("df-solve", cmd_df_solve, DF_FLAGS + ("x", "nodes"),
+     "integral solution of the size-three system"),
+    ("verify-all", cmd_verify_all, ("seed",),
+     "run the full exact and numeric verification suites"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="okubo",
         description="Okubo normal form systems for hypergeometric products: "
                     "exact identity checks and series numerics.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, handler, flags, help_text in COMMANDS:
+        # no abbreviations: a foreign flag such as check-same --c must not
+        # be read as a prefix of one the command has (--chart)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.set_defaults(handler=handler)
         p.add_argument("--out", help="write the JSON report to this file")
-        p.add_argument("--params", help="JSON parameter file")
-        p.add_argument("--chart", help="JSON chart file")
-        p.add_argument("--matrix", help="JSON matrix file")
-        p.add_argument("--a")
-        p.add_argument("--b")
-        p.add_argument("--c")
-        p.add_argument("--d")
-        p.add_argument("--g")
-        p.add_argument("--scale", default="1")
-        p.add_argument("--branch", default="auto",
-                       choices=["via-r4", "via-r3", "auto"])
-        p.add_argument("--pair", default="1-inf",
-                       choices=["1-inf", "0-inf"])
-        p.add_argument("--base", default="1", choices=["0", "1", "inf"])
-        p.add_argument("--index", type=int, default=0)
-        p.add_argument("--terms", type=int, default=80)
-        p.add_argument("--mode", default="float", choices=["exact", "float"])
-        p.add_argument("--x", type=float)
-        p.add_argument("--nodes", type=int,
-                       help="quadrature nodes (default 128)")
-        p.add_argument("--seed", type=int, default=0)
-        return p
-
-    add("build-product", cmd_build_product,
-        help="residue matrices of the product system")
-    add("build-okubo", cmd_build_okubo,
-        help="gauge the product system into Okubo form")
-    add("recover-chart", cmd_recover_chart,
-        help="normalize a coefficient matrix into chart form")
-    add("solve-accessory", cmd_solve_accessory,
-        help="solve the obstructions for the special accessory values")
-    add("check-same", cmd_check_same,
-        help="decide whether the reduced difference systems match")
-    add("verify-realize", cmd_verify_realize,
-        help="check the diagonal conjugation onto the product system")
-    add("series", cmd_series, help="build a local series solution")
-    add("residual", cmd_residual,
-        help="residual of a local series inside its disc")
-    add("v-vector", cmd_v_vector,
-        help="contiguous product vector, both computation paths")
-    add("df-build", cmd_df_build, help="size-three residue matrices")
-    add("df-reduce", cmd_df_reduce,
-        help="Euler-shift reduction to size three")
-    add("df-verify", cmd_df_verify,
-        help="verify the size-three conjugation identities")
-    add("df-solve", cmd_df_solve,
-        help="integral solution of the size-three system")
-    add("verify-all", cmd_verify_all,
-        help="run the full exact and numeric verification suites")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
     return parser
 
 
@@ -342,11 +345,10 @@ def main(argv=None) -> int:
     try:
         report, code = args.handler(args)
     except OkuboError as exc:
-        _emit(exc.as_json(), getattr(args, "out", None))
+        _emit(exc.as_json(), args.out)
         return EXIT_INPUT
     except InternalInconsistency as exc:
-        _emit({"error": {"code": "internal", "message": str(exc)}},
-              getattr(args, "out", None))
+        _emit({"error": {"code": "internal", "message": str(exc)}}, args.out)
         return EXIT_INTERNAL
     if report is not None:
         _emit(report, args.out)

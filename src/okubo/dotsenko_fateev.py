@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import (InputError, InternalInconsistency, QuadratureError,
                      SingularMatrixError)
@@ -221,24 +220,6 @@ def check_df_transformation(params: DFParams) -> DFTransformReport:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EulerTransformSpec:
-    """Shift order and quadrature controls for the integral solution."""
-
-    mu: Fraction
-    contour: str = "segment-0-to-x"
-    nodes: int = 128
-    scheme: str = "gauss-jacobi"
-
-    def __post_init__(self):
-        if self.contour != "segment-0-to-x":
-            raise InputError(f"unsupported contour {self.contour!r}")
-        if self.scheme != "gauss-jacobi":
-            raise InputError(f"unsupported scheme {self.scheme!r}")
-        if self.nodes < 4:
-            raise InputError("need at least 4 quadrature nodes")
-
-
-@dataclass(frozen=True)
 class DFSolutionReport:
     integrals: tuple
     z: tuple
@@ -278,6 +259,10 @@ def _integrals(params: DFParams, x: float, nodes: int,
     After t = x s the weight is (1-s)^(g/2-1) s^(a+c+g/2); the constant
     phase of (t-x)^(g/2-1) on the segment is kept explicitly.
     """
+    # scipy.special costs more to import than the rest of the package;
+    # only the quadrature needs it
+    from scipy.special import roots_jacobi
+
     a, c, g = float(params.a), float(params.c), float(params.g)
     alpha = g / 2 - 1        # exponent at s = 1
     beta = a + c + g / 2     # exponent at s = 0
@@ -315,17 +300,19 @@ def df_solution_at(params: DFParams, x: float, nodes: int,
 
 
 def df_integral_solution(params: DFParams, x: float,
-                         spec: EulerTransformSpec = None) -> DFSolutionReport:
+                         nodes: int = 128) -> DFSolutionReport:
     """Evaluate the integral solution at 0 < x < 1 and report its defect
     in dz/dx = (C0/x + C1/(x-1)) z.
 
-    Requires g/2 > 0 and a+c+g/2+1 > 0 (endpoint integrability).  The
-    quadrature is accepted when doubling the node count moves the
-    integrals by less than 1e-8 relative; the derivative is a five-point
-    central difference with step 1e-4 x(1-x).
+    The integrals run over the segment from 0 to x with the Euler shift
+    g/2, by Gauss-Jacobi quadrature on ``nodes`` (at least 4) and on twice
+    as many nodes.  Requires g/2 > 0 and a+c+g/2+1 > 0 (endpoint
+    integrability).  The quadrature is accepted when doubling the node
+    count moves the integrals by less than 1e-8 relative; the derivative
+    is a five-point central difference with step 1e-4 x(1-x).
     """
-    if spec is None:
-        spec = EulerTransformSpec(mu=params.g / 2)
+    if nodes < 4:
+        raise InputError("need at least 4 quadrature nodes", {"nodes": nodes})
     if not 0 < x < 1:
         raise InputError("x must lie in (0, 1)", {"x": x})
     if not params.g / 2 > 0:
@@ -333,10 +320,6 @@ def df_integral_solution(params: DFParams, x: float,
     if not params.a + params.c + params.g / 2 + 1 > 0:
         raise InputError("need a+c+g/2+1 > 0",
                          {"a+c+g/2+1": params.a + params.c + params.g / 2 + 1})
-    if spec.mu != params.g / 2:
-        raise InputError("the shift must be g/2 for this reduction",
-                         {"mu": spec.mu})
-    nodes = spec.nodes
     coarse = _integrals(params, x, nodes)
     fine = _integrals(params, x, 2 * nodes)
     denom = max(1.0, float(np.max(np.abs(fine))))

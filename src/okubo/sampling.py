@@ -8,6 +8,7 @@ random.Random so identical seeds give identical suites.
 
 from __future__ import annotations
 
+import cmath
 import random
 from fractions import Fraction
 
@@ -149,7 +150,17 @@ def draw_df_params(rng: random.Random) -> DFParams:
 def sample_disc(rng: random.Random, rmin: float, rmax: float,
                 max_angle: float = 2.9) -> complex:
     """A complex point with modulus in [rmin, rmax], off the cut."""
-    import cmath
     radius = rng.uniform(rmin, rmax)
     angle = rng.uniform(-max_angle, max_angle)
     return radius * cmath.exp(1j * angle)
+
+
+def series_sample(rng: random.Random, base: str) -> complex:
+    """A point where the local series at ``base`` ("0", "1" or "inf") is
+    trusted: 0.1 <= |x| <= 0.55, 0.1 <= |x-1| <= 0.55 or 1.8 <= |x-1| <= 3,
+    at most 2.4 radians off the positive real direction.  The angle is
+    drawn before the radius."""
+    angle = rng.uniform(-2.4, 2.4)
+    rmin, rmax = (1.8, 3.0) if base == "inf" else (0.1, 0.55)
+    point = rng.uniform(rmin, rmax) * cmath.exp(1j * angle)
+    return point if base == "0" else 1 + point

@@ -122,12 +122,6 @@ def hyp2f1(alpha, beta, gamma, x, terms: int = 80) -> complex:
     return hyp2f1_jet(alpha, beta, gamma, x, terms).value
 
 
-def hyp2f1_with_estimate(alpha, beta, gamma, x, terms: int = 80) -> tuple:
-    """(value, magnitude of the last summed term)."""
-    jet = hyp2f1_jet(alpha, beta, gamma, x, terms)
-    return jet.value, jet.tail
-
-
 # --------------------------------------------------------------------------
 # product vectors
 # --------------------------------------------------------------------------

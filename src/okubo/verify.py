@@ -8,8 +8,10 @@ is certified on a rational grid large enough to pin a polynomial of its
 degree, which is a finite proof, not a sample.  Numeric criteria check
 truncated-series defects against stated tolerances.
 
-Each criterion returns a CriterionResult; `verify_all` bundles them into
-one deterministic report for a given seed.
+Each check returns its pass detail or raises CriterionFailed with its
+failure detail (an explicit raise, so that `python -O` cannot strip it);
+`run_criterion` turns that into a CriterionResult and `verify_all` bundles
+the results into one deterministic report for a given seed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,17 @@ from fractions import Fraction
 import numpy as np
 
 from . import accessory, dotsenko_fateev as df, hgsystem, sampling, series
+from .errors import InternalInconsistency
 from .exact import Poly, PolyMatrix, RationalMatrix
+
+
+class CriterionFailed(Exception):
+    """A verification check did not hold; the message is its detail."""
+
+
+def _require(condition, detail: str):
+    if not condition:
+        raise CriterionFailed(detail)
 
 
 @dataclass(frozen=True)
@@ -58,7 +70,7 @@ def check_infinity_factorization(seed: int, draws: int = 50) -> str:
         want = Poly.constant(1)
         for e in hgsystem.infinity_exponents(p):
             want = want * Poly([-e, 1])
-        assert phi == want, f"factorization fails for {p}"
+        _require(phi == want, f"factorization fails for {p}")
     return f"{draws} generic parameter draws"
 
 
@@ -67,18 +79,18 @@ def check_gauge_and_diagonalizer(seed: int, draws: int = 50) -> str:
     for _ in range(draws):
         p = sampling.draw_okubo_params(rng)
         gauge, system = hgsystem.build_okubo_system(p)
-        assert gauge.det() == hgsystem.det_gauge_formula(p)
+        _require(gauge.det() == hgsystem.det_gauge_formula(p), "det gauge")
         ginv = gauge.inverse()
-        assert gauge * ginv == RationalMatrix.identity(4)
-        assert ginv == hgsystem.gauge_inverse_closed_form(p)
+        _require(gauge * ginv == RationalMatrix.identity(4), "gauge inverse")
+        _require(ginv == hgsystem.gauge_inverse_closed_form(p), "inverse form")
         r = hgsystem.build_diagonalizer(p)
-        assert r.det() == hgsystem.det_diagonalizer_formula(p)
+        _require(r.det() == hgsystem.det_diagonalizer_formula(p), "det R")
         c, d = system.c, system.d
         diag = RationalMatrix.from_blocks(
             [[hgsystem.J2.scale(c), RationalMatrix.zero(2)],
              [RationalMatrix.zero(2), hgsystem.J2.scale(d)]])
-        assert r * system.coeff * r.inverse() == diag
-        assert r * ginv == hgsystem.contiguous_product_matrix(p)
+        _require(r * system.coeff * r.inverse() == diag, "R A R^-1")
+        _require(r * ginv == hgsystem.contiguous_product_matrix(p), "R G^-1")
     return f"{draws} gamma-constrained draws"
 
 
@@ -92,13 +104,13 @@ def check_cubic_blocks(seed: int, draws: int = 100) -> str:
         system = accessory.okubo_from_chart(chart)
         numer = accessory.resolvent_numerator(system.coeff, c, d)
         top = numer.block(0, 2, 0, 2)
-        assert top == blocks.top_block(), "top block mismatch"
+        _require(top == blocks.top_block(), "top block mismatch")
         det_want = (Poly([-b * b, 0, 1]) * Poly([-c * c, 0, 1])
                     * Poly([-d * d, 0, 1]))
-        assert top.det() == det_want, "determinant of the top block"
-        assert blocks.top_block() * blocks.adjugate_block() == \
-            ident2 * det_want, "adjugate identity"
-        assert blocks.quadratic == hgsystem.J2.scale(a)
+        _require(top.det() == det_want, "determinant of the top block")
+        _require(blocks.top_block() * blocks.adjugate_block()
+                 == ident2 * det_want, "adjugate identity")
+        _require(blocks.quadratic == hgsystem.J2.scale(a), "quadratic block")
         obs = accessory.epsilon_delta(chart)
         cross = RationalMatrix([[0, chart.r2], [chart.r1, 0]])
         skew = RationalMatrix([[c, a + c], [a - c, -c]])
@@ -106,9 +118,10 @@ def check_cubic_blocks(seed: int, draws: int = 100) -> str:
                       .scale((c * c + d * d - a * a - b * b) / 2)
                       + cross.scale(obs.epsilon_prime)
                       - skew.scale(b * obs.delta_prime))
-        assert accessory.upper_block(chart) * accessory.lower_block(chart) \
-            == want_mixed, "off-block product identity"
-        assert blocks.constant.trace() == -2 * a * b * c * obs.delta_prime
+        _require(accessory.upper_block(chart) * accessory.lower_block(chart)
+                 == want_mixed, "off-block product identity")
+        _require(blocks.constant.trace() == -2 * a * b * c * obs.delta_prime,
+                 "trace of the constant block")
     return f"{draws} chart draws"
 
 
@@ -117,10 +130,10 @@ def check_sameness_biconditional(seed: int, draws: int = 50) -> str:
     for _ in range(draws):
         special = sampling.draw_special_chart(rng)
         verdict = accessory.substantially_same(special)
-        assert verdict.verdict and not verdict.nonzero_minors
+        _require(verdict.verdict and not verdict.nonzero_minors, "special")
         perturbed = sampling.draw_perturbed_chart(rng)
         verdict = accessory.substantially_same(perturbed)
-        assert not verdict.verdict and verdict.nonzero_minors
+        _require(not verdict.verdict and verdict.nonzero_minors, "perturbed")
     return f"{draws} special + {draws} perturbed charts"
 
 
@@ -152,19 +165,24 @@ def check_special_value_branches(seed: int, draws: int = 20) -> str:
     rng = _rng(seed, "branches")
     for s1 in (1, -1):
         for s2 in (1, -1):
-            assert conditional_denominator_identity(s1, s2), \
-                f"conditional identity fails for signs ({s1}, {s2})"
+            _require(conditional_denominator_identity(s1, s2),
+                     f"conditional identity fails for signs ({s1}, {s2})")
     for _ in range(draws):
         a, b, c, d = sampling.draw_exponents(rng)
         charts = []
         for branch in ("via-r4", "via-r3"):
             chart, system = accessory.solve_accessory(a, b, c, d, branch)
-            assert system.coeff == accessory.special_matrix(a, b, c, d).coeff
-            assert accessory.epsilon_delta(chart).vanish
-            assert chart.d_constraint_value() == d * d
+            _require(system.coeff
+                     == accessory.special_matrix(a, b, c, d).coeff,
+                     f"{branch} branch is not the special matrix")
+            _require(accessory.epsilon_delta(chart).vanish,
+                     f"{branch} obstructions do not vanish")
+            _require(chart.d_constraint_value() == d * d,
+                     f"{branch} chart breaks the d-constraint")
             charts.append(chart)
-        assert accessory.okubo_from_chart(charts[0]).coeff == \
-            accessory.okubo_from_chart(charts[1]).coeff
+        _require(accessory.okubo_from_chart(charts[0]).coeff
+                 == accessory.okubo_from_chart(charts[1]).coeff,
+                 "the two branches give different matrices")
     return f"both branches on {draws} exponent draws; 4 certified identities"
 
 
@@ -173,7 +191,7 @@ def check_realization(seed: int, draws: int = 30) -> str:
     for _ in range(draws):
         p = sampling.draw_okubo_params(rng)
         report = accessory.realize_product_system(p)
-        assert report.verdict, f"realization fails for {p}"
+        _require(report.verdict, f"realization fails for {p}")
     return f"{draws} gamma-constrained draws"
 
 
@@ -189,7 +207,7 @@ def check_dual_verdict(seed: int, draws: int = 50) -> str:
             chart = sampling.draw_chart(rng)
         primary = accessory.substantially_same(chart, "1-inf")
         dual = accessory.substantially_same(chart, "0-inf")
-        assert primary.verdict == dual.verdict
+        _require(primary.verdict == dual.verdict, "the pairs disagree")
         agree += 1
     return f"{agree} charts, both singular-point pairs"
 
@@ -199,7 +217,7 @@ def check_df_reduction(seed: int, draws: int = 30) -> str:
     for _ in range(draws):
         params = sampling.draw_df_params(rng)
         report = df.check_df_transformation(params)
-        assert report.verdict, f"transformation fails for {params}"
+        _require(report.verdict, f"transformation fails for {params}")
         c0, c1 = df.df_residues(params)
         shifts = df.shifted_eigenvalues(params)
         a, b, c = params.a, params.b, params.c
@@ -211,7 +229,7 @@ def check_df_reduction(seed: int, draws: int = 30) -> str:
             want = Poly.constant(1)
             for root in roots:
                 want = want * Poly([-root, 1])
-            assert matrix.char_poly() == want
+            _require(matrix.char_poly() == want, "shifted eigenvalues")
         hg = params.induced_hg()
         k0, k1 = df.euler_reduce(hg)
         for matrix, roots in (
@@ -222,7 +240,7 @@ def check_df_reduction(seed: int, draws: int = 30) -> str:
             want = Poly.constant(1)
             for root in roots:
                 want = want * Poly([-root, 1])
-            assert matrix.char_poly() == want
+            _require(matrix.char_poly() == want, "reduced eigenvalues")
     return f"{draws} parameter draws"
 
 
@@ -245,7 +263,7 @@ def check_product_vector_residual(seed: int, points: int = 20) -> str:
     for _ in range(points):
         x = sampling.sample_disc(rng, 0.05, 0.4)
         worst = max(worst, series.w_residual(p, x, terms=60))
-    assert worst <= 1e-10, f"residual {worst:.3e} exceeds 1e-10"
+    _require(worst <= 1e-10, f"residual {worst:.3e} exceeds 1e-10")
     return f"{points} points, max residual {worst:.2e}"
 
 
@@ -259,18 +277,8 @@ def check_contiguous_dual_path(seed: int, points: int = 20) -> str:
         via = series.v_via_transform(p, x, terms=80)
         scale = max(1.0, float(np.max(np.abs(via))))
         worst = max(worst, float(np.max(np.abs(direct - via))) / scale)
-    assert worst <= 1e-9, f"relative gap {worst:.3e} exceeds 1e-9"
+    _require(worst <= 1e-9, f"relative gap {worst:.3e} exceeds 1e-9")
     return f"{points} points, max relative gap {worst:.2e}"
-
-
-def _series_sample(rng: random.Random, base: str) -> complex:
-    import cmath
-    angle = rng.uniform(-2.4, 2.4)
-    if base == "0":
-        return rng.uniform(0.1, 0.55) * cmath.exp(1j * angle)
-    if base == "1":
-        return 1 + rng.uniform(0.1, 0.55) * cmath.exp(1j * angle)
-    return 1 + rng.uniform(1.8, 3.0) * cmath.exp(1j * angle)
 
 
 def check_local_series_residuals(seed: int, terms: int = 80) -> str:
@@ -288,11 +296,12 @@ def check_local_series_residuals(seed: int, terms: int = 80) -> str:
                 sols = series.local_series(system, base, index, terms,
                                            mode="float")
                 for sol in sols:
-                    samples = [_series_sample(rng, base) for _ in range(5)]
+                    samples = [sampling.series_sample(rng, base)
+                               for _ in range(5)]
                     report = series.residual_report(system, sol, samples)
                     worst = max(worst, report.max_residual)
                     count += 1
-    assert worst <= 1e-9, f"residual {worst:.3e} exceeds 1e-9"
+    _require(worst <= 1e-9, f"residual {worst:.3e} exceeds 1e-9")
     return f"{count} solutions across 2 systems, max residual {worst:.2e}"
 
 
@@ -303,7 +312,7 @@ def check_df_integral_residual(seed: int = 0) -> str:
     for x in (0.3, 0.4, 0.5):
         report = df.df_integral_solution(params, x)
         worst = max(worst, report.residual)
-    assert worst <= 1e-6, f"residual {worst:.3e} exceeds 1e-6"
+    _require(worst <= 1e-6, f"residual {worst:.3e} exceeds 1e-6")
     return f"3 evaluation points, max residual {worst:.2e}"
 
 
@@ -336,8 +345,10 @@ def run_criterion(name: str, fn, seed: int,
     try:
         detail = fn(seed)
         passed = True
-    except AssertionError as exc:
+    except CriterionFailed as exc:
         detail, passed = str(exc), False
+    except InternalInconsistency:
+        raise  # a bug, not a verdict
     except Exception as exc:  # noqa: BLE001 - a crashed criterion is a failure
         detail, passed = f"{type(exc).__name__}: {exc}", False
     elapsed = time.perf_counter() - start

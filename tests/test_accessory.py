@@ -192,7 +192,7 @@ def test_difference_system_shapes():
         assert sys.matrix[0, 0].coeff(3) == 1
         assert sys.matrix[0, 1].degree <= 2 or sys.matrix[0, 1].coeff(3) == 0
     assert g_sys.scalar_numerator == Poly.constant(-1)
-    assert g_sys.label == "g-at-1" and g_sys.direction == "backward-in-z"
+    assert g_sys.label == "g-at-1"
     assert h_sys.scalar_numerator == -(Poly.variable() - Poly.constant(1))
     b = chart.b
     assert g_sys.scalar_denominator == Poly([1, 1]) * Poly([-b * b, 0, 1])

@@ -1,15 +1,18 @@
 """Command-line interface: exit codes, JSON reports, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from okubo import hgsystem
+import okubo
+from okubo import hgsystem, verify
 from okubo.accessory import solve_accessory
-from okubo.cli import EXIT_INTERNAL, main
+from okubo.cli import COMMANDS, EXIT_INPUT, EXIT_INTERNAL, FLAGS, main
 from okubo.errors import InternalInconsistency
 from okubo.exact import RationalMatrix
 from okubo.hgsystem import HGParams, build_okubo_system
@@ -207,3 +210,55 @@ def test_verify_all_reproducible(tmp_path):
     report = json.loads(outs[0])
     assert report["all_passed"] is True
     assert len(report["criteria"]) == 12
+
+
+def _src_env() -> dict:
+    return dict(os.environ,
+                PYTHONPATH=str(Path(okubo.__file__).resolve().parent.parent))
+
+
+@pytest.mark.parametrize("name,flags", [(c[0], c[2]) for c in COMMANDS],
+                         ids=[c[0] for c in COMMANDS])
+def test_foreign_flags_exit_2(capsys, name, flags):
+    foreign = [flag for flag in FLAGS if flag not in flags]
+    assert foreign
+    for flag in foreign:
+        with pytest.raises(SystemExit) as exc:
+            main([name, f"--{flag}", "1"])
+        assert exc.value.code == EXIT_INPUT == 2, flag
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_series_from_each_system_source(capsys, tmp_path, okubo_params_file):
+    chart, _ = solve_accessory(F(1, 3), F(1, 5), F(1, 7), F(1, 11))
+    chart_file = tmp_path / "chart.json"
+    chart_file.write_text(json.dumps(chart.to_json()))
+    common = ("--base", "1", "--index", "0", "--terms", "10")
+    for source in (("--chart", str(chart_file)),
+                   ("--params", okubo_params_file),
+                   ("--a", "1/3", "--b", "1/5", "--c", "1/7", "--d", "1/11",
+                    "--branch", "via-r3")):
+        code, data = run_json(capsys, "series", *source, *common)
+        assert code == 0, source
+        assert len(data["solutions"][0]["coeffs"]) == 10
+
+
+def test_internal_inconsistency_in_verify_all_exits_3(capsys, monkeypatch):
+    def broken(seed):
+        raise InternalInconsistency("criterion lost its identity")
+
+    monkeypatch.setattr(verify, "EXACT_CRITERIA", (("x-broken", broken, 0),))
+    monkeypatch.setattr(verify, "NUMERIC_CRITERIA", ())
+    code = main(["verify-all", "--seed", "7"])
+    assert code == EXIT_INTERNAL == 3
+    assert "criterion lost its identity" in capsys.readouterr().out
+
+
+def test_import_leaves_scipy_unloaded():
+    probe = ("import sys, okubo, okubo.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert proc.stdout.strip() == "[]"

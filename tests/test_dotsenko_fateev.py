@@ -13,7 +13,7 @@ import pytest
 from scipy import integrate
 
 from okubo.dotsenko_fateev import (DFParams, DFTransformReport,
-                                   EulerTransformSpec, _integrand_factors,
+                                   _integrand_factors,
                                    check_df_transformation,
                                    df_eigenvector_matrix, df_integral_solution,
                                    df_residues, df_solution_at, euler_reduce,
@@ -197,12 +197,7 @@ def test_integral_solution_input_errors():
     with pytest.raises(InputError):
         df_integral_solution(deep, 0.4)  # a+c+g/2+1 < 0
     with pytest.raises(InputError):
-        EulerTransformSpec(mu=F(1, 4), contour="circle")
-    with pytest.raises(InputError):
-        EulerTransformSpec(mu=F(1, 4), nodes=2)
-    with pytest.raises(InputError):
-        df_integral_solution(QUAD_PARAMS, 0.4,
-                             EulerTransformSpec(mu=F(1, 3)))
+        df_integral_solution(QUAD_PARAMS, 0.4, nodes=2)
 
 
 def test_report_serialization():
