@@ -21,8 +21,8 @@ from .accessory import (AccessoryChart, CubicBlockDecomposition,
 from .dotsenko_fateev import (DFParams, df_residues, df_eigenvector_matrix,
                               df_integral_solution, check_df_transformation,
                               euler_reduce)
-from .exact import (Poly, PolyMatrix, Rational, RationalMatrix,
-                    left_eigenvectors, mat_mul, poly_adjugate, to_fraction)
+from .exact import (Poly, PolyMatrix, RationalMatrix, left_eigenvectors,
+                    mat_mul, poly_adjugate, to_fraction)
 from .hgsystem import (FuchsianSystem, HGParams, OkuboSystem,
                        build_diagonalizer, build_okubo_system,
                        build_product_system, contiguous_product_matrix,
@@ -38,7 +38,7 @@ __all__ = [
     "AccessoryChart", "CubicBlockDecomposition", "DifferenceSystem",
     "DFParams", "EvalReport", "FuchsianSystem",
     "HGParams", "Obstructions", "OkuboSystem", "Poly", "PolyMatrix",
-    "Rational", "RationalMatrix", "RealizationReport", "SamenessVerdict",
+    "RationalMatrix", "RealizationReport", "SamenessVerdict",
     "SeriesSolution", "build_diagonalizer", "build_okubo_system",
     "build_product_system", "check_df_transformation",
     "contiguous_product_matrix", "contiguous_product_vector", "cubic_blocks",

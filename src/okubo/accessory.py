@@ -33,7 +33,7 @@ from .errors import (AdmissibilityError, DConditionError, DegenerateChart,
 from .exact import (Poly, PolyMatrix, RationalMatrix, left_eigenvectors,
                     to_fraction)
 from .hgsystem import (HGParams, J2, OkuboSystem, _even_quartic,
-                       build_okubo_system, lam)
+                       build_okubo_system, lam, resolvent_numerator)
 
 
 # --------------------------------------------------------------------------
@@ -376,22 +376,6 @@ def cubic_blocks(chart: AccessoryChart) -> CubicBlockDecomposition:
         quadratic=J2.scale(a), linear=linear, constant=constant,
         adj_quadratic=J2.scale(-a), adj_linear=adj_linear,
         adj_constant=adj_constant)
-
-
-def resolvent_numerator(matrix: RationalMatrix, c, d) -> PolyMatrix:
-    """The polynomial numerator N(z) with
-    (zI - A)^{-1} = N(z) / ((z^2-c^2)(z^2-d^2)):
-
-        N(z) = z^3 I + z^2 A + z (A^2 - (c^2+d^2) I) + A^3 - (c^2+d^2) A.
-    """
-    c, d = Fraction(c), Fraction(d)
-    n = matrix.dim
-    ident = RationalMatrix.identity(n)
-    sq = matrix * matrix
-    cu = sq * matrix
-    s = c * c + d * d
-    return PolyMatrix.from_matrix_coeffs(
-        [cu - matrix.scale(s), sq - ident.scale(s), matrix, ident])
 
 
 # --------------------------------------------------------------------------

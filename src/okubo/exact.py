@@ -20,7 +20,6 @@ from typing import Iterable, Sequence, Union
 from .errors import (DimensionMismatch, InputError, NotAnEigenvalue,
                      SingularMatrixError)
 
-Rational = Fraction
 Scalar = Union[Fraction, int]
 
 

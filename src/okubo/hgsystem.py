@@ -28,14 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InputError, InternalInconsistency, SingularMatrixError
-from .exact import RationalMatrix, to_fraction
+from .exact import PolyMatrix, RationalMatrix, to_fraction
 
 _SIGN = {"+": 1, "-": -1, "0": 0}
-
-#: The constant diagonal of the Okubo normal form.
-T_MATRIX = RationalMatrix.diagonal([0, 0, 1, 1])
 
 #: J = diag(1, -1), the 2x2 sign involution.
 J2 = RationalMatrix.diagonal([1, -1])
@@ -124,7 +122,6 @@ class FuchsianSystem:
 
     residue_at_0: RationalMatrix
     residue_at_1: RationalMatrix
-    description: str = ""
 
     @property
     def residue_at_inf(self) -> RationalMatrix:
@@ -164,10 +161,51 @@ class OkuboSystem:
             raise InternalInconsistency(
                 "characteristic polynomial is not (t^2-c^2)(t^2-d^2)")
 
+    @cached_property
+    def resolvent(self) -> PolyMatrix:
+        """N(z) with (zI - A) N(z) = (z^2-c^2)(z^2-d^2) I, checked exactly.
+
+        Built and checked once per system object and kept outside the
+        fields the system is compared and hashed by.  The identity is
+        compared column by column and power by power: the z^k coefficient
+        of column j of (zI - A) N(z) is N_{k-1} e_j - A N_k e_j.
+        """
+        numer = resolvent_numerator(self.coeff, self.c, self.d)
+        char = _even_quartic(self.c, self.d)
+        dim = self.coeff.dim
+        for j in range(dim):
+            prev = [0] * dim
+            for k in range(5):
+                col = [numer[i, j].coeff(k) for i in range(dim)]
+                got = [x - y for x, y in zip(prev, self.coeff.apply(col))]
+                if got != [char.coeff(k) if i == j else 0
+                           for i in range(dim)]:
+                    raise InternalInconsistency(
+                        "resolvent numerator does not invert zI - A "
+                        f"(c = {self.c}, d = {self.d})")
+                prev = col
+        return numer
+
 
 def _even_quartic(c: Fraction, d: Fraction):
     from .exact import Poly
     return Poly([c * c * d * d, 0, -(c * c + d * d), 0, 1])
+
+
+def resolvent_numerator(matrix: RationalMatrix, c, d) -> PolyMatrix:
+    """The polynomial numerator N(z) with
+    (zI - A)^{-1} = N(z) / ((z^2-c^2)(z^2-d^2)):
+
+        N(z) = z^3 I + z^2 A + z (A^2 - (c^2+d^2) I) + A^3 - (c^2+d^2) A.
+    """
+    c, d = Fraction(c), Fraction(d)
+    n = matrix.dim
+    ident = RationalMatrix.identity(n)
+    sq = matrix * matrix
+    cu = sq * matrix
+    s = c * c + d * d
+    return PolyMatrix.from_matrix_coeffs(
+        [cu - matrix.scale(s), sq - ident.scale(s), matrix, ident])
 
 
 def build_product_system(p: HGParams) -> FuchsianSystem:
@@ -184,7 +222,7 @@ def build_product_system(p: HGParams) -> FuchsianSystem:
         [-a1 * b1, g1 - 1 - a1 - b1, 0, 0],
         [-a2 * b2, 0, g2 - 1 - a2 - b2, 0],
         [0, -a2 * b2, -a1 * b1, g1 + g2 - 2 - a1 - a2 - b1 - b2]])
-    return FuchsianSystem(h0, h1, "hypergeometric product")
+    return FuchsianSystem(h0, h1)
 
 
 def infinity_exponents(p: HGParams) -> list:

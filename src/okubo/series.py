@@ -19,24 +19,30 @@ singular, each step solves the two invertible rows for the next top
 constraint; the admissibility condition on (a, b, c, d) keeps every one
 of those solves nonsingular.
 
-Exact mode runs the recurrences fraction-free: each coefficient vector is
-four integer numerators over one shared positive denominator, every step
-is a handful of integer products, and one gcd per step keeps the vector
-in lowest terms (the recurrence then holds with zero error).  At the
-finite points only the two solved rows of ((r+rho) I - A) g(r) are
-formed.  At infinity the step matrix is inverted in closed form,
+One kernel per recurrence serves both modes.  It runs fraction-free:
+each coefficient vector is four numerators over one shared denominator,
+and a step is a handful of products with tables built once per series.
+At the finite points only the two solved rows of ((r+rho) I - A) g(r)
+are formed.  At infinity the step matrix is inverted in closed form,
 
   ((s+sigma+1) I + A)^{-1} = -N(-w) / ((w^2-c^2)(w^2-d^2)),
   w = s+sigma+1,
 
-with N the resolvent numerator of accessory.resolvent_numerator, the same
-cubic the sameness verdict reduces; the identity
-(zI - A) N(z) = (z^2-c^2)(z^2-d^2) I is checked exactly once per series.
-The output coefficients are reduced Fractions.  Float mode runs the
-recurrences in complex double precision.  Series are only summed well
-inside their convergence discs:
-|x| <= 0.6 and |x-1| <= 0.6 at the finite points, |x-1| >= 1.7 at
-infinity.  Powers x^rho use the principal branch.
+with N = OkuboSystem.resolvent, the resolvent numerator the sameness
+verdict reduces, built and checked exactly once per system.  A step whose
+denominator vanishes is refused, exactly, before the recurrence runs.
+The modes differ only in how rationals enter, how a step's numerators are
+normalised over its denominator, and how a vector leaves: exact mode
+enters integers over common denominators, reduces by one gcd per step
+and returns reduced Fractions (the recurrence then holds with zero
+error); float mode enters every table as doubles over 1, rounds each
+exact step factor once to the nearest double (so nothing it handles grows
+with the height of the exponents), divides by each step's denominator and
+returns complex coefficients.
+
+Series are only summed well inside their convergence discs: |x| <= 0.6
+and |x-1| <= 0.6 at the finite points, |x-1| >= 1.7 at infinity.  Powers
+x^rho use the principal branch.
 """
 
 from __future__ import annotations
@@ -48,13 +54,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (AdmissibilityError, InputError, InternalInconsistency,
-                     OutsideDisc)
-from .exact import PolyMatrix, RationalMatrix
-from .hgsystem import (HGParams, OkuboSystem, _even_quartic,
-                       build_diagonalizer, build_product_system,
-                       gauge_matrix, lam)
-from .accessory import require_admissible, resolvent_numerator
+from .errors import AdmissibilityError, InputError, OutsideDisc
+from .exact import RationalMatrix
+from .hgsystem import (HGParams, OkuboSystem, build_diagonalizer,
+                       build_product_system, gauge_matrix, lam)
+from .accessory import require_admissible
 
 #: evaluation discs (see module docstring)
 DISC_FINITE = 0.6
@@ -301,7 +305,7 @@ def local_series(system: OkuboSystem, base: str, exponent_index: int,
     repeated exponent 0 at a finite base point, one otherwise.
     """
     require_admissible(system.a, system.b, system.c, system.d)
-    if mode not in ("exact", "float"):
+    if mode not in _ARITHMETIC:
         raise InputError(f"unknown mode {mode!r}")
     expos = exponents_at(system, base)
     if not 0 <= exponent_index < len(expos):
@@ -309,107 +313,108 @@ def local_series(system: OkuboSystem, base: str, exponent_index: int,
                          f"0..{len(expos) - 1}")
     rho = expos[exponent_index]
     if base == "inf":
-        return [_series_at_infinity(system, rho, terms, mode)]
-    if base in ("0", "1"):
-        starts = _finite_starts(system, base, rho)
-        return [_series_at_finite(system, base, rho, g0, terms, mode)
-                for g0 in starts]
-    raise InputError(f"unknown base point {base!r}")
+        coeffs = [_infinity_coeffs(system, rho, _infinity_start(system, rho),
+                                   terms, mode)]
+    else:
+        coeffs = [_finite_coeffs(system, base, rho, g0, terms, mode)
+                  for g0 in _finite_starts(system, base, rho)]
+    variable = {"0": "x", "1": "x-1", "inf": "1/(x-1)"}[base]
+    return [SeriesSolution(base=base, exponent=rho, coeffs=tuple(vecs),
+                           variable=variable, exact=mode == "exact")
+            for vecs in coeffs]
+
+
+#: (solved, coupled) row pairs of the recurrence at a finite base point:
+#: the solved pair is where T - I (at 1) or T (at 0) is invertible
+_FINITE_ROWS = {"1": ((0, 1), (2, 3)), "0": ((2, 3), (0, 1))}
 
 
 def _finite_starts(system: OkuboSystem, base: str, rho: Fraction) -> list:
-    """Exact admissible initial vectors g(0)."""
-    a, b = system.a, system.b
-    if base == "1":
-        a21 = system.lower_left()
-        if rho == 0:
-            # top pair free; rows 3,4 of the r = 0 constraint give the bottom
-            starts = []
-            for e in ([Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]):
-                rhs = a21.apply(e)
-                bottom = [rhs[0] / (0 - b), rhs[1] / (0 + b)]
-                starts.append(e + bottom)
-            return starts
-        # (T - I) g(0) = 0 forces the top pair to vanish; the bottom pair
-        # must be annihilated by diag(rho - b, rho + b)
-        if rho == b:
-            return [[Fraction(0), Fraction(0), Fraction(1), Fraction(0)]]
-        return [[Fraction(0), Fraction(0), Fraction(0), Fraction(1)]]
-    # base "0"
-    a12 = system.upper_right()
-    if rho == 0:
-        starts = []
-        for e in ([Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]):
-            rhs = a12.apply(e)
-            top = [rhs[0] / (0 - a), rhs[1] / (0 + a)]
-            starts.append(top + e)
-        return starts
-    if rho == a:
-        return [[Fraction(1), Fraction(0), Fraction(0), Fraction(0)]]
-    return [[Fraction(0), Fraction(1), Fraction(0), Fraction(0)]]
+    """Exact admissible initial vectors g(0) at x = 0 or x = 1.
 
-
-def _series_at_finite(system: OkuboSystem, base: str, rho: Fraction,
-                      start: list, terms: int, mode: str) -> SeriesSolution:
-    exact = mode == "exact"
-    if exact:
-        coeffs = _finite_coeffs_exact(system, base, Fraction(rho), start,
-                                      terms)
-    else:
-        a, b = system.a, system.b
-        amat = system.coeff.to_complex()
-        g = np.array([complex(x) for x in start])
-        coeffs = [tuple(g)]
-        for r in range(terms - 1):
-            zf = float(r + rho)
-            rhs = zf * g - amat @ g
-            step = zf + 1.0
-            if base == "1":
-                top = -rhs[:2] / step
-                mixed = amat[2:, :2] @ top
-                bottom = mixed / np.array([step - float(b), step + float(b)])
-                g = np.concatenate([top, bottom])
-            else:
-                bottom = rhs[2:] / step
-                mixed = amat[:2, 2:] @ bottom
-                top = mixed / np.array([step - float(a), step + float(a)])
-                g = np.concatenate([top, bottom])
-            coeffs.append(tuple(g))
-    return SeriesSolution(base=base, exponent=Fraction(rho),
-                          coeffs=tuple(coeffs),
-                          variable="x" if base == "0" else "x-1",
-                          exact=exact)
-
-
-def _integer_rows(rows) -> tuple:
-    """(integer rows, positive common denominator) of rational rows."""
-    den = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
-    return [[int(x * den) for x in row] for row in rows], den
-
-
-def _reduced(nums: list, den: int, index: int) -> tuple:
-    """nums / den with a positive denominator and no common factor.
-
-    ``den`` is the step's denominator; zero means the exponents resonate
-    at this step, which no admissible system reaches.
+    For rho = 0 the solved pair is free and the coupled rows of the r = 0
+    equation give the coupled pair; otherwise the solved pair vanishes and
+    the coupled pair must be annihilated by diag(rho - e, rho + e), with
+    e = a at 0 and b at 1.
     """
-    if den == 0:
+    solved, coupled = _FINITE_ROWS[base]
+    e = system.a if base == "0" else system.b
+    if rho != 0:
+        g = [Fraction(0)] * 4
+        g[coupled[0] if rho == e else coupled[1]] = Fraction(1)
+        return [g]
+    rows = system.coeff.rows
+    starts = []
+    for j in solved:
+        g = [Fraction(0)] * 4
+        g[j] = Fraction(1)
+        g[coupled[0]] = rows[coupled[0]][j] / -e
+        g[coupled[1]] = rows[coupled[1]][j] / e
+        starts.append(g)
+    return starts
+
+
+def _infinity_start(system: OkuboSystem, sigma: Fraction) -> list:
+    """The exact initial vector h(0), spanning the kernel of sigma I + A."""
+    shifted = system.coeff + RationalMatrix.identity(4).scale(sigma)
+    null = shifted.transpose().left_null_space()
+    if len(null) != 1:
+        raise InputError("initial vector at infinity is not unique",
+                         {"dimension": len(null)})
+    return null[0]
+
+
+def _integers(values) -> tuple:
+    """(integer numerators, positive common denominator) of rationals."""
+    den = math.lcm(*(Fraction(x).denominator for x in values))
+    return [int(x * den) for x in values], den
+
+
+def _require_nonzero_steps(shifts, terms: int):
+    """Step k (1 <= k < terms) divides by k + shift for every shift.
+
+    A zero one means the exponents resonate at that step, which no
+    admissible system reaches; it is caught here, exactly, in both modes.
+    """
+    steps = [-x for x in shifts if x.denominator == 1 and 1 <= -x < terms]
+    if steps:
         raise AdmissibilityError(
             "series recurrence step has a zero denominator",
-            {"step": index})
+            {"step": int(min(steps))})
+
+
+def _reduced(nums: list, den: int) -> tuple:
+    """nums / den with a positive denominator and no common factor."""
     if den < 0:
         nums, den = [-n for n in nums], -den
     g = math.gcd(den, *nums)
     return [n // g for n in nums], den // g
 
 
-def _finite_coeffs_exact(system: OkuboSystem, base: str, rho: Fraction,
-                         start: list, terms: int) -> list:
-    """Exact coefficient vectors g(0..terms-1) at x = 0 or x = 1.
+#: what the kernels do by mode: (enter rationals as numerators over one
+#: denominator, carry a step factor num/scale, normalise a step's
+#: numerators over the step's denominator, leave a vector as output
+#: coefficients).  Exact mode carries the integer num (the scales cancel
+#: between a step's numerators and its denominator); float mode enters
+#: every table as doubles over 1 and carries the double nearest num/scale,
+#: so no number it handles grows with the height of the exponents.
+_ARITHMETIC = {
+    "exact": (_integers, lambda num, scale: num, _reduced,
+              lambda nums, den: tuple(Fraction(n, den) for n in nums)),
+    "float": (lambda values: ([float(x) for x in values], 1),
+              lambda num, scale: num / scale,
+              lambda nums, den: ([n / den for n in nums], 1),
+              lambda nums, den: tuple(complex(n) for n in nums)),
+}
 
-    Each g(r) is kept as four integers over one positive denominator.
-    With A = A'/D (A' integer), rho = p/q and the block exponent
-    e = a (at 0) or b (at 1) = e'/q_e, one step reads, for s = (r+1)q + p
+
+def _finite_coeffs(system: OkuboSystem, base: str, rho: Fraction,
+                   start: list, terms: int, mode: str) -> list:
+    """Coefficient vectors g(0..terms-1) at x = 0 or x = 1.
+
+    Each g(r) is kept as four numerators over one denominator.  With
+    A = A'/D, rho = p/q and the block exponent e = a (at 0) or b (at 1)
+    = e'/q_e, one step reads, for s = (r+1)q + p
     (so step = r + rho + 1 = s/q) and t_-+ = s q_e -+ e' q:
 
       R_i  = (r q + p) D n_i - q (A' n)_i          for the two solved rows,
@@ -417,87 +422,50 @@ def _finite_coeffs_exact(system: OkuboSystem, base: str, rho: Fraction,
       n'_k = q q_e t_+- (A'_blk (sign R))_k         for the coupled rows,
       den' = D^2 den s t_- t_+,
 
-    where the coupled rows divide by step -+ e.  One gcd then reduces the
-    vector.
+    where the coupled rows divide by step -+ e.  The mode then normalises
+    the vector.  In float mode A' = A, D = 1 and every factor above is
+    divided by its scale (q for r q + p, s and q; q q_e for t_-+ and q q_e).
     """
-    amat, dmat = _integer_rows(system.coeff.rows)
-    p, q = rho.numerator, rho.denominator
     e = system.a if base == "0" else system.b
+    _require_nonzero_steps((rho, rho - e, rho + e), terms)
+    enter, factor, normalise, leave = _ARITHMETIC[mode]
+    flat, dmat = enter([x for row in system.coeff.rows for x in row])
+    amat = [flat[4 * i:4 * i + 4] for i in range(4)]
+    p, q = rho.numerator, rho.denominator
     ep, eq = e.numerator, e.denominator
-    if base == "1":
-        solved, coupled, sign = (0, 1), (2, 3), -1
-    else:
-        solved, coupled, sign = (2, 3), (0, 1), 1
+    solved, coupled = _FINITE_ROWS[base]
+    sign = -1 if base == "1" else 1
     rows = [amat[i] for i in solved]
     blk = [[amat[k][j] for j in solved] for k in coupled]
     qe = q * eq
-    (nums,), den = _integer_rows([start])
-    coeffs = [tuple(Fraction(x) for x in start)]
+    qf, qef = factor(q, q), factor(qe, qe)
+    nums, den = enter(start)
+    coeffs = [leave(nums, den)]
     for r in range(terms - 1):
         zq = r * q + p
         s = zq + q
-        tm, tp = s * eq - ep * q, s * eq + ep * q
+        tm, tp = factor(s * eq - ep * q, qe), factor(s * eq + ep * q, qe)
+        zq, s = factor(zq, q), factor(s, q)
         r0, r1 = (sign * (zq * dmat * nums[i]
-                          - q * sum(a * n for a, n in zip(row, nums)))
+                          - qf * sum(a * n for a, n in zip(row, nums)))
                   for i, row in zip(solved, rows))
         m0 = blk[0][0] * r0 + blk[0][1] * r1
         m1 = blk[1][0] * r0 + blk[1][1] * r1
         scale = dmat * tm * tp
         nxt = [0] * 4
         nxt[solved[0]], nxt[solved[1]] = scale * r0, scale * r1
-        nxt[coupled[0]], nxt[coupled[1]] = qe * tp * m0, qe * tm * m1
-        nums, den = _reduced(nxt, dmat * dmat * den * s * tm * tp, r + 1)
-        coeffs.append(tuple(Fraction(n, den) for n in nums))
+        nxt[coupled[0]], nxt[coupled[1]] = qef * tp * m0, qef * tm * m1
+        nums, den = normalise(nxt, dmat * dmat * den * s * tm * tp)
+        coeffs.append(leave(nums, den))
     return coeffs
 
 
-def _series_at_infinity(system: OkuboSystem, sigma: Fraction,
-                        terms: int, mode: str) -> SeriesSolution:
-    shifted = system.coeff + RationalMatrix.identity(4).scale(sigma)
-    null = shifted.transpose().left_null_space()
-    if len(null) != 1:
-        raise InputError("initial vector at infinity is not unique",
-                         {"dimension": len(null)})
-    h0 = null[0]
-    exact = mode == "exact"
-    if exact:
-        coeffs = _infinity_coeffs_exact(system, Fraction(sigma), h0, terms)
-    else:
-        amat = system.coeff.to_complex()
-        h = np.array([complex(x) for x in h0])
-        coeffs = [tuple(h)]
-        eye = np.eye(4, dtype=complex)
-        for s in range(terms - 1):
-            z = float(s + sigma)
-            rhs = np.array([-z * h[0], -z * h[1], 0.0, 0.0])
-            h = np.linalg.solve(amat + (z + 1) * eye, rhs)
-            coeffs.append(tuple(h))
-    return SeriesSolution(base="inf", exponent=Fraction(sigma),
-                          coeffs=tuple(coeffs), variable="1/(x-1)",
-                          exact=exact)
-
-
-def _checked_resolvent(system: OkuboSystem) -> PolyMatrix:
-    """N(z) with (zI - A) N(z) = (z^2-c^2)(z^2-d^2) I, checked exactly."""
-    numer = resolvent_numerator(system.coeff, system.c, system.d)
-    coeff = system.coeff
-    shifted = PolyMatrix.from_matrix_coeffs(
-        [-coeff, RationalMatrix.identity(coeff.dim)])
-    char = _even_quartic(system.c, system.d)
-    if shifted * numer != PolyMatrix.from_constant(
-            RationalMatrix.identity(coeff.dim)) * char:
-        raise InternalInconsistency(
-            "resolvent numerator does not invert zI - A "
-            f"(c = {system.c}, d = {system.d})")
-    return numer
-
-
-def _infinity_coeffs_exact(system: OkuboSystem, sigma: Fraction, h0: list,
-                           terms: int) -> list:
-    """Exact coefficient vectors h(0..terms-1) at x = infinity.
+def _infinity_coeffs(system: OkuboSystem, sigma: Fraction, h0: list,
+                     terms: int, mode: str) -> list:
+    """Coefficient vectors h(0..terms-1) at x = infinity.
 
     The step matrix A + wI (w = s + sigma + 1) has the closed inverse
-    -N(-w) / P(w), with N the resolvent numerator and
+    -N(-w) / P(w), with N = system.resolvent and
     P(w) = (w^2-c^2)(w^2-d^2), and the right-hand side -z (h_1, h_2, 0, 0)
     (z = w - 1) meets only the first two columns of N.  With sigma = p/q,
     Z = qz, W = qw, those columns cleared to integers N'_k = L N_k and K
@@ -506,26 +474,30 @@ def _infinity_coeffs_exact(system: OkuboSystem, sigma: Fraction, h0: list,
       n'  = Z (sum_k K q^(3-k) N'_k (-W)^k) n_top,
       den' = L den K q^4 P(w),
 
-    a Horner evaluation of integer cubics and a 4x2 integer product,
-    followed by one gcd.
+    a Horner evaluation of cubics and a 4x2 product, followed by the mode's
+    normalisation.  In float mode N' = N, L = K = 1 and Z, W and q are
+    divided by q.
     """
-    numer = _checked_resolvent(system)
+    c, d = system.c, system.d
+    _require_nonzero_steps((sigma - c, sigma + c, sigma - d, sigma + d),
+                           terms)
+    enter, factor, normalise, leave = _ARITHMETIC[mode]
+    numer = system.resolvent
+    flat, lden = enter([numer[i, j].coeff(k) for k in range(4)
+                        for i in range(4) for j in (0, 1)])
     p, q = sigma.numerator, sigma.denominator
-    (flat,), lden = _integer_rows([[numer[i, j].coeff(k) for k in range(4)
-                                    for i in range(4) for j in (0, 1)]])
-    c2, d2 = system.c * system.c, system.d * system.d
-    kden = math.lcm((c2 + d2).denominator, (c2 * d2).denominator)
-    quartic = (kden, -int((c2 + d2) * kden) * q * q,
-               int(c2 * d2 * kden) * q ** 4)
+    qf = factor(q, q)
+    (k0, k1, k2), kden = enter([1, -(c * c + d * d), c * c * d * d])
+    quartic = (k0, k1 * qf * qf, k2 * qf ** 4)
     # mats[k][i][j] = K q^(3-k) N'_k[i][j]
-    mats = [[[kden * q ** (3 - k) * flat[8 * k + 2 * i + j] for j in (0, 1)]
-             for i in range(4)] for k in range(4)]
-    (nums,), den = _integer_rows([h0])
-    coeffs = [tuple(Fraction(x) for x in h0)]
+    mats = [[[kden * qf ** (3 - k) * flat[8 * k + 2 * i + j]
+              for j in (0, 1)] for i in range(4)] for k in range(4)]
+    nums, den = enter(h0)
+    coeffs = [leave(nums, den)]
     for s in range(terms - 1):
         zq = s * q + p
-        wq = zq + q
-        u = -wq
+        u = factor(-zq - q, q)
+        zq = factor(zq, q)
         top0, top1 = nums[0], nums[1]
         nxt = []
         for i in range(4):
@@ -534,29 +506,25 @@ def _infinity_coeffs_exact(system: OkuboSystem, sigma: Fraction, h0: list,
             col1 = ((mats[3][i][1] * u + mats[2][i][1]) * u
                     + mats[1][i][1]) * u + mats[0][i][1]
             nxt.append(zq * (col0 * top0 + col1 * top1))
-        w2 = wq * wq
+        w2 = u * u
         quartic_w = (quartic[0] * w2 + quartic[1]) * w2 + quartic[2]
-        nums, den = _reduced(nxt, lden * den * quartic_w, s + 1)
-        coeffs.append(tuple(Fraction(n, den) for n in nums))
+        nums, den = normalise(nxt, lden * den * quartic_w)
+        coeffs.append(leave(nums, den))
     return coeffs
 
 
 def recurrence_defects(system: OkuboSystem, sol: SeriesSolution) -> list:
     """Defect vectors of the defining recurrence, index by index.
 
-    For exact solutions every entry is a Fraction and must be zero; for
-    float solutions the entries are complex round-off residue.
+    A's rows are Fractions, which multiply Fraction and complex entries
+    alike, so one path serves both modes: for exact solutions every entry
+    is a Fraction and must be zero; for float solutions the entries are
+    complex round-off residue.
     """
+    apply = system.coeff.apply
     t_diag = [0, 0, 1, 1]
     rho = sol.exponent
-    if sol.exact:
-        amat = system.coeff
-        vecs = [[Fraction(c) for c in v] for v in sol.coeffs]
-        mul = lambda m, v: m.apply(v)
-    else:
-        amat = system.coeff.to_complex()
-        vecs = [np.array([complex(c) for c in v]) for v in sol.coeffs]
-        mul = lambda m, v: m @ v
+    vecs = sol.coeffs
     defects = []
     if sol.base in ("0", "1"):
         shift = 0 if sol.base == "0" else -1
@@ -567,16 +535,16 @@ def recurrence_defects(system: OkuboSystem, sol: SeriesSolution) -> list:
             z = r + rho
             lhs = [(z + 1) * (t_diag[i] + shift) * vecs[r + 1][i]
                    for i in range(4)]
-            rhs_vec = mul(amat, vecs[r])
+            rhs_vec = apply(vecs[r])
             rhs = [z * vecs[r][i] - rhs_vec[i] for i in range(4)]
             defects.append([lhs[i] - rhs[i] for i in range(4)])
     else:
         sigma = rho
-        first = mul(amat, vecs[0])
+        first = apply(vecs[0])
         defects.append([sigma * vecs[0][i] + first[i] for i in range(4)])
         for s in range(len(vecs) - 1):
             z = s + sigma
-            step = mul(amat, vecs[s + 1])
+            step = apply(vecs[s + 1])
             lhs = [(z + 1) * vecs[s + 1][i] + step[i] for i in range(4)]
             rhs = [z * (t_diag[i] - 1) * vecs[s][i] for i in range(4)]
             defects.append([lhs[i] - rhs[i] for i in range(4)])

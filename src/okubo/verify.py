@@ -66,7 +66,7 @@ def check_infinity_factorization(seed: int, draws: int = 50) -> str:
     for _ in range(draws):
         p = sampling.draw_generic_params(rng)
         sys = hgsystem.build_product_system(p)
-        phi = (-(sys.residue_at_0 + sys.residue_at_1)).char_poly()
+        phi = sys.residue_at_inf.char_poly()
         want = Poly.constant(1)
         for e in hgsystem.infinity_exponents(p):
             want = want * Poly([-e, 1])

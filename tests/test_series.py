@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from okubo import series
+from okubo import hgsystem, series
 from okubo.accessory import realize_product_system, solve_accessory
 from okubo.errors import (InputError, InternalInconsistency, OkuboError,
                           OutsideDisc)
@@ -219,38 +219,58 @@ def test_exact_kernel_matches_fraction_reference():
 
 
 def test_perturbed_resolvent_is_an_internal_inconsistency(monkeypatch):
-    system = special_system()
-    honest = series.resolvent_numerator
+    honest = hgsystem.resolvent_numerator
 
     def perturbed(matrix, c, d):
         return honest(matrix, c, d) + PolyMatrix.from_constant(
             RationalMatrix.diagonal([F(1, 10**6), 0, 0, 0]))
 
-    monkeypatch.setattr(series, "resolvent_numerator", perturbed)
-    with pytest.raises(InternalInconsistency):
-        local_series(system, "inf", 0, 10, mode="exact")
+    monkeypatch.setattr(hgsystem, "resolvent_numerator", perturbed)
+    # special_system() builds a new system object, so nothing is cached
+    for mode in ("exact", "float"):
+        with pytest.raises(InternalInconsistency):
+            local_series(special_system(), "inf", 0, 10, mode=mode)
+
+
+def test_resolvent_is_built_once_per_system(monkeypatch):
+    system = special_system()
+    honest = hgsystem.resolvent_numerator
+    calls = []
+
+    def counted(matrix, c, d):
+        calls.append((c, d))
+        return honest(matrix, c, d)
+
+    monkeypatch.setattr(hgsystem, "resolvent_numerator", counted)
+    for terms in (10, 20):
+        for mode in ("exact", "float"):
+            for idx in range(4):
+                local_series(system, "inf", idx, terms, mode)
+    assert len(calls) == 1
 
 
 def test_zero_step_denominator_raises():
     system = special_system()
-    # rho = -1 makes step = r + rho + 1 vanish at r = 0; rho = b - 1 makes
-    # step - b vanish there
-    for rho in (F(-1), system.b - 1):
+    start = [F(1), F(0), F(0), F(0)]
+    for mode in ("exact", "float"):
+        # rho = -1 makes step = r + rho + 1 vanish at r = 0; rho = b - 1
+        # makes step - b vanish there
+        for rho in (F(-1), system.b - 1):
+            with pytest.raises(OkuboError):
+                series._finite_coeffs(system, "1", rho, start, 4, mode)
+        # sigma = c - 1 puts w = c, a root of (w^2-c^2)(w^2-d^2), at s = 0
         with pytest.raises(OkuboError):
-            series._series_at_finite(system, "1", rho, [F(1), F(0), F(0),
-                                                         F(0)], 4, "exact")
-    # sigma = c - 1 puts w = c, a root of (w^2-c^2)(w^2-d^2), at s = 0
-    with pytest.raises(OkuboError):
-        series._infinity_coeffs_exact(system, system.c - 1,
-                                      [F(1), F(0), F(0), F(0)], 4)
+            series._infinity_coeffs(system, system.c - 1, start, 4, mode)
 
 
 def test_float_recurrence_defect_is_small():
-    system = special_system()
-    sol = local_series(system, "1", 1, 60, mode="float")[0]
-    defects = recurrence_defects(system, sol)
-    worst = max(abs(complex(x)) for vec in defects for x in vec)
-    assert worst <= 1e-12
+    for system in (special_system(), build_okubo_system(POK)[1]):
+        for base in ("0", "1", "inf"):
+            for idx in range(len(exponents_at(system, base))):
+                for sol in local_series(system, base, idx, 80, mode="float"):
+                    defects = recurrence_defects(system, sol)
+                    worst = max(abs(x) for vec in defects for x in vec)
+                    assert worst <= 1e-12, (base, idx, worst)
 
 
 def test_exact_and_float_coefficients_agree():
@@ -261,6 +281,36 @@ def test_exact_and_float_coefficients_agree():
         for ce, cf in zip(ve, vf):
             assert abs(complex(ce) - complex(cf)) <= 1e-12 * max(
                 1.0, abs(complex(ce)))
+
+
+def row_scaled_gap(float_coeffs, exact_coeffs):
+    worst = 0.0
+    for fvec, evec in zip(float_coeffs, exact_coeffs, strict=True):
+        scale = max(abs(complex(c)) for c in evec) or 1.0
+        worst = max(worst, max(abs(complex(f) - complex(e))
+                               for f, e in zip(fvec, evec)) / scale)
+    return worst
+
+
+def test_float_series_at_large_heights():
+    # exponent denominators near 10^6, 10^15, 10^40 and 10^300: cleared to
+    # integers, the tables of A and of the resolvent numerator and the
+    # step factors at 400 terms pass the double range, so float mode must
+    # not route them through it.  From 10^40 on the exact series is slow
+    # to compare with, so the float recurrence defect is checked instead.
+    for height in (6, 15, 40, 300):
+        q = 10 ** height
+        exps = (F(q // 3 - 2, q - 17), F(q // 5 - 1, q + 3),
+                F(q // 7, q + 33), F(q // 11 - 3, q + 37))
+        _, system = solve_accessory(*exps)
+        for base in ("0", "1", "inf"):
+            flt = local_series(system, base, 1, 400, mode="float")[0]
+            if height >= 40:
+                defects = recurrence_defects(system, flt)
+                assert max(abs(x) for vec in defects for x in vec) <= 1e-12
+                continue
+            exact = local_series(system, base, 1, 60, mode="exact")[0]
+            assert row_scaled_gap(flt.coeffs[:60], exact.coeffs) <= 1e-10
 
 
 def test_self_convergence_at_fixed_point():
