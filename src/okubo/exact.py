@@ -1,11 +1,22 @@
 """Exact rational scalars, dense univariate polynomials, and small matrices.
 
 Every structural identity verified by this package is an equality between
-rational numbers, so the ground field is `fractions.Fraction`: stored in
-lowest terms with a positive denominator, with exact arithmetic for free.
-Matrices are dense and small (dimension 2..8); the algorithms are textbook
-Gauss-Jordan elimination, cofactor adjugates and the Leverrier-Faddeev
-characteristic polynomial, which are entirely adequate at these sizes.
+rationals, so entries are `fractions.Fraction`: in lowest terms with a
+positive denominator, hence unique.  The kernels do not add and multiply
+Fractions one by one (each such step is a gcd); they clear a row, a column
+or a whole matrix to integer numerators over one positive common
+denominator (`common_denominator`), run on Python ints, and reduce each
+output entry once:
+
+* `mat_mul`, `RationalMatrix.apply` and `Poly.__mul__` are integer dot
+  products and convolutions over the product of two denominators;
+* `RationalMatrix.char_poly` runs Leverrier-Faddeev on the integer matrix
+  D M, where the divisions by k are exact, and scales coefficient k by
+  D^-k;
+* `det`, `inverse` and `left_null_space` use fraction-free (Bareiss)
+  elimination, whose divisions by the previous pivot are exact.
+
+The outputs are the same Fractions the textbook Fraction algorithms give.
 
 Serialization convention: a rational is the string ``"p/q"`` (``"p"`` when
 the denominator is 1), sign on the numerator; a matrix is a JSON array of
@@ -14,7 +25,9 @@ arrays of such strings.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import (DimensionMismatch, InputError, NotAnEigenvalue,
@@ -39,6 +52,25 @@ def to_fraction(value) -> Fraction:
                      {"value": repr(value)})
 
 
+def _fractions(values) -> tuple:
+    """Entries as Fractions: existing ones kept, others via to_fraction."""
+    return tuple(x if isinstance(x, Fraction) else to_fraction(x)
+                 for x in values)
+
+
+def common_denominator(values) -> tuple:
+    """(integer numerators, positive common denominator) of rationals.
+
+    ``values`` are Fractions or ints; the denominator is the lcm of theirs.
+    """
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _dot(xs, ys) -> int:
+    return sum(map(mul, xs, ys))
+
+
 class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
@@ -50,7 +82,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(_fractions(coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -113,13 +145,15 @@ class Poly:
         other = _as_poly(other)
         if self.is_zero() or other.is_zero():
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        xs, dx = common_denominator(self.coeffs)
+        ys, dy = common_denominator(other.coeffs)
+        out = [0] * (len(xs) + len(ys) - 1)
+        for i, a in enumerate(xs):
+            if a:
+                for j, b in enumerate(ys):
+                    out[i + j] += a * b
+        den = dx * dy
+        return Poly([Fraction(n, den) for n in out])
 
     __rmul__ = __mul__
 
@@ -186,7 +220,7 @@ class RationalMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
-        rs = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        rs = tuple(_fractions(row) for row in rows)
         n = len(rs)
         if any(len(row) != n for row in rs):
             raise DimensionMismatch("matrix must be square",
@@ -292,103 +326,129 @@ class RationalMatrix:
     def scale(self, s: Scalar) -> "RationalMatrix":
         return RationalMatrix([[x * s for x in row] for row in self.rows])
 
-    def apply(self, vector: Sequence[Fraction]) -> list:
+    def apply(self, vector: Sequence) -> list:
+        """M v: exact Fractions for a rational v, entry by entry otherwise
+        (a complex v gives complex entries)."""
         if len(vector) != self.dim:
             raise DimensionMismatch("vector length does not match matrix")
+        if all(isinstance(v, (int, Fraction)) for v in vector):
+            ys, dy = common_denominator(vector)
+            return [Fraction(_dot(xs, ys), dx * dy)
+                    for xs, dx in map(common_denominator, self.rows)]
         return [sum((a * v for a, v in zip(row, vector)), Fraction(0))
                 for row in self.rows]
 
     # -- elimination-based operations --------------------------------------
     def det(self) -> Fraction:
-        n = self.dim
-        m = [list(row) for row in self.rows]
-        det = Fraction(1)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = Fraction(1) / m[col][col]
-            for r in range(col + 1, n):
-                if m[r][col] != 0:
-                    f = m[r][col] * inv
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        return det
+        """det M = det B / prod(d_i) for the rows B_i = d_i M_i cleared."""
+        cleared = [common_denominator(row) for row in self.rows]
+        pivots, pivot, sign = _eliminate([xs for xs, _ in cleared], self.dim)
+        if len(pivots) < self.dim:
+            return Fraction(0)
+        return Fraction(sign * pivot, math.prod(d for _, d in cleared))
 
     def inverse(self) -> "RationalMatrix":
+        """M^-1 = B^-1 diag(d) for the rows B_i = d_i M_i cleared; the
+        elimination of [B | I] leaves [p I | p B^-1]."""
         n = self.dim
-        m = [list(row) + [Fraction(1) if i == j else Fraction(0)
-                          for j in range(n)]
-             for i, row in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if piv is None:
-                raise SingularMatrixError("matrix is singular")
-            m[col], m[piv] = m[piv], m[col]
-            inv = Fraction(1) / m[col][col]
-            m[col] = [x * inv for x in m[col]]
-            for r in range(n):
-                if r != col and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        return RationalMatrix([row[n:] for row in m])
+        cleared = [common_denominator(row) for row in self.rows]
+        m = [xs + [int(i == j) for j in range(n)]
+             for i, (xs, _) in enumerate(cleared)]
+        pivots, pivot, _ = _eliminate(m, n)
+        if len(pivots) < n:
+            raise SingularMatrixError("matrix is singular")
+        return RationalMatrix([[Fraction(x * d, pivot)
+                                for x, (_, d) in zip(row[n:], cleared)]
+                               for row in m])
 
     def char_poly(self) -> Poly:
-        """Monic characteristic polynomial det(tI - M), Leverrier-Faddeev."""
+        """Monic characteristic polynomial det(tI - M), Leverrier-Faddeev.
+
+        Run on the integer matrix B = D M: with M_1 = I and
+        M_(k+1) = B M_k + c_k I, the coefficient of t^(n-k) of det(tI - B)
+        is the integer c_k = -tr(B M_k) / k (an exact division), and that
+        of det(tI - M) is c_k / D^k.
+        """
         n = self.dim
-        coeffs = [Fraction(1)]  # leading coefficient of t^n
-        acc = RationalMatrix.identity(n)
+        flat, den = common_denominator([x for row in self.rows for x in row])
+        b = [flat[i * n:(i + 1) * n] for i in range(n)]
+        coeffs = [1]
+        acc = [[int(i == j) for j in range(n)] for i in range(n)]
         for k in range(1, n + 1):
-            acc = mat_mul(self, acc)
-            ck = -acc.trace() / k
+            acc = [[_dot(row, col) for col in zip(*acc)] for row in b]
+            ck = -sum(acc[i][i] for i in range(n)) // k
             coeffs.append(ck)
-            acc = acc + RationalMatrix.identity(n).scale(ck)
-        return Poly(list(reversed(coeffs)))
+            for i in range(n):
+                acc[i][i] += ck
+        return Poly([Fraction(c, den ** k)
+                     for k, c in enumerate(coeffs)][::-1])
 
     def left_null_space(self) -> list:
         """Exact basis of {v : v M = 0}, rows normalized so the first
-        nonzero entry is 1."""
+        nonzero entry is 1.
+
+        The columns of M, cleared to integers, are eliminated as the rows of
+        M^T; with pivot p, v[free] = p and v[pivot column i] = -m_i[free]
+        is p times the textbook vector, and the normalization removes p.
+        """
         n = self.dim
-        m = [[self.rows[j][i] for j in range(n)] for i in range(n)]  # M^T
-        piv_cols = []
-        row = 0
-        for col in range(n):
-            piv = next((r for r in range(row, n) if m[r][col] != 0), None)
-            if piv is None:
-                continue
-            m[row], m[piv] = m[piv], m[row]
-            inv = Fraction(1) / m[row][col]
-            m[row] = [x * inv for x in m[row]]
-            for r in range(n):
-                if r != row and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-            piv_cols.append(col)
-            row += 1
+        m = [common_denominator(col)[0] for col in zip(*self.rows)]
+        pivots, pivot, _ = _eliminate(m, n)
         basis = []
-        for free in (c for c in range(n) if c not in piv_cols):
-            v = [Fraction(0)] * n
-            v[free] = Fraction(1)
-            for i, pc in enumerate(piv_cols):
-                v[pc] = -m[i][free]
-            first = next(x for x in v if x != 0)
-            basis.append([x / first for x in v])
+        for free in (c for c in range(n) if c not in pivots):
+            v = [0] * n
+            v[free] = pivot
+            for row, col in zip(m, pivots):
+                v[col] = -row[free]
+            first = next(x for x in v if x)
+            basis.append([Fraction(x, first) for x in v])
         return basis
 
 
+def _eliminate(m: list, ncols: int) -> tuple:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Pivots are taken in the first ``ncols`` columns, left to right, each on
+    the first row at or below the current one with a nonzero entry there.
+    The step on pivot p replaces every other row r by
+    (p m_r - m_r[col] m_pivot) / prev, prev being the previous pivot; by
+    Sylvester's identity every entry is then a minor of the input, so the
+    division is exact (Bareiss 1968).  Returns the pivot columns, the last
+    pivot and the sign of the row permutation.  At the end pivot row i
+    holds the last pivot in pivot column i and 0 in the other pivot
+    columns: the reduced row echelon form is m / pivot.
+    """
+    pivots = []
+    prev, sign = 1, 1
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        if piv != top:
+            m[top], m[piv] = m[piv], m[top]
+            sign = -sign
+        prow = m[top]
+        p = prow[col]
+        for r, row in enumerate(m):
+            if r != top:
+                f = row[col]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+        pivots.append(col)
+        prev = p
+    return pivots, prev, sign
+
+
 def mat_mul(lhs: RationalMatrix, rhs: RationalMatrix) -> RationalMatrix:
-    """Exact matrix product of equally sized square matrices."""
+    """Exact matrix product of equally sized square matrices: integer dot
+    products of cleared rows and columns, one reduction per entry."""
     if lhs.dim != rhs.dim:
         raise DimensionMismatch(
             f"dimension mismatch: {lhs.dim} vs {rhs.dim}")
-    n = lhs.dim
-    cols = list(zip(*rhs.rows))
-    return RationalMatrix([[sum((a * b for a, b in zip(row, col)), Fraction(0))
-                            for col in cols]
-                           for row in lhs.rows])
+    cols = [common_denominator(col) for col in zip(*rhs.rows)]
+    return RationalMatrix([[Fraction(_dot(xs, ys), dx * dy)
+                            for ys, dy in cols]
+                           for xs, dx in map(common_denominator, lhs.rows)])
 
 
 def left_eigenvectors(matrix: RationalMatrix, eigenvalue: Scalar) -> list:

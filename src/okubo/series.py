@@ -49,13 +49,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import AdmissibilityError, InputError, OutsideDisc
-from .exact import RationalMatrix
+from .exact import RationalMatrix, common_denominator
 from .hgsystem import (HGParams, OkuboSystem, build_diagonalizer,
                        build_product_system, gauge_matrix, lam)
 from .accessory import require_admissible
@@ -282,7 +283,11 @@ class SeriesSolution:
 
 def _format_number(c) -> str:
     if isinstance(c, Fraction):
-        return str(c)
+        # str(Fraction) stops at sys.get_int_max_str_digits() digits (4300
+        # by default), which long exact series pass; Decimal prints an int
+        # of any length, with the same digits
+        num = str(Decimal(c.numerator))
+        return num if c.denominator == 1 else f"{num}/{Decimal(c.denominator)}"
     z = complex(c)
     return f"{format(z.real, '.17g')}{'+' if z.imag >= 0 else '-'}{format(abs(z.imag), '.17g')}j"
 
@@ -364,12 +369,6 @@ def _infinity_start(system: OkuboSystem, sigma: Fraction) -> list:
     return null[0]
 
 
-def _integers(values) -> tuple:
-    """(integer numerators, positive common denominator) of rationals."""
-    den = math.lcm(*(Fraction(x).denominator for x in values))
-    return [int(x * den) for x in values], den
-
-
 def _require_nonzero_steps(shifts, terms: int):
     """Step k (1 <= k < terms) divides by k + shift for every shift.
 
@@ -399,7 +398,7 @@ def _reduced(nums: list, den: int) -> tuple:
 #: every table as doubles over 1 and carries the double nearest num/scale,
 #: so no number it handles grows with the height of the exponents.
 _ARITHMETIC = {
-    "exact": (_integers, lambda num, scale: num, _reduced,
+    "exact": (common_denominator, lambda num, scale: num, _reduced,
               lambda nums, den: tuple(Fraction(n, den) for n in nums)),
     "float": (lambda values: ([float(x) for x in values], 1),
               lambda num, scale: num / scale,

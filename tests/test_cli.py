@@ -17,6 +17,7 @@ from okubo.errors import InternalInconsistency
 from okubo.exact import RationalMatrix
 from okubo.hgsystem import HGParams, build_okubo_system
 from okubo.sampling import draw_perturbed_chart, rng_for
+from okubo.series import local_series
 
 
 def run_cli(capsys, *argv):
@@ -262,3 +263,26 @@ def test_import_leaves_scipy_unloaded():
                           capture_output=True, text=True, timeout=60,
                           check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_exact_series_past_int_string_limit(capsys, tmp_path):
+    # at exponent heights near 3000 the denominators pass Python's
+    # 4300-digit int-to-str limit within 200 terms
+    out = tmp_path / "series.json"
+    abcd = ("1/3001", "1/3011", "1/3019", "1/3023")
+    code, _ = run_cli(capsys, "series", "--a", abcd[0], "--b", abcd[1],
+                      "--c", abcd[2], "--d", abcd[3], "--base", "1",
+                      "--index", "0", "--terms", "200", "--mode", "exact",
+                      "--out", str(out))
+    assert code == 0
+    got = [s["coeffs"] for s in json.loads(out.read_text())["solutions"]]
+    _, system = solve_accessory(*(F(x) for x in abcd))
+    sols = local_series(system, "1", 0, 200, "exact")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert max(len(str(c.denominator)) for c in sols[0].coeffs[-1]) > limit
+        assert got == [[[str(c) for c in vec] for vec in sol.coeffs]
+                       for sol in sols]
+    finally:
+        sys.set_int_max_str_digits(limit)

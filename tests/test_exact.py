@@ -1,7 +1,10 @@
 """Exact algebra: rationals, polynomials, matrices.
 
 Characteristic polynomials are cross-checked against sympy, which shares
-no code with the Leverrier-Faddeev implementation under test.
+no code with the Leverrier-Faddeev implementation under test.  The
+integer kernels (common denominators, Bareiss elimination) are compared,
+numerator and denominator, with textbook Fraction algorithms that live
+only in this file.
 """
 
 import random
@@ -9,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from okubo.errors import (DimensionMismatch, InputError, NotAnEigenvalue,
                           SingularMatrixError)
@@ -43,6 +46,18 @@ def test_fraction_parsing():
         to_fraction("abc")
     with pytest.raises(InputError):
         to_fraction("1/0")
+
+
+def test_float_entries_are_rejected():
+    # the structural layer is exact: 0.1 must not become 3602879701896397/2^55
+    with pytest.raises(InputError):
+        RationalMatrix([[0.1, 0], [0, 1]])
+    with pytest.raises(InputError):
+        Poly([0.1])
+    with pytest.raises(InputError):
+        Poly([1, 2]) * Poly([0.5])
+    assert RationalMatrix([["1/3", 2], [F(1, 5), True]]).rows == \
+        ((F(1, 3), F(2)), (F(1, 5), F(1)))
 
 
 # -- polynomials ------------------------------------------------------------
@@ -179,3 +194,210 @@ def test_matrix_serialization_round_trip():
     data = m.to_strings()
     assert data == [["1/3", "-2"], ["0", "7/11"]]
     assert RationalMatrix.from_strings(data) == m
+
+
+# -- integer kernels against textbook Fraction algorithms -------------------
+
+def ref_mat_mul(a, b):
+    cols = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col)), F(0)) for col in cols]
+            for row in a]
+
+
+def ref_apply(a, v):
+    return [sum((x * y for x, y in zip(row, v)), F(0)) for row in a]
+
+
+def ref_det(a):
+    n = len(a)
+    m = [list(row) for row in a]
+    det = F(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return F(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] * inv
+            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+def ref_rref(m):
+    """Gauss-Jordan with unit pivots; returns the pivot columns."""
+    n_rows, n_cols = len(m), len(m[0]) if m else 0
+    pivots = []
+    for col in range(min(n_rows, n_cols)):
+        top = len(pivots)
+        piv = next((r for r in range(top, n_rows) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[top], m[piv] = m[piv], m[top]
+        inv = 1 / m[top][col]
+        m[top] = [x * inv for x in m[top]]
+        for r in range(n_rows):
+            if r != top and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[top])]
+        pivots.append(col)
+    return pivots
+
+
+def ref_inverse(a):
+    n = len(a)
+    m = [list(row) + [F(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    if len(ref_rref(m)) < n:
+        raise SingularMatrixError("singular")
+    return [row[n:] for row in m]
+
+
+def ref_char_poly(a):
+    n = len(a)
+    ident = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    coeffs, acc = [F(1)], ident
+    for k in range(1, n + 1):
+        acc = ref_mat_mul(a, acc)
+        ck = -sum(acc[i][i] for i in range(n)) / k
+        coeffs.append(ck)
+        acc = [[x + (ck if i == j else 0) for j, x in enumerate(row)]
+               for i, row in enumerate(acc)]
+    return coeffs[::-1]
+
+
+def ref_left_null_space(a):
+    n = len(a)
+    m = [[a[j][i] for j in range(n)] for i in range(n)]
+    pivots = ref_rref(m)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [F(0)] * n
+        v[free] = F(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -m[i][free]
+        first = next(x for x in v if x != 0)
+        basis.append([x / first for x in v])
+    return basis
+
+
+def ref_poly_mul(p, q):
+    if not p or not q:
+        return []
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def exact_form(value):
+    """Nested lists of (numerator, denominator); fails on non-Fractions."""
+    if isinstance(value, (list, tuple)):
+        return [exact_form(x) for x in value]
+    assert type(value) is F, type(value)
+    return (value.numerator, value.denominator)
+
+
+HUGE = 10**30
+entry_kinds = {
+    "small": st.fractions(min_value=-40, max_value=40, max_denominator=30),
+    "integer": st.integers(-10**6, 10**6).map(F),
+    "huge": st.builds(F, st.integers(-HUGE, HUGE),
+                      st.integers(HUGE - 10**6, HUGE + 10**6)),
+    "sparse": st.one_of(st.just(F(0)), st.integers(-3, 3).map(F)),
+}
+entry_kinds["mixed"] = st.one_of(*entry_kinds.values())
+
+
+@st.composite
+def square_rows(draw, n=None):
+    """Rows of an n x n matrix (n in 1..8), possibly with a zero row, a
+    zero column or a row that is a combination of two others."""
+    if n is None:
+        n = draw(st.integers(1, 8))
+    entry = entry_kinds[draw(st.sampled_from(sorted(entry_kinds)))]
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["full", "zero-row", "zero-col",
+                                  "dependent"]))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if shape == "zero-row":
+        rows[i] = [F(0)] * n
+    elif shape == "zero-col":
+        for row in rows:
+            row[j] = F(0)
+    elif shape == "dependent" and n > 1:
+        # row i+1 becomes s row i + t row i+2 (indices mod n; 0 for n = 2)
+        s, t = draw(entry_kinds["small"]), draw(entry_kinds["small"])
+        other = rows[(i + 2) % n] if n > 2 else [F(0)] * n
+        rows[(i + 1) % n] = [s * x + t * y for x, y in zip(rows[i], other)]
+    return rows
+
+
+kernel_settings = settings(max_examples=80, deadline=None)
+
+
+@kernel_settings
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(square_rows(n), square_rows(n))))
+def test_mat_mul_matches_reference(pair):
+    a, b = pair
+    got = mat_mul(RationalMatrix(a), RationalMatrix(b)).rows
+    assert exact_form(got) == exact_form(ref_mat_mul(a, b))
+
+
+@kernel_settings
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(square_rows(n),
+                        st.lists(entry_kinds["mixed"], min_size=n,
+                                 max_size=n))))
+def test_apply_matches_reference(pair):
+    a, v = pair
+    assert exact_form(RationalMatrix(a).apply(v)) == \
+        exact_form(ref_apply(a, v))
+
+
+@kernel_settings
+@given(square_rows())
+def test_char_poly_matches_reference(a):
+    got = RationalMatrix(a).char_poly().coeffs
+    assert exact_form(got) == exact_form(ref_char_poly(a))
+
+
+@kernel_settings
+@given(square_rows())
+def test_det_matches_reference(a):
+    assert exact_form(RationalMatrix(a).det()) == exact_form(ref_det(a))
+
+
+@kernel_settings
+@given(square_rows())
+@example([[F(1, 3), F(2, 3)], [F(1, 2), F(1)]])
+@example([[F(1), F(0), F(2)], [F(3), F(0), F(5, 7)], [F(-1), F(0), F(4)]])
+def test_inverse_matches_reference(a):
+    try:
+        want = ref_inverse(a)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            RationalMatrix(a).inverse()
+        return
+    assert exact_form(RationalMatrix(a).inverse().rows) == exact_form(want)
+
+
+@kernel_settings
+@given(square_rows())
+def test_left_null_space_matches_reference(a):
+    assert exact_form(RationalMatrix(a).left_null_space()) == \
+        exact_form(ref_left_null_space(a))
+
+
+@kernel_settings
+@given(st.sampled_from(sorted(entry_kinds)).flatmap(
+    lambda kind: st.tuples(*[st.lists(entry_kinds[kind], max_size=9)] * 2)))
+def test_poly_mul_matches_reference(pair):
+    p, q = (Poly(cs) for cs in pair)
+    assert exact_form((p * q).coeffs) == \
+        exact_form(ref_poly_mul(p.coeffs, q.coeffs))
