@@ -24,7 +24,10 @@ The solution built along the way is a vector of three integrals
 with shifted-parameter Gauss factors; it is evaluated here by
 Gauss-Jacobi quadrature adapted to the endpoint singularities (after
 t = x s the weight is s^(a+c+g/2) (1-s)^(g/2-1) on [0, 1]), and verified
-by differentiating numerically and substituting into the system.  The
+by differentiating numerically and substituting into the system.  One
+evaluation builds one rule per node count and sums the four distinct
+Gauss factors of the three integrands in one Horner pass over the nodes
+of every point it needs (two refinements and a four-point stencil).  The
 branch factors (t-x)^(g/2-1) and (x-1)^(b+c) for 0 < x < 1 are taken as
 e^(i pi (g/2-1)) (x-t)^(g/2-1) and e^(i pi (b+c)) (1-x)^(b+c) with real
 positive bases; both are constant phases, which a linear system cannot
@@ -252,51 +255,77 @@ def _integrand_factors(params: DFParams) -> list:
             ((a, -b + 1, gamma), (c + 1, a + b + c + g, gamma))]
 
 
-def _integrals(params: DFParams, x: float, nodes: int,
-               terms: int = 160) -> np.ndarray:
-    """The three Euler integrals over [0, x] by Gauss-Jacobi quadrature.
-
-    After t = x s the weight is (1-s)^(g/2-1) s^(a+c+g/2); the constant
-    phase of (t-x)^(g/2-1) on the segment is kept explicitly.
-    """
+def _jacobi_rule(params: DFParams, nodes: int) -> tuple:
+    """Nodes s on [0, 1] and weights w of the Gauss-Jacobi rule for the
+    weight (1-s)^(g/2-1) s^(a+c+g/2), before its factor 2^(-alpha-beta-1)."""
     # scipy.special costs more to import than the rest of the package;
     # only the quadrature needs it
     from scipy.special import roots_jacobi
 
     a, c, g = float(params.a), float(params.c), float(params.g)
+    u, w = roots_jacobi(nodes, g / 2 - 1, a + c + g / 2)
+    return (1 + u) / 2, w
+
+
+def _integrals(params: DFParams, points: list, terms: int = 160) -> np.ndarray:
+    """The three Euler integrals over [0, x] by Gauss-Jacobi quadrature,
+    one row per ``(x, s, w)`` of ``points`` (a point and its rule).
+
+    After t = x s the weight is (1-s)^(g/2-1) s^(a+c+g/2); the constant
+    phase of (t-x)^(g/2-1) on the segment is kept explicitly.  Each
+    distinct Gauss factor is summed once over the nodes of every point.
+    """
+    a, c, g = float(params.a), float(params.c), float(params.g)
     alpha = g / 2 - 1        # exponent at s = 1
     beta = a + c + g / 2     # exponent at s = 0
-    u, w = roots_jacobi(nodes, alpha, beta)
-    s = (1 + u) / 2
-    t = x * s
     scale = 2.0 ** (-alpha - beta - 1)
     phase = np.exp(1j * np.pi * (g / 2 - 1))
-    power = x ** (a + c + g)
-    out = np.empty(3, dtype=complex)
-    for k, (par1, par2) in enumerate(_integrand_factors(params)):
-        f1 = _gauss_on_array(par1, t, terms)
-        f2 = _gauss_on_array(par2, t, terms)
-        out[k] = phase * power * scale * np.sum(w * f1 * f2)
+    pairs = _integrand_factors(params)
+    distinct = list(dict.fromkeys(par for pair in pairs for par in pair))
+    gauss = _gauss_on_nodes(distinct,
+                            np.concatenate([x * s for x, s, _ in points]),
+                            terms)
+    rows = [(distinct.index(par1), distinct.index(par2))
+            for par1, par2 in pairs]
+    out = np.empty((len(points), 3), dtype=complex)
+    start = 0
+    for j, (x, s, w) in enumerate(points):
+        at = slice(start, start + len(s))
+        start = at.stop
+        power = x ** (a + c + g)
+        for k, (i1, i2) in enumerate(rows):
+            out[j, k] = phase * power * scale * np.sum(
+                w * gauss[i1, at] * gauss[i2, at])
     return out
 
 
-def _gauss_on_array(par, t: np.ndarray, terms: int) -> np.ndarray:
-    coeffs = gauss_coefficients(*par, terms)
-    acc = np.zeros_like(t, dtype=complex)
-    for ck in coeffs[::-1]:
-        acc = acc * t + ck
+def _gauss_on_nodes(pars: list, t: np.ndarray, terms: int) -> np.ndarray:
+    """Truncated Gauss series of each parameter triple at the nodes t,
+    one row per triple, by one Horner pass updated in place."""
+    coeffs = np.array([gauss_coefficients(*par, terms) for par in pars])
+    acc = np.zeros((len(pars), len(t)), dtype=complex)
+    for ck in coeffs[:, ::-1].T:
+        acc *= t
+        acc += ck[:, None]
     return acc
+
+
+def _assemble(params: DFParams, m: np.ndarray, x: float,
+              integrals: np.ndarray) -> np.ndarray:
+    """z = x^(a+c) (x-1)^(b+c) M I at one point."""
+    b, c = float(params.b), float(params.c)
+    prefactor = (x ** (float(params.a) + c)
+                 * np.exp(1j * np.pi * (b + c)) * (1 - x) ** (b + c))
+    return prefactor * (m @ integrals)
 
 
 def df_solution_at(params: DFParams, x: float, nodes: int,
                    terms: int = 160) -> tuple:
     """(z, integrals) of the assembled solution at one point."""
-    b, c = float(params.b), float(params.c)
-    integrals = _integrals(params, x, nodes, terms)
-    prefactor = (x ** (float(params.a) + c)
-                 * np.exp(1j * np.pi * (b + c)) * (1 - x) ** (b + c))
+    s, w = _jacobi_rule(params, nodes)
+    integrals = _integrals(params, [(x, s, w)], terms)[0]
     m = solution_matrix(params).to_complex()
-    return prefactor * (m @ integrals), integrals
+    return _assemble(params, m, x, integrals), integrals
 
 
 def df_integral_solution(params: DFParams, x: float,
@@ -309,7 +338,9 @@ def df_integral_solution(params: DFParams, x: float,
     as many nodes.  Requires g/2 > 0 and a+c+g/2+1 > 0 (endpoint
     integrability).  The quadrature is accepted when doubling the node
     count moves the integrals by less than 1e-8 relative; the derivative
-    is a five-point central difference with step 1e-4 x(1-x).
+    is a five-point central difference with step 1e-4 x(1-x), its four
+    points on the finer rule.  Each rule is built once, and one Horner
+    pass sums the Gauss factors over the nodes of all six points.
     """
     if nodes < 4:
         raise InputError("need at least 4 quadrature nodes", {"nodes": nodes})
@@ -320,21 +351,25 @@ def df_integral_solution(params: DFParams, x: float,
     if not params.a + params.c + params.g / 2 + 1 > 0:
         raise InputError("need a+c+g/2+1 > 0",
                          {"a+c+g/2+1": params.a + params.c + params.g / 2 + 1})
-    coarse = _integrals(params, x, nodes)
-    fine = _integrals(params, x, 2 * nodes)
+    coarse_rule = _jacobi_rule(params, nodes)
+    fine_rule = _jacobi_rule(params, 2 * nodes)
+    h = 1e-4 * x * (1 - x)
+    stencil = [x - 2 * h, x - h, x + h, x + 2 * h]
+    coarse, fine, *at_stencil = _integrals(
+        params, [(x, *coarse_rule), (x, *fine_rule)]
+        + [(xx, *fine_rule) for xx in stencil])
     denom = max(1.0, float(np.max(np.abs(fine))))
     diff = float(np.max(np.abs(fine - coarse))) / denom
     if diff > 1e-8:
         raise QuadratureError(
             "quadrature refinements disagree", {"difference": diff})
 
-    h = 1e-4 * x * (1 - x)
-    stencil = [x - 2 * h, x - h, x + h, x + 2 * h]
-    zs = [df_solution_at(params, xx, 2 * nodes)[0] for xx in stencil]
+    m = solution_matrix(params).to_complex()
+    zs = [_assemble(params, m, xx, v) for xx, v in zip(stencil, at_stencil)]
     dz = (zs[0] - 8 * zs[1] + 8 * zs[2] - zs[3]) / (12 * h)
-    z0, integrals = df_solution_at(params, x, 2 * nodes)
+    z0 = _assemble(params, m, x, fine)
     c0, c1 = df_residues(params)
     rhs = (c0.to_complex() / x + c1.to_complex() / (x - 1)) @ z0
     residual = float(np.max(np.abs(dz - rhs)))
-    return DFSolutionReport(tuple(integrals), tuple(z0), residual,
+    return DFSolutionReport(tuple(fine), tuple(z0), residual,
                             2 * nodes, diff)

@@ -101,6 +101,13 @@ class HGParams:
                 "gamma_mode": "okubo" if self.is_okubo
                 else [str(self.gamma1), str(self.gamma2)]}
 
+    @cached_property
+    def _half_sums(self) -> dict:
+        """Signed half-sums by sign word, filled by ``lam`` on first use
+        and kept outside the fields the parameters are compared and
+        hashed by."""
+        return {}
+
 
 def lam(p: HGParams, signs: str) -> Fraction:
     """Signed half-sum of the upper parameters.
@@ -109,11 +116,15 @@ def lam(p: HGParams, signs: str) -> Fraction:
     (alpha1, alpha2, beta1, beta2) in this order; e.g. lam(p, "+0+0") is
     (alpha1 + beta1)/2 and lam(p, "++++") is half the total sum.
     """
-    if len(signs) != 4 or any(s not in _SIGN for s in signs):
-        raise InputError(f"invalid sign index {signs!r}")
-    s = [_SIGN[c] for c in signs]
-    return (s[0] * p.alpha1 + s[1] * p.alpha2
-            + s[2] * p.beta1 + s[3] * p.beta2) / 2
+    table = p._half_sums
+    value = table.get(signs)
+    if value is None:
+        if len(signs) != 4 or any(s not in _SIGN for s in signs):
+            raise InputError(f"invalid sign index {signs!r}")
+        s = [_SIGN[c] for c in signs]
+        value = table[signs] = (s[0] * p.alpha1 + s[1] * p.alpha2
+                                + s[2] * p.beta1 + s[3] * p.beta2) / 2
+    return value
 
 
 @dataclass(frozen=True)

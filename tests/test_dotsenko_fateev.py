@@ -2,7 +2,9 @@
 
 The quadrature is cross-checked with scipy's adaptive algebraic-weight
 integrator, an implementation entirely independent of the Gauss-Jacobi
-rule used by the package.
+rule used by the package, and against a per-point reference that builds
+a rule for every integral and sums every Gauss factor on its own: the
+batched evaluation must reproduce it bit for bit.
 """
 
 import random
@@ -10,20 +12,25 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy import integrate
+from scipy.special import roots_jacobi
 
+from okubo import dotsenko_fateev as df
 from okubo.dotsenko_fateev import (DFParams, DFTransformReport,
+                                   DFSolutionReport, _gauss_on_nodes,
                                    _integrand_factors,
                                    check_df_transformation,
                                    df_eigenvector_matrix, df_integral_solution,
                                    df_residues, df_solution_at, euler_reduce,
                                    shifted_eigenvalues, solution_matrix,
                                    transition_half_sum_form)
-from okubo.errors import InputError, SingularMatrixError
+from okubo.errors import InputError, QuadratureError, SingularMatrixError
 from okubo.exact import Poly, RationalMatrix
 from okubo.hgsystem import lam
 from okubo.sampling import draw_df_params
 from okubo.series import gauss_coefficients
+from okubo.verify import CriterionFailed, check_df_integral_residual
 
 PARAMS = DFParams(F(1, 3), F(1, 5), F(1, 7), F(1, 11))
 QUAD_PARAMS = DFParams(F(1, 3), F(1, 5), F(1, 7), F(1, 2))
@@ -165,9 +172,6 @@ def test_contour_reparametrization_invariance():
     # The weight becomes (1-u)^(g/2-1) u^(2(a+c+g/2)+1) with the smooth
     # factor 2 (1+u)^(g/2-1) F(x u^2); branch and prefactor conventions
     # must make the assembled integrals agree.
-    from scipy.special import roots_jacobi
-    from okubo.dotsenko_fateev import _gauss_on_array
-
     params = QUAD_PARAMS
     x = 0.4
     a, c, g = float(params.a), float(params.c), float(params.g)
@@ -180,9 +184,8 @@ def test_contour_reparametrization_invariance():
     power = x ** (a + c + g)
     _, direct = df_solution_at(params, x, 160)
     for k, (par1, par2) in enumerate(_integrand_factors(params)):
-        smooth = (2 * (1 + u) ** alpha
-                  * _gauss_on_array(par1, x * u * u, 200)
-                  * _gauss_on_array(par2, x * u * u, 200))
+        f1, f2 = _gauss_on_nodes([par1, par2], x * u * u, 200)
+        smooth = 2 * (1 + u) ** alpha * f1 * f2
         reparam = phase * power * scale * np.sum(weights * smooth)
         assert abs(reparam - direct[k]) < 1e-10 * max(1.0, abs(direct[k]))
 
@@ -205,3 +208,165 @@ def test_report_serialization():
     data = report.to_json()
     assert len(data["integrals"]) == 3 and len(data["z"]) == 3
     assert float(data["residual"]) <= 1e-6
+
+
+# --------------------------------------------------------------------------
+# the per-point reference: a rule for every integral, every factor alone
+# --------------------------------------------------------------------------
+
+def reference_gauss(par, t, terms):
+    coeffs = gauss_coefficients(*par, terms)
+    acc = np.zeros_like(t, dtype=complex)
+    for ck in coeffs[::-1]:
+        acc = acc * t + ck
+    return acc
+
+
+def reference_integrals(params, x, nodes, terms=160):
+    a, c, g = float(params.a), float(params.c), float(params.g)
+    alpha = g / 2 - 1
+    beta = a + c + g / 2
+    u, w = roots_jacobi(nodes, alpha, beta)
+    s = (1 + u) / 2
+    t = x * s
+    scale = 2.0 ** (-alpha - beta - 1)
+    phase = np.exp(1j * np.pi * (g / 2 - 1))
+    power = x ** (a + c + g)
+    out = np.empty(3, dtype=complex)
+    for k, (par1, par2) in enumerate(_integrand_factors(params)):
+        f1 = reference_gauss(par1, t, terms)
+        f2 = reference_gauss(par2, t, terms)
+        out[k] = phase * power * scale * np.sum(w * f1 * f2)
+    return out
+
+
+def reference_solution_at(params, x, nodes):
+    b, c = float(params.b), float(params.c)
+    integrals = reference_integrals(params, x, nodes)
+    prefactor = (x ** (float(params.a) + c)
+                 * np.exp(1j * np.pi * (b + c)) * (1 - x) ** (b + c))
+    m = solution_matrix(params).to_complex()
+    return prefactor * (m @ integrals), integrals
+
+
+def reference_integral_solution(params, x, nodes=128):
+    if nodes < 4:
+        raise InputError("need at least 4 quadrature nodes", {"nodes": nodes})
+    if not 0 < x < 1:
+        raise InputError("x must lie in (0, 1)", {"x": x})
+    if not params.g / 2 > 0:
+        raise InputError("need g/2 > 0", {"g/2": params.g / 2})
+    if not params.a + params.c + params.g / 2 + 1 > 0:
+        raise InputError("need a+c+g/2+1 > 0",
+                         {"a+c+g/2+1": params.a + params.c + params.g / 2 + 1})
+    coarse = reference_integrals(params, x, nodes)
+    fine = reference_integrals(params, x, 2 * nodes)
+    denom = max(1.0, float(np.max(np.abs(fine))))
+    diff = float(np.max(np.abs(fine - coarse))) / denom
+    if diff > 1e-8:
+        raise QuadratureError(
+            "quadrature refinements disagree", {"difference": diff})
+    h = 1e-4 * x * (1 - x)
+    stencil = [x - 2 * h, x - h, x + h, x + 2 * h]
+    zs = [reference_solution_at(params, xx, 2 * nodes)[0] for xx in stencil]
+    dz = (zs[0] - 8 * zs[1] + 8 * zs[2] - zs[3]) / (12 * h)
+    z0, integrals = reference_solution_at(params, x, 2 * nodes)
+    c0, c1 = df_residues(params)
+    rhs = (c0.to_complex() / x + c1.to_complex() / (x - 1)) @ z0
+    residual = float(np.max(np.abs(dz - rhs)))
+    return DFSolutionReport(tuple(integrals), tuple(z0), residual,
+                            2 * nodes, diff)
+
+
+def outcome(fn, params, x):
+    """The report, or the type, message and context of the error."""
+    try:
+        return fn(params, x)
+    except (InputError, QuadratureError) as exc:
+        return type(exc), exc.message, exc.context
+
+
+def assert_same_report(got, want):
+    assert isinstance(got, DFSolutionReport)
+    for field in ("integrals", "z", "residual", "nodes",
+                  "refinement_difference"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
+@pytest.mark.parametrize("x", [0.3, 0.4, 0.5])
+def test_batched_quadrature_is_bit_identical_to_per_point(x):
+    assert_same_report(df_integral_solution(QUAD_PARAMS, x),
+                       reference_integral_solution(QUAD_PARAMS, x))
+
+
+def test_batched_quadrature_is_bit_identical_on_draws():
+    # |g| keeps most draws inside the domain; draw 10 of this seed is a
+    # recorded D4 miss, where the two refinements disagree
+    rng = random.Random(8)
+    kinds = []
+    for _ in range(20):
+        params = draw_df_params(rng)
+        params = DFParams(params.a, params.b, params.c, abs(params.g))
+        x = rng.uniform(0.01, 0.99)
+        got = outcome(df_integral_solution, params, x)
+        want = outcome(reference_integral_solution, params, x)
+        if isinstance(want, DFSolutionReport):
+            assert_same_report(got, want)
+        else:
+            assert got == want
+        kinds.append(want[0] if isinstance(want, tuple) else DFSolutionReport)
+    assert kinds.count(QuadratureError) == 1
+    assert kinds.count(DFSolutionReport) >= 12
+
+
+def test_integral_residual_detail_at_seed_7():
+    assert (check_df_integral_residual(7)
+            == "3 evaluation points, max residual 2.11e-11")
+
+
+def test_one_rule_per_node_count_and_one_series_per_factor(monkeypatch):
+    rules, coefficient_runs = [], []
+    real_roots, real_coeffs = scipy.special.roots_jacobi, df.gauss_coefficients
+
+    def counting_roots(nodes, alpha, beta):
+        rules.append(nodes)
+        return real_roots(nodes, alpha, beta)
+
+    def counting_coeffs(*args):
+        coefficient_runs.append(args)
+        return real_coeffs(*args)
+
+    monkeypatch.setattr(scipy.special, "roots_jacobi", counting_roots)
+    monkeypatch.setattr(df, "gauss_coefficients", counting_coeffs)
+    df_integral_solution(QUAD_PARAMS, 0.4)
+    assert sorted(rules) == [128, 256]
+    assert len(coefficient_runs) == 4
+
+
+def _scale_column_1(params):
+    m = solution_matrix(params)
+    return RationalMatrix([[m[i, j] * (2 if j == 1 else 1)
+                            for j in range(3)] for i in range(3)])
+
+
+def _swap_columns_0_1(params):
+    m = solution_matrix(params)
+    return RationalMatrix([[m[i, 1], m[i, 0], m[i, 2]] for i in range(3)])
+
+
+def _shift_a_gamma(params):
+    pairs = [list(pair) for pair in _integrand_factors(params)]
+    alpha, beta, gamma = pairs[1][0]
+    pairs[1][0] = (alpha, beta, gamma + 1)
+    return [tuple(pair) for pair in pairs]
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("solution_matrix", _scale_column_1),
+    ("solution_matrix", _swap_columns_0_1),
+    ("_integrand_factors", _shift_a_gamma)])
+def test_integral_residual_check_fails_on_mutants(monkeypatch, name, mutant):
+    # residuals on the mutants: 1.31, 0.83 and 0.084, against 1e-6
+    monkeypatch.setattr(df, name, mutant)
+    with pytest.raises(CriterionFailed, match="exceeds 1e-6"):
+        check_df_integral_residual(7)

@@ -36,6 +36,23 @@ def test_half_sum_sign_flip_all_indices():
         assert lam(P0, flip_signs(word)) == -lam(P0, word)
 
 
+def test_half_sum_table_matches_formula_and_stays_out_of_equality():
+    p = HGParams.generic(F(2, 3), F(-5, 7), F(1, 9), F(4, 11), F(1, 2), 3)
+    weight = {"+": 1, "-": -1, "0": 0}
+    for _ in range(2):  # filling the table, then reading it
+        for signs in iproduct("+-0", repeat=4):
+            s = [weight[c] for c in signs]
+            want = (s[0] * p.alpha1 + s[1] * p.alpha2
+                    + s[2] * p.beta1 + s[3] * p.beta2) / 2
+            assert lam(p, "".join(signs)) == want
+    for bad in ("+*00", "+++", "+++++", ""):
+        with pytest.raises(InputError):
+            lam(p, bad)
+    fresh = HGParams.generic(F(2, 3), F(-5, 7), F(1, 9), F(4, 11), F(1, 2), 3)
+    assert p == fresh and hash(p) == hash(fresh)
+    assert repr(p) == repr(fresh) and p.to_json() == fresh.to_json()
+
+
 def test_okubo_constraint():
     assert POK.is_okubo
     assert POK.gamma1 == lam(POK, "++++") + 1
