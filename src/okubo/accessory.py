@@ -498,15 +498,20 @@ class SamenessVerdict:
 
 
 def cross_products(b_matrix: PolyMatrix, c_matrix: PolyMatrix) -> dict:
-    """All 2x2-entry cross products c_jk b_lm - b_jk c_lm as polynomials."""
+    """All 2x2-entry cross products c_jk b_lm - b_jk c_lm as polynomials.
+
+    Only the 6 with jk before lm are multiplied out: swapping jk and lm
+    negates a cross product, and jk == lm gives zero.
+    """
+    entries = [(j, k) for j in range(2) for k in range(2)]
     out = {}
-    for j in range(2):
-        for k in range(2):
-            for l in range(2):
-                for m in range(2):
-                    key = f"{j + 1}{k + 1}{l + 1}{m + 1}"
-                    out[key] = (c_matrix[j, k] * b_matrix[l, m]
-                                - b_matrix[j, k] * c_matrix[l, m])
+    for x, (j, k) in enumerate(entries):
+        out[f"{j + 1}{k + 1}" * 2] = Poly()
+        for l, m in entries[x + 1:]:
+            minor = (c_matrix[j, k] * b_matrix[l, m]
+                     - b_matrix[j, k] * c_matrix[l, m])
+            out[f"{j + 1}{k + 1}{l + 1}{m + 1}"] = minor
+            out[f"{l + 1}{m + 1}{j + 1}{k + 1}"] = -minor
     return out
 
 

@@ -197,6 +197,13 @@ class OkuboSystem:
                 prev = col
         return numer
 
+    @cached_property
+    def infinity_starts(self) -> dict:
+        """Initial vectors h(0) of the local solutions at infinity by
+        exponent, filled by ``series`` on first use, once per system object
+        and exponent, and kept outside the fields like ``resolvent``."""
+        return {}
+
 
 def _even_quartic(c: Fraction, d: Fraction):
     from .exact import Poly

@@ -31,14 +31,20 @@ are formed.  At infinity the step matrix is inverted in closed form,
 with N = OkuboSystem.resolvent, the resolvent numerator the sameness
 verdict reduces, built and checked exactly once per system.  A step whose
 denominator vanishes is refused, exactly, before the recurrence runs.
-The modes differ only in how rationals enter, how a step's numerators are
-normalised over its denominator, and how a vector leaves: exact mode
-enters integers over common denominators, reduces by one gcd per step
-and returns reduced Fractions (the recurrence then holds with zero
-error); float mode enters every table as doubles over 1, rounds each
-exact step factor once to the nearest double (so nothing it handles grows
-with the height of the exponents), divides by each step's denominator and
-returns complex coefficients.
+The modes differ only in how rationals enter and how a step's numerators
+are normalised over its denominator and leave as coefficients.  Exact
+mode enters integers over common denominators and keeps each denominator
+split as light * prod p**e_p over the heavy primes p of the series' fixed
+scales (their prime factors below 2**16), which carry most of its bits;
+light holds the rest, so gcd(light, p) == 1.  Every gcd with the
+denominator then runs against the small modulus
+light * prod p**min(e_p, k_p), p**k_p < 2**30, and loops only for a prime
+that fills its chunk.  The reduced entries are coprime by construction and
+leave as Fractions built without a second gcd (the recurrence then holds
+with zero error).  Float mode enters every table as doubles over 1, rounds
+each exact step factor once to the nearest double (so nothing it handles
+grows with the height of the exponents), divides by each step's
+denominator and returns complex coefficients.
 
 Series are only summed well inside their convergence discs: |x| <= 0.6
 and |x-1| <= 0.6 at the finite points, |x-1| >= 1.7 at infinity.  Powers
@@ -359,14 +365,18 @@ def _finite_starts(system: OkuboSystem, base: str, rho: Fraction) -> list:
     return starts
 
 
-def _infinity_start(system: OkuboSystem, sigma: Fraction) -> list:
-    """The exact initial vector h(0), spanning the kernel of sigma I + A."""
-    shifted = system.coeff + RationalMatrix.identity(4).scale(sigma)
-    null = shifted.transpose().left_null_space()
-    if len(null) != 1:
-        raise InputError("initial vector at infinity is not unique",
-                         {"dimension": len(null)})
-    return null[0]
+def _infinity_start(system: OkuboSystem, sigma: Fraction) -> tuple:
+    """The exact initial vector h(0), spanning the kernel of sigma I + A,
+    found once per system object and exponent."""
+    starts = system.infinity_starts
+    if sigma not in starts:
+        shifted = system.coeff + RationalMatrix.identity(4).scale(sigma)
+        null = shifted.transpose().left_null_space()
+        if len(null) != 1:
+            raise InputError("initial vector at infinity is not unique",
+                             {"dimension": len(null)})
+        starts[sigma] = tuple(null[0])
+    return starts[sigma]
 
 
 def _require_nonzero_steps(shifts, terms: int):
@@ -382,28 +392,154 @@ def _require_nonzero_steps(shifts, terms: int):
             {"step": int(min(steps))})
 
 
-def _reduced(nums: list, den: int) -> tuple:
-    """nums / den with a positive denominator and no common factor."""
-    if den < 0:
-        nums, den = [-n for n in nums], -den
-    g = math.gcd(den, *nums)
-    return [n // g for n in nums], den // g
+if hasattr(Fraction, "_from_coprime_ints"):          # Python 3.12+
+    _coprime_fraction = Fraction._from_coprime_ints
+else:
+    def _coprime_fraction(num: int, den: int) -> Fraction:
+        """num/den for coprime num and den > 0, without a second gcd."""
+        return Fraction(num, den, _normalize=False)
+
+
+#: heavy primes are the prime factors of a series' fixed scales below
+#: this bound; a gcd against the denominator takes at most p**k < _CHUNK
+#: of each at a time
+_HEAVY_BOUND = 2 ** 16
+_CHUNK = 2 ** 30
+
+
+def _heavy_primes(scales) -> tuple:
+    """The prime factors below _HEAVY_BOUND of the scales, by trial
+    division; larger ones are left to light."""
+    primes = set()
+    for rest in scales:
+        rest = abs(rest)
+        f = 2
+        while f < _HEAVY_BOUND and f * f <= rest:
+            if rest % f == 0:
+                primes.add(f)
+                while rest % f == 0:
+                    rest //= f
+            f += 1 if f == 2 else 2
+        if 1 < rest < _HEAVY_BOUND:
+            primes.add(rest)
+    return tuple(sorted(primes))
+
+
+class _SplitDenominator:
+    """Exact mode's normaliser: numerators over den = light * prod p**e_p.
+
+    The p are the heavy primes of the series' fixed scales (D, q and q_e
+    at finite points, L, K and q at infinity), which make up most of the
+    bits of every denominator.  Every step factor is split by trial
+    division by them, and all it leaves, big primes included, goes into
+    light, so gcd(light, p) == 1 whatever the split finds.  The gcd of
+    each numerator with den then runs against the small modulus
+    m = light * prod p**min(e_p, k_p), p**k_p < 2**30, and goes on only
+    for a prime that fills its chunk; the gcd of the vector is the gcd of
+    those.  A denominator is the triple (den, light, exponents).
+    """
+
+    def __init__(self, scales):
+        self.primes = _heavy_primes(scales)
+        self.powers = []
+        for p in self.primes:
+            pw = [1]
+            while pw[-1] * p < _CHUNK:
+                pw.append(pw[-1] * p)
+            self.powers.append(pw)
+        self.one = (1, 1, (0,) * len(self.primes))
+
+    def _gcd(self, n: int, m: int, deep: list) -> int:
+        """gcd(den, n) for n != 0, from the small modulus m; ``deep`` holds
+        (p**k_p, powers of p, e_p - k_p) for the primes whose exponent in
+        den passes their chunk."""
+        g = math.gcd(m, n % m)
+        for chunk, pw, rest in deep:
+            if g % chunk:
+                continue
+            # p fills its chunk: take the rest of p's power a chunk at a time
+            q = n // g
+            while rest:
+                c = min(rest, len(pw) - 1)
+                t = math.gcd(pw[c], q % pw[c])
+                g *= t
+                if t != pw[c]:
+                    break
+                q //= t
+                rest -= c
+        return g
+
+    def normalise(self, nums: list, factors, den) -> tuple:
+        """(nums, den) of nums / (den * prod(factors)) in lowest terms, and
+        its entries as reduced Fractions; factors are ints."""
+        full, light, exps = den
+        exps = list(exps)
+        for f in factors:
+            full *= f
+            f = abs(f)
+            for i, p in enumerate(self.primes):
+                while f % p == 0:
+                    f //= p
+                    exps[i] += 1
+            light *= f
+        if full < 0:
+            nums, full = [-n for n in nums], -full
+        m, deep = light, []
+        for e, pw in zip(exps, self.powers):
+            top = len(pw) - 1
+            m *= pw[min(e, top)]
+            if e > top:
+                deep.append((pw[top], pw, e - top))
+        # gcd(0, x) == x: a zero entry drops out of the vector's gcd
+        gs = [self._gcd(n, m, deep) if n else 0 for n in nums]
+        g = math.gcd(*gs)
+        if not g:
+            return nums, self.one, tuple(Fraction(0) for _ in nums)
+        nums, full = [n // g for n in nums], full // g
+        out = []
+        for n, h in zip(nums, gs):
+            # what the entry shares with den beyond the vector's gcd
+            h //= g
+            out.append(_coprime_fraction(n // h, full // h) if n
+                       else Fraction(0))
+        for i, p in enumerate(self.primes):
+            while g % p == 0:
+                g //= p
+                exps[i] -= 1
+        # what is left of g is light's share
+        return nums, (full, light // g, tuple(exps)), tuple(out)
+
+
+class _FloatDenominator:
+    """Float mode's normaliser: divides by each step's denominator."""
+
+    one = 1
+
+    def __init__(self, scales):
+        pass
+
+    @staticmethod
+    def normalise(nums: list, factors, den) -> tuple:
+        for f in factors:
+            den = den * f
+        nums = [n / den for n in nums]
+        return nums, 1, tuple(complex(n) for n in nums)
 
 
 #: what the kernels do by mode: (enter rationals as numerators over one
-#: denominator, carry a step factor num/scale, normalise a step's
-#: numerators over the step's denominator, leave a vector as output
-#: coefficients).  Exact mode carries the integer num (the scales cancel
-#: between a step's numerators and its denominator); float mode enters
-#: every table as doubles over 1 and carries the double nearest num/scale,
-#: so no number it handles grows with the height of the exponents.
+#: denominator, carry a step factor num/scale, the normaliser built from a
+#: series' fixed scales, which reduces a step's numerators over its
+#: denominator and leaves a vector as output coefficients).  Exact mode
+#: carries the integer num (the scales cancel between a step's numerators
+#: and its denominator), keeps each denominator split over the heavy
+#: primes of the scales and returns reduced Fractions, built without a
+#: second gcd; float mode enters every table as doubles over 1 and carries
+#: the double nearest num/scale, so no number it handles grows with the
+#: height of the exponents.
 _ARITHMETIC = {
-    "exact": (common_denominator, lambda num, scale: num, _reduced,
-              lambda nums, den: tuple(Fraction(n, den) for n in nums)),
+    "exact": (common_denominator, lambda num, scale: num, _SplitDenominator),
     "float": (lambda values: ([float(x) for x in values], 1),
-              lambda num, scale: num / scale,
-              lambda nums, den: ([n / den for n in nums], 1),
-              lambda nums, den: tuple(complex(n) for n in nums)),
+              lambda num, scale: num / scale, _FloatDenominator),
 }
 
 
@@ -427,7 +563,7 @@ def _finite_coeffs(system: OkuboSystem, base: str, rho: Fraction,
     """
     e = system.a if base == "0" else system.b
     _require_nonzero_steps((rho, rho - e, rho + e), terms)
-    enter, factor, normalise, leave = _ARITHMETIC[mode]
+    enter, factor, normaliser = _ARITHMETIC[mode]
     flat, dmat = enter([x for row in system.coeff.rows for x in row])
     amat = [flat[4 * i:4 * i + 4] for i in range(4)]
     p, q = rho.numerator, rho.denominator
@@ -438,8 +574,10 @@ def _finite_coeffs(system: OkuboSystem, base: str, rho: Fraction,
     blk = [[amat[k][j] for j in solved] for k in coupled]
     qe = q * eq
     qf, qef = factor(q, q), factor(qe, qe)
+    norm = normaliser((dmat, qe))
     nums, den = enter(start)
-    coeffs = [leave(nums, den)]
+    nums, den, vec = norm.normalise(nums, (den,), norm.one)
+    coeffs = [vec]
     for r in range(terms - 1):
         zq = r * q + p
         s = zq + q
@@ -454,8 +592,8 @@ def _finite_coeffs(system: OkuboSystem, base: str, rho: Fraction,
         nxt = [0] * 4
         nxt[solved[0]], nxt[solved[1]] = scale * r0, scale * r1
         nxt[coupled[0]], nxt[coupled[1]] = qef * tp * m0, qef * tm * m1
-        nums, den = normalise(nxt, dmat * dmat * den * s * tm * tp)
-        coeffs.append(leave(nums, den))
+        nums, den, vec = norm.normalise(nxt, (dmat, dmat, s, tm, tp), den)
+        coeffs.append(vec)
     return coeffs
 
 
@@ -480,7 +618,7 @@ def _infinity_coeffs(system: OkuboSystem, sigma: Fraction, h0: list,
     c, d = system.c, system.d
     _require_nonzero_steps((sigma - c, sigma + c, sigma - d, sigma + d),
                            terms)
-    enter, factor, normalise, leave = _ARITHMETIC[mode]
+    enter, factor, normaliser = _ARITHMETIC[mode]
     numer = system.resolvent
     flat, lden = enter([numer[i, j].coeff(k) for k in range(4)
                         for i in range(4) for j in (0, 1)])
@@ -491,8 +629,10 @@ def _infinity_coeffs(system: OkuboSystem, sigma: Fraction, h0: list,
     # mats[k][i][j] = K q^(3-k) N'_k[i][j]
     mats = [[[kden * qf ** (3 - k) * flat[8 * k + 2 * i + j]
               for j in (0, 1)] for i in range(4)] for k in range(4)]
+    norm = normaliser((lden, kden, q))
     nums, den = enter(h0)
-    coeffs = [leave(nums, den)]
+    nums, den, vec = norm.normalise(nums, (den,), norm.one)
+    coeffs = [vec]
     for s in range(terms - 1):
         zq = s * q + p
         u = factor(-zq - q, q)
@@ -507,8 +647,8 @@ def _infinity_coeffs(system: OkuboSystem, sigma: Fraction, h0: list,
             nxt.append(zq * (col0 * top0 + col1 * top1))
         w2 = u * u
         quartic_w = (quartic[0] * w2 + quartic[1]) * w2 + quartic[2]
-        nums, den = normalise(nxt, lden * den * quartic_w)
-        coeffs.append(leave(nums, den))
+        nums, den, vec = norm.normalise(nxt, (lden, quartic_w), den)
+        coeffs.append(vec)
     return coeffs
 
 

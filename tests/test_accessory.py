@@ -284,6 +284,27 @@ def test_cross_product_leading_coefficients():
             2 * (chart.r1 * obs.epsilon_prime - (a - c) * b * obs.delta_prime)
 
 
+def cross_products_reference(b_matrix, c_matrix):
+    """All 16 cross products, each multiplied out."""
+    return {f"{j + 1}{k + 1}{l + 1}{m + 1}":
+            c_matrix[j, k] * b_matrix[l, m] - b_matrix[j, k] * c_matrix[l, m]
+            for j in range(2) for k in range(2)
+            for l in range(2) for m in range(2)}
+
+
+def test_cross_products_match_all_sixteen_products():
+    rng = random.Random(67)
+    for draw in (draw_special_chart, draw_perturbed_chart, draw_chart):
+        for _ in range(3):
+            chart = draw(rng)
+            for pair in ("1-inf", "0-inf"):
+                g_sys, h_sys = difference_systems(chart, pair)
+                got = acc.cross_products(g_sys.matrix, h_sys.matrix)
+                want = cross_products_reference(g_sys.matrix, h_sys.matrix)
+                assert got == want
+                assert all(type(poly) is Poly for poly in got.values())
+
+
 def test_dual_verdict_agreement():
     rng = random.Random(59)
     for draw in (draw_special_chart, draw_perturbed_chart, draw_chart):

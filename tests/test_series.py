@@ -17,7 +17,7 @@ from okubo import hgsystem, series
 from okubo.accessory import realize_product_system, solve_accessory
 from okubo.errors import (InputError, InternalInconsistency, OkuboError,
                           OutsideDisc)
-from okubo.exact import PolyMatrix, RationalMatrix
+from okubo.exact import PolyMatrix, RationalMatrix, common_denominator
 from okubo.hgsystem import HGParams, build_okubo_system, gauge_matrix, lam
 from okubo.sampling import sample_disc
 from okubo.series import (EvalReport, SeriesSolution, check_in_disc,
@@ -218,6 +218,117 @@ def test_exact_kernel_matches_fraction_reference():
                                for x in vec)
 
 
+class FractionNormaliser:
+    """The exact normaliser the split denominator replaced: one gcd against
+    the whole denominator per step, then Fraction(n, den) per entry."""
+
+    one = 1
+
+    def __init__(self, scales):
+        pass
+
+    @staticmethod
+    def normalise(nums, factors, den):
+        for f in factors:
+            den *= f
+        if den < 0:
+            nums, den = [-n for n in nums], -den
+        g = math.gcd(den, *nums)
+        nums, den = [n // g for n in nums], den // g
+        return nums, den, tuple(F(n, den) for n in nums)
+
+
+def reference_series(monkeypatch, system, base, idx, terms):
+    enter, factor, _ = series._ARITHMETIC["exact"]
+    with monkeypatch.context() as patch:
+        patch.setitem(series._ARITHMETIC, "exact",
+                      (enter, factor, FractionNormaliser))
+        return local_series(system, base, idx, terms, mode="exact")
+
+
+def assert_same_reduced(got, want):
+    """Entry by entry: the same numerator and denominator, a true Fraction
+    in lowest terms with a positive denominator."""
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert type(x) is F
+        assert (x.numerator, x.denominator) == (y.numerator, y.denominator)
+        assert x.denominator > 0
+        assert math.gcd(x.numerator, x.denominator) == 1
+
+
+def assert_series_match_reference(monkeypatch, system, terms, indices=None):
+    for base in ("0", "1", "inf"):
+        for idx in indices or range(len(exponents_at(system, base))):
+            got = local_series(system, base, idx, terms, mode="exact")
+            want = reference_series(monkeypatch, system, base, idx, terms)
+            assert len(got) == len(want)
+            for sol, ref in zip(got, want):
+                assert sol.terms == ref.terms == terms
+                for vec, ref_vec in zip(sol.coeffs, ref.coeffs):
+                    assert_same_reduced(vec, ref_vec)
+
+
+def test_split_reduction_matches_fraction_reference_at_300_terms(
+        monkeypatch):
+    # the POK system's chunks of 5 fill up (a heavy prime saturates) at
+    # thousands of entries; the special system's heavy primes never do
+    for system in (special_system(), build_okubo_system(POK)[1]):
+        assert_series_match_reference(monkeypatch, system, 300)
+
+
+def test_split_reduction_at_heights_near_3000(monkeypatch):
+    q = 3000
+    _, system = solve_accessory(F(q // 3 - 2, q - 17), F(q // 5 - 1, q + 3),
+                                F(q // 7, q + 33), F(q // 11 - 3, q + 37))
+    assert_series_match_reference(monkeypatch, system, 60, indices=(0, 1))
+
+
+def test_split_reduction_with_a_prime_above_the_heavy_bound(monkeypatch):
+    # 65537 > 2**16 divides the denominator of A, so it is no heavy prime
+    # and every power of it is carried in light
+    big = 65537
+    _, system = solve_accessory(F(1, 3), F(1, 5), F(1, 7), F(2, big))
+    _, dmat = common_denominator([x for row in system.coeff.rows
+                                  for x in row])
+    assert dmat % big == 0
+    heavy = series._heavy_primes([dmat])
+    assert big not in heavy and heavy and max(heavy) < 2 ** 16
+    assert_series_match_reference(monkeypatch, system, 80)
+
+
+def test_heavy_primes_by_trial_division():
+    assert series._heavy_primes([1, -1]) == ()
+    assert series._heavy_primes([2 ** 5 * 3 * 65537, 49]) == (2, 3, 7)
+    assert series._heavy_primes([65521 * 65537]) == (65521,)
+    assert series._heavy_primes([65537 ** 2, 65539]) == ()
+
+
+def test_split_reduction_saturated_chunks_and_chained_steps():
+    # 3**18 is the chunk of 3 below 2**30: entries divisible by 3**20 and
+    # more make the gcd take 3's power a chunk at a time
+    split = series._SplitDenominator([3 * 65537])
+    assert split.primes == (3,)
+    rng = random.Random(19)
+    pool = [2, 3, 3 ** 5, 3 ** 19, 7, 65537, 65537 ** 2]
+    for _ in range(200):
+        den, ref_den = split.one, FractionNormaliser.one
+        for _ in range(3):
+            factors = [rng.choice((1, -1)) * math.prod(rng.choices(pool, k=3))
+                       for _ in range(2)]
+            base = rng.choice(pool) * rng.choice((1, 3 ** 18, 3 ** 40))
+            nums = [rng.choice((0, 1, -1)) * base
+                    * math.prod(rng.choices(pool, k=2)) for _ in range(4)]
+            got = split.normalise(nums, factors, den)
+            want = FractionNormaliser.normalise(nums, factors, ref_den)
+            assert_same_reduced(got[2], want[2])
+            nums_got, den, _ = got
+            nums_want, ref_den, _ = want
+            full, light, (e3,) = den
+            assert (nums_got, full) == (nums_want, ref_den)
+            assert full == light * 3 ** e3 and light % 3 != 0
+
+
 def test_perturbed_resolvent_is_an_internal_inconsistency(monkeypatch):
     honest = hgsystem.resolvent_numerator
 
@@ -247,6 +358,26 @@ def test_resolvent_is_built_once_per_system(monkeypatch):
             for idx in range(4):
                 local_series(system, "inf", idx, terms, mode)
     assert len(calls) == 1
+
+
+def test_infinity_start_is_found_once_per_system_and_exponent(monkeypatch):
+    system = special_system()
+    honest = RationalMatrix.left_null_space
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return honest(matrix)
+
+    monkeypatch.setattr(RationalMatrix, "left_null_space", counted)
+    for terms in (10, 20):
+        for mode in ("exact", "float"):
+            for idx in range(4):
+                local_series(system, "inf", idx, terms, mode)
+    assert len(calls) == 4
+    # a new system object finds its own
+    local_series(special_system(), "inf", 0, 10, "float")
+    assert len(calls) == 5
 
 
 def test_zero_step_denominator_raises():
