@@ -165,13 +165,11 @@ def cmd_residual(args):
                                args.mode)
     rng = sampling.rng_for(args.seed)
     tol = _tolerance()
-    reports = []
-    worst = 0.0
-    for sol in sols:
-        samples = [sampling.series_sample(rng, args.base) for _ in range(8)]
-        rep = series.residual_report(system, sol, samples)
-        worst = max(worst, rep.max_residual)
-        reports.append(rep.to_json())
+    reps = [series.residual_report(
+        system, sol, [sampling.series_sample(rng, args.base)
+                      for _ in range(8)]) for sol in sols]
+    worst = series.worst_defect(rep.max_residual for rep in reps)
+    reports = [rep.to_json() for rep in reps]
     return ({"base": args.base, "index": args.index,
              "tolerance": format(tol, ".17g"),
              "max_residual": format(worst, ".17g"),

@@ -27,8 +27,9 @@ t = x s the weight is s^(a+c+g/2) (1-s)^(g/2-1) on [0, 1]), and verified
 by differentiating numerically and substituting into the system.  One
 evaluation builds one rule per node count and sums the four distinct
 Gauss factors of the three integrands in one Horner pass over the nodes
-of every point it needs (two refinements and a four-point stencil).  The
-branch factors (t-x)^(g/2-1) and (x-1)^(b+c) for 0 < x < 1 are taken as
+of every point it needs (two refinements and a four-point stencil), in
+real arithmetic, since the parameters are rational and the nodes real.
+The branch factors (t-x)^(g/2-1) and (x-1)^(b+c) for 0 < x < 1 are taken as
 e^(i pi (g/2-1)) (x-t)^(g/2-1) and e^(i pi (b+c)) (1-x)^(b+c) with real
 positive bases; both are constant phases, which a linear system cannot
 see, so the residual check is branch-independent.
@@ -300,14 +301,21 @@ def _integrals(params: DFParams, points: list, terms: int = 160) -> np.ndarray:
 
 
 def _gauss_on_nodes(pars: list, t: np.ndarray, terms: int) -> np.ndarray:
-    """Truncated Gauss series of each parameter triple at the nodes t,
-    one row per triple, by one Horner pass updated in place."""
-    coeffs = np.array([gauss_coefficients(*par, terms) for par in pars])
-    acc = np.zeros((len(pars), len(t)), dtype=complex)
+    """Truncated Gauss series of each parameter triple at the real nodes
+    t, one row per triple, by one Horner pass updated in place.
+
+    The triples are rational, so the coefficients are real: the pass runs
+    in float64 on their real parts, which rounds as the complex pass did,
+    and its result is returned as complex, so that the sums over the nodes
+    round as they did too (a real and a complex sum can differ in the last
+    bit).
+    """
+    coeffs = np.array([gauss_coefficients(*par, terms).real for par in pars])
+    acc = np.zeros((len(pars), len(t)))
     for ck in coeffs[:, ::-1].T:
         acc *= t
         acc += ck[:, None]
-    return acc
+    return acc.astype(complex)
 
 
 def _assemble(params: DFParams, m: np.ndarray, x: float,
@@ -321,7 +329,9 @@ def _assemble(params: DFParams, m: np.ndarray, x: float,
 
 def df_solution_at(params: DFParams, x: float, nodes: int,
                    terms: int = 160) -> tuple:
-    """(z, integrals) of the assembled solution at one point."""
+    """(z, integrals) of the assembled solution at one point 0 < x < 1."""
+    if not 0 < x < 1:
+        raise InputError("x must lie in (0, 1)", {"x": x})
     s, w = _jacobi_rule(params, nodes)
     integrals = _integrals(params, [(x, s, w)], terms)[0]
     m = solution_matrix(params).to_complex()

@@ -48,11 +48,19 @@ denominator and returns complex coefficients.
 
 Series are only summed well inside their convergence discs: |x| <= 0.6
 and |x-1| <= 0.6 at the finite points, |x-1| >= 1.7 at infinity.  Powers
-x^rho use the principal branch.
+x^rho use the principal branch.  SeriesSolution.evaluate sums value and
+derivative at many points in one Horner sweep over the coefficients,
+converted to complex once, and applies each point's power u^rho as a
+Python complex, so every number is the one the per-point loop gave.  A
+residual report checks every sample (finite, inside the disc, not the
+expansion point) before that sweep, and forms each point's defect
+(xI - T) y' - A y on its own, since a batched product would reorder the
+sums; worst_defect takes the maximum so that a NaN defect is kept.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -123,8 +131,8 @@ def hyp2f1_jet(alpha, beta, gamma, x, terms: int) -> GaussJet:
     n = np.arange(terms)
     powers = x ** n
     value = complex(np.sum(c * powers))
-    d1 = complex(np.sum(c[1:] * n[1:] * x ** (n[1:] - 1)))
-    d2 = complex(np.sum(c[2:] * n[2:] * (n[2:] - 1) * x ** (n[2:] - 2)))
+    d1 = complex(np.sum(c[1:] * n[1:] * powers[:-1]))
+    d2 = complex(np.sum(c[2:] * n[2:] * (n[2:] - 1) * powers[:-2]))
     return GaussJet(value, d1, d2, abs(c[-1] * powers[-1]))
 
 
@@ -257,28 +265,47 @@ class SeriesSolution:
         return 1 / (x - 1)
 
     def _coeff_array(self) -> np.ndarray:
-        return np.array([[complex(c) for c in vec] for vec in self.coeffs],
-                        dtype=complex)
+        if self.exact:
+            return np.array([[complex(c) for c in vec]
+                             for vec in self.coeffs], dtype=complex)
+        return np.array(self.coeffs, dtype=complex)
+
+    def evaluate(self, points) -> np.ndarray:
+        """Values and dy/dx of the truncated sum at every point, as an
+        array of shape (2, len(points), 4), from one Horner sweep over the
+        coefficients carried beside (rho + k) times them.
+
+        The expansion point is refused: the derivative's factor u^(rho-1)
+        is singular there.
+        """
+        us = [self._local(x) for x in points]
+        for x, u in zip(points, us):
+            if u == 0:
+                raise OutsideDisc("cannot evaluate at the expansion point",
+                                  {"x": x})
+        rho = float(self.exponent)
+        coeffs = self._coeff_array()
+        steps = np.stack(
+            [coeffs, (rho + np.arange(len(coeffs)))[:, None] * coeffs], 1)
+        acc = np.zeros((2, len(us), 4), dtype=complex)
+        at = np.array(us, dtype=complex)[:, None]
+        for step in steps[::-1]:
+            acc *= at
+            acc += step[:, None]
+        for i, u in enumerate(us):
+            # factor first: numpy's complex product need not commute
+            acc[0, i] = u ** rho * acc[0, i]
+            # with u = 1/(x-1) at infinity, du/dx = -u^2
+            acc[1, i] = (-(u ** (rho + 1)) if self.base == "inf"
+                         else u ** (rho - 1)) * acc[1, i]
+        return acc
 
     def value(self, x) -> np.ndarray:
-        u = self._local(x)
-        acc = np.zeros(4, dtype=complex)
-        for vec in self._coeff_array()[::-1]:
-            acc = acc * u + vec
-        return u ** float(self.exponent) * acc
+        return self.evaluate([x])[0, 0]
 
     def derivative(self, x) -> np.ndarray:
         """dy/dx of the truncated sum."""
-        u = self._local(x)
-        rho = float(self.exponent)
-        coeffs = self._coeff_array()
-        acc = np.zeros(4, dtype=complex)
-        for k in range(len(coeffs) - 1, -1, -1):
-            acc = acc * u + (rho + k) * coeffs[k]
-        if self.base == "inf":
-            # with u = 1/(x-1), du/dx = -u^2
-            return -(u ** (rho + 1)) * acc
-        return u ** (rho - 1) * acc
+        return self.evaluate([x])[1, 0]
 
     def to_json(self) -> dict:
         return {"base": self.base, "exponent": str(self.exponent),
@@ -708,7 +735,11 @@ class EvalReport:
 
 
 def check_in_disc(base: str, x: complex) -> bool:
+    """Whether x is a finite point of the disc where the series at base
+    is summed (see DISC_FINITE and DISC_INFINITY)."""
     x = _as_complex(x)
+    if not cmath.isfinite(x):
+        return False
     if base == "0":
         return abs(x) <= DISC_FINITE
     if base == "1":
@@ -716,28 +747,47 @@ def check_in_disc(base: str, x: complex) -> bool:
     return abs(x - 1) >= DISC_INFINITY
 
 
+def worst_defect(defects) -> float:
+    """The largest of the defects, 0.0 for none, and NaN if any is NaN
+    (max() keeps whichever of a NaN and a number comes first)."""
+    return float(np.max([0.0, *defects]))
+
+
+def _okubo_defect(a: np.ndarray, t: np.ndarray, ident: np.ndarray,
+                  y: np.ndarray, dy: np.ndarray, x: complex) -> float:
+    lhs = (x * ident - t) @ dy
+    rhs = a @ y
+    return float(np.max(np.abs(lhs - rhs)))
+
+
 def okubo_residual(system: OkuboSystem, y: np.ndarray, dy: np.ndarray,
                    x: complex) -> float:
     """Max-norm of (xI - T) y' - A y."""
-    t = np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)
-    lhs = (x * np.eye(4) - t) @ dy
-    rhs = system.coeff.to_complex() @ y
-    return float(np.max(np.abs(lhs - rhs)))
+    return _okubo_defect(system.coeff.to_complex(),
+                         np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex),
+                         np.eye(4), y, dy, x)
 
 
 def residual_report(system: OkuboSystem, solution: SeriesSolution,
                     samples: Sequence[complex]) -> EvalReport:
     """Largest defect of a truncated local solution over sample points.
 
-    Every sample must lie inside the solution's declared disc.
+    There must be at least one sample, and every sample must be a finite
+    point of the solution's declared disc other than its expansion point.
+    All samples are checked before one sweep evaluates them together.
     """
     pts = tuple(_as_complex(s) for s in samples)
-    worst = 0.0
+    if not pts:
+        raise InputError("residual_report needs at least one sample point")
     for x in pts:
         if not check_in_disc(solution.base, x):
             raise OutsideDisc(f"sample outside declared disc for base "
                               f"{solution.base}", {"x": x})
-        y = solution.value(x)
-        dy = solution.derivative(x)
-        worst = max(worst, okubo_residual(system, y, dy, x))
+    values, derivatives = solution.evaluate(pts)
+    a = system.coeff.to_complex()
+    t = np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)
+    ident = np.eye(4)
+    # point by point: one batched product would reorder the sums
+    worst = worst_defect(_okubo_defect(a, t, ident, y, dy, x)
+                         for y, dy, x in zip(values, derivatives, pts))
     return EvalReport(pts, worst, solution.terms)

@@ -4,7 +4,7 @@ Exact criteria re-derive every closed-form identity the package relies on
 (determinant formulas, block decompositions, the special-value branches,
 the size-three reduction) with rational arithmetic on seeded random
 draws; the trivariate polynomial identity behind the branch denominators
-is certified on a rational grid large enough to pin a polynomial of its
+is certified on an integer grid large enough to pin a polynomial of its
 degree, which is a finite proof, not a sample.  Numeric criteria check
 truncated-series defects against stated tolerances.
 
@@ -137,12 +137,13 @@ def check_sameness_biconditional(seed: int, draws: int = 50) -> str:
     return f"{draws} special + {draws} perturbed charts"
 
 
-_GRID = [Fraction(k) for k in (-3, -2, -1, 1, 2, 3)]
+_GRID = (-3, -2, -1, 1, 2, 3)
 
 
 def _certify_trivariate_zero(fn) -> bool:
-    """fn(a, b, c) is polynomial of degree <= 5 in each variable; vanishing
-    on a 6x6x6 rational grid then proves it is identically zero."""
+    """fn(a, b, c) is polynomial of degree <= 5 in each variable, with
+    integer coefficients; vanishing on a 6x6x6 integer grid then proves it
+    is identically zero."""
     return all(fn(a, b, c) == 0
                for a in _GRID for b in _GRID for c in _GRID)
 
@@ -259,10 +260,9 @@ def _draw_w_params(rng: random.Random) -> hgsystem.HGParams:
 def check_product_vector_residual(seed: int, points: int = 20) -> str:
     rng = _rng(seed, "wres")
     p = _draw_w_params(rng)
-    worst = 0.0
-    for _ in range(points):
-        x = sampling.sample_disc(rng, 0.05, 0.4)
-        worst = max(worst, series.w_residual(p, x, terms=60))
+    worst = series.worst_defect(
+        series.w_residual(p, sampling.sample_disc(rng, 0.05, 0.4), terms=60)
+        for _ in range(points))
     _require(worst <= 1e-10, f"residual {worst:.3e} exceeds 1e-10")
     return f"{points} points, max residual {worst:.2e}"
 
@@ -270,13 +270,14 @@ def check_product_vector_residual(seed: int, points: int = 20) -> str:
 def check_contiguous_dual_path(seed: int, points: int = 20) -> str:
     rng = _rng(seed, "vdual")
     p = sampling.draw_okubo_params(rng)
-    worst = 0.0
+    gaps = []
     for _ in range(points):
         x = sampling.sample_disc(rng, 0.05, 0.4, max_angle=1.2)
         direct = series.contiguous_product_vector(p, x, terms=80)
         via = series.v_via_transform(p, x, terms=80)
         scale = max(1.0, float(np.max(np.abs(via))))
-        worst = max(worst, float(np.max(np.abs(direct - via))) / scale)
+        gaps.append(float(np.max(np.abs(direct - via))) / scale)
+    worst = series.worst_defect(gaps)
     _require(worst <= 1e-9, f"relative gap {worst:.3e} exceeds 1e-9")
     return f"{points} points, max relative gap {worst:.2e}"
 
@@ -287,8 +288,7 @@ def check_local_series_residuals(seed: int, terms: int = 80) -> str:
         Fraction(1, 3), Fraction(1, 5), Fraction(1, 7), Fraction(1, 11))
     _, product = hgsystem.build_okubo_system(hgsystem.HGParams.okubo(
         Fraction(1, 3), Fraction(1, 7), Fraction(1, 5), Fraction(1, 11)))
-    worst = 0.0
-    count = 0
+    residuals = []
     for system in (special, product):
         for base in ("0", "1", "inf"):
             n_expo = len(series.exponents_at(system, base))
@@ -299,19 +299,18 @@ def check_local_series_residuals(seed: int, terms: int = 80) -> str:
                     samples = [sampling.series_sample(rng, base)
                                for _ in range(5)]
                     report = series.residual_report(system, sol, samples)
-                    worst = max(worst, report.max_residual)
-                    count += 1
+                    residuals.append(report.max_residual)
+    worst = series.worst_defect(residuals)
     _require(worst <= 1e-9, f"residual {worst:.3e} exceeds 1e-9")
-    return f"{count} solutions across 2 systems, max residual {worst:.2e}"
+    return (f"{len(residuals)} solutions across 2 systems, "
+            f"max residual {worst:.2e}")
 
 
 def check_df_integral_residual(seed: int = 0) -> str:
     params = df.DFParams(Fraction(1, 3), Fraction(1, 5), Fraction(1, 7),
                          Fraction(1, 2))
-    worst = 0.0
-    for x in (0.3, 0.4, 0.5):
-        report = df.df_integral_solution(params, x)
-        worst = max(worst, report.residual)
+    worst = series.worst_defect(df.df_integral_solution(params, x).residual
+                                for x in (0.3, 0.4, 0.5))
     _require(worst <= 1e-6, f"residual {worst:.3e} exceeds 1e-6")
     return f"3 evaluation points, max residual {worst:.2e}"
 

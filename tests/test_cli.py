@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import okubo
@@ -17,7 +18,7 @@ from okubo.errors import InternalInconsistency
 from okubo.exact import RationalMatrix
 from okubo.hgsystem import HGParams, build_okubo_system
 from okubo.sampling import draw_perturbed_chart, rng_for
-from okubo.series import local_series
+from okubo.series import SeriesSolution, local_series
 
 
 def run_cli(capsys, *argv):
@@ -123,6 +124,18 @@ def test_residual_respects_precision_env(capsys, okubo_params_file,
                           "--base", "1", "--index", "0", "--terms", "60",
                           "--seed", "3")
     assert code == 1  # residual cannot beat 1e-30
+
+
+def test_residual_nan_exits_1(capsys, okubo_params_file, monkeypatch):
+    def nan_evaluate(self, points):
+        return np.full((2, len(points), 4), complex(np.nan))
+
+    monkeypatch.setattr(SeriesSolution, "evaluate", nan_evaluate)
+    code, data = run_json(capsys, "residual", "--params", okubo_params_file,
+                          "--base", "1", "--index", "0", "--terms", "20",
+                          "--seed", "3")
+    assert code == 1
+    assert data["max_residual"] == "nan"
 
 
 def test_v_vector(capsys, okubo_params_file):

@@ -19,7 +19,7 @@ from okubo.errors import (InputError, InternalInconsistency, OkuboError,
                           OutsideDisc)
 from okubo.exact import PolyMatrix, RationalMatrix, common_denominator
 from okubo.hgsystem import HGParams, build_okubo_system, gauge_matrix, lam
-from okubo.sampling import sample_disc
+from okubo.sampling import sample_disc, series_sample
 from okubo.series import (EvalReport, SeriesSolution, check_in_disc,
                           contiguous_product_vector, exponents_at,
                           gauss_coefficients, hyp2f1, hyp2f1_jet,
@@ -512,3 +512,175 @@ def test_series_json_round_trip_values():
     report = EvalReport((0.5 + 0.25j,), 1e-12, 8)
     out = report.to_json()
     assert out["samples"] == [["0.5", "0.25"]]
+
+
+# -- one-pass evaluation against the per-point loops --------------------------
+#
+# The per-point Horner loops of value, derivative and residual_report, kept
+# as references: the one-pass evaluation must reproduce them bit for bit.
+
+def reference_coeff_array(sol):
+    return np.array([[complex(c) for c in vec] for vec in sol.coeffs],
+                    dtype=complex)
+
+
+def reference_value(sol, x, coeffs=None):
+    u = sol._local(x)
+    coeffs = reference_coeff_array(sol) if coeffs is None else coeffs
+    acc = np.zeros(4, dtype=complex)
+    for vec in coeffs[::-1]:
+        acc = acc * u + vec
+    return u ** float(sol.exponent) * acc
+
+
+def reference_derivative(sol, x, coeffs=None):
+    u = sol._local(x)
+    rho = float(sol.exponent)
+    coeffs = reference_coeff_array(sol) if coeffs is None else coeffs
+    acc = np.zeros(4, dtype=complex)
+    for k in range(len(coeffs) - 1, -1, -1):
+        acc = acc * u + (rho + k) * coeffs[k]
+    if sol.base == "inf":
+        return -(u ** (rho + 1)) * acc
+    return u ** (rho - 1) * acc
+
+
+def reference_okubo_residual(system, y, dy, x):
+    t = np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)
+    lhs = (x * np.eye(4) - t) @ dy
+    rhs = system.coeff.to_complex() @ y
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def reference_max_residual(system, sol, points, values, derivatives):
+    worst = 0.0
+    for x, y, dy in zip(points, values, derivatives):
+        worst = max(worst, reference_okubo_residual(system, y, dy, x))
+    return worst
+
+
+def bits(values):
+    """The bit patterns of a complex array, signed zeros included."""
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
+
+
+#: real points (signed zero imaginary parts) inside each disc
+REAL_POINTS = {"0": [0.3, -0.45, 0.55], "1": [1.3, 0.5, 1.55],
+               "inf": [3.5, -1.2, 2.7]}
+
+
+def _evaluation_points(rng, base):
+    return ([complex(x) for x in REAL_POINTS[base]]
+            + [series_sample(rng, base) for _ in range(5)])
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_one_pass_evaluation_is_bit_identical_to_per_point_loops(mode):
+    _, product = build_okubo_system(POK)
+    rng = random.Random(23)
+    checked = 0
+    for system in (special_system(), product):
+        for base in ("0", "1", "inf"):
+            for idx in range(len(exponents_at(system, base))):
+                # the first k coefficients of a series are its k-term series
+                for full in local_series(system, base, idx, 400, mode):
+                    for terms in (20, 80, 400):
+                        sol = SeriesSolution(full.base, full.exponent,
+                                             full.coeffs[:terms],
+                                             full.variable, full.exact)
+                        points = _evaluation_points(rng, base)
+                        coeffs = reference_coeff_array(sol)
+                        want = (
+                            [reference_value(sol, x, coeffs) for x in points],
+                            [reference_derivative(sol, x, coeffs)
+                             for x in points])
+                        got = sol.evaluate(points)
+                        assert got.shape == (2, len(points), 4)
+                        assert np.array_equal(bits(got), bits(want))
+                        got = residual_report(system, sol, points)
+                        worst = reference_max_residual(system, sol, points,
+                                                       *want)
+                        assert got.max_residual.hex() == worst.hex()
+                        checked += 1
+    assert checked == 3 * 24
+
+
+def test_value_and_derivative_wrap_the_one_pass_evaluation():
+    _, product = build_okubo_system(POK)
+    rng = random.Random(29)
+    for base in ("0", "1", "inf"):
+        for sol in local_series(product, base, 0, 80, mode="float"):
+            for x in _evaluation_points(rng, base):
+                assert np.array_equal(bits(sol.value(x)),
+                                      bits(reference_value(sol, x)))
+                assert np.array_equal(bits(sol.derivative(x)),
+                                      bits(reference_derivative(sol, x)))
+
+
+def test_okubo_residual_matches_its_reference():
+    system = special_system()
+    sol = local_series(system, "1", 1, 60, mode="float")[0]
+    for x in (1.3, 1.1 + 0.2j, 0.7 - 0.3j):
+        y, dy = sol.value(x), sol.derivative(x)
+        assert (okubo_residual(system, y, dy, x).hex()
+                == reference_okubo_residual(system, y, dy, x).hex())
+
+
+@pytest.mark.parametrize("base, x", [("0", 0), ("0", 0j), ("1", 1),
+                                     ("1", 1 + 0j)])
+def test_residual_at_the_expansion_point_is_outside_the_disc(base, x):
+    system = special_system()
+    for index in range(len(exponents_at(system, base))):
+        for sol in local_series(system, base, index, 20, mode="float"):
+            with pytest.raises(OutsideDisc):
+                residual_report(system, sol, [0.3 + 0.1j + int(base), x])
+            with pytest.raises(OutsideDisc):
+                sol.evaluate([x])
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, complex(math.inf, 0),
+                               complex(3, math.inf), complex(math.nan, 0)])
+def test_residual_at_infinity_is_outside_the_disc(x):
+    system = special_system()
+    sol = local_series(system, "inf", 0, 20, mode="float")[0]
+    assert not check_in_disc("inf", x)
+    with pytest.raises(OutsideDisc):
+        residual_report(system, sol, [3.0, x])
+
+
+def test_residual_report_needs_a_sample():
+    system = special_system()
+    sol = local_series(system, "1", 1, 20, mode="float")[0]
+    with pytest.raises(InputError):
+        residual_report(system, sol, [])
+
+
+def test_worst_defect_keeps_nan():
+    assert series.worst_defect([]) == 0.0
+    assert series.worst_defect([1e-12, 3e-12, 2e-12]) == 3e-12
+    assert series.worst_defect([math.inf, 1.0]) == math.inf
+    for values in ([math.nan, 1.0], [1.0, math.nan], [0.0, math.nan, 0.0]):
+        assert math.isnan(series.worst_defect(values))
+
+
+def test_residual_report_keeps_nan(monkeypatch):
+    system = special_system()
+    sol = local_series(system, "1", 1, 20, mode="float")[0]
+    monkeypatch.setattr(SeriesSolution, "evaluate",
+                        lambda self, points: np.full((2, len(points), 4),
+                                                     complex(math.nan)))
+    assert math.isnan(residual_report(system, sol, [1.2]).max_residual)
+
+
+def test_hyp2f1_jet_matches_separate_power_arrays():
+    rng = random.Random(31)
+    for terms in (1, 2, 3, 60, 80, 160):
+        for _ in range(4):
+            x = sample_disc(rng, 0.0, 0.99)
+            c = gauss_coefficients(F(1, 3), F(-2, 5), F(3, 7), terms)
+            n = np.arange(terms)
+            d1 = complex(np.sum(c[1:] * n[1:] * x ** (n[1:] - 1)))
+            d2 = complex(np.sum(c[2:] * n[2:] * (n[2:] - 1)
+                                * x ** (n[2:] - 2)))
+            jet = hyp2f1_jet(F(1, 3), F(-2, 5), F(3, 7), x, terms)
+            assert bits([jet.d1, jet.d2]).tolist() == bits([d1, d2]).tolist()

@@ -1,14 +1,17 @@
 """run_criterion: failures, crashes and bugs are told apart, also under -O."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import okubo
+from okubo import dotsenko_fateev, series, verify
 from okubo.errors import InternalInconsistency
 from okubo.verify import CriterionFailed, run_criterion
 
@@ -61,3 +64,42 @@ def test_failure_survives_python_O():
     assert out["optimize"] == 1
     assert out["passed"] is False
     assert out["detail"].startswith("realization fails for ")
+
+
+def _nan_after_first_w_residual():
+    """A stand-in for w_residual that returns 1e-14 on its first call and
+    NaN after it, so that a max() seeded with the first result would hide
+    the NaN."""
+    calls = []
+
+    def fake(p, x, terms=60):
+        calls.append(x)
+        return 1e-14 if len(calls) == 1 else math.nan
+    return fake
+
+
+def _nan_evaluate(self, points):
+    return np.full((2, len(points), 4), complex(math.nan))
+
+
+def _nan_df_report(params, x, nodes=128):
+    return dotsenko_fateev.DFSolutionReport((0j,) * 3, (0j,) * 3, math.nan,
+                                            2 * nodes, 0.0)
+
+
+@pytest.mark.parametrize("check, target, name, make_fake", [
+    (verify.check_product_vector_residual, series, "w_residual",
+     _nan_after_first_w_residual),
+    (verify.check_contiguous_dual_path, series, "v_via_transform",
+     lambda: lambda p, x, terms=60: np.full(4, complex(math.nan))),
+    (verify.check_local_series_residuals, series.SeriesSolution, "evaluate",
+     lambda: _nan_evaluate),
+    (verify.check_df_integral_residual, dotsenko_fateev,
+     "df_integral_solution", lambda: _nan_df_report)],
+    ids=["2a", "2b", "2c", "2d"])
+def test_nan_fails_numeric_criterion(monkeypatch, check, target, name,
+                                     make_fake):
+    monkeypatch.setattr(target, name, make_fake())
+    with pytest.raises(CriterionFailed, match="nan exceeds"):
+        check(7)
+    assert not run_criterion("numeric", check, 7).passed
