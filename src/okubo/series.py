@@ -262,6 +262,8 @@ class SeriesSolution:
             return x
         if self.base == "1":
             return x - 1
+        if x == 1:
+            raise OutsideDisc("1/(x-1) has a pole at x = 1", {"x": x})
         return 1 / (x - 1)
 
     def _coeff_array(self) -> np.ndarray:

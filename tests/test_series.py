@@ -638,6 +638,13 @@ def test_residual_at_the_expansion_point_is_outside_the_disc(base, x):
                 sol.evaluate([x])
 
 
+def test_series_at_infinity_refuses_x_equal_to_one():
+    sol = local_series(special_system(), "inf", 0, 20, mode="float")[0]
+    for x in (1, 1.0, 1 + 0j):
+        with pytest.raises(OutsideDisc):
+            sol.evaluate([3.0, x])
+
+
 @pytest.mark.parametrize("x", [math.inf, -math.inf, complex(math.inf, 0),
                                complex(3, math.inf), complex(math.nan, 0)])
 def test_residual_at_infinity_is_outside_the_disc(x):
