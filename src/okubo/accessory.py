@@ -21,17 +21,24 @@ both vanish.  Solving epsilon = delta = 0 pins the accessory parameters to
 special values with a closed-form coefficient matrix; for the half-sum
 exponents of the hypergeometric product system, that special matrix is
 diagonally conjugate to the coefficient matrix of the product system.
+
+A chart computes its derived exact objects (checked state, d-constraint
+value, A12, A21, the obstructions and the validated Okubo system) once
+per chart object, as integer polynomials in its cleared exponents and
+ratios.  Equal but distinct charts each build their own; nothing is
+cached by value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (AdmissibilityError, DConditionError, DegenerateChart,
                      EigenvectorDegeneracy, InputError, InternalInconsistency)
-from .exact import (Poly, PolyMatrix, RationalMatrix, left_eigenvectors,
-                    to_fraction)
+from .exact import (Poly, PolyMatrix, RationalMatrix, common_denominator,
+                    left_eigenvectors, to_fraction)
 from .hgsystem import (HGParams, J2, OkuboSystem, _even_quartic,
                        build_okubo_system, lam, resolvent_numerator)
 
@@ -47,7 +54,7 @@ def base_condition_failures(a, b, c, d) -> list:
     pairwise sums/differences being an integer.  Integrality is detected
     exactly (denominator 1), never by a floating-point epsilon.
     """
-    a, b, c, d = (Fraction(x) for x in (a, b, c, d))
+    a, b, c, d = (to_fraction(x) for x in (a, b, c, d))
     named = {"a": a, "b": b, "c": c, "d": d,
              "2a": 2 * a, "2b": 2 * b, "2c": 2 * c, "2d": 2 * d}
     for (n1, x), (n2, y) in (
@@ -81,6 +88,15 @@ class AccessoryChart:
     The r's matter only up to a common nonzero scale.  A chart is valid
     when r1 r2 r3 r4 != 0, r1 != r2, r3 != r4, and the quadratic-over-
     bilinear expression in the r's equals d^2 exactly.
+
+    A chart builds its derived exact objects once: the checked state, the
+    d-constraint value, the blocks A12 and A21, the obstructions and the
+    validated Okubo system are cached properties, kept outside the fields
+    the chart is compared and hashed by (like `OkuboSystem.resolvent`).
+    Only success is kept, so an invalid chart raises on every call.  The
+    closed forms are integer polynomials in (a, b, c) cleared over one
+    denominator and r cleared over another, with one Fraction per output
+    entry.
     """
 
     a: Fraction
@@ -115,28 +131,88 @@ class AccessoryChart:
 
     def d_constraint_value(self) -> Fraction:
         """The rational expression that must equal d^2."""
-        a, b, c = self.a, self.b, self.c
-        r1, r2, r3, r4 = self.r
+        return self._d_constraint
+
+    def check(self) -> None:
+        """Raise DegenerateChart, then DConditionError, unless the chart
+        is valid."""
+        self._checked  # runs the tests, or reads their remembered success
+
+    @cached_property
+    def _cleared(self) -> tuple:
+        """((A, B, C), D, (R1, R2, R3, R4), E) with (a, b, c) = (A, B, C)/D
+        and r = R/E, the denominators D and E positive."""
+        abc, den_abc = common_denominator((self.a, self.b, self.c))
+        r, den_r = common_denominator(self.r)
+        return abc, den_abc, r, den_r
+
+    @cached_property
+    def _d_constraint(self) -> Fraction:
+        (a, b, c), da, (r1, r2, r3, r4), _ = self._cleared
         if r1 == r2 or r3 == r4:
             raise DegenerateChart("degenerate chart",
                                   {"r": [str(x) for x in self.r]})
+        ab4 = 4 * a * b
         num = ((a + b + c) ** 2 * r1 * r3 - (a - b + c) ** 2 * r1 * r4
                - (a - b - c) ** 2 * r2 * r3 + (a + b - c) ** 2 * r2 * r4
-               - 4 * a * b * r1 * r2 - 4 * a * b * r3 * r4)
-        return num / ((r1 - r2) * (r3 - r4))
+               - ab4 * r1 * r2 - ab4 * r3 * r4)
+        return Fraction(num, da * da * (r1 - r2) * (r3 - r4))
 
-    def check(self) -> None:
+    @cached_property
+    def _checked(self) -> bool:
         r1, r2, r3, r4 = self.r
-        if r1 * r2 * r3 * r4 == 0 or r1 == r2 or r3 == r4:
+        if 0 in self.r or r1 == r2 or r3 == r4:
             raise DegenerateChart("degenerate chart",
                                   {"r": [str(x) for x in self.r]})
         if self.d_constraint_value() != self.d ** 2:
             raise DConditionError("d-condition fails",
                                   {"value": self.d_constraint_value(),
                                    "d^2": self.d ** 2})
+        return True
+
+    @cached_property
+    def _a12(self) -> RationalMatrix:
+        (_, b, c), da, (r1, r2, r3, r4), dr = self._cleared
+        bm, bp = b - c, b + c
+        return _signed_quotients(
+            [bm * r2 - bp * r3, bp * r2 - bm * r4,
+             bm * r1 - bp * r3, bp * r1 - bm * r4],
+            da * (r1 - r2), da * dr)
+
+    @cached_property
+    def _a21(self) -> RationalMatrix:
+        (a, _, c), da, (r1, r2, r3, r4), dr = self._cleared
+        am, ap = a - c, a + c
+        return _signed_quotients(
+            [ap * r1 - am * r4, am * r2 - ap * r4,
+             ap * r1 - am * r3, am * r2 - ap * r3],
+            da * (r4 - r3), da * dr)
+
+    @cached_property
+    def _obstructions(self) -> "Obstructions":
+        (a, b, c), da, (r1, r2, r3, r4), dr = self._cleared
+        eps = (b * (a + c) * r1 + b * (a - c) * r2
+               - a * (b + c) * r3 - a * (b - c) * r4)
+        dlt = r1 * r2 - r3 * r4
+        den = (r1 - r2) * (r3 - r4)
+        if den == 0:
+            raise DegenerateChart("degenerate chart")
+        da2 = da * da
+        return Obstructions(Fraction(eps, da2 * dr), Fraction(dlt, dr * dr),
+                            Fraction(2 * dr * eps, da2 * den),
+                            Fraction(2 * dlt, den))
+
+    @cached_property
+    def _system(self) -> OkuboSystem:
+        self.check()
+        coeff = RationalMatrix.from_blocks(
+            [[J2.scale(self.a), self._a12], [self._a21, J2.scale(self.b)]])
+        system = OkuboSystem(coeff, self.a, self.b, self.c, self.d)
+        system.validate()
+        return system
 
     def scaled(self, s) -> "AccessoryChart":
-        s = Fraction(s)
+        s = to_fraction(s)
         if s == 0:
             raise DegenerateChart("zero scale")
         return AccessoryChart(self.a, self.b, self.c, self.d,
@@ -165,8 +241,8 @@ class AccessoryChart:
 
 def solve_r4(a, b, c, d, r1, r2, r3) -> Fraction:
     """The unique r4 making the d-constraint hold (it is linear in r4)."""
-    a, b, c, d = (Fraction(x) for x in (a, b, c, d))
-    r1, r2, r3 = (Fraction(x) for x in (r1, r2, r3))
+    a, b, c, d = (to_fraction(x) for x in (a, b, c, d))
+    r1, r2, r3 = (to_fraction(x) for x in (r1, r2, r3))
     coef = (-(a - b + c) ** 2 * r1 + (a + b - c) ** 2 * r2
             - 4 * a * b * r3 + d ** 2 * (r1 - r2))
     const = ((a + b + c) ** 2 * r1 * r3 - (a - b - c) ** 2 * r2 * r3
@@ -180,24 +256,27 @@ def solve_r4(a, b, c, d, r1, r2, r3) -> Fraction:
 # the parametrized coefficient matrix
 # --------------------------------------------------------------------------
 
+def _signed_quotients(nums: list, den: int, unit: int) -> RationalMatrix:
+    """[[n1, -n2], [-n3, n4]] / den, the shape of both off-diagonal blocks.
+
+    At den = 0 it raises what the rational closed form raises there,
+    dividing its first entry, n1 / unit, by a rational zero.
+    """
+    if den == 0:
+        Fraction(nums[0], unit) / Fraction(0)
+    n1, n2, n3, n4 = nums
+    return RationalMatrix([[Fraction(n1, den), Fraction(-n2, den)],
+                           [Fraction(-n3, den), Fraction(n4, den)]])
+
+
 def upper_block(chart: AccessoryChart) -> RationalMatrix:
-    a, b, c = chart.a, chart.b, chart.c
-    r1, r2, r3, r4 = chart.r
-    return RationalMatrix([
-        [((b - c) * r2 - (b + c) * r3) / (r1 - r2),
-         ((b + c) * r2 - (b - c) * r4) / (r2 - r1)],
-        [((b - c) * r1 - (b + c) * r3) / (r2 - r1),
-         ((b + c) * r1 - (b - c) * r4) / (r1 - r2)]])
+    """The block A12; built once per chart."""
+    return chart._a12
 
 
 def lower_block(chart: AccessoryChart) -> RationalMatrix:
-    a, b, c = chart.a, chart.b, chart.c
-    r1, r2, r3, r4 = chart.r
-    return RationalMatrix([
-        [((a + c) * r1 - (a - c) * r4) / (r4 - r3),
-         ((a - c) * r2 - (a + c) * r4) / (r3 - r4)],
-        [((a + c) * r1 - (a - c) * r3) / (r3 - r4),
-         ((a - c) * r2 - (a + c) * r3) / (r4 - r3)]])
+    """The block A21; built once per chart."""
+    return chart._a21
 
 
 def okubo_from_chart(chart: AccessoryChart) -> OkuboSystem:
@@ -205,32 +284,30 @@ def okubo_from_chart(chart: AccessoryChart) -> OkuboSystem:
 
     Raises DegenerateChart / DConditionError when the chart invariants
     fail; the result always has characteristic polynomial
-    (t^2 - c^2)(t^2 - d^2).
+    (t^2 - c^2)(t^2 - d^2).  It is built and validated once per chart.
     """
-    chart.check()
-    a12 = upper_block(chart)
-    a21 = lower_block(chart)
-    coeff = RationalMatrix.from_blocks(
-        [[J2.scale(chart.a), a12], [a21, J2.scale(chart.b)]])
-    system = OkuboSystem(coeff, chart.a, chart.b, chart.c, chart.d)
+    return chart._system
+
+
+def special_matrix(a, b, c, d) -> OkuboSystem:
+    """The closed-form coefficient matrix at the special accessory values,
+    validated."""
+    a, b, c, d = (to_fraction(x) for x in (a, b, c, d))
+    system = OkuboSystem(_special_coeff(a, b, c, d), a, b, c, d)
     system.validate()
     return system
 
 
-def special_matrix(a, b, c, d) -> OkuboSystem:
-    """The closed-form coefficient matrix at the special accessory values."""
-    a, b, c, d = (Fraction(x) for x in (a, b, c, d))
+def _special_coeff(a, b, c, d) -> RationalMatrix:
+    """The closed-form special coefficient matrix, for Fractions a..d."""
     a12 = RationalMatrix([
         [((a - b + c) ** 2 - d ** 2) / (4 * a), ((a + b + c) ** 2 - d ** 2) / (4 * a)],
         [(d ** 2 - (a + b - c) ** 2) / (4 * a), (d ** 2 - (a - b - c) ** 2) / (4 * a)]])
     a21 = RationalMatrix([
         [((a - b - c) ** 2 - d ** 2) / (4 * b), ((a + b + c) ** 2 - d ** 2) / (4 * b)],
         [(d ** 2 - (a + b - c) ** 2) / (4 * b), (d ** 2 - (a - b + c) ** 2) / (4 * b)]])
-    coeff = RationalMatrix.from_blocks(
+    return RationalMatrix.from_blocks(
         [[J2.scale(a), a12], [a21, J2.scale(b)]])
-    system = OkuboSystem(coeff, a, b, c, d)
-    system.validate()
-    return system
 
 
 # --------------------------------------------------------------------------
@@ -245,7 +322,7 @@ def recover_chart(matrix: RationalMatrix, a, b, c, d) -> tuple:
     eigenvectors for -c and c.  The eigenvalue labels c and d are taken
     from the caller; swapping them is the caller's choice.
     """
-    a, b, c, d = (Fraction(x) for x in (a, b, c, d))
+    a, b, c, d = (to_fraction(x) for x in (a, b, c, d))
     if matrix.block(0, 2, 0, 2) != J2.scale(a) or \
             matrix.block(2, 4, 2, 4) != J2.scale(b):
         raise InputError("matrix does not have the required diagonal blocks",
@@ -303,16 +380,9 @@ class Obstructions:
 
 
 def epsilon_delta(chart: AccessoryChart) -> Obstructions:
-    """Evaluate the obstructions; purely algebraic in (a, b, c, r)."""
-    a, b, c = chart.a, chart.b, chart.c
-    r1, r2, r3, r4 = chart.r
-    eps = (b * (a + c) * r1 + b * (a - c) * r2
-           - a * (b + c) * r3 - a * (b - c) * r4)
-    dlt = r1 * r2 - r3 * r4
-    den = (r1 - r2) * (r3 - r4)
-    if den == 0:
-        raise DegenerateChart("degenerate chart")
-    return Obstructions(eps, dlt, 2 * eps / den, 2 * dlt / den)
+    """Evaluate the obstructions; purely algebraic in (a, b, c, r), and
+    evaluated once per chart."""
+    return chart._obstructions
 
 
 @dataclass(frozen=True)
@@ -399,7 +469,7 @@ class DifferenceSystem:
 
     def step(self, z0) -> RationalMatrix:
         """Exact forward step matrix at a rational point."""
-        z0 = Fraction(z0)
+        z0 = to_fraction(z0)
         den = self.scalar_denominator(z0)
         if den == 0:
             raise InputError("step undefined: scalar denominator vanishes",
@@ -546,14 +616,14 @@ def substantially_same(chart: AccessoryChart,
 
 def branch_via_r4(a, b, c, d, scale=Fraction(1)) -> tuple:
     """Ratios (r1, r2, r3, r4) with r4 = scale solving both obstructions."""
-    a, b, c, d = (Fraction(x) for x in (a, b, c, d))
+    a, b, c, d = (to_fraction(x) for x in (a, b, c, d))
     den1 = (a + b + c) ** 2 - d ** 2
     den2 = (a - b - c) ** 2 - d ** 2
     if den1 == 0 or den2 == 0:
         raise AdmissibilityError("branch via r4 has a vanishing denominator",
                                  {"(a+b+c)^2-d^2": den1,
                                   "(a-b-c)^2-d^2": den2})
-    r4 = Fraction(scale)
+    r4 = to_fraction(scale)
     r1 = ((a + b - c) ** 2 - d ** 2) / den1 * r4
     r2 = ((a - b + c) ** 2 - d ** 2) / den2 * r4
     r3 = (((a + b - c) ** 2 - d ** 2) * ((a - b + c) ** 2 - d ** 2)
@@ -563,14 +633,14 @@ def branch_via_r4(a, b, c, d, scale=Fraction(1)) -> tuple:
 
 def branch_via_r3(a, b, c, d, scale=Fraction(1)) -> tuple:
     """Ratios (r1, r2, r3, r4) with r3 = scale solving both obstructions."""
-    a, b, c, d = (Fraction(x) for x in (a, b, c, d))
+    a, b, c, d = (to_fraction(x) for x in (a, b, c, d))
     den1 = (a - b + c) ** 2 - d ** 2
     den2 = (a + b - c) ** 2 - d ** 2
     if den1 == 0 or den2 == 0:
         raise AdmissibilityError("branch via r3 has a vanishing denominator",
                                  {"(a-b+c)^2-d^2": den1,
                                   "(a+b-c)^2-d^2": den2})
-    r3 = Fraction(scale)
+    r3 = to_fraction(scale)
     r1 = ((a - b - c) ** 2 - d ** 2) / den1 * r3
     r2 = ((a + b + c) ** 2 - d ** 2) / den2 * r3
     r4 = (((a + b + c) ** 2 - d ** 2) * ((a - b - c) ** 2 - d ** 2)
@@ -584,12 +654,12 @@ def solve_accessory(a, b, c, d, branch: str = "auto",
 
     Returns (chart, system): the chart carrying the solved ratios (with
     r4 = scale for branch "via-r4" and r3 = scale for "via-r3"), and the
-    closed-form special coefficient matrix, which the chart's
-    parametrization reproduces exactly.  "auto" tries via-r4 first; the
-    two branch denominators never vanish simultaneously for admissible
+    chart's validated system, whose coefficient is checked to be the
+    closed-form special matrix.  "auto" tries via-r4 first; the two
+    branch denominators never vanish simultaneously for admissible
     exponents.
     """
-    a, b, c, d = (Fraction(x) for x in (a, b, c, d))
+    a, b, c, d = (to_fraction(x) for x in (a, b, c, d))
     require_admissible(a, b, c, d)
     order = {"via-r4": [branch_via_r4], "via-r3": [branch_via_r3],
              "auto": [branch_via_r4, branch_via_r3]}.get(branch)
@@ -598,9 +668,8 @@ def solve_accessory(a, b, c, d, branch: str = "auto",
 
     def attempt(solver):
         chart = AccessoryChart(a, b, c, d, solver(a, b, c, d, scale))
-        chart.check()
-        system = special_matrix(a, b, c, d)
-        if okubo_from_chart(chart).coeff != system.coeff:
+        system = okubo_from_chart(chart)
+        if system.coeff != _special_coeff(a, b, c, d):
             raise InternalInconsistency(
                 "solved chart does not reproduce the special matrix")
         if not epsilon_delta(chart).vanish:

@@ -178,8 +178,12 @@ def transition_half_sum_form(p: HGParams) -> RationalMatrix:
 
 @dataclass(frozen=True)
 class DFTransformReport:
+    """The verdict, the mismatching entries, and the reduced residues
+    (K0, K1) the conjugation was checked on (not part of the JSON)."""
+
     verdict: bool
     mismatches: tuple
+    reduced: tuple
 
     def to_json(self) -> dict:
         return {"verdict": self.verdict,
@@ -216,7 +220,7 @@ def check_df_transformation(params: DFParams) -> DFTransformReport:
                     if got[i, j] != target[i, j]:
                         mismatches.append((part, i, j, got[i, j],
                                            target[i, j]))
-    return DFTransformReport(not mismatches, tuple(mismatches))
+    return DFTransformReport(not mismatches, tuple(mismatches), (k0, k1))
 
 
 # --------------------------------------------------------------------------
@@ -264,7 +268,14 @@ def _jacobi_rule(params: DFParams, nodes: int) -> tuple:
     from scipy.special import roots_jacobi
 
     a, c, g = float(params.a), float(params.c), float(params.g)
-    u, w = roots_jacobi(nodes, g / 2 - 1, a + c + g / 2)
+    # at alpha + beta = -1 (a + c + g = 0) scipy evaluates both branches
+    # of an np.where, one of them 0/0, and warns for a finite rule
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u, w = roots_jacobi(nodes, g / 2 - 1, a + c + g / 2)
+    if not (np.isfinite(u).all() and np.isfinite(w).all()):
+        raise QuadratureError("Gauss-Jacobi rule is not finite",
+                              {"nodes": nodes, "alpha": g / 2 - 1,
+                               "beta": a + c + g / 2})
     return (1 + u) / 2, w
 
 

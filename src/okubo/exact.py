@@ -457,7 +457,7 @@ def left_eigenvectors(matrix: RationalMatrix, eigenvalue: Scalar) -> list:
     The eigenvalue must be an exact root of the characteristic polynomial;
     otherwise the (empty) null space is rejected with an error.
     """
-    xi = Fraction(eigenvalue)
+    xi = to_fraction(eigenvalue)
     if matrix.char_poly()(xi) != 0:
         raise NotAnEigenvalue(f"{xi} is not an eigenvalue")
     shifted = matrix - RationalMatrix.identity(matrix.dim).scale(xi)
@@ -536,7 +536,7 @@ class PolyMatrix:
 
     def eval(self, z0: Scalar) -> RationalMatrix:
         """Exact evaluation at a rational point."""
-        x = Fraction(z0)
+        x = to_fraction(z0)
         return RationalMatrix([[e(x) for e in row] for row in self.entries])
 
     def reflected(self) -> "PolyMatrix":

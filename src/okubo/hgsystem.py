@@ -216,7 +216,7 @@ def resolvent_numerator(matrix: RationalMatrix, c, d) -> PolyMatrix:
 
         N(z) = z^3 I + z^2 A + z (A^2 - (c^2+d^2) I) + A^3 - (c^2+d^2) A.
     """
-    c, d = Fraction(c), Fraction(d)
+    c, d = to_fraction(c), to_fraction(d)
     n = matrix.dim
     ident = RationalMatrix.identity(n)
     sq = matrix * matrix

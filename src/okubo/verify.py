@@ -232,7 +232,7 @@ def check_df_reduction(seed: int, draws: int = 30) -> str:
                 want = want * Poly([-root, 1])
             _require(matrix.char_poly() == want, "shifted eigenvalues")
         hg = params.induced_hg()
-        k0, k1 = df.euler_reduce(hg)
+        k0, k1 = report.reduced
         for matrix, roots in (
                 (k0, (hg.beta1 + hg.beta2, -hg.alpha1 - hg.alpha2,
                       Fraction(0))),

@@ -1,0 +1,302 @@
+"""A chart's derived exact objects: built once per chart object, from
+integer closed forms.
+
+The rational closed forms the package used before it cleared a chart to
+integers are kept here as references.  The integer forms must give the
+same Fractions on drawn, special, perturbed and rescaled charts, and the
+same exceptions (class, order, message and context) on degenerate ones.
+"""
+
+import random
+from collections import Counter
+from fractions import Fraction as F
+
+import pytest
+
+from okubo import accessory as acc
+from okubo.accessory import (AccessoryChart, Obstructions, cubic_blocks,
+                             epsilon_delta, lower_block, okubo_from_chart,
+                             solve_accessory, substantially_same, upper_block)
+from okubo.errors import DConditionError, DegenerateChart, InputError
+from okubo.exact import PolyMatrix, RationalMatrix, left_eigenvectors
+from okubo.hgsystem import J2, OkuboSystem, resolvent_numerator
+from okubo.sampling import (draw_chart, draw_perturbed_chart,
+                            draw_special_chart)
+
+ABCD = (F(1, 3), F(1, 5), F(1, 7), F(1, 11))
+
+
+# -- the rational closed forms, as references --------------------------------
+
+def ref_d_constraint(chart):
+    a, b, c = chart.a, chart.b, chart.c
+    r1, r2, r3, r4 = chart.r
+    if r1 == r2 or r3 == r4:
+        raise DegenerateChart("degenerate chart",
+                              {"r": [str(x) for x in chart.r]})
+    num = ((a + b + c) ** 2 * r1 * r3 - (a - b + c) ** 2 * r1 * r4
+           - (a - b - c) ** 2 * r2 * r3 + (a + b - c) ** 2 * r2 * r4
+           - 4 * a * b * r1 * r2 - 4 * a * b * r3 * r4)
+    return num / ((r1 - r2) * (r3 - r4))
+
+
+def ref_check(chart):
+    r1, r2, r3, r4 = chart.r
+    if r1 * r2 * r3 * r4 == 0 or r1 == r2 or r3 == r4:
+        raise DegenerateChart("degenerate chart",
+                              {"r": [str(x) for x in chart.r]})
+    if ref_d_constraint(chart) != chart.d ** 2:
+        raise DConditionError("d-condition fails",
+                              {"value": ref_d_constraint(chart),
+                               "d^2": chart.d ** 2})
+
+
+def ref_upper_block(chart):
+    b, c = chart.b, chart.c
+    r1, r2, r3, r4 = chart.r
+    return RationalMatrix([
+        [((b - c) * r2 - (b + c) * r3) / (r1 - r2),
+         ((b + c) * r2 - (b - c) * r4) / (r2 - r1)],
+        [((b - c) * r1 - (b + c) * r3) / (r2 - r1),
+         ((b + c) * r1 - (b - c) * r4) / (r1 - r2)]])
+
+
+def ref_lower_block(chart):
+    a, c = chart.a, chart.c
+    r1, r2, r3, r4 = chart.r
+    return RationalMatrix([
+        [((a + c) * r1 - (a - c) * r4) / (r4 - r3),
+         ((a - c) * r2 - (a + c) * r4) / (r3 - r4)],
+        [((a + c) * r1 - (a - c) * r3) / (r3 - r4),
+         ((a - c) * r2 - (a + c) * r3) / (r4 - r3)]])
+
+
+def ref_epsilon_delta(chart):
+    a, b, c = chart.a, chart.b, chart.c
+    r1, r2, r3, r4 = chart.r
+    eps = (b * (a + c) * r1 + b * (a - c) * r2
+           - a * (b + c) * r3 - a * (b - c) * r4)
+    dlt = r1 * r2 - r3 * r4
+    den = (r1 - r2) * (r3 - r4)
+    if den == 0:
+        raise DegenerateChart("degenerate chart")
+    return Obstructions(eps, dlt, 2 * eps / den, 2 * dlt / den)
+
+
+def ref_okubo_from_chart(chart):
+    ref_check(chart)
+    coeff = RationalMatrix.from_blocks(
+        [[J2.scale(chart.a), ref_upper_block(chart)],
+         [ref_lower_block(chart), J2.scale(chart.b)]])
+    system = OkuboSystem(coeff, chart.a, chart.b, chart.c, chart.d)
+    system.validate()
+    return system
+
+
+PAIRS = (
+    ("d_constraint_value", AccessoryChart.d_constraint_value,
+     ref_d_constraint),
+    ("check", AccessoryChart.check, ref_check),
+    ("upper_block", upper_block, ref_upper_block),
+    ("lower_block", lower_block, ref_lower_block),
+    ("epsilon_delta", epsilon_delta, ref_epsilon_delta),
+    ("okubo_from_chart", okubo_from_chart, ref_okubo_from_chart),
+)
+
+
+def outcome(fn, chart):
+    """The value, or everything that identifies the exception."""
+    try:
+        return "value", fn(chart)
+    except (ArithmeticError, DegenerateChart, DConditionError) as exc:
+        return ("raised", type(exc), exc.args, getattr(exc, "context", None))
+
+
+def fresh(chart):
+    """An equal chart object with nothing built yet."""
+    return AccessoryChart(chart.a, chart.b, chart.c, chart.d, chart.r)
+
+
+def rescaled(chart, rng):
+    """The chart times a large or negative scale with a denominator up
+    to 10^6."""
+    num = rng.choice((1, -1)) * rng.randint(1, 10 ** rng.choice((3, 6, 12)))
+    return chart.scaled(F(num, rng.randint(1, 10 ** 6)))
+
+
+def seeded_charts():
+    rng = random.Random(89)
+    charts = []
+    for _ in range(40):
+        drawn = draw_chart(rng)
+        special = draw_special_chart(rng)
+        perturbed = draw_perturbed_chart(rng)
+        charts += [drawn, special, perturbed]
+        charts += [rescaled(chart, rng) for chart in (drawn, special, perturbed)]
+    # exponents and ratios with denominators up to 10^6: valid charts with
+    # r4 solved from the d-constraint, and the same with d replaced by 1
+    big = lambda: F(rng.randint(-10 ** 6, 10 ** 6) or 1,
+                    rng.randint(1, 10 ** 6))
+    for _ in range(30):
+        a, b, c, d, r1, r2, r3 = (big() for _ in range(7))
+        r = (r1, r2, r3, acc.solve_r4(a, b, c, d, r1, r2, r3))
+        charts += [AccessoryChart(a, b, c, d, r),
+                   AccessoryChart(a, b, c, F(1), r)]
+    return charts
+
+
+def degenerate_charts():
+    rng = random.Random(97)
+    out = []
+    for _ in range(10):
+        base = draw_chart(rng)
+        r1, r2, r3, r4 = base.r
+        for r in ((r1, r1, r3, r4), (r1, r2, r3, r3), (r1, r1, r3, r3),
+                  (0, r2, r3, r4), (r1, r2, 0, r4), (r2, r2, 0, r4),
+                  (r1, r2, r3, r4 + 1)):
+            out.append(AccessoryChart(base.a, base.b, base.c, base.d, r))
+    return out
+
+
+def test_integer_forms_match_the_references():
+    charts = seeded_charts()
+    assert len(charts) >= 300
+    values = Counter()
+    for chart in charts:
+        for name, fn, ref in PAIRS:
+            got, want = outcome(fn, fresh(chart)), outcome(ref, chart)
+            assert got == want, (name, chart)
+            values[got[0]] += 1
+    # both outcomes are exercised
+    assert values["value"] > 1000 and values["raised"] >= 40
+
+
+def test_degenerate_charts_raise_as_the_references_do():
+    errors = Counter()
+    for chart in degenerate_charts():
+        for name, fn, ref in PAIRS:
+            want = outcome(ref, chart)
+            # an invalid chart raises again on every call
+            for _ in range(3):
+                assert outcome(fn, chart) == want, (name, chart)
+            if want[0] == "raised":
+                errors[want[1]] += 1
+    assert set(errors) == {ZeroDivisionError, DegenerateChart,
+                           DConditionError}
+
+
+# -- once per chart object ---------------------------------------------------
+
+BUILDS = ("_cleared", "_d_constraint", "_checked", "_a12", "_a21",
+          "_obstructions", "_system")
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of each cached build of AccessoryChart, and of validated
+    Okubo systems."""
+    counts = Counter()
+    for name in BUILDS:
+        prop = AccessoryChart.__dict__[name]
+
+        def counted(chart, build=prop.func, name=name):
+            counts[name] += 1
+            return build(chart)
+        monkeypatch.setattr(prop, "func", counted)
+    validate = OkuboSystem.validate
+
+    def counted_validate(system):
+        counts["validate"] += 1
+        return validate(system)
+    monkeypatch.setattr(OkuboSystem, "validate", counted_validate)
+    return counts
+
+
+def exercise(chart):
+    for _ in range(2):
+        cubic_blocks(chart)
+        okubo_from_chart(chart)
+        for pair in ("1-inf", "0-inf"):
+            substantially_same(chart, pair)
+        acc.difference_systems(chart, "1-inf")
+        chart.check()
+        chart.d_constraint_value()
+        upper_block(chart)
+        lower_block(chart)
+        epsilon_delta(chart)
+
+
+def test_chart_objects_are_built_once_per_chart(builds):
+    rng = random.Random(101)
+    for draw in (draw_chart, draw_special_chart, draw_perturbed_chart):
+        chart = fresh(draw(rng))
+        builds.clear()
+        exercise(chart)
+        assert builds == Counter({name: 1 for name in BUILDS + ("validate",)})
+        # an equal but distinct chart builds its own
+        twin = fresh(chart)
+        assert twin == chart and hash(twin) == hash(chart)
+        exercise(twin)
+        assert builds == Counter({name: 2 for name in BUILDS + ("validate",)})
+        assert okubo_from_chart(twin) == okubo_from_chart(chart)
+        assert okubo_from_chart(twin) is not okubo_from_chart(chart)
+
+
+def test_failed_check_raises_on_every_call(builds):
+    for r, error in (((1, 1, 2, 3), DegenerateChart),
+                     ((0, 1, 2, 3), DegenerateChart),
+                     ((1, 2, 3, 3), DegenerateChart),
+                     ((1, 2, 3, 4), DConditionError)):
+        chart = AccessoryChart(*ABCD, r)
+        for _ in range(3):
+            with pytest.raises(error):
+                chart.check()
+            with pytest.raises(error):
+                okubo_from_chart(chart)
+            with pytest.raises(error):
+                cubic_blocks(chart)
+            with pytest.raises(error):
+                substantially_same(chart)
+    assert builds["validate"] == 0
+
+
+def test_solve_accessory_validates_one_system(builds):
+    chart, system = solve_accessory(*ABCD, "via-r4")
+    assert builds["validate"] == 1
+    assert system is okubo_from_chart(chart)
+    assert system == acc.special_matrix(*ABCD)
+    assert builds["validate"] == 2  # special_matrix keeps validating
+
+
+# -- exact entry points refuse floats ----------------------------------------
+
+def special_chart():
+    return solve_accessory(*ABCD)[0]
+
+
+def special_coeff():
+    return okubo_from_chart(special_chart()).coeff
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_accessory(0.1, F(1, 5), F(1, 7), F(1, 11)),
+    lambda: solve_accessory(*ABCD, "via-r4", 0.5),
+    lambda: special_chart().scaled(0.5),
+    lambda: acc.special_matrix(F(1, 3), 0.2, F(1, 7), F(1, 11)),
+    lambda: acc.solve_r4(*ABCD, F(1), F(2), 0.5),
+    lambda: acc.branch_via_r4(*ABCD, 0.5),
+    lambda: acc.branch_via_r3(F(1, 3), F(1, 5), 0.25, F(1, 11)),
+    lambda: acc.base_condition_failures(F(1, 3), F(1, 5), F(1, 7), 0.5),
+    lambda: acc.recover_chart(special_coeff(), F(1, 3), F(1, 5), 1 / 7,
+                              F(1, 11)),
+    lambda: acc.difference_systems(special_chart())[0].step(3.5),
+    lambda: PolyMatrix.from_constant(RationalMatrix.identity(2)).eval(0.5),
+    lambda: left_eigenvectors(special_coeff(), 1 / 7),
+    lambda: resolvent_numerator(special_coeff(), F(1, 7), 1 / 11),
+], ids=["solve_accessory", "solve_accessory-scale", "scaled",
+        "special_matrix", "solve_r4", "branch_via_r4", "branch_via_r3",
+        "base_condition_failures", "recover_chart", "DifferenceSystem.step",
+        "PolyMatrix.eval", "left_eigenvectors", "resolvent_numerator"])
+def test_exact_entry_points_refuse_floats(call):
+    with pytest.raises(InputError, match="cannot convert float"):
+        call()

@@ -278,6 +278,18 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_df_solve_is_silent_when_the_jacobi_exponents_sum_to_minus_one():
+    # a + c + g = 0: scipy computes a 0/0 branch it then discards
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "okubo.cli", "df-solve",
+         "--a=-1", "--b=-1", "--c", "1/2", "--g", "1/2", "--x", "0.4"],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+        check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert float(json.loads(proc.stdout)["residual"]) < 1e-6
+
+
 def test_exact_series_past_int_string_limit(capsys, tmp_path):
     # at exponent heights near 3000 the denominators pass Python's
     # 4300-digit int-to-str limit within 200 terms

@@ -109,7 +109,8 @@ def test_transformation_check():
     report = check_df_transformation(PARAMS)
     assert isinstance(report, DFTransformReport)
     assert report.verdict and not report.mismatches
-    assert report.to_json()["verdict"] is True
+    assert report.to_json() == {"verdict": True, "mismatches": []}
+    assert report.reduced == euler_reduce(PARAMS.induced_hg())
 
 
 def test_transformation_check_on_draws():
@@ -428,6 +429,22 @@ def test_one_rule_per_node_count_and_one_series_per_factor(monkeypatch):
     df_integral_solution(QUAD_PARAMS, 0.4)
     assert sorted(rules) == [128, 256]
     assert len(coefficient_runs) == 4
+
+
+@pytest.mark.parametrize("part", [0, 1], ids=["nodes", "weights"])
+def test_non_finite_rule_is_a_quadrature_error(monkeypatch, part):
+    real_roots = scipy.special.roots_jacobi
+
+    def broken_rule(nodes, alpha, beta):
+        rule = [x.copy() for x in real_roots(nodes, alpha, beta)]
+        rule[part][nodes // 2] = np.nan
+        return tuple(rule)
+
+    monkeypatch.setattr(scipy.special, "roots_jacobi", broken_rule)
+    with pytest.raises(QuadratureError, match="not finite"):
+        df_integral_solution(QUAD_PARAMS, 0.4)
+    with pytest.raises(QuadratureError, match="not finite"):
+        df_solution_at(QUAD_PARAMS, 0.4, 32)
 
 
 def _scale_column_1(params):

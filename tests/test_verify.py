@@ -103,3 +103,16 @@ def test_nan_fails_numeric_criterion(monkeypatch, check, target, name,
     with pytest.raises(CriterionFailed, match="nan exceeds"):
         check(7)
     assert not run_criterion("numeric", check, 7).passed
+
+
+def test_size_three_reduction_reduces_once_per_draw(monkeypatch):
+    calls = []
+    honest = dotsenko_fateev.euler_reduce
+
+    def counted(p):
+        calls.append(p)
+        return honest(p)
+
+    monkeypatch.setattr(dotsenko_fateev, "euler_reduce", counted)
+    assert verify.check_df_reduction(7, draws=4) == "4 parameter draws"
+    assert len(calls) == 4
