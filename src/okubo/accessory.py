@@ -7,12 +7,15 @@ component ratios of the left eigenvectors for the eigenvalues -c and c).
 Modulo a common scale of the r's, and one rational constraint fixing d^2,
 two free parameters remain: the accessory parameters.
 
-Series solutions near x = 1 and x = infinity have coefficient vectors
-governed by first-order rational difference systems that reduce to 2x2
-systems built from the top block of the resolvent numerator of A.  Two
-such systems are called "substantially the same" when one is carried into
-the other by a single scalar gamma-like factor; this holds exactly when
-the two obstructions
+Series solutions at a finite singular point and at x = infinity have
+coefficient vectors governed by first-order rational difference systems
+that reduce to 2x2 systems built from one diagonal block of the resolvent
+numerator of A: the top block for the points 1 and infinity, the bottom
+block for 0 and infinity.  One construction serves both pairs; it reads
+the block off with 2x2 products of the chart's A12 and A21.  Two such
+systems are called "substantially the same" when one is carried into the
+other by a single scalar gamma-like factor; this holds exactly when the
+two obstructions
 
     epsilon = b(a+c) r1 + b(a-c) r2 - a(b+c) r3 - a(b-c) r4,
     delta   = r1 r2 - r3 r4
@@ -40,7 +43,7 @@ from .errors import (AdmissibilityError, DConditionError, DegenerateChart,
 from .exact import (Poly, PolyMatrix, RationalMatrix, common_denominator,
                     left_eigenvectors, to_fraction)
 from .hgsystem import (HGParams, J2, OkuboSystem, _even_quartic,
-                       build_okubo_system, lam, resolvent_numerator)
+                       build_okubo_system, lam)
 
 
 # --------------------------------------------------------------------------
@@ -138,6 +141,10 @@ class AccessoryChart:
         is valid."""
         self._checked  # runs the tests, or reads their remembered success
 
+    def _degenerate(self) -> DegenerateChart:
+        return DegenerateChart("degenerate chart",
+                               {"r": [str(x) for x in self.r]})
+
     @cached_property
     def _cleared(self) -> tuple:
         """((A, B, C), D, (R1, R2, R3, R4), E) with (a, b, c) = (A, B, C)/D
@@ -150,8 +157,7 @@ class AccessoryChart:
     def _d_constraint(self) -> Fraction:
         (a, b, c), da, (r1, r2, r3, r4), _ = self._cleared
         if r1 == r2 or r3 == r4:
-            raise DegenerateChart("degenerate chart",
-                                  {"r": [str(x) for x in self.r]})
+            raise self._degenerate()
         ab4 = 4 * a * b
         num = ((a + b + c) ** 2 * r1 * r3 - (a - b + c) ** 2 * r1 * r4
                - (a - b - c) ** 2 * r2 * r3 + (a + b - c) ** 2 * r2 * r4
@@ -162,8 +168,7 @@ class AccessoryChart:
     def _checked(self) -> bool:
         r1, r2, r3, r4 = self.r
         if 0 in self.r or r1 == r2 or r3 == r4:
-            raise DegenerateChart("degenerate chart",
-                                  {"r": [str(x) for x in self.r]})
+            raise self._degenerate()
         if self.d_constraint_value() != self.d ** 2:
             raise DConditionError("d-condition fails",
                                   {"value": self.d_constraint_value(),
@@ -172,21 +177,23 @@ class AccessoryChart:
 
     @cached_property
     def _a12(self) -> RationalMatrix:
-        (_, b, c), da, (r1, r2, r3, r4), dr = self._cleared
+        (_, b, c), da, (r1, r2, r3, r4), _ = self._cleared
+        if r1 == r2:
+            raise self._degenerate()
         bm, bp = b - c, b + c
         return _signed_quotients(
             [bm * r2 - bp * r3, bp * r2 - bm * r4,
-             bm * r1 - bp * r3, bp * r1 - bm * r4],
-            da * (r1 - r2), da * dr)
+             bm * r1 - bp * r3, bp * r1 - bm * r4], da * (r1 - r2))
 
     @cached_property
     def _a21(self) -> RationalMatrix:
-        (a, _, c), da, (r1, r2, r3, r4), dr = self._cleared
+        (a, _, c), da, (r1, r2, r3, r4), _ = self._cleared
+        if r3 == r4:
+            raise self._degenerate()
         am, ap = a - c, a + c
         return _signed_quotients(
             [ap * r1 - am * r4, am * r2 - ap * r4,
-             ap * r1 - am * r3, am * r2 - ap * r3],
-            da * (r4 - r3), da * dr)
+             ap * r1 - am * r3, am * r2 - ap * r3], da * (r4 - r3))
 
     @cached_property
     def _obstructions(self) -> "Obstructions":
@@ -228,9 +235,11 @@ class AccessoryChart:
     @classmethod
     def from_json(cls, data: dict) -> "AccessoryChart":
         try:
-            return cls(to_fraction(data["a"]), to_fraction(data["b"]),
-                       to_fraction(data["c"]), to_fraction(data["d"]),
-                       tuple(to_fraction(x) for x in data["r"]))
+            r = data["r"]
+            if not isinstance(r, list):
+                raise InputError("chart field 'r' must be a list",
+                                 {"r": repr(r)})
+            return cls(data["a"], data["b"], data["c"], data["d"], tuple(r))
         except KeyError as exc:
             raise InputError(f"missing chart field {exc}") from exc
 
@@ -256,26 +265,20 @@ def solve_r4(a, b, c, d, r1, r2, r3) -> Fraction:
 # the parametrized coefficient matrix
 # --------------------------------------------------------------------------
 
-def _signed_quotients(nums: list, den: int, unit: int) -> RationalMatrix:
-    """[[n1, -n2], [-n3, n4]] / den, the shape of both off-diagonal blocks.
-
-    At den = 0 it raises what the rational closed form raises there,
-    dividing its first entry, n1 / unit, by a rational zero.
-    """
-    if den == 0:
-        Fraction(nums[0], unit) / Fraction(0)
+def _signed_quotients(nums: list, den: int) -> RationalMatrix:
+    """[[n1, -n2], [-n3, n4]] / den, the shape of both off-diagonal blocks."""
     n1, n2, n3, n4 = nums
     return RationalMatrix([[Fraction(n1, den), Fraction(-n2, den)],
                            [Fraction(-n3, den), Fraction(n4, den)]])
 
 
 def upper_block(chart: AccessoryChart) -> RationalMatrix:
-    """The block A12; built once per chart."""
+    """The block A12; built once per chart, DegenerateChart at r1 = r2."""
     return chart._a12
 
 
 def lower_block(chart: AccessoryChart) -> RationalMatrix:
-    """The block A21; built once per chart."""
+    """The block A21; built once per chart, DegenerateChart at r3 = r4."""
     return chart._a21
 
 
@@ -390,27 +393,19 @@ class CubicBlockDecomposition:
     """Coefficients of the top block of the resolvent numerator of A.
 
     The top 2x2 block of (z^2-c^2)(z^2-d^2) (zI - A)^{-1} is the cubic
-    z^3 I + z^2 quadratic + z linear + constant, and its own inverse has
-    numerator z^3 I + z^2 adj_quadratic + z adj_linear + adj_constant over
-    (z^2-a^2-like) scalar factors.
+    z^3 I + z^2 quadratic + z linear + constant; its adjugate, the
+    numerator of its own inverse, is the coefficientwise trace complement.
     """
 
     quadratic: RationalMatrix
     linear: RationalMatrix
     constant: RationalMatrix
-    adj_quadratic: RationalMatrix
-    adj_linear: RationalMatrix
-    adj_constant: RationalMatrix
 
     def top_block(self) -> PolyMatrix:
-        return PolyMatrix.from_matrix_coeffs(
-            [self.constant, self.linear, self.quadratic,
-             RationalMatrix.identity(2)])
+        return _monic_cubic([self.constant, self.linear, self.quadratic])
 
     def adjugate_block(self) -> PolyMatrix:
-        return PolyMatrix.from_matrix_coeffs(
-            [self.adj_constant, self.adj_linear, self.adj_quadratic,
-             RationalMatrix.identity(2)])
+        return _adjugate_cubic([self.constant, self.linear, self.quadratic])
 
 
 def cubic_blocks(chart: AccessoryChart) -> CubicBlockDecomposition:
@@ -421,9 +416,7 @@ def cubic_blocks(chart: AccessoryChart) -> CubicBlockDecomposition:
 
         quadratic = a J
         linear    = (a^2-b^2-c^2-d^2)/2 I + eps' E - b delta' C
-        constant  = b A12 J A21 - a b^2 J - 2abc delta' I
-
-    and the adjugate-side coefficients are the trace-complements.
+        constant  = b A12 J A21 - a b^2 J - 2abc delta' I.
     """
     chart.check()
     a, b, c, d = chart.a, chart.b, chart.c, chart.d
@@ -435,17 +428,27 @@ def cubic_blocks(chart: AccessoryChart) -> CubicBlockDecomposition:
     half = (a * a - b * b - c * c - d * d) / 2
     linear = (ident.scale(half) + cross.scale(obs.epsilon_prime)
               - skew.scale(b * obs.delta_prime))
-    a12, a21 = upper_block(chart), lower_block(chart)
-    sandwich = a12 * J2 * a21
+    sandwich = upper_block(chart) * J2 * lower_block(chart)
     constant = (sandwich.scale(b) - J2.scale(a * b * b)
                 - ident.scale(2 * a * b * c * obs.delta_prime))
-    adj_linear = (ident.scale(half) - cross.scale(obs.epsilon_prime)
-                  + skew.scale(b * obs.delta_prime))
-    adj_constant = J2.scale(a * b * b) - sandwich.scale(b)
-    return CubicBlockDecomposition(
-        quadratic=J2.scale(a), linear=linear, constant=constant,
-        adj_quadratic=J2.scale(-a), adj_linear=adj_linear,
-        adj_constant=adj_constant)
+    return CubicBlockDecomposition(quadratic=J2.scale(a), linear=linear,
+                                   constant=constant)
+
+
+def _monic_cubic(coeffs: list) -> PolyMatrix:
+    """z^3 I + z^2 M2 + z M1 + M0 from the 2x2 matrices [M0, M1, M2]."""
+    return PolyMatrix.from_matrix_coeffs(coeffs + [RationalMatrix.identity(2)])
+
+
+def _adjugate_cubic(coeffs: list) -> PolyMatrix:
+    """The adjugate of the monic cubic with coefficients [M0, M1, M2].
+
+    A 2x2 adjugate is the trace complement tr(M) I - M, linear in M and
+    fixing I, so it is taken coefficient by coefficient.
+    """
+    return _monic_cubic([RationalMatrix([[m[1, 1], -m[0, 1]],
+                                         [-m[1, 0], m[0, 0]]])
+                         for m in coeffs])
 
 
 # --------------------------------------------------------------------------
@@ -477,6 +480,17 @@ class DifferenceSystem:
         return self.matrix.eval(z0).scale(self.scalar_numerator(z0) / den)
 
 
+#: per point pair: the sign of both scalar numerators; (e, f, U, L) with e J
+#: the diagonal block of A the pair reads, U in its rows, L in its columns;
+#: the labels of the systems at the finite point and at infinity
+_POINT_PAIRS = {
+    "1-inf": (-1, lambda ch: (ch.a, ch.b, upper_block(ch), lower_block(ch)),
+              "g-at-1", "h-at-inf"),
+    "0-inf": (1, lambda ch: (ch.b, ch.a, lower_block(ch), upper_block(ch)),
+              "g-at-0", "h-at-inf-dual"),
+}
+
+
 def difference_systems(chart: AccessoryChart, point_pair: str = "1-inf") -> tuple:
     """The pair of reduced 2x2 difference systems for a chart.
 
@@ -484,57 +498,37 @@ def difference_systems(chart: AccessoryChart, point_pair: str = "1-inf") -> tupl
     live at: "1-inf" gives the systems for the top coefficient blocks of
     the series at x = 1 and x = infinity; "0-inf" the bottom-block systems
     for the series at x = 0 and at infinity (powers of x).
+
+    Both reduce to a diagonal block B(z) = z^3 I + z^2 B2 + z B1 + B0 of the
+    resolvent numerator z^3 I + z^2 A + z (A^2 - sI) + A^3 - sA, s = c^2 +
+    d^2, read off with 2x2 products: B2 = e J, B1 = (e^2 - s) I + UL and
+    B0 = e (ULJ + JUL) + f UJL + (e^3 - se) J.  The finite point steps
+    forward by sign adj B(z) / ((z+1)(z^2 - f^2)), infinity by
+    sign (z-1) (-B(-z)) / ((z^2 - c^2)(z^2 - d^2)).
     """
     chart.check()
-    a, b, c, d = chart.a, chart.b, chart.c, chart.d
-    zvar = Poly.variable()
-    fall = Poly([-(c * c), 0, 1]) * Poly([-(d * d), 0, 1])  # (z^2-c^2)(z^2-d^2)
-    if point_pair == "1-inf":
-        blocks = cubic_blocks(chart)
-        # series at 1, top block, inverted to a forward step
-        g_sys = DifferenceSystem(
-            matrix=blocks.adjugate_block(),
-            scalar_numerator=Poly.constant(-1),
-            scalar_denominator=Poly([1, 1]) * Poly([-(b * b), 0, 1]),
-            label="g-at-1")
-        # series at infinity, top block, already forward; reflecting z
-        # pulls a sign out of the odd part
-        h_matrix = PolyMatrix.from_matrix_coeffs(
-            [-blocks.constant, blocks.linear,
-             J2.scale(-a), RationalMatrix.identity(2)])
-        h_sys = DifferenceSystem(
-            matrix=h_matrix,
-            scalar_numerator=-(zvar - Poly.constant(1)),
-            scalar_denominator=fall, label="h-at-inf")
-        return g_sys, h_sys
-    if point_pair == "0-inf":
-        numer = resolvent_numerator(okubo_from_chart(chart).coeff, c, d)
-        bottom = numer.block(2, 4, 2, 4)
-        b0, b1_, b2_ = (_matrix_coeff(bottom, k) for k in range(3))
-        # adjugate of the cubic bottom block (2x2: trace complement)
-        adj = [_trace_complement(b0), _trace_complement(b1_),
-               _trace_complement(b2_)]
-        g_sys = DifferenceSystem(
-            matrix=PolyMatrix.from_matrix_coeffs(
-                adj + [RationalMatrix.identity(2)]),
-            scalar_numerator=Poly.constant(1),
-            scalar_denominator=Poly([1, 1]) * Poly([-(a * a), 0, 1]),
-            label="g-at-0")
-        h_sys = DifferenceSystem(
-            matrix=PolyMatrix.from_matrix_coeffs(
-                [-b0, b1_, -b2_, RationalMatrix.identity(2)]),
-            scalar_numerator=zvar - Poly.constant(1),
-            scalar_denominator=fall, label="h-at-inf-dual")
-        return g_sys, h_sys
-    raise InputError(f"unknown point pair {point_pair!r}")
-
-
-def _matrix_coeff(pm: PolyMatrix, k: int) -> RationalMatrix:
-    return RationalMatrix([[e.coeff(k) for e in row] for row in pm.entries])
-
-
-def _trace_complement(m: RationalMatrix) -> RationalMatrix:
-    return RationalMatrix.identity(2).scale(m.trace()) - m
+    if point_pair not in _POINT_PAIRS:
+        raise InputError(f"unknown point pair {point_pair!r}")
+    sign, block_of, g_label, h_label = _POINT_PAIRS[point_pair]
+    e, f, upper, lower = block_of(chart)
+    c2, d2 = chart.c * chart.c, chart.d * chart.d
+    s = c2 + d2
+    ul = upper * lower
+    b2 = J2.scale(e)
+    b1 = RationalMatrix.identity(2).scale(e * e - s) + ul
+    b0 = ((ul * J2 + J2 * ul + J2.scale(e * e - s)).scale(e)
+          + (upper * J2 * lower).scale(f))
+    g_sys = DifferenceSystem(
+        matrix=_adjugate_cubic([b0, b1, b2]),
+        scalar_numerator=Poly.constant(sign),
+        scalar_denominator=Poly([1, 1]) * Poly([-(f * f), 0, 1]),
+        label=g_label)
+    h_sys = DifferenceSystem(
+        matrix=_monic_cubic([-b0, b1, -b2]),
+        scalar_numerator=Poly([-sign, sign]),
+        scalar_denominator=Poly([-c2, 0, 1]) * Poly([-d2, 0, 1]),
+        label=h_label)
+    return g_sys, h_sys
 
 
 # --------------------------------------------------------------------------

@@ -39,14 +39,28 @@ def _tolerance() -> float:
         raise InputError(f"bad OKUBO_PRECISION value {raw!r}") from exc
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, kind=dict):
+    """The JSON value in a file: an object (dict) or an array (list)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(data, kind):
+        raise InputError(f"{path} must hold a JSON "
+                         f"{'object' if kind is dict else 'array'}")
+    return data
+
+
+def _file_field(data: dict, key: str, kind, what: str):
+    """data[key], refused unless it is of the JSON type ``kind``."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InputError(f"parameter file field {key!r} must be {what}",
+                         {key: repr(value)})
+    return value
 
 
 def _emit(report: dict, out: str = None):
@@ -120,7 +134,7 @@ def cmd_build_okubo(args):
 def cmd_recover_chart(args):
     if not args.matrix:
         raise InputError("recover-chart needs --matrix FILE")
-    matrix = matrix_from_json(_load_json(args.matrix))
+    matrix = matrix_from_json(_load_json(args.matrix, list))
     a, b, c, d = _abcd(args)
     diag, chart = accessory.recover_chart(matrix, a, b, c, d)
     return {"diag": diag.to_strings(),
@@ -180,6 +194,8 @@ def cmd_residual(args):
 def cmd_v_vector(args):
     p = _hg_params(args)
     x = args.x
+    if x is None:
+        raise InputError("v-vector needs --x")
     direct = series.contiguous_product_vector(p, x, args.terms)
     via = series.v_via_transform(p, x, args.terms)
     scale = max(1.0, float(np.max(np.abs(via))))
@@ -232,9 +248,9 @@ def cmd_df_solve(args):
         # flags given on the command line take precedence
         data = _load_json(args.params)
         if x is None and "x" in data:
-            x = float(data["x"])
+            x = float(_file_field(data, "x", (int, float), "a number"))
         if nodes is None and "nodes" in data:
-            nodes = int(data["nodes"])
+            nodes = _file_field(data, "nodes", int, "an integer")
     if x is None:
         raise InputError("df-solve needs --x in (0, 1)")
     # without a node count anywhere, df_integral_solution's default applies

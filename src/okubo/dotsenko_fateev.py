@@ -140,32 +140,30 @@ def euler_reduce(p: HGParams) -> tuple:
     return k0, k1
 
 
-def df_eigenvector_matrix(params: DFParams, p_scale=Fraction(1)) -> RationalMatrix:
-    """The right-eigenvector matrix Q of C0 + C1 - (a+b+2c) I.
+def df_eigenvector_matrix(params: DFParams) -> RationalMatrix:
+    """The right-eigenvector matrix Q of C0 + C1 - (a+b+2c) I, the constant
+    3x3 factor in front of the integral vector.
 
-    Columns are scaled by (p, q, r) with q = -a(a+b+g)/(2a+2b+g) p and
-    r = (a+b) / ((2a+g)(2a+2b+g)) p, which makes the conjugation split
+    Columns are scaled by (1, q, r) with q = -a(a+b+g)/(2a+2b+g) and
+    r = (a+b) / ((2a+g)(2a+2b+g)), which makes the conjugation split
     over the two residues separately.
     """
     a, b, g = params.a, params.b, params.g
-    p_scale = to_fraction(p_scale)
-    if p_scale == 0:
-        raise InputError("p_scale must be nonzero")
     for name, value in (("2a+2b+g", 2 * a + 2 * b + g), ("2a+g", 2 * a + g)):
         if value == 0:
             raise SingularMatrixError(f"denominator {name} vanishes",
                                       {"factor": name})
-    q = -a * (a + b + g) / (2 * a + 2 * b + g) * p_scale
-    r = (a + b) / ((2 * a + g) * (2 * a + 2 * b + g)) * p_scale
+    q = -a * (a + b + g) / (2 * a + 2 * b + g)
+    r = (a + b) / ((2 * a + g) * (2 * a + 2 * b + g))
     return RationalMatrix([
-        [-b * p_scale, q, -b * (2 * b + g) * r],
-        [a * p_scale, q, -a * (2 * a + g) * r],
-        [(a - b) * p_scale, 2 * q, (2 * a + g) * (2 * b + g) * r]])
+        [-b, q, -b * (2 * b + g) * r],
+        [a, q, -a * (2 * a + g) * r],
+        [a - b, 2 * q, (2 * a + g) * (2 * b + g) * r]])
 
 
 def transition_half_sum_form(p: HGParams) -> RationalMatrix:
     """The same eigenvector matrix written in half-sums of the matched
-    hypergeometric parameters (p_scale = 1)."""
+    hypergeometric parameters."""
     l = lambda s: lam(p, s)
     return RationalMatrix([
         [2 * l("00+0"), 2 * l("+000") * l("0+0-") / l("+--+"),
@@ -243,12 +241,6 @@ class DFSolutionReport:
                 "nodes": self.nodes,
                 "refinement_difference":
                     format(self.refinement_difference, ".17g")}
-
-
-def solution_matrix(params: DFParams) -> RationalMatrix:
-    """The constant 3x3 factor in front of the integral vector (the
-    eigenvector matrix with unit scale)."""
-    return df_eigenvector_matrix(params, Fraction(1))
 
 
 def _integrand_factors(params: DFParams) -> list:
@@ -345,7 +337,7 @@ def df_solution_at(params: DFParams, x: float, nodes: int,
         raise InputError("x must lie in (0, 1)", {"x": x})
     s, w = _jacobi_rule(params, nodes)
     integrals = _integrals(params, [(x, s, w)], terms)[0]
-    m = solution_matrix(params).to_complex()
+    m = df_eigenvector_matrix(params).to_complex()
     return _assemble(params, m, x, integrals), integrals
 
 
@@ -385,7 +377,7 @@ def df_integral_solution(params: DFParams, x: float,
         raise QuadratureError(
             "quadrature refinements disagree", {"difference": diff})
 
-    m = solution_matrix(params).to_complex()
+    m = df_eigenvector_matrix(params).to_complex()
     zs = [_assemble(params, m, xx, v) for xx, v in zip(stencil, at_stencil)]
     dz = (zs[0] - 8 * zs[1] + 8 * zs[2] - zs[3]) / (12 * h)
     z0 = _assemble(params, m, x, fine)

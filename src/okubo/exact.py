@@ -543,13 +543,9 @@ class PolyMatrix:
         """Entrywise substitution z -> -z."""
         return PolyMatrix([[e.reflected() for e in row] for row in self.entries])
 
-    def trace(self) -> Poly:
-        return sum((self.entries[i][i] for i in range(self.dim)), Poly())
-
     def det(self) -> Poly:
+        """Determinant of a 2x2 or 3x3 polynomial matrix."""
         n = self.dim
-        if n == 1:
-            return self.entries[0][0]
         if n == 2:
             (a, b), (c, d) = self.entries
             return a * d - b * c
@@ -557,14 +553,8 @@ class PolyMatrix:
             (a, b, c), (d, e, f), (g, h, i) = self.entries
             return (a * (e * i - f * h) - b * (d * i - f * g)
                     + c * (d * h - e * g))
-        # Laplace expansion along the first row; fine at these sizes.
-        total = Poly()
-        for j in range(n):
-            minor = PolyMatrix([[row[k] for k in range(n) if k != j]
-                                for row in self.entries[1:]])
-            term = self.entries[0][j] * minor.det()
-            total = total + (term if j % 2 == 0 else -term)
-        return total
+        raise DimensionMismatch("determinant implemented for dimensions 2 "
+                                "and 3", {"dim": n})
 
 
 def poly_adjugate(m: PolyMatrix) -> tuple:
@@ -589,6 +579,7 @@ def poly_adjugate(m: PolyMatrix) -> tuple:
 
 
 def matrix_from_json(data) -> RationalMatrix:
-    if not isinstance(data, list):
+    if not (isinstance(data, list)
+            and all(isinstance(row, list) for row in data)):
         raise InputError("matrix JSON must be an array of arrays")
     return RationalMatrix.from_strings(data)

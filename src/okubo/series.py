@@ -125,7 +125,7 @@ class GaussJet(NamedTuple):
 
 def hyp2f1_jet(alpha, beta, gamma, x, terms: int) -> GaussJet:
     x = _as_complex(x)
-    if abs(x) >= 1:
+    if not abs(x) < 1:  # a NaN x fails this test too
         raise OutsideDisc("outside disc: |x| >= 1", {"x": x})
     c = gauss_coefficients(alpha, beta, gamma, terms)
     n = np.arange(terms)
@@ -191,7 +191,7 @@ def contiguous_product_vector(p: HGParams, x, terms: int = 60) -> np.ndarray:
 
 def _v_jet(p: HGParams, x, terms: int) -> tuple:
     x = _as_complex(x)
-    if abs(x) >= 1:
+    if not abs(x) < 1:  # a NaN x fails this test too
         raise OutsideDisc("outside disc: |x| >= 1", {"x": x})
     _check_off_cut(x)
     a1, a2, b1, b2 = p.alpha1, p.alpha2, p.beta1, p.beta2
@@ -347,6 +347,8 @@ def local_series(system: OkuboSystem, base: str, exponent_index: int,
     require_admissible(system.a, system.b, system.c, system.d)
     if mode not in _ARITHMETIC:
         raise InputError(f"unknown mode {mode!r}")
+    if terms < 1:
+        raise InputError("need at least one term", {"terms": terms})
     expos = exponents_at(system, base)
     if not 0 <= exponent_index < len(expos):
         raise InputError(f"exponent index {exponent_index} out of range "

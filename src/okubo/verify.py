@@ -102,7 +102,7 @@ def check_cubic_blocks(seed: int, draws: int = 100) -> str:
         a, b, c, d = chart.a, chart.b, chart.c, chart.d
         blocks = accessory.cubic_blocks(chart)
         system = accessory.okubo_from_chart(chart)
-        numer = accessory.resolvent_numerator(system.coeff, c, d)
+        numer = hgsystem.resolvent_numerator(system.coeff, c, d)
         top = numer.block(0, 2, 0, 2)
         _require(top == blocks.top_block(), "top block mismatch")
         det_want = (Poly([-b * b, 0, 1]) * Poly([-c * c, 0, 1])

@@ -8,21 +8,23 @@ sympy as an oracle independent of the package's exact-grid certification.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 import sympy
 
-from okubo import accessory as acc
+from okubo import accessory as acc, hgsystem
 from okubo.accessory import (AccessoryChart, base_condition_failures,
                              cubic_blocks, difference_systems, epsilon_delta,
                              okubo_from_chart, realize_product_system,
-                             recover_chart, resolvent_numerator, solve_r4,
-                             solve_accessory, substantially_same)
+                             recover_chart, solve_r4, solve_accessory,
+                             substantially_same)
 from okubo.errors import (AdmissibilityError, DConditionError,
                           DegenerateChart, EigenvectorDegeneracy, InputError)
-from okubo.exact import Poly, RationalMatrix
-from okubo.hgsystem import HGParams, J2, build_okubo_system, lam
+from okubo.exact import Poly, PolyMatrix, RationalMatrix
+from okubo.hgsystem import (HGParams, J2, build_okubo_system, lam,
+                            resolvent_numerator)
 from okubo.sampling import (draw_chart, draw_exponents, draw_okubo_params,
                             draw_perturbed_chart, draw_special_chart)
 
@@ -252,6 +254,111 @@ def test_dual_pair_systems():
     want = (Poly([-a * a, 0, 1]) * Poly([-chart.c ** 2, 0, 1])
             * Poly([-chart.d ** 2, 0, 1]))
     assert bottom.det() == want
+
+
+# -- one construction for both point pairs -----------------------------------
+#
+# The package once built the two pairs two ways: "1-inf" from the closed
+# forms of `cubic_blocks` in epsilon' and delta', "0-inf" from the bottom
+# block of the full 4x4 resolvent numerator.  Both are kept here as
+# references.
+
+def ref_difference_systems(chart, point_pair):
+    a, b, c, d = chart.a, chart.b, chart.c, chart.d
+    zvar = Poly.variable()
+    fall = Poly([-(c * c), 0, 1]) * Poly([-(d * d), 0, 1])
+    ident = RationalMatrix.identity(2)
+    if point_pair == "1-inf":
+        blocks = cubic_blocks(chart)
+        obs = epsilon_delta(chart)
+        cross = RationalMatrix([[0, chart.r2], [chart.r1, 0]])
+        skew = RationalMatrix([[c, a + c], [a - c, -c]])
+        half = (a * a - b * b - c * c - d * d) / 2
+        adj_linear = (ident.scale(half) - cross.scale(obs.epsilon_prime)
+                      + skew.scale(b * obs.delta_prime))
+        sandwich = acc.upper_block(chart) * J2 * acc.lower_block(chart)
+        adj_constant = J2.scale(a * b * b) - sandwich.scale(b)
+        g_sys = acc.DifferenceSystem(
+            PolyMatrix.from_matrix_coeffs(
+                [adj_constant, adj_linear, J2.scale(-a), ident]),
+            Poly.constant(-1), Poly([1, 1]) * Poly([-(b * b), 0, 1]),
+            "g-at-1")
+        h_sys = acc.DifferenceSystem(
+            PolyMatrix.from_matrix_coeffs(
+                [-blocks.constant, blocks.linear, J2.scale(-a), ident]),
+            -(zvar - Poly.constant(1)), fall, "h-at-inf")
+        return g_sys, h_sys
+    numer = resolvent_numerator(okubo_from_chart(chart).coeff, c, d)
+    bottom = numer.block(2, 4, 2, 4)
+    b0, b1, b2 = (RationalMatrix([[e.coeff(k) for e in row]
+                                  for row in bottom.entries])
+                  for k in range(3))
+    adj = [ident.scale(m.trace()) - m for m in (b0, b1, b2)]
+    g_sys = acc.DifferenceSystem(
+        PolyMatrix.from_matrix_coeffs(adj + [ident]), Poly.constant(1),
+        Poly([1, 1]) * Poly([-(a * a), 0, 1]), "g-at-0")
+    h_sys = acc.DifferenceSystem(
+        PolyMatrix.from_matrix_coeffs([-b0, b1, -b2, ident]),
+        zvar - Poly.constant(1), fall, "h-at-inf-dual")
+    return g_sys, h_sys
+
+
+def ref_sameness_json(chart, point_pair):
+    obs = epsilon_delta(chart)
+    g_sys, h_sys = ref_difference_systems(chart, point_pair)
+    minors = acc.cross_products(g_sys.matrix, h_sys.matrix)
+    nonzero = tuple((key, poly) for key, poly in sorted(minors.items())
+                    if not poly.is_zero())
+    return acc.SamenessVerdict(obs.vanish, obs.epsilon, obs.delta, nonzero,
+                               point_pair).to_json()
+
+
+def test_difference_systems_match_both_references():
+    rng = random.Random(211)
+    verdicts = Counter()
+    for draw in (draw_chart, draw_special_chart, draw_perturbed_chart):
+        for _ in range(100):
+            chart = draw(rng)
+            for pair in ("1-inf", "0-inf"):
+                got = difference_systems(chart, pair)
+                want = ref_difference_systems(chart, pair)
+                for g, w in zip(got, want):
+                    assert g.matrix == w.matrix, (pair, chart)
+                    assert g.scalar_numerator == w.scalar_numerator
+                    assert g.scalar_denominator == w.scalar_denominator
+                    assert g.label == w.label
+                verdict = substantially_same(chart, pair).to_json()
+                assert verdict == ref_sameness_json(chart, pair)
+                verdicts[verdict["verdict"]] += 1
+    assert verdicts[True] >= 200 and verdicts[False] >= 200
+
+
+def test_difference_systems_build_no_numerator_or_cubic_blocks(monkeypatch):
+    assert not hasattr(acc, "resolvent_numerator")
+    calls = Counter()
+    for module, name in ((acc, "cubic_blocks"),
+                         (hgsystem, "resolvent_numerator")):
+        def counted(*args, honest=getattr(module, name), name=name):
+            calls[name] += 1
+            return honest(*args)
+        monkeypatch.setattr(module, name, counted)
+    rng = random.Random(223)
+    for draw in (draw_chart, draw_special_chart, draw_perturbed_chart):
+        chart = draw(rng)
+        for pair in ("1-inf", "0-inf"):
+            difference_systems(chart, pair)
+            substantially_same(chart, pair)
+    assert not calls
+    # the counters do see calls through the patched names
+    acc.cubic_blocks(chart)
+    hgsystem.resolvent_numerator(okubo_from_chart(chart).coeff, chart.c,
+                                 chart.d)
+    assert calls == Counter({"cubic_blocks": 1, "resolvent_numerator": 1})
+
+
+def test_unknown_point_pair():
+    with pytest.raises(InputError, match="unknown point pair"):
+        difference_systems(solved_chart(), "0-1")
 
 
 # -- substantially same -------------------------------------------------------

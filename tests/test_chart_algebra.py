@@ -28,12 +28,16 @@ ABCD = (F(1, 3), F(1, 5), F(1, 7), F(1, 11))
 
 # -- the rational closed forms, as references --------------------------------
 
+def ref_degenerate(chart):
+    raise DegenerateChart("degenerate chart",
+                          {"r": [str(x) for x in chart.r]})
+
+
 def ref_d_constraint(chart):
     a, b, c = chart.a, chart.b, chart.c
     r1, r2, r3, r4 = chart.r
     if r1 == r2 or r3 == r4:
-        raise DegenerateChart("degenerate chart",
-                              {"r": [str(x) for x in chart.r]})
+        ref_degenerate(chart)
     num = ((a + b + c) ** 2 * r1 * r3 - (a - b + c) ** 2 * r1 * r4
            - (a - b - c) ** 2 * r2 * r3 + (a + b - c) ** 2 * r2 * r4
            - 4 * a * b * r1 * r2 - 4 * a * b * r3 * r4)
@@ -43,8 +47,7 @@ def ref_d_constraint(chart):
 def ref_check(chart):
     r1, r2, r3, r4 = chart.r
     if r1 * r2 * r3 * r4 == 0 or r1 == r2 or r3 == r4:
-        raise DegenerateChart("degenerate chart",
-                              {"r": [str(x) for x in chart.r]})
+        ref_degenerate(chart)
     if ref_d_constraint(chart) != chart.d ** 2:
         raise DConditionError("d-condition fails",
                               {"value": ref_d_constraint(chart),
@@ -54,6 +57,8 @@ def ref_check(chart):
 def ref_upper_block(chart):
     b, c = chart.b, chart.c
     r1, r2, r3, r4 = chart.r
+    if r1 == r2:
+        ref_degenerate(chart)
     return RationalMatrix([
         [((b - c) * r2 - (b + c) * r3) / (r1 - r2),
          ((b + c) * r2 - (b - c) * r4) / (r2 - r1)],
@@ -64,6 +69,8 @@ def ref_upper_block(chart):
 def ref_lower_block(chart):
     a, c = chart.a, chart.c
     r1, r2, r3, r4 = chart.r
+    if r3 == r4:
+        ref_degenerate(chart)
     return RationalMatrix([
         [((a + c) * r1 - (a - c) * r4) / (r4 - r3),
          ((a - c) * r2 - (a + c) * r4) / (r3 - r4)],
@@ -181,8 +188,9 @@ def test_degenerate_charts_raise_as_the_references_do():
                 assert outcome(fn, chart) == want, (name, chart)
             if want[0] == "raised":
                 errors[want[1]] += 1
-    assert set(errors) == {ZeroDivisionError, DegenerateChart,
-                           DConditionError}
+    # A12 at r1 = r2 and A21 at r3 = r4 raise DegenerateChart like the
+    # chart checks do, not a ZeroDivisionError
+    assert set(errors) == {DegenerateChart, DConditionError}
 
 
 # -- once per chart object ---------------------------------------------------

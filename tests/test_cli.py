@@ -311,3 +311,50 @@ def test_exact_series_past_int_string_limit(capsys, tmp_path):
                        for sol in sols]
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+DF_FILE = {"a": "1/3", "b": "1/5", "c": "1/7", "g": "1/2"}
+# valid at r = (1, 2, 3, 4): the d-constraint gives d = 131/231
+CHART_1234 = {"a": "7/3", "b": "1/11", "c": "1/7", "d": "131/231"}
+
+
+@pytest.mark.parametrize("argv,flag,content", [
+    (["df-solve"], "--params", dict(DF_FILE, x="abc")),
+    (["df-solve"], "--params", dict(DF_FILE, x=0.4, nodes="many")),
+    (["build-okubo"], "--params", [1, 2]),
+    (["check-same"], "--chart", [1, 2]),
+    (["df-verify"], "--params", [1, 2]),
+    (["check-same"], "--chart", dict(CHART_1234, r=5)),
+    (["check-same"], "--chart", dict(CHART_1234, r="1234")),
+    (["recover-chart", "--a", "1/3", "--b", "1/5", "--c", "1/7",
+      "--d", "1/11"], "--matrix", [1, 2]),
+], ids=["df-solve-x", "df-solve-nodes", "build-okubo", "check-same",
+        "df-verify", "check-same-r-number", "check-same-r-string",
+        "recover-chart"])
+def test_malformed_input_files_exit_2(capsys, tmp_path, argv, flag, content):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    code, data = run_json(capsys, *argv, flag, str(path))
+    assert code == EXIT_INPUT
+    assert data["error"]["code"] == "input"
+
+
+def test_chart_1234_is_valid_with_its_ratios_as_a_list(capsys, tmp_path):
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(dict(CHART_1234, r=["1", "2", "3", "4"])))
+    code, data = run_json(capsys, "check-same", "--chart", str(path))
+    assert code in (0, 1) and "verdict" in data
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["v-vector"], "input"),
+    (["v-vector", "--x", "nan"], "outside-disc"),
+    (["series", "--terms", "0"], "input"),
+    (["residual", "--terms", "0"], "input"),
+], ids=["v-vector-no-x", "v-vector-nan", "series-no-terms",
+        "residual-no-terms"])
+def test_silent_numeric_arguments_exit_2(capsys, okubo_params_file, argv,
+                                         error):
+    code, data = run_json(capsys, *argv, "--params", okubo_params_file)
+    assert code == EXIT_INPUT
+    assert data["error"]["code"] == error

@@ -23,7 +23,7 @@ from okubo.dotsenko_fateev import (DFParams, DFTransformReport,
                                    check_df_transformation,
                                    df_eigenvector_matrix, df_integral_solution,
                                    df_residues, df_solution_at, euler_reduce,
-                                   shifted_eigenvalues, solution_matrix,
+                                   shifted_eigenvalues,
                                    transition_half_sum_form)
 from okubo.errors import InputError, QuadratureError, SingularMatrixError
 from okubo.exact import Poly, RationalMatrix
@@ -84,10 +84,8 @@ def test_euler_reduction_blocks():
 
 def test_eigenvector_matrix():
     a, b, g = PARAMS.a, PARAMS.b, PARAMS.g
-    q = df_eigenvector_matrix(PARAMS, F(3))
-    assert [q[i, 0] for i in range(3)] == [-b * 3, a * 3, (a - b) * 3]
-    # scaling the free constant scales the whole matrix
-    assert q == df_eigenvector_matrix(PARAMS).scale(3)
+    q = df_eigenvector_matrix(PARAMS)
+    assert [q[i, 0] for i in range(3)] == [-b, a, a - b]
     c0, c1 = df_residues(PARAMS)
     ident = RationalMatrix.identity(3)
     shifted = c0 + c1 - ident.scale(a + b + 2 * PARAMS.c)
@@ -101,8 +99,6 @@ def test_eigenvector_matrix_denominator_errors():
     with pytest.raises(SingularMatrixError) as err:
         df_eigenvector_matrix(DFParams(F(1, 4), F(1, 5), F(1, 7), F(-1, 2)))
     assert "2a+g" in str(err.value)
-    with pytest.raises(InputError):
-        df_eigenvector_matrix(PARAMS, 0)
 
 
 def test_transformation_check():
@@ -120,7 +116,7 @@ def test_transformation_check_on_draws():
 
 
 def test_solution_matrix_and_integrand_parameters():
-    m = solution_matrix(QUAD_PARAMS)
+    m = df_eigenvector_matrix(QUAD_PARAMS)
     assert m[1, 0] == QUAD_PARAMS.a
     a, b, c, g = (QUAD_PARAMS.a, QUAD_PARAMS.b, QUAD_PARAMS.c, QUAD_PARAMS.g)
     gamma = a + c + g / 2 + 1
@@ -246,7 +242,7 @@ def reference_solution_at(params, x, nodes):
     integrals = reference_integrals(params, x, nodes)
     prefactor = (x ** (float(params.a) + c)
                  * np.exp(1j * np.pi * (b + c)) * (1 - x) ** (b + c))
-    m = solution_matrix(params).to_complex()
+    m = df_eigenvector_matrix(params).to_complex()
     return prefactor * (m @ integrals), integrals
 
 
@@ -448,13 +444,13 @@ def test_non_finite_rule_is_a_quadrature_error(monkeypatch, part):
 
 
 def _scale_column_1(params):
-    m = solution_matrix(params)
+    m = df_eigenvector_matrix(params)
     return RationalMatrix([[m[i, j] * (2 if j == 1 else 1)
                             for j in range(3)] for i in range(3)])
 
 
 def _swap_columns_0_1(params):
-    m = solution_matrix(params)
+    m = df_eigenvector_matrix(params)
     return RationalMatrix([[m[i, 1], m[i, 0], m[i, 2]] for i in range(3)])
 
 
@@ -466,8 +462,8 @@ def _shift_a_gamma(params):
 
 
 @pytest.mark.parametrize("name, mutant", [
-    ("solution_matrix", _scale_column_1),
-    ("solution_matrix", _swap_columns_0_1),
+    ("df_eigenvector_matrix", _scale_column_1),
+    ("df_eigenvector_matrix", _swap_columns_0_1),
     ("_integrand_factors", _shift_a_gamma)])
 def test_integral_residual_check_fails_on_mutants(monkeypatch, name, mutant):
     # residuals on the mutants: 1.31, 0.83 and 0.084, against 1e-6

@@ -148,8 +148,11 @@ def test_poly_adjugate_examples():
     ident = PolyMatrix.from_constant(RationalMatrix.identity(2))
     adj, det = poly_adjugate(ident)
     assert adj == ident and det == Poly.constant(1)
-    with pytest.raises(DimensionMismatch):
-        poly_adjugate(PolyMatrix.from_constant(RationalMatrix.identity(4)))
+    for n in (1, 4):
+        with pytest.raises(DimensionMismatch):
+            poly_adjugate(PolyMatrix.from_constant(RationalMatrix.identity(n)))
+        with pytest.raises(DimensionMismatch):
+            PolyMatrix.from_constant(RationalMatrix.identity(n)).det()
 
 
 def test_poly_adjugate_singular_input_is_legal():

@@ -55,6 +55,15 @@ def test_hyp2f1_domain_errors():
         hyp2f1(1, 1, 2, 1.5 + 0.1j, 10)
 
 
+@pytest.mark.parametrize("x", [math.nan, complex(math.nan, 0.1),
+                               complex(0.1, math.nan)])
+def test_nan_points_are_outside_the_disc(x):
+    with pytest.raises(OutsideDisc):
+        hyp2f1_jet(1, 1, 2, x, 10)
+    with pytest.raises(OutsideDisc):
+        contiguous_product_vector(POK, x, 10)
+
+
 def test_contiguous_relation():
     # f + (x/alpha) f' equals the alpha-raised function
     x = 0.25
@@ -142,6 +151,15 @@ def test_exponent_lists_and_index_errors():
         local_series(system, "2", 0, 10)
     with pytest.raises(InputError):
         local_series(system, "1", 0, 10, mode="double")
+
+
+def test_local_series_needs_a_term():
+    system = special_system()
+    for base in ("0", "1", "inf"):
+        for mode in ("exact", "float"):
+            for terms in (0, -1):
+                with pytest.raises(InputError, match="at least one term"):
+                    local_series(system, base, 0, terms, mode)
 
 
 def test_repeated_exponent_gives_two_solutions():
