@@ -20,10 +20,11 @@ two obstructions
     epsilon = b(a+c) r1 + b(a-c) r2 - a(b+c) r3 - a(b-c) r4,
     delta   = r1 r2 - r3 r4
 
-both vanish.  Solving epsilon = delta = 0 pins the accessory parameters to
-special values with a closed-form coefficient matrix; for the half-sum
-exponents of the hypergeometric product system, that special matrix is
-diagonally conjugate to the coefficient matrix of the product system.
+both vanish.  Solving epsilon = delta = 0 pins r to one point (BC : AD :
+CD : AB) of the ratio line, A..D as in `special_factors`, with a
+closed-form coefficient matrix; for the half-sum exponents of the
+hypergeometric product system, that special matrix is diagonally conjugate
+to the coefficient matrix of the product system.
 
 A chart computes its derived exact objects (checked state, d-constraint
 value, A12, A21, the obstructions and the validated Okubo system) once
@@ -112,6 +113,9 @@ class AccessoryChart:
         # exactness is a contract: floats are rejected, not approximated
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, to_fraction(getattr(self, name)))
+        if isinstance(self.r, (str, bytes)):
+            raise InputError("chart ratios must be four rationals, "
+                             "not a string", {"r": repr(self.r)})
         object.__setattr__(self, "r", tuple(to_fraction(x) for x in self.r))
         if len(self.r) != 4:
             raise InputError("chart needs exactly four ratio entries")
@@ -249,13 +253,14 @@ class AccessoryChart:
 
 
 def solve_r4(a, b, c, d, r1, r2, r3) -> Fraction:
-    """The unique r4 making the d-constraint hold (it is linear in r4)."""
-    a, b, c, d = (to_fraction(x) for x in (a, b, c, d))
+    """The unique r4 making the d-constraint hold, in `special_factors`
+    (A r1 r3 - B r2 r3 - 4ab r1 r2) / (D r1 - C r2 + 4ab r3)."""
+    a, b = to_fraction(a), to_fraction(b)
+    fa, fb, fc, fd = special_factors(a, b, c, d)
     r1, r2, r3 = (to_fraction(x) for x in (r1, r2, r3))
-    coef = (-(a - b + c) ** 2 * r1 + (a + b - c) ** 2 * r2
-            - 4 * a * b * r3 + d ** 2 * (r1 - r2))
-    const = ((a + b + c) ** 2 * r1 * r3 - (a - b - c) ** 2 * r2 * r3
-             - 4 * a * b * r1 * r2 - d ** 2 * (r1 - r2) * r3)
+    ab4 = 4 * a * b
+    coef = fc * r2 - fd * r1 - ab4 * r3
+    const = fa * r1 * r3 - fb * r2 * r3 - ab4 * r1 * r2
     if coef == 0:
         raise DegenerateChart("r4 is not determined by (r1, r2, r3)")
     return -const / coef
@@ -608,78 +613,60 @@ def substantially_same(chart: AccessoryChart,
 # solving for the special accessory values
 # --------------------------------------------------------------------------
 
-def branch_via_r4(a, b, c, d, scale=Fraction(1)) -> tuple:
-    """Ratios (r1, r2, r3, r4) with r4 = scale solving both obstructions."""
+def special_factors(a, b, c, d) -> tuple:
+    """(A, B, C, D): the factors (a+b+c)^2, (a-b-c)^2, (a+b-c)^2 and
+    (a-b+c)^2, each minus d^2, of the special ratios."""
     a, b, c, d = (to_fraction(x) for x in (a, b, c, d))
-    den1 = (a + b + c) ** 2 - d ** 2
-    den2 = (a - b - c) ** 2 - d ** 2
-    if den1 == 0 or den2 == 0:
-        raise AdmissibilityError("branch via r4 has a vanishing denominator",
-                                 {"(a+b+c)^2-d^2": den1,
-                                  "(a-b-c)^2-d^2": den2})
-    r4 = to_fraction(scale)
-    r1 = ((a + b - c) ** 2 - d ** 2) / den1 * r4
-    r2 = ((a - b + c) ** 2 - d ** 2) / den2 * r4
-    r3 = (((a + b - c) ** 2 - d ** 2) * ((a - b + c) ** 2 - d ** 2)
-          / (den1 * den2)) * r4
-    return r1, r2, r3, r4
+    d2 = d * d
+    return ((a + b + c) ** 2 - d2, (a - b - c) ** 2 - d2,
+            (a + b - c) ** 2 - d2, (a - b + c) ** 2 - d2)
 
 
-def branch_via_r3(a, b, c, d, scale=Fraction(1)) -> tuple:
-    """Ratios (r1, r2, r3, r4) with r3 = scale solving both obstructions."""
-    a, b, c, d = (to_fraction(x) for x in (a, b, c, d))
-    den1 = (a - b + c) ** 2 - d ** 2
-    den2 = (a + b - c) ** 2 - d ** 2
-    if den1 == 0 or den2 == 0:
-        raise AdmissibilityError("branch via r3 has a vanishing denominator",
-                                 {"(a-b+c)^2-d^2": den1,
-                                  "(a+b-c)^2-d^2": den2})
-    r3 = to_fraction(scale)
-    r1 = ((a - b - c) ** 2 - d ** 2) / den1 * r3
-    r2 = ((a + b + c) ** 2 - d ** 2) / den2 * r3
-    r4 = (((a + b + c) ** 2 - d ** 2) * ((a - b - c) ** 2 - d ** 2)
-          / (den2 * den1)) * r3
-    return r1, r2, r3, r4
+def special_ratios(a, b, c, d) -> tuple:
+    """(BC, AD, CD, AB): the one solution of epsilon = delta = 0 up to
+    scale, a chart unless a coordinate is zero, r1 = r2 or r3 = r4."""
+    fa, fb, fc, fd = special_factors(a, b, c, d)
+    return fb * fc, fa * fd, fc * fd, fa * fb
 
 
 def solve_accessory(a, b, c, d, branch: str = "auto",
                     scale=Fraction(1)) -> tuple:
     """Solve epsilon = delta = 0 for the accessory parameters.
 
-    Returns (chart, system): the chart carrying the solved ratios (with
-    r4 = scale for branch "via-r4" and r3 = scale for "via-r3"), and the
-    chart's validated system, whose coefficient is checked to be the
-    closed-form special matrix.  "auto" tries via-r4 first; the two
-    branch denominators never vanish simultaneously for admissible
-    exponents.
+    Returns (chart, system): `special_ratios` scaled to r4 = scale for
+    branch "via-r4" ("auto" is via-r4) and r3 = scale for "via-r3", and the
+    chart's validated system, checked to be the closed-form special matrix.
+    A zero normalising ratio raises AdmissibilityError, any other zero,
+    r1 = r2 or r3 = r4 DegenerateChart; "auto" reports either as "no branch
+    is usable".
     """
     a, b, c, d = (to_fraction(x) for x in (a, b, c, d))
     require_admissible(a, b, c, d)
-    order = {"via-r4": [branch_via_r4], "via-r3": [branch_via_r3],
-             "auto": [branch_via_r4, branch_via_r3]}.get(branch)
-    if order is None:
+    if branch not in ("via-r4", "via-r3", "auto"):
         raise InputError(f"unknown branch {branch!r}")
-
-    def attempt(solver):
-        chart = AccessoryChart(a, b, c, d, solver(a, b, c, d, scale))
+    index = 2 if branch == "via-r3" else 3  # the ratio set to the scale
+    try:
+        ratios = special_ratios(a, b, c, d)
+        if ratios[index] == 0:
+            fa, fb, fc, fd = special_factors(a, b, c, d)
+            raise AdmissibilityError(
+                f"branch via r{index + 1} has a vanishing denominator",
+                {"(a+b+c)^2-d^2": fa, "(a-b-c)^2-d^2": fb} if index == 3
+                else {"(a-b+c)^2-d^2": fd, "(a+b-c)^2-d^2": fc})
+        scale = to_fraction(scale) / ratios[index]
+        chart = AccessoryChart(a, b, c, d, tuple(x * scale for x in ratios))
         system = okubo_from_chart(chart)
-        if system.coeff != _special_coeff(a, b, c, d):
-            raise InternalInconsistency(
-                "solved chart does not reproduce the special matrix")
-        if not epsilon_delta(chart).vanish:
-            raise InternalInconsistency("solved chart leaves an obstruction")
-        return chart, system
-
-    if len(order) == 1:
-        return attempt(order[0])
-    last_error = None
-    for solver in order:
-        try:
-            return attempt(solver)
-        except (AdmissibilityError, DegenerateChart, DConditionError) as exc:
-            last_error = exc
-    raise AdmissibilityError("admissibility violated: no branch is usable",
-                             {"last": str(last_error)})
+    except (AdmissibilityError, DegenerateChart, DConditionError) as exc:
+        if branch != "auto":
+            raise
+        raise AdmissibilityError("admissibility violated: no branch is usable",
+                                 {"last": str(exc)}) from exc
+    if system.coeff != _special_coeff(a, b, c, d):
+        raise InternalInconsistency(
+            "solved chart does not reproduce the special matrix")
+    if not epsilon_delta(chart).vanish:
+        raise InternalInconsistency("solved chart leaves an obstruction")
+    return chart, system
 
 
 # --------------------------------------------------------------------------
@@ -725,8 +712,8 @@ def realize_product_system(p: HGParams) -> RealizationReport:
         if l(signs) == 0:
             raise AdmissibilityError(
                 f"half-sum lam({signs}) vanishes", {"signs": signs})
-    prod_a = ((a + b + c) ** 2 - d ** 2) * ((a - b - c) ** 2 - d ** 2)
-    prod_b = ((a + b - c) ** 2 - d ** 2) * ((a - b + c) ** 2 - d ** 2)
+    fa, fb, fc, fd = special_factors(a, b, c, d)
+    prod_a, prod_b = fa * fb, fc * fd
     ident_a = 64 * l("0+00") * l("00+0") * l("+-++") * l("++-+")
     ident_b = 64 * l("+000") * l("000+") * l("-+++") * l("+++-")
     if prod_a != ident_a or prod_b != ident_b:

@@ -102,7 +102,7 @@ def _system_from_args(args) -> hgsystem.OkuboSystem:
         _, system = hgsystem.build_okubo_system(_hg_params(args))
         return system
     if args.a is not None:
-        _, system = accessory.solve_accessory(*_abcd(args), args.branch)
+        _, system = accessory.solve_accessory(*_abcd(args))
         return system
     raise InputError("need --chart, --params, or --a/--b/--c/--d")
 
@@ -288,7 +288,8 @@ FLAGS = {
     "matrix": dict(help="JSON matrix file"),
     "a": {}, "b": {}, "c": {}, "d": {}, "g": {},
     "scale": dict(default="1"),
-    "branch": dict(default="auto", choices=["via-r4", "via-r3", "auto"]),
+    "branch": dict(default="auto", choices=["via-r4", "via-r3", "auto"],
+                   help="the ratio set to --scale: r4 (via-r4, auto) or r3"),
     "pair": dict(default="1-inf", choices=["1-inf", "0-inf"]),
     "base": dict(default="1", choices=["0", "1", "inf"]),
     "index": dict(type=int, default=0),
@@ -300,7 +301,7 @@ FLAGS = {
     "seed": dict(type=int, default=0),
 }
 
-SYSTEM_FLAGS = ("chart", "params", "a", "b", "c", "d", "branch")
+SYSTEM_FLAGS = ("chart", "params", "a", "b", "c", "d")
 SERIES_FLAGS = SYSTEM_FLAGS + ("base", "index", "terms", "mode")
 DF_FLAGS = ("params", "a", "b", "c", "g")
 

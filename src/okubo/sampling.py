@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from .accessory import (AccessoryChart, epsilon_delta, is_admissible,
-                        solve_accessory, solve_r4)
+                        solve_accessory, solve_r4, special_ratios)
 from .dotsenko_fateev import DFParams
 from .errors import DegenerateChart, DConditionError, OkuboError
 from .hgsystem import (HGParams, det_diagonalizer_formula, det_gauge_formula,
@@ -45,6 +45,18 @@ def draw_exponents(rng: random.Random) -> tuple:
         if is_admissible(*vals):
             return vals
     _give_up("admissible exponents")
+
+
+def draw_special_exponents(rng: random.Random) -> tuple:
+    """Admissible (a, b, c, d) whose special ratios (BC, AD, CD, AB) are a
+    chart: no zero, and r1 - r2 = -8ac(a^2 - b^2 + c^2 - d^2) and
+    r3 - r4 = 8bc(a^2 - b^2 - c^2 + d^2) nonzero."""
+    for _ in range(MAX_ATTEMPTS):
+        vals = draw_exponents(rng)
+        r1, r2, r3, r4 = special_ratios(*vals)
+        if r1 * r2 * r3 * r4 != 0 and r1 != r2 and r3 != r4:
+            return vals
+    _give_up("exponents with a special chart")
 
 
 def draw_generic_params(rng: random.Random) -> HGParams:

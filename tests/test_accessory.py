@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
-from okubo import accessory as acc, hgsystem
+from okubo import accessory as acc, hgsystem, verify
 from okubo.accessory import (AccessoryChart, base_condition_failures,
                              cubic_blocks, difference_systems, epsilon_delta,
                              okubo_from_chart, realize_product_system,
@@ -26,7 +26,8 @@ from okubo.exact import Poly, PolyMatrix, RationalMatrix
 from okubo.hgsystem import (HGParams, J2, build_okubo_system, lam,
                             resolvent_numerator)
 from okubo.sampling import (draw_chart, draw_exponents, draw_okubo_params,
-                            draw_perturbed_chart, draw_special_chart)
+                            draw_perturbed_chart, draw_special_chart,
+                            draw_special_exponents)
 
 ABCD = (F(1, 3), F(1, 5), F(1, 7), F(1, 11))
 POK = HGParams.okubo(F(1, 3), F(1, 7), F(1, 5), F(1, 11))
@@ -58,6 +59,10 @@ def test_chart_validation_errors():
         AccessoryChart(*ABCD, (F(1), F(2), F(3), F(4))).check()
     with pytest.raises(InputError):
         AccessoryChart(*ABCD, (F(1), F(2), F(3)))
+    # a string is not read as four one-digit ratios
+    for r in ("1234", b"1234"):
+        with pytest.raises(InputError, match="not a string"):
+            AccessoryChart(*ABCD, r)
 
 
 def test_chart_json_round_trip_and_coordinates():
@@ -484,6 +489,29 @@ def test_vanishing_branch_numerator_is_unsolvable():
     with pytest.raises(AdmissibilityError) as err:
         solve_accessory(a, b, c, d, "auto")
     assert "admissibility violated" in str(err.value)
+    assert err.value.context == {"last": "degenerate chart"}  # via-r4's
+
+
+# the draws that made 1e fail for verify seeds 40658 and 280328
+RECORDED_DRAWS = {
+    40658: ((F(1, 3), F(-12, 11), F(1, 6), F(-13, 22)), AdmissibilityError),
+    280328: ((F(-10, 7), F(17, 15), F(4, 5), F(23, 21)), DegenerateChart),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RECORDED_DRAWS))
+def test_special_value_criterion_redraws_outside_the_domain(seed):
+    abcd, error = RECORDED_DRAWS[seed]
+    assert acc.is_admissible(*abcd)
+    with pytest.raises(error):
+        solve_accessory(*abcd, "via-r4")
+    rng = verify._rng(seed, "branches")
+    assert abcd in [draw_exponents(rng) for _ in range(20)]
+    rng = verify._rng(seed, "branches")
+    assert abcd not in [draw_special_exponents(rng) for _ in range(20)]
+    result = verify.run_criterion("1e-special-value-branches",
+                                  verify.check_special_value_branches, seed)
+    assert result.passed, result.detail
 
 
 def test_conditional_identity_sympy_oracle():

@@ -49,6 +49,14 @@ def test_solve_accessory_inline(capsys):
     chart, system = solve_accessory(F(1, 3), F(1, 5), F(1, 7), F(1, 11))
     assert data["chart"]["r"] == [str(x) for x in chart.r]
     assert data["coeff"] == system.coeff.to_strings()
+    # --branch picks the ratio that equals --scale; the system is the same
+    for branch, index in (("via-r4", 3), ("via-r3", 2)):
+        code, scaled = run_json(capsys, "solve-accessory", "--a", "1/3",
+                                "--b", "1/5", "--c", "1/7", "--d", "1/11",
+                                "--branch", branch, "--scale", "5/3")
+        assert code == 0
+        assert scaled["chart"]["r"][index] == "5/3"
+        assert scaled["coeff"] == data["coeff"]
 
 
 def test_check_same_verdicts(capsys, tmp_path):
@@ -250,11 +258,20 @@ def test_series_from_each_system_source(capsys, tmp_path, okubo_params_file):
     common = ("--base", "1", "--index", "0", "--terms", "10")
     for source in (("--chart", str(chart_file)),
                    ("--params", okubo_params_file),
-                   ("--a", "1/3", "--b", "1/5", "--c", "1/7", "--d", "1/11",
-                    "--branch", "via-r3")):
+                   ("--a", "1/3", "--b", "1/5", "--c", "1/7", "--d", "1/11")):
         code, data = run_json(capsys, "series", *source, *common)
         assert code == 0, source
         assert len(data["solutions"][0]["coeffs"]) == 10
+
+
+@pytest.mark.parametrize("name", ["series", "residual"])
+def test_series_and_residual_have_no_branch(capsys, name):
+    # every branch gives the same system, so the flag could not matter
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--a", "1/3", "--b", "1/5", "--c", "1/7", "--d", "1/11",
+              "--branch", "via-r3"])
+    assert exc.value.code == EXIT_INPUT
+    assert "unrecognized arguments: --branch" in capsys.readouterr().err
 
 
 def test_internal_inconsistency_in_verify_all_exits_3(capsys, monkeypatch):
