@@ -229,13 +229,6 @@ class AccessoryChart:
         return AccessoryChart(self.a, self.b, self.c, self.d,
                               tuple(x * s for x in self.r))
 
-    def accessory_coordinates(self) -> tuple:
-        """(r1/r4, r2/r4): affine coordinates of the two accessory
-        parameters, defined only where r4 != 0."""
-        if self.r4 == 0:
-            raise DegenerateChart("coordinates undefined at r4 = 0")
-        return self.r1 / self.r4, self.r2 / self.r4
-
     @classmethod
     def from_json(cls, data: dict) -> "AccessoryChart":
         try:
@@ -629,38 +622,31 @@ def special_ratios(a, b, c, d) -> tuple:
     return fb * fc, fa * fd, fc * fd, fa * fb
 
 
-def solve_accessory(a, b, c, d, branch: str = "auto",
+def solve_accessory(a, b, c, d, branch: str = "via-r4",
                     scale=Fraction(1)) -> tuple:
     """Solve epsilon = delta = 0 for the accessory parameters.
 
     Returns (chart, system): `special_ratios` scaled to r4 = scale for
-    branch "via-r4" ("auto" is via-r4) and r3 = scale for "via-r3", and the
-    chart's validated system, checked to be the closed-form special matrix.
-    A zero normalising ratio raises AdmissibilityError, any other zero,
-    r1 = r2 or r3 = r4 DegenerateChart; "auto" reports either as "no branch
-    is usable".
+    branch "via-r4" and r3 = scale for "via-r3", and the chart's validated
+    system, checked to be the closed-form special matrix.  A zero
+    normalising ratio raises AdmissibilityError, any other zero, r1 = r2
+    or r3 = r4 DegenerateChart.
     """
     a, b, c, d = (to_fraction(x) for x in (a, b, c, d))
     require_admissible(a, b, c, d)
-    if branch not in ("via-r4", "via-r3", "auto"):
+    if branch not in ("via-r4", "via-r3"):
         raise InputError(f"unknown branch {branch!r}")
     index = 2 if branch == "via-r3" else 3  # the ratio set to the scale
-    try:
-        ratios = special_ratios(a, b, c, d)
-        if ratios[index] == 0:
-            fa, fb, fc, fd = special_factors(a, b, c, d)
-            raise AdmissibilityError(
-                f"branch via r{index + 1} has a vanishing denominator",
-                {"(a+b+c)^2-d^2": fa, "(a-b-c)^2-d^2": fb} if index == 3
-                else {"(a-b+c)^2-d^2": fd, "(a+b-c)^2-d^2": fc})
-        scale = to_fraction(scale) / ratios[index]
-        chart = AccessoryChart(a, b, c, d, tuple(x * scale for x in ratios))
-        system = okubo_from_chart(chart)
-    except (AdmissibilityError, DegenerateChart, DConditionError) as exc:
-        if branch != "auto":
-            raise
-        raise AdmissibilityError("admissibility violated: no branch is usable",
-                                 {"last": str(exc)}) from exc
+    ratios = special_ratios(a, b, c, d)
+    if ratios[index] == 0:
+        fa, fb, fc, fd = special_factors(a, b, c, d)
+        raise AdmissibilityError(
+            f"branch via r{index + 1} has a vanishing denominator",
+            {"(a+b+c)^2-d^2": fa, "(a-b-c)^2-d^2": fb} if index == 3
+            else {"(a-b+c)^2-d^2": fd, "(a+b-c)^2-d^2": fc})
+    scale = to_fraction(scale) / ratios[index]
+    chart = AccessoryChart(a, b, c, d, tuple(x * scale for x in ratios))
+    system = okubo_from_chart(chart)
     if system.coeff != _special_coeff(a, b, c, d):
         raise InternalInconsistency(
             "solved chart does not reproduce the special matrix")

@@ -271,9 +271,10 @@ def _jacobi_rule(params: DFParams, nodes: int) -> tuple:
     return (1 + u) / 2, w
 
 
-def _integrals(params: DFParams, points: list, terms: int = 160) -> np.ndarray:
+def _integrals(params: DFParams, points: list) -> np.ndarray:
     """The three Euler integrals over [0, x] by Gauss-Jacobi quadrature,
-    one row per ``(x, s, w)`` of ``points`` (a point and its rule).
+    one row per ``(x, s, w)`` of ``points`` (a point and its rule), with
+    the Gauss factors summed to 160 terms.
 
     After t = x s the weight is (1-s)^(g/2-1) s^(a+c+g/2); the constant
     phase of (t-x)^(g/2-1) on the segment is kept explicitly.  Each
@@ -288,7 +289,7 @@ def _integrals(params: DFParams, points: list, terms: int = 160) -> np.ndarray:
     distinct = list(dict.fromkeys(par for pair in pairs for par in pair))
     gauss = _gauss_on_nodes(distinct,
                             np.concatenate([x * s for x, s, _ in points]),
-                            terms)
+                            160)
     rows = [(distinct.index(par1), distinct.index(par2))
             for par1, par2 in pairs]
     out = np.empty((len(points), 3), dtype=complex)
@@ -328,17 +329,6 @@ def _assemble(params: DFParams, m: np.ndarray, x: float,
     prefactor = (x ** (float(params.a) + c)
                  * np.exp(1j * np.pi * (b + c)) * (1 - x) ** (b + c))
     return prefactor * (m @ integrals)
-
-
-def df_solution_at(params: DFParams, x: float, nodes: int,
-                   terms: int = 160) -> tuple:
-    """(z, integrals) of the assembled solution at one point 0 < x < 1."""
-    if not 0 < x < 1:
-        raise InputError("x must lie in (0, 1)", {"x": x})
-    s, w = _jacobi_rule(params, nodes)
-    integrals = _integrals(params, [(x, s, w)], terms)[0]
-    m = df_eigenvector_matrix(params).to_complex()
-    return _assemble(params, m, x, integrals), integrals
 
 
 def df_integral_solution(params: DFParams, x: float,

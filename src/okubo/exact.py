@@ -465,7 +465,8 @@ def left_eigenvectors(matrix: RationalMatrix, eigenvalue: Scalar) -> list:
 
 
 class PolyMatrix:
-    """Dense square matrix whose entries are exact polynomials in z."""
+    """Dense square matrix whose entries are exact polynomials in z; its
+    determinant and `poly_adjugate` are for 2x2 matrices only."""
 
     __slots__ = ("entries",)
 
@@ -544,38 +545,25 @@ class PolyMatrix:
         return PolyMatrix([[e.reflected() for e in row] for row in self.entries])
 
     def det(self) -> Poly:
-        """Determinant of a 2x2 or 3x3 polynomial matrix."""
-        n = self.dim
-        if n == 2:
-            (a, b), (c, d) = self.entries
-            return a * d - b * c
-        if n == 3:
-            (a, b, c), (d, e, f), (g, h, i) = self.entries
-            return (a * (e * i - f * h) - b * (d * i - f * g)
-                    + c * (d * h - e * g))
-        raise DimensionMismatch("determinant implemented for dimensions 2 "
-                                "and 3", {"dim": n})
+        """Determinant of a 2x2 polynomial matrix."""
+        if self.dim != 2:
+            raise DimensionMismatch("determinant implemented for dimension 2",
+                                    {"dim": self.dim})
+        (a, b), (c, d) = self.entries
+        return a * d - b * c
 
 
 def poly_adjugate(m: PolyMatrix) -> tuple:
-    """Adjugate and determinant of a 2x2 or 3x3 polynomial matrix.
+    """Adjugate and determinant of a 2x2 polynomial matrix.
 
     Satisfies M * adj = det * I as an exact polynomial identity; a zero
     determinant is a legal output.
     """
-    n = m.dim
-    if n == 2:
-        (a, b), (c, d) = m.entries
-        return PolyMatrix([[d, -b], [-c, a]]), m.det()
-    if n == 3:
-        e = m.entries
-        cof = [[(e[(i + 1) % 3][(j + 1) % 3] * e[(i + 2) % 3][(j + 2) % 3]
-                 - e[(i + 1) % 3][(j + 2) % 3] * e[(i + 2) % 3][(j + 1) % 3])
-                for j in range(3)] for i in range(3)]
-        adj = PolyMatrix([[cof[j][i] for j in range(3)] for i in range(3)])
-        return adj, m.det()
-    raise DimensionMismatch("adjugate implemented for dimensions 2 and 3",
-                            {"dim": n})
+    if m.dim != 2:
+        raise DimensionMismatch("adjugate implemented for dimension 2",
+                                {"dim": m.dim})
+    (a, b), (c, d) = m.entries
+    return PolyMatrix([[d, -b], [-c, a]]), m.det()
 
 
 def matrix_from_json(data) -> RationalMatrix:

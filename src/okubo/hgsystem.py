@@ -39,11 +39,6 @@ _SIGN = {"+": 1, "-": -1, "0": 0}
 J2 = RationalMatrix.diagonal([1, -1])
 
 
-def flip_signs(signs: str) -> str:
-    """Negate every sign of an index; the half-sum changes sign with it."""
-    return signs.translate(str.maketrans("+-", "-+"))
-
-
 @dataclass(frozen=True)
 class HGParams:
     """Parameters of a pair of Gauss hypergeometric functions."""
@@ -153,12 +148,6 @@ class OkuboSystem:
     b: Fraction
     c: Fraction
     d: Fraction
-
-    def upper_right(self) -> RationalMatrix:
-        return self.coeff.block(0, 2, 2, 4)
-
-    def lower_left(self) -> RationalMatrix:
-        return self.coeff.block(2, 4, 0, 2)
 
     def validate(self) -> None:
         """Check diagonal blocks and the characteristic polynomial."""

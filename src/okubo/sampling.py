@@ -105,8 +105,7 @@ def draw_special_chart(rng: random.Random) -> AccessoryChart:
     for _ in range(MAX_ATTEMPTS):
         a, b, c, d = draw_exponents(rng)
         try:
-            chart, _ = solve_accessory(a, b, c, d, "auto",
-                                       rand_fraction(rng))
+            chart, _ = solve_accessory(a, b, c, d, scale=rand_fraction(rng))
         except OkuboError:
             continue
         return chart

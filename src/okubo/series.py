@@ -219,6 +219,13 @@ def v_via_transform(p: HGParams, x, terms: int = 60) -> np.ndarray:
     return x ** float(p.gamma1 - 1) * (rp @ w)
 
 
+def relative_gap(direct: np.ndarray, via: np.ndarray) -> float:
+    """max|direct - via| / max(1, max|via|): how far the two computation
+    paths of the contiguous product vector disagree."""
+    scale = max(1.0, float(np.max(np.abs(via))))
+    return float(np.max(np.abs(direct - via))) / scale
+
+
 def v_residual(p: HGParams, x, terms: int = 60) -> float:
     """Max-norm defect of the contiguous vector in its diagonalized system
     dv/dx = R (xI - T)^{-1} R^{-1} diag(c, -c, d, -d) v."""

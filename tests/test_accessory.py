@@ -65,11 +65,9 @@ def test_chart_validation_errors():
             AccessoryChart(*ABCD, r)
 
 
-def test_chart_json_round_trip_and_coordinates():
+def test_chart_json_round_trip():
     chart = solved_chart()
     assert AccessoryChart.from_json(chart.to_json()) == chart
-    t1, t2 = chart.accessory_coordinates()
-    assert (t1, t2) == (chart.r1 / chart.r4, chart.r2 / chart.r4)
 
 
 def test_parametrized_matrix_entries():
@@ -455,7 +453,7 @@ def test_equivalence_of_sameness_and_branch_membership():
     rng = random.Random(67)
     for _ in range(50):
         a, b, c, d = draw_exponents(rng)
-        chart, _ = solve_accessory(a, b, c, d, "auto")
+        chart, _ = solve_accessory(a, b, c, d)
         scaled = chart.scaled(F(7, 4))
         assert substantially_same(scaled).verdict
         # and conversely a perturbed chart is neither substantially the
@@ -463,15 +461,16 @@ def test_equivalence_of_sameness_and_branch_membership():
         perturbed = draw_perturbed_chart(rng)
         assert not substantially_same(perturbed).verdict
         base, _ = solve_accessory(perturbed.a, perturbed.b, perturbed.c,
-                                  perturbed.d, "auto")
+                                  perturbed.d)
         ratios = {perturbed.r[k] / base.r[k] for k in range(4)
                   if base.r[k] != 0}
         assert len(ratios) > 1  # not a common rescaling
 
 
 def test_branch_error_reporting():
-    with pytest.raises(InputError):
-        solve_accessory(*ABCD, "via-r5")
+    for branch in ("via-r5", "auto"):
+        with pytest.raises(InputError):
+            solve_accessory(*ABCD, branch)
     with pytest.raises(AdmissibilityError):
         solve_accessory(F(2), F(1, 5), F(1, 7), F(1, 11))  # a integral
 
@@ -486,10 +485,9 @@ def test_vanishing_branch_numerator_is_unsolvable():
         solve_accessory(a, b, c, d, "via-r4")
     with pytest.raises(AdmissibilityError):
         solve_accessory(a, b, c, d, "via-r3")
-    with pytest.raises(AdmissibilityError) as err:
-        solve_accessory(a, b, c, d, "auto")
-    assert "admissibility violated" in str(err.value)
-    assert err.value.context == {"last": "degenerate chart"}  # via-r4's
+    # the default is via-r4, and its own error is not rewrapped
+    with pytest.raises(DegenerateChart, match="degenerate chart"):
+        solve_accessory(a, b, c, d)
 
 
 # the draws that made 1e fail for verify seeds 40658 and 280328
@@ -567,7 +565,7 @@ def test_eliminated_ratios_when_obstructions_vanish():
     rng = random.Random(73)
     for _ in range(10):
         a, b, c, d = draw_exponents(rng)
-        chart, _ = solve_accessory(a, b, c, d, "auto", F(2, 3))
+        chart, _ = solve_accessory(a, b, c, d, scale=F(2, 3))
         r1, r2, r3, r4 = chart.r
         assert r1 == -(((a - b - c) ** 2 - d ** 2) * r3
                        - ((a + b - c) ** 2 - d ** 2) * r4) / (4 * b * (a + c))

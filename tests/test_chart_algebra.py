@@ -351,49 +351,35 @@ def ref_branch_via_r3(a, b, c, d, scale=F(1)):
     return r1, r2, r3, r4
 
 
-def ref_solve_accessory(a, b, c, d, branch="auto", scale=F(1)):
-    """The solver with one branch per scaled ratio and a fallback."""
+def ref_solve_accessory(a, b, c, d, branch="via-r4", scale=F(1)):
+    """The solver with one branch solver per scaled ratio."""
     a, b, c, d = (to_fraction(x) for x in (a, b, c, d))
     acc.require_admissible(a, b, c, d)
-    order = {"via-r4": [ref_branch_via_r4], "via-r3": [ref_branch_via_r3],
-             "auto": [ref_branch_via_r4, ref_branch_via_r3]}.get(branch)
-    if order is None:
+    solver = {"via-r4": ref_branch_via_r4,
+              "via-r3": ref_branch_via_r3}.get(branch)
+    if solver is None:
         raise InputError(f"unknown branch {branch!r}")
-
-    def attempt(solver):
-        chart = AccessoryChart(a, b, c, d, solver(a, b, c, d, scale))
-        system = okubo_from_chart(chart)
-        if system.coeff != acc._special_coeff(a, b, c, d):
-            raise InternalInconsistency(
-                "solved chart does not reproduce the special matrix")
-        if not epsilon_delta(chart).vanish:
-            raise InternalInconsistency("solved chart leaves an obstruction")
-        return chart, system
-
-    if len(order) == 1:
-        return attempt(order[0])
-    last_error = None
-    for solver in order:
-        try:
-            return attempt(solver)
-        except (AdmissibilityError, DegenerateChart, DConditionError) as exc:
-            last_error = exc
-    raise AdmissibilityError("admissibility violated: no branch is usable",
-                             {"last": str(last_error)})
+    chart = AccessoryChart(a, b, c, d, solver(a, b, c, d, scale))
+    system = okubo_from_chart(chart)
+    if system.coeff != acc._special_coeff(a, b, c, d):
+        raise InternalInconsistency(
+            "solved chart does not reproduce the special matrix")
+    if not epsilon_delta(chart).vanish:
+        raise InternalInconsistency("solved chart leaves an obstruction")
+    return chart, system
 
 
 def solve_outcome(solve, abcd, branch, scale):
     """The solved chart's Fractions and system, or what identifies the
-    exception, without auto's "last" (it now names via-r4's failure)."""
+    exception; branch None leaves the solver's default."""
     try:
-        chart, system = solve(*abcd, branch, scale)
+        chart, system = (solve(*abcd, scale=scale) if branch is None
+                         else solve(*abcd, branch, scale))
         return ("value", (chart.a, chart.b, chart.c, chart.d), chart.r,
                 system.coeff)
     except (OkuboError, ArithmeticError) as exc:
-        context = dict(getattr(exc, "context", {}))
-        if branch == "auto":
-            context.pop("last", None)
-        return "raised", type(exc), exc.args, context
+        return ("raised", type(exc), exc.args,
+                dict(getattr(exc, "context", {})))
 
 
 def _admissible(make, rng):
@@ -431,29 +417,14 @@ SCALES = (F(1), F(0), F(-3, 7), F(10 ** 12, 7), "2/3", 0.5)
 def test_projective_solution_matches_the_branch_solvers():
     kinds = Counter()
     for abcd in special_inputs():
-        a, b, c, d = abcd
-        fa, fb, _, _ = acc.special_factors(a, b, c, d)
         for scale in SCALES:
-            for branch in ("via-r4", "via-r3", "auto"):
+            for branch in ("via-r4", "via-r3", None):
                 got = solve_outcome(solve_accessory, abcd, branch, scale)
-                want = solve_outcome(ref_solve_accessory, abcd, branch,
-                                     scale)
-                if (branch == "auto" and isinstance(scale, float)
-                        and fa * fb == 0 and want[1] is InputError):
-                    # the parent's via-r3 retry refused the float scale;
-                    # auto is via-r4 alone, so via-r4's failure is reported
-                    want = ("raised", AdmissibilityError,
-                            ("admissibility violated: no branch is usable",),
-                            {})
+                # the default is via-r4
+                want = solve_outcome(ref_solve_accessory, abcd,
+                                     branch or "via-r4", scale)
                 assert got == want, (abcd, branch, scale)
                 kinds[want[:2] if want[0] == "raised" else want[0]] += 1
-                if branch == "auto" and got[0] == "raised" \
-                        and got[1] is AdmissibilityError:
-                    via_r4 = solve_outcome(solve_accessory, abcd, "via-r4",
-                                           scale)
-                    with pytest.raises(AdmissibilityError) as err:
-                        solve_accessory(*abcd, "auto", scale)
-                    assert err.value.context["last"] == via_r4[2][0]
     assert kinds["value"] >= 150
     assert kinds[("raised", AdmissibilityError)] >= 40
     assert kinds[("raised", DegenerateChart)] >= 40

@@ -43,8 +43,7 @@ def okubo_params_file(tmp_path):
 
 def test_solve_accessory_inline(capsys):
     code, data = run_json(capsys, "solve-accessory", "--a", "1/3",
-                          "--b", "1/5", "--c", "1/7", "--d", "1/11",
-                          "--branch", "auto")
+                          "--b", "1/5", "--c", "1/7", "--d", "1/11")
     assert code == 0
     chart, system = solve_accessory(F(1, 3), F(1, 5), F(1, 7), F(1, 11))
     assert data["chart"]["r"] == [str(x) for x in chart.r]
@@ -125,13 +124,19 @@ def test_series_and_residual(capsys, okubo_params_file):
     assert float(data["max_residual"]) <= 1e-10
 
 
-def test_residual_respects_precision_env(capsys, okubo_params_file,
-                                         monkeypatch):
-    monkeypatch.setenv("OKUBO_PRECISION", "1e-30")
-    code, data = run_json(capsys, "residual", "--params", okubo_params_file,
-                          "--base", "1", "--index", "0", "--terms", "60",
-                          "--seed", "3")
-    assert code == 1  # residual cannot beat 1e-30
+def test_residual_over_tolerance_exits_1_whatever_the_environment(
+        capsys, monkeypatch):
+    argv = ("residual", "--a", "1/3", "--b", "1/5", "--c", "1/7",
+            "--d", "1/11", "--base", "1", "--index", "0", "--terms", "1",
+            "--seed", "3")
+    for precision in (None, "1e300"):
+        if precision is not None:
+            # no environment variable moves the tolerance
+            monkeypatch.setenv("OKUBO_PRECISION", precision)
+        code, data = run_json(capsys, *argv)
+        assert code == 1
+        assert data["tolerance"] == "1e-10"
+        assert float(data["max_residual"]) > 0.28  # one term: about 0.286
 
 
 def test_residual_nan_exits_1(capsys, okubo_params_file, monkeypatch):
@@ -262,6 +267,14 @@ def test_series_from_each_system_source(capsys, tmp_path, okubo_params_file):
         code, data = run_json(capsys, "series", *source, *common)
         assert code == 0, source
         assert len(data["solutions"][0]["coeffs"]) == 10
+
+
+def test_solve_accessory_refuses_branch_auto(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-accessory", "--a", "1/3", "--b", "1/5", "--c", "1/7",
+              "--d", "1/11", "--branch", "auto"])
+    assert exc.value.code == EXIT_INPUT
+    assert "invalid choice: 'auto'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["series", "residual"])

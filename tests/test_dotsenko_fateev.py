@@ -22,7 +22,7 @@ from okubo.dotsenko_fateev import (DFParams, DFTransformReport,
                                    _integrand_factors,
                                    check_df_transformation,
                                    df_eigenvector_matrix, df_integral_solution,
-                                   df_residues, df_solution_at, euler_reduce,
+                                   df_residues, euler_reduce,
                                    shifted_eigenvalues,
                                    transition_half_sum_form)
 from okubo.errors import InputError, QuadratureError, SingularMatrixError
@@ -137,7 +137,7 @@ def test_integral_against_adaptive_quadrature():
     params = QUAD_PARAMS
     x = 0.35
     a, c, g = float(params.a), float(params.c), float(params.g)
-    grid_z, integrals = df_solution_at(params, x, 128)
+    integrals = df_integral_solution(params, x, 64).integrals
     weight = (a + c + g / 2, g / 2 - 1)  # (s^beta at 0, (1-s)^alpha at 1)
     for k, (par1, par2) in enumerate(_integrand_factors(params)):
         c1s = gauss_coefficients(*par1, 200)
@@ -159,8 +159,8 @@ def test_integral_against_adaptive_quadrature():
 def test_node_insensitivity_of_assembled_solution():
     params = QUAD_PARAMS
     x = 0.45
-    z1, _ = df_solution_at(params, x, 96)
-    z2, _ = df_solution_at(params, x, 192)
+    z1 = np.array(df_integral_solution(params, x, 48).z)
+    z2 = np.array(df_integral_solution(params, x, 96).z)
     assert np.max(np.abs(z1 - z2)) < 1e-10
 
 
@@ -179,7 +179,7 @@ def test_contour_reparametrization_invariance():
     scale = 2.0 ** (-alpha - (2 * beta + 1) - 1)
     phase = np.exp(1j * np.pi * (g / 2 - 1))
     power = x ** (a + c + g)
-    _, direct = df_solution_at(params, x, 160)
+    direct = df_integral_solution(params, x, 80).integrals
     for k, (par1, par2) in enumerate(_integrand_factors(params)):
         f1, f2 = _gauss_on_nodes([par1, par2], x * u * u, 200)
         smooth = 2 * (1 + u) ** alpha * f1 * f2
@@ -400,7 +400,7 @@ def test_real_gauss_pass_gives_bit_identical_reports(monkeypatch):
 def test_solution_at_needs_x_in_the_unit_interval():
     for x in (0.0, 1.0, 1.2, -0.3):
         with pytest.raises(InputError):
-            df_solution_at(QUAD_PARAMS, x, 32)
+            df_integral_solution(QUAD_PARAMS, x, 16)
 
 
 def test_integral_residual_detail_at_seed_7():
@@ -440,7 +440,7 @@ def test_non_finite_rule_is_a_quadrature_error(monkeypatch, part):
     with pytest.raises(QuadratureError, match="not finite"):
         df_integral_solution(QUAD_PARAMS, 0.4)
     with pytest.raises(QuadratureError, match="not finite"):
-        df_solution_at(QUAD_PARAMS, 0.4, 32)
+        df_integral_solution(QUAD_PARAMS, 0.4, 16)
 
 
 def _scale_column_1(params):

@@ -122,7 +122,7 @@ def test_inverse_and_adjugate_consistency():
         n = rng.choice([2, 3, 4])
         m = rand_matrix(rng, n)
         det = m.det()
-        if n <= 3:
+        if n == 2:
             adj, det2 = poly_adjugate(PolyMatrix.from_constant(m))
             assert det2 == Poly.constant(det)
             prod = PolyMatrix.from_constant(m) * adj
@@ -148,7 +148,7 @@ def test_poly_adjugate_examples():
     ident = PolyMatrix.from_constant(RationalMatrix.identity(2))
     adj, det = poly_adjugate(ident)
     assert adj == ident and det == Poly.constant(1)
-    for n in (1, 4):
+    for n in (1, 3, 4):
         with pytest.raises(DimensionMismatch):
             poly_adjugate(PolyMatrix.from_constant(RationalMatrix.identity(n)))
         with pytest.raises(DimensionMismatch):

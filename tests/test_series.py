@@ -203,7 +203,7 @@ def fraction_reference(system, sol, terms):
     """The recurrence stepped in Fraction arithmetic from sol's g(0), with
     an exact 4x4 inverse of the step matrix at every step at infinity."""
     amat, rho = system.coeff, sol.exponent
-    a12, a21 = system.upper_right(), system.lower_left()
+    a12, a21 = amat.block(0, 2, 2, 4), amat.block(2, 4, 0, 2)
     g = list(sol.coeffs[0])
     out = [tuple(g)]
     for r in range(terms - 1):

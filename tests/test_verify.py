@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import okubo
-from okubo import dotsenko_fateev, series, verify
+from okubo import accessory, dotsenko_fateev, sampling, series, verify
+from okubo.cli import EXIT_INTERNAL, main
 from okubo.errors import InternalInconsistency
+from okubo.exact import RationalMatrix
 from okubo.verify import CriterionFailed, run_criterion
 
 
@@ -116,3 +118,40 @@ def test_size_three_reduction_reduces_once_per_draw(monkeypatch):
     monkeypatch.setattr(dotsenko_fateev, "euler_reduce", counted)
     assert verify.check_df_reduction(7, draws=4) == "4 parameter draws"
     assert len(calls) == 4
+
+
+def test_relative_gap_is_the_inline_rule_on_2b_points():
+    seen_large = False
+    for seed in range(3):
+        # the draws of check_contiguous_dual_path
+        rng = verify._rng(seed, "vdual")
+        p = sampling.draw_okubo_params(rng)
+        for _ in range(20):
+            x = sampling.sample_disc(rng, 0.05, 0.4, max_angle=1.2)
+            direct = series.contiguous_product_vector(p, x, terms=80)
+            via = series.v_via_transform(p, x, terms=80)
+            scale = max(1.0, float(np.max(np.abs(via))))
+            inline = float(np.max(np.abs(direct - via))) / scale
+            assert series.relative_gap(direct, via).hex() == inline.hex()
+            seen_large |= scale > 1.0
+    assert seen_large  # both sides of max(1, max|via|) are exercised
+
+
+def test_wrong_special_matrix_is_a_bug_in_1e_not_a_pass(monkeypatch, capsys):
+    honest = accessory._special_coeff
+
+    def wrong(a, b, c, d):
+        m = honest(a, b, c, d)
+        return RationalMatrix([[m[i, j] + (i == 0 and j == 2)
+                                for j in range(4)] for i in range(4)])
+
+    monkeypatch.setattr(accessory, "_special_coeff", wrong)
+    with pytest.raises(InternalInconsistency, match="special matrix"):
+        run_criterion("1e-special-value-branches",
+                      verify.check_special_value_branches, 7)
+    monkeypatch.setattr(verify, "EXACT_CRITERIA", tuple(
+        crit for crit in verify.EXACT_CRITERIA
+        if crit[0] == "1e-special-value-branches"))
+    monkeypatch.setattr(verify, "NUMERIC_CRITERIA", ())
+    assert main(["verify-all", "--seed", "7"]) == EXIT_INTERNAL == 3
+    assert "special matrix" in capsys.readouterr().out
