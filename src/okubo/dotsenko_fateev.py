@@ -308,13 +308,12 @@ def _gauss_on_nodes(pars: list, t: np.ndarray, terms: int) -> np.ndarray:
     """Truncated Gauss series of each parameter triple at the real nodes
     t, one row per triple, by one Horner pass updated in place.
 
-    The triples are rational, so the coefficients are real: the pass runs
-    in float64 on their real parts, which rounds as the complex pass did,
-    and its result is returned as complex, so that the sums over the nodes
-    round as they did too (a real and a complex sum can differ in the last
-    bit).
+    The triples are rational, so the coefficients are real float64: the
+    pass runs in float64, which rounds as a complex pass would, and its
+    result is returned as complex, so that the sums over the nodes round as
+    they did too (a real and a complex sum can differ in the last bit).
     """
-    coeffs = np.array([gauss_coefficients(*par, terms).real for par in pars])
+    coeffs = np.array([gauss_coefficients(*par, terms) for par in pars])
     acc = np.zeros((len(pars), len(t)))
     for ck in coeffs[:, ::-1].T:
         acc *= t

@@ -290,8 +290,10 @@ class RationalMatrix:
         return sum((self.rows[i][i] for i in range(self.dim)), Fraction(0))
 
     def to_complex(self):
+        # float(x) is the double complex(x) would take, without the detour
+        # through numbers.Real.__complex__
         import numpy as np
-        return np.array([[complex(x) for x in row] for row in self.rows],
+        return np.array([[float(x) for x in row] for row in self.rows],
                         dtype=complex)
 
     # -- arithmetic --------------------------------------------------------

@@ -1,7 +1,11 @@
 """Series evaluation: Gauss series, product vectors, and local solutions.
 
 The product vector w = (f1*f2, x*f1'*f2, x*f1*f2', x^2*f1'*f2') and its
-contiguous companion are summed directly from truncated Gauss series.
+contiguous companion v are summed directly from truncated Gauss series.
+v is also reached from w by R P^{-1}, applied in its closed form
+hgsystem.contiguous_product_matrix (the Gauss contiguous relations), which
+verify 1b checks exactly against R times the inverse of P; so a float
+request rebuilds and inverts no exact matrix.
 Local solutions of the Okubo system (x I - T) y' = A y are built from the
 coefficient recurrences they satisfy:
 
@@ -69,10 +73,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import AdmissibilityError, InputError, OutsideDisc
+from .errors import (AdmissibilityError, InputError, OutsideDisc,
+                     SingularMatrixError)
 from .exact import RationalMatrix, common_denominator
 from .hgsystem import (HGParams, OkuboSystem, build_diagonalizer,
-                       build_product_system, gauge_matrix, lam)
+                       build_product_system, contiguous_product_matrix,
+                       det_diagonalizer_formula, det_gauge_formula, lam)
 from .accessory import require_admissible
 
 #: evaluation discs (see module docstring)
@@ -96,9 +102,15 @@ def _is_nonpositive_integer(value) -> bool:
 
 
 def gauss_coefficients(alpha, beta, gamma, terms: int) -> np.ndarray:
-    """The first ``terms`` Taylor coefficients of 2F1(alpha, beta, gamma; .).
+    """The first ``terms`` Taylor coefficients of 2F1(alpha, beta, gamma; .)
+    as a real float64 array: real parameters give real coefficients.
 
-    c_0 = 1 and c_{n+1} = c_n (alpha+n)(beta+n) / ((gamma+n)(n+1)).
+    c_0 = 1 and c_{n+1} = c_n (alpha+n) (beta+n) (1/((gamma+n)(n+1))) in
+    doubles, rounded after each product from left to right; the division
+    is a product with the reciprocal, as numpy's complex division by a real
+    number is.  One sequential np.multiply.accumulate runs over the factors
+    interleaved as [1, alpha+n, beta+n, 1/((gamma+n)(n+1)), ...] and every
+    third partial product is kept.
     """
     if _is_nonpositive_integer(gamma):
         raise InputError("gamma must not be a nonpositive integer",
@@ -106,11 +118,14 @@ def gauss_coefficients(alpha, beta, gamma, terms: int) -> np.ndarray:
     if terms < 1:
         raise InputError("need at least one term")
     a, b, c = (float(alpha), float(beta), float(gamma))
-    coeffs = np.empty(terms, dtype=complex)
-    coeffs[0] = 1.0
-    for n in range(terms - 1):
-        coeffs[n + 1] = coeffs[n] * (a + n) * (b + n) / ((c + n) * (n + 1))
-    return coeffs
+    n = np.arange(terms - 1, dtype=float)
+    factors = np.empty(3 * terms - 2)
+    factors[0] = 1.0
+    factors[1::3] = a + n
+    factors[2::3] = b + n
+    factors[3::3] = 1.0 / ((c + n) * (n + 1))
+    np.multiply.accumulate(factors, out=factors)
+    return factors[::3].copy()
 
 
 class GaussJet(NamedTuple):
@@ -168,8 +183,14 @@ def _w_jet(p: HGParams, x, terms: int) -> tuple:
 
 
 def w_residual(p: HGParams, x, terms: int = 60) -> float:
-    """Max-norm defect of w in dw/dx = (H0/x + H1/(x-1)) w."""
+    """Max-norm defect of w in dw/dx = (H0/x + H1/(x-1)) w.
+
+    The singular point x = 0 is refused: H0/x has a pole there.
+    """
     x = _as_complex(x)
+    if x == 0:
+        raise OutsideDisc("w_residual is undefined at the singular point 0",
+                          {"x": x})
     w, dw = _w_jet(p, x, terms)
     sys = build_product_system(p)
     h0 = sys.residue_at_0.to_complex()
@@ -211,12 +232,24 @@ def _v_jet(p: HGParams, x, terms: int) -> tuple:
 
 
 def v_via_transform(p: HGParams, x, terms: int = 60) -> np.ndarray:
-    """x^(gamma1 - 1) (R P^{-1}) w computed through the gauge matrices."""
+    """x^(gamma1 - 1) (R P^{-1}) w, the contiguous vector by way of w.
+
+    R P^{-1} is applied in its closed form, contiguous_product_matrix (the
+    Gauss contiguous relations), which verify 1b checks exactly against
+    R times the inverse of P.  Its domain is that of R and P^{-1}: where a
+    parameter vanishes, det R = 0 or det P = 0 the product is undefined,
+    and SingularMatrixError is raised.
+    """
     x = _as_complex(x)
     _check_off_cut(x)
     w, _ = _w_jet(p, x, terms)
-    rp = (build_diagonalizer(p) * gauge_matrix(p).inverse()).to_complex()
-    return x ** float(p.gamma1 - 1) * (rp @ w)
+    rp = contiguous_product_matrix(p)
+    if det_gauge_formula(p) == 0:
+        raise SingularMatrixError("degenerate parameters: det P = 0",
+                                  {"det": "0"})
+    if det_diagonalizer_formula(p) == 0:
+        raise SingularMatrixError("degenerate parameters: det R = 0")
+    return x ** float(p.gamma1 - 1) * (rp.to_complex() @ w)
 
 
 def relative_gap(direct: np.ndarray, via: np.ndarray) -> float:

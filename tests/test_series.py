@@ -8,6 +8,7 @@ tolerances inside the declared evaluation discs.
 import cmath
 import math
 import random
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from okubo import hgsystem, series
 from okubo.accessory import realize_product_system, solve_accessory
 from okubo.errors import (InputError, InternalInconsistency, OkuboError,
-                          OutsideDisc)
+                          OutsideDisc, SingularMatrixError)
 from okubo.exact import PolyMatrix, RationalMatrix, common_denominator
 from okubo.hgsystem import HGParams, build_okubo_system, gauge_matrix, lam
 from okubo.sampling import sample_disc, series_sample
@@ -709,3 +710,114 @@ def test_hyp2f1_jet_matches_separate_power_arrays():
                                 * x ** (n[2:] - 2)))
             jet = hyp2f1_jet(F(1, 3), F(-2, 5), F(3, 7), x, terms)
             assert bits([jet.d1, jet.d2]).tolist() == bits([d1, d2]).tolist()
+
+
+# -- float requests against the exact rebuilds they replace ---------------------
+
+def reference_gauss_coefficients(alpha, beta, gamma, terms):
+    """The coefficient loop over numpy complex scalars."""
+    a, b, c = (float(alpha), float(beta), float(gamma))
+    coeffs = np.empty(terms, dtype=complex)
+    coeffs[0] = 1.0
+    for n in range(terms - 1):
+        coeffs[n + 1] = coeffs[n] * (a + n) * (b + n) / ((c + n) * (n + 1))
+    return coeffs
+
+
+def test_gauss_coefficients_round_as_the_complex_loop():
+    rng = random.Random(41)
+    draw = lambda: F(rng.randint(-40, 40), rng.randint(1, 12))
+    terminating = 0
+    for terms in (1, 2, 3, 80, 160, 400):
+        for k in range(12):
+            # every third draw is a terminating series
+            alpha = F(rng.choice([0, -3])) if k % 3 == 0 else draw()
+            beta, gamma = draw(), draw()
+            while series._is_nonpositive_integer(gamma):
+                gamma = draw()
+            got = gauss_coefficients(alpha, beta, gamma, terms)
+            want = reference_gauss_coefficients(alpha, beta, gamma, terms)
+            assert got.dtype == np.float64 and got.shape == (terms,)
+            assert not want.imag.any()
+            assert (got == want.real).all()
+            # an exact zero may carry either sign; every other bit agrees
+            nonzero = want != 0
+            terminating += not nonzero.all()
+            assert (bits(got[nonzero]) == bits(want.real[nonzero])).all()
+    assert terminating
+
+
+def reference_v_via_transform(p, x, terms):
+    """x^(gamma1 - 1) (R P^{-1}) w with R P^{-1} rebuilt and inverted
+    exactly and converted entry by entry through complex()."""
+    x = complex(x)
+    w = product_vector_w(p, x, terms)
+    rp = hgsystem.build_diagonalizer(p) * gauge_matrix(p).inverse()
+    rp = np.array([[complex(v) for v in row] for row in rp.rows])
+    return x ** float(p.gamma1 - 1) * (rp @ w)
+
+
+def _outcome(f, *args):
+    try:
+        return bits(f(*args)).tolist()
+    except OkuboError as exc:
+        return type(exc)
+
+
+def test_v_via_transform_is_the_exact_rebuild_bit_for_bit():
+    rng = random.Random(43)
+    draw = lambda: F(rng.randint(-9, 9), rng.randint(1, 9))
+    answered = refused = 0
+    for _ in range(200):
+        p = HGParams.okubo(*(draw() for _ in range(4)))
+        x = sample_disc(rng, 0.05, 0.95)
+        want = _outcome(reference_v_via_transform, p, x, 80)
+        assert _outcome(v_via_transform, p, x, 80) == want
+        answered += isinstance(want, list)
+        refused += not isinstance(want, list)
+    assert answered >= 150 and refused
+
+
+def test_to_complex_is_complex_of_each_entry():
+    rng = random.Random(47)
+    for _ in range(50):
+        rows = [[F(rng.randint(-10 ** 30, 10 ** 30),
+                   rng.randint(1, 10 ** rng.randint(1, 40)))
+                 for _ in range(4)] for _ in range(4)]
+        rows[0][0] = F(0)
+        m = RationalMatrix(rows)
+        want = np.array([[complex(v) for v in row] for row in m.rows])
+        assert m.to_complex().tobytes() == want.tobytes()
+
+
+def test_v_via_transform_refuses_det_p_zero():
+    # alpha1 + alpha2 = beta1 + beta2 makes lam(++--) = 0
+    p = HGParams.okubo(F(1, 3), F(1, 5), F(1, 7), F(1, 3) + F(1, 5) - F(1, 7))
+    assert lam(p, "++--") == 0 and hgsystem.det_gauge_formula(p) == 0
+    with pytest.raises(SingularMatrixError, match="det P = 0"):
+        v_via_transform(p, 0.3, 40)
+
+
+def test_v_via_transform_refuses_det_r_zero_with_det_p_nonzero():
+    p = HGParams.okubo(F(1, 3), F(1, 5), F(1, 3), F(1, 11))
+    assert hgsystem.det_gauge_formula(p) != 0
+    assert hgsystem.det_diagonalizer_formula(p) == 0
+    with pytest.raises(SingularMatrixError, match="det R = 0"):
+        v_via_transform(p, 0.3, 40)
+
+
+def test_v_via_transform_inverts_nothing_exactly(monkeypatch):
+    def refuse(self):
+        raise AssertionError("exact inverse in a float request")
+
+    monkeypatch.setattr(RationalMatrix, "inverse", refuse)
+    v = v_via_transform(POK, 0.2 + 0.1j, 80)
+    assert np.isfinite(v).all()
+
+
+def test_w_residual_refuses_the_singular_point():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (0, 0.0, 0j, complex(-0.0, 0.0)):
+            with pytest.raises(OutsideDisc):
+                w_residual(PGEN, x, 60)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import okubo
-from okubo import accessory, dotsenko_fateev, sampling, series, verify
+from okubo import (accessory, dotsenko_fateev, hgsystem, sampling, series,
+                   verify)
 from okubo.cli import EXIT_INTERNAL, main
 from okubo.errors import InternalInconsistency
 from okubo.exact import RationalMatrix
@@ -105,6 +106,27 @@ def test_nan_fails_numeric_criterion(monkeypatch, check, target, name,
     with pytest.raises(CriterionFailed, match="nan exceeds"):
         check(7)
     assert not run_criterion("numeric", check, 7).passed
+
+
+def test_corrupt_contiguous_closed_form_fails_1b_and_2b(monkeypatch):
+    """v_via_transform trusts the closed form of R P^{-1}: one wrong entry
+    must fail both the exact check (1b) and the float dual path (2b)."""
+    honest = hgsystem.contiguous_product_matrix
+
+    def corrupt(p):
+        rows = [list(row) for row in honest(p).rows]
+        rows[2][1] += 1
+        return RationalMatrix(rows)
+
+    monkeypatch.setattr(hgsystem, "contiguous_product_matrix", corrupt)
+    monkeypatch.setattr(series, "contiguous_product_matrix", corrupt)
+    criteria = dict((name, fn) for name, fn, _ in verify.EXACT_CRITERIA
+                    + verify.NUMERIC_CRITERIA)
+    for name, detail in (("1b-gauge-and-diagonalizer", "R G^-1"),
+                         ("2b-contiguous-dual-path", "relative gap")):
+        result = run_criterion(name, criteria[name], 7)
+        assert not result.passed
+        assert detail in result.detail
 
 
 def test_size_three_reduction_reduces_once_per_draw(monkeypatch):
