@@ -7,7 +7,8 @@ its verdict: 0 for success / verdict-true / residual below tolerance,
 an internal inconsistency (a bug, never a verdict).  Each subcommand
 accepts only the flags its handler reads (COMMANDS); any other flag is a
 usage error, which argparse reports with exit code 2.  `residual` and
-`v-vector` compare against TOLERANCE, `df-solve` against 1e-6.
+`v-vector` compare against TOLERANCE, `df-solve` against 1e-6.  Only
+the handlers that compute in floats load numpy.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import argparse
 import json
 import sys
 
-from . import accessory, dotsenko_fateev as df, hgsystem, sampling, series, \
-    verify
+from . import accessory, dotsenko_fateev as df, hgsystem, sampling
 from .errors import InputError, InternalInconsistency, OkuboError
 from .exact import matrix_from_json, to_fraction
 
@@ -157,6 +157,8 @@ def cmd_verify_realize(args):
 
 
 def cmd_series(args):
+    from . import series
+
     system = _system_from_args(args)
     sols = series.local_series(system, args.base, args.index, args.terms,
                                args.mode)
@@ -165,6 +167,8 @@ def cmd_series(args):
 
 
 def cmd_residual(args):
+    from . import series
+
     system = _system_from_args(args)
     sols = series.local_series(system, args.base, args.index, args.terms,
                                args.mode)
@@ -182,6 +186,8 @@ def cmd_residual(args):
 
 
 def cmd_v_vector(args):
+    from . import series
+
     p = _hg_params(args)
     x = args.x
     if x is None:
@@ -252,6 +258,8 @@ def cmd_df_solve(args):
 
 
 def cmd_verify_all(args):
+    from . import verify
+
     report, times = verify.verify_all(args.seed)
     for crit in report["criteria"]:
         status = "PASS" if crit["passed"] else "FAIL"

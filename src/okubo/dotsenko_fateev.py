@@ -33,6 +33,9 @@ The branch factors (t-x)^(g/2-1) and (x-1)^(b+c) for 0 < x < 1 are taken as
 e^(i pi (g/2-1)) (x-t)^(g/2-1) and e^(i pi (b+c)) (1-x)^(b+c) with real
 positive bases; both are constant phases, which a linear system cannot
 see, so the residual check is branch-independent.
+
+The exact half of this module loads no numpy; the quadrature imports
+numpy, series.gauss_coefficients and scipy.special when called.
 """
 
 from __future__ import annotations
@@ -40,13 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (InputError, InternalInconsistency, QuadratureError,
                      SingularMatrixError)
 from .exact import RationalMatrix, to_fraction
 from .hgsystem import HGParams, build_okubo_system, build_diagonalizer, lam
-from .series import gauss_coefficients
 
 
 @dataclass(frozen=True)
@@ -255,8 +255,7 @@ def _integrand_factors(params: DFParams) -> list:
 def _jacobi_rule(params: DFParams, nodes: int) -> tuple:
     """Nodes s on [0, 1] and weights w of the Gauss-Jacobi rule for the
     weight (1-s)^(g/2-1) s^(a+c+g/2), before its factor 2^(-alpha-beta-1)."""
-    # scipy.special costs more to import than the rest of the package;
-    # only the quadrature needs it
+    import numpy as np
     from scipy.special import roots_jacobi
 
     a, c, g = float(params.a), float(params.c), float(params.g)
@@ -271,7 +270,7 @@ def _jacobi_rule(params: DFParams, nodes: int) -> tuple:
     return (1 + u) / 2, w
 
 
-def _integrals(params: DFParams, points: list) -> np.ndarray:
+def _integrals(params: DFParams, points: list):
     """The three Euler integrals over [0, x] by Gauss-Jacobi quadrature,
     one row per ``(x, s, w)`` of ``points`` (a point and its rule), with
     the Gauss factors summed to 160 terms.
@@ -280,6 +279,8 @@ def _integrals(params: DFParams, points: list) -> np.ndarray:
     phase of (t-x)^(g/2-1) on the segment is kept explicitly.  Each
     distinct Gauss factor is summed once over the nodes of every point.
     """
+    import numpy as np
+
     a, c, g = float(params.a), float(params.c), float(params.g)
     alpha = g / 2 - 1        # exponent at s = 1
     beta = a + c + g / 2     # exponent at s = 0
@@ -304,7 +305,7 @@ def _integrals(params: DFParams, points: list) -> np.ndarray:
     return out
 
 
-def _gauss_on_nodes(pars: list, t: np.ndarray, terms: int) -> np.ndarray:
+def _gauss_on_nodes(pars: list, t, terms: int):
     """Truncated Gauss series of each parameter triple at the real nodes
     t, one row per triple, by one Horner pass updated in place.
 
@@ -313,6 +314,9 @@ def _gauss_on_nodes(pars: list, t: np.ndarray, terms: int) -> np.ndarray:
     result is returned as complex, so that the sums over the nodes round as
     they did too (a real and a complex sum can differ in the last bit).
     """
+    import numpy as np
+    from .series import gauss_coefficients
+
     coeffs = np.array([gauss_coefficients(*par, terms) for par in pars])
     acc = np.zeros((len(pars), len(t)))
     for ck in coeffs[:, ::-1].T:
@@ -321,9 +325,10 @@ def _gauss_on_nodes(pars: list, t: np.ndarray, terms: int) -> np.ndarray:
     return acc.astype(complex)
 
 
-def _assemble(params: DFParams, m: np.ndarray, x: float,
-              integrals: np.ndarray) -> np.ndarray:
+def _assemble(params: DFParams, m, x: float, integrals):
     """z = x^(a+c) (x-1)^(b+c) M I at one point."""
+    import numpy as np
+
     b, c = float(params.b), float(params.c)
     prefactor = (x ** (float(params.a) + c)
                  * np.exp(1j * np.pi * (b + c)) * (1 - x) ** (b + c))
@@ -344,6 +349,8 @@ def df_integral_solution(params: DFParams, x: float,
     points on the finer rule.  Each rule is built once, and one Horner
     pass sums the Gauss factors over the nodes of all six points.
     """
+    import numpy as np
+
     if nodes < 4:
         raise InputError("need at least 4 quadrature nodes", {"nodes": nodes})
     if not 0 < x < 1:

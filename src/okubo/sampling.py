@@ -30,11 +30,11 @@ def _give_up(what: str):
     raise RuntimeError(f"sampling cap exceeded while drawing {what}")
 
 
-def rand_fraction(rng: random.Random, nonzero: bool = True,
-                  max_num: int = 50, max_den: int = 50) -> Fraction:
+def rand_fraction(rng: random.Random, max_num: int = 50,
+                  max_den: int = 50) -> Fraction:
     while True:
         q = Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-        if q != 0 or not nonzero:
+        if q != 0:
             return q
 
 

@@ -118,6 +118,10 @@ def gauss_coefficients(alpha, beta, gamma, terms: int) -> np.ndarray:
     if terms < 1:
         raise InputError("need at least one term")
     a, b, c = (float(alpha), float(beta), float(gamma))
+    if c <= 0 and c.is_integer() and -c < terms - 1:
+        # gamma + n would be an exact zero in doubles within the sum
+        raise InputError("gamma rounds to a nonpositive integer in doubles",
+                         {"gamma": gamma, "terms": terms})
     n = np.arange(terms - 1, dtype=float)
     factors = np.empty(3 * terms - 2)
     factors[0] = 1.0

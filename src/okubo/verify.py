@@ -10,8 +10,9 @@ criteria check truncated-series defects against stated tolerances.
 
 Each check returns its pass detail or raises CriterionFailed with its
 failure detail (an explicit raise, so that `python -O` cannot strip it);
-`run_criterion` turns that into a CriterionResult and `verify_all` bundles
-the results into one deterministic report for a given seed.
+`run_criterion` turns that, or a stated OkuboError, into a failed
+CriterionResult (any other exception is a bug: InternalInconsistency), and
+`verify_all` bundles the results into one deterministic report.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import accessory, dotsenko_fateev as df, hgsystem, sampling, series
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, OkuboError
 from .exact import Poly, PolyMatrix, RationalMatrix
 
 
@@ -333,10 +334,13 @@ def run_criterion(name: str, fn, seed: int,
         passed = True
     except CriterionFailed as exc:
         detail, passed = str(exc), False
+    except OkuboError as exc:  # a refusal the package states, e.g. quadrature
+        detail, passed = f"{type(exc).__name__}: {exc}", False
     except InternalInconsistency:
         raise  # a bug, not a verdict
-    except Exception as exc:  # noqa: BLE001 - a crashed criterion is a failure
-        detail, passed = f"{type(exc).__name__}: {exc}", False
+    except Exception as exc:  # noqa: BLE001 - any other crash is a bug too
+        raise InternalInconsistency(
+            f"criterion {name} crashed: {type(exc).__name__}: {exc}") from exc
     elapsed = time.perf_counter() - start
     if passed and time_limit and elapsed > time_limit:
         passed = False

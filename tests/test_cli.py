@@ -14,7 +14,7 @@ import okubo
 from okubo import hgsystem, verify
 from okubo.accessory import solve_accessory
 from okubo.cli import COMMANDS, EXIT_INPUT, EXIT_INTERNAL, FLAGS, main
-from okubo.errors import InternalInconsistency
+from okubo.errors import InternalInconsistency, QuadratureError
 from okubo.exact import RationalMatrix
 from okubo.hgsystem import HGParams, build_okubo_system
 from okubo.sampling import draw_perturbed_chart, rng_for
@@ -298,6 +298,31 @@ def test_internal_inconsistency_in_verify_all_exits_3(capsys, monkeypatch):
     assert "criterion lost its identity" in capsys.readouterr().out
 
 
+def test_crash_in_verify_all_is_a_bug_and_exits_3(capsys, monkeypatch):
+    def crashing(seed):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(verify, "EXACT_CRITERIA", (("x-crash", crashing, 0),))
+    monkeypatch.setattr(verify, "NUMERIC_CRITERIA", ())
+    code = main(["verify-all", "--seed", "7"])
+    assert code == EXIT_INTERNAL == 3
+    assert "x-crash crashed: ZeroDivisionError" in capsys.readouterr().out
+
+
+def test_stated_refusal_in_verify_all_fails_and_exits_1(capsys, monkeypatch):
+    def refusing(seed):
+        raise QuadratureError("quadrature refinements disagree")
+
+    monkeypatch.setattr(verify, "EXACT_CRITERIA",
+                        (("x-refusal", refusing, 0),))
+    monkeypatch.setattr(verify, "NUMERIC_CRITERIA", ())
+    code = main(["verify-all", "--seed", "7"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL x-refusal" in out and "QuadratureError: quadrature" in out
+    assert "FAIL overall" in out
+
+
 def test_import_leaves_scipy_unloaded():
     probe = ("import sys, okubo, okubo.cli; "
              "print(sorted(m for m in sys.modules "
@@ -306,6 +331,45 @@ def test_import_leaves_scipy_unloaded():
                           capture_output=True, text=True, timeout=60,
                           check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_exact_subcommands_load_neither_numpy_nor_scipy(tmp_path,
+                                                        okubo_params_file):
+    _, system = build_okubo_system(
+        HGParams.okubo(F(1, 3), F(1, 7), F(1, 5), F(1, 11)))
+    matrix_file = tmp_path / "matrix.json"
+    matrix_file.write_text(json.dumps(system.coeff.to_strings()))
+    # a perturbed chart: the verdict is false, so check-same exits 1
+    chart_file = tmp_path / "chart.json"
+    chart_file.write_text(json.dumps(draw_perturbed_chart(rng_for(0))
+                                     .to_json()))
+    df_file = tmp_path / "df.json"
+    df_file.write_text(json.dumps(DF_FILE))
+    abcd = [f"--a={system.a}", f"--b={system.b}", f"--c={system.c}",
+            f"--d={system.d}"]
+    runs = [
+        (["build-product", "--params", okubo_params_file], 0),
+        (["build-okubo", "--params", okubo_params_file], 0),
+        (["recover-chart", "--matrix", str(matrix_file), *abcd], 0),
+        (["solve-accessory", "--a", "1/3", "--b", "1/5", "--c", "1/7",
+          "--d", "1/11"], 0),
+        (["check-same", "--chart", str(chart_file)], 1),
+        (["verify-realize", "--params", okubo_params_file], 0),
+        (["df-build", "--params", str(df_file)], 0),
+        (["df-reduce", "--params", str(df_file)], 0),
+        (["df-verify", "--params", str(df_file)], 0),
+    ]
+    probe = ("import json, sys; from okubo.cli import main; "
+             "code = main(sys.argv[1:]); "
+             "print(json.dumps([code, sorted(m for m in sys.modules "
+             "if m.partition('.')[0] in ('numpy', 'scipy'))]))")
+    for argv, want in runs:
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv, "--out",
+             str(tmp_path / "report.json")],
+            env=_src_env(), capture_output=True, text=True, timeout=60,
+            check=True)
+        assert json.loads(proc.stdout) == [want, []], argv[0]
 
 
 def test_df_solve_is_silent_when_the_jacobi_exponents_sum_to_minus_one():

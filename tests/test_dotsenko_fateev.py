@@ -16,7 +16,7 @@ import scipy.special
 from scipy import integrate
 from scipy.special import roots_jacobi
 
-from okubo import dotsenko_fateev as df
+from okubo import dotsenko_fateev as df, series
 from okubo.dotsenko_fateev import (DFParams, DFTransformReport,
                                    DFSolutionReport, _gauss_on_nodes,
                                    _integrand_factors,
@@ -410,7 +410,8 @@ def test_integral_residual_detail_at_seed_7():
 
 def test_one_rule_per_node_count_and_one_series_per_factor(monkeypatch):
     rules, coefficient_runs = [], []
-    real_roots, real_coeffs = scipy.special.roots_jacobi, df.gauss_coefficients
+    real_roots = scipy.special.roots_jacobi
+    real_coeffs = series.gauss_coefficients
 
     def counting_roots(nodes, alpha, beta):
         rules.append(nodes)
@@ -421,7 +422,8 @@ def test_one_rule_per_node_count_and_one_series_per_factor(monkeypatch):
         return real_coeffs(*args)
 
     monkeypatch.setattr(scipy.special, "roots_jacobi", counting_roots)
-    monkeypatch.setattr(df, "gauss_coefficients", counting_coeffs)
+    # the quadrature looks the name up in series when it is called
+    monkeypatch.setattr(series, "gauss_coefficients", counting_coeffs)
     df_integral_solution(QUAD_PARAMS, 0.4)
     assert sorted(rules) == [128, 256]
     assert len(coefficient_runs) == 4

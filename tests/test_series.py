@@ -50,6 +50,15 @@ def test_hyp2f1_domain_errors():
         gauss_coefficients(1, 1, -3, 10)
     with pytest.raises(InputError):
         gauss_coefficients(1, 1, F(-2), 10)
+    # not a nonpositive integer, but its double is -2.0: gamma + 2 would
+    # divide by an exact zero within ten terms
+    near = F(-2) + F(1, 10**30)
+    with pytest.raises(InputError, match="rounds to a nonpositive integer"):
+        gauss_coefficients(1, 1, near, 10)
+    with pytest.raises(InputError, match="rounds to a nonpositive integer"):
+        hyp2f1(1, 1, near, 0.5, 10)
+    # with at most three terms the sum stops before gamma + 2
+    assert list(gauss_coefficients(1, 1, near, 3)) == [1.0, -0.5, 1.0]
     with pytest.raises(OutsideDisc):
         hyp2f1(1, 1, 2, 1.0, 10)
     with pytest.raises(OutsideDisc):

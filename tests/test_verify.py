@@ -1,4 +1,5 @@
-"""run_criterion: failures, crashes and bugs are told apart, also under -O."""
+"""run_criterion: failures, stated refusals and bugs are told apart, also
+under -O."""
 
 import json
 import math
@@ -14,7 +15,7 @@ import okubo
 from okubo import (accessory, dotsenko_fateev, hgsystem, sampling, series,
                    verify)
 from okubo.cli import EXIT_INTERNAL, main
-from okubo.errors import InternalInconsistency
+from okubo.errors import InternalInconsistency, QuadratureError
 from okubo.exact import RationalMatrix
 from okubo.verify import CriterionFailed, run_criterion
 
@@ -28,13 +29,23 @@ def test_criterion_failed_detail_is_the_message():
     assert result.detail == "residual 1.000e-03 exceeds 1e-10"
 
 
-def test_crash_is_a_failure_with_its_type():
+def test_crash_is_a_bug_not_a_failure():
     def crashing(seed):
         raise ZeroDivisionError("division by zero")
 
-    result = run_criterion("crash", crashing, 7)
+    with pytest.raises(InternalInconsistency,
+                       match="crash crashed: ZeroDivisionError: division"):
+        run_criterion("crash", crashing, 7)
+
+
+def test_stated_refusal_is_a_failure_with_its_type():
+    def refusing(seed):
+        raise QuadratureError("quadrature refinements disagree")
+
+    result = run_criterion("refusal", refusing, 7)
     assert not result.passed
-    assert result.detail == "ZeroDivisionError: division by zero"
+    assert result.detail == ("QuadratureError: quadrature refinements "
+                             "disagree")
 
 
 def test_internal_inconsistency_is_raised_not_reported():
