@@ -45,7 +45,7 @@ from fractions import Fraction
 
 from .errors import (InputError, InternalInconsistency, QuadratureError,
                      SingularMatrixError)
-from .exact import RationalMatrix, to_fraction
+from .exact import RationalMatrix, to_double, to_fraction
 from .hgsystem import HGParams, build_okubo_system, build_diagonalizer, lam
 
 
@@ -258,7 +258,7 @@ def _jacobi_rule(params: DFParams, nodes: int) -> tuple:
     import numpy as np
     from scipy.special import roots_jacobi
 
-    a, c, g = float(params.a), float(params.c), float(params.g)
+    a, c, g = to_double(params.a), to_double(params.c), to_double(params.g)
     # at alpha + beta = -1 (a + c + g = 0) scipy evaluates both branches
     # of an np.where, one of them 0/0, and warns for a finite rule
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -281,7 +281,7 @@ def _integrals(params: DFParams, points: list):
     """
     import numpy as np
 
-    a, c, g = float(params.a), float(params.c), float(params.g)
+    a, c, g = to_double(params.a), to_double(params.c), to_double(params.g)
     alpha = g / 2 - 1        # exponent at s = 1
     beta = a + c + g / 2     # exponent at s = 0
     scale = 2.0 ** (-alpha - beta - 1)
@@ -329,8 +329,8 @@ def _assemble(params: DFParams, m, x: float, integrals):
     """z = x^(a+c) (x-1)^(b+c) M I at one point."""
     import numpy as np
 
-    b, c = float(params.b), float(params.c)
-    prefactor = (x ** (float(params.a) + c)
+    b, c = to_double(params.b), to_double(params.c)
+    prefactor = (x ** (to_double(params.a) + c)
                  * np.exp(1j * np.pi * (b + c)) * (1 - x) ** (b + c))
     return prefactor * (m @ integrals)
 

@@ -52,6 +52,27 @@ def to_fraction(value) -> Fraction:
                      {"value": repr(value)})
 
 
+def to_double(value) -> float:
+    """The double nearest a rational (Fraction or int; a float passes
+    through): float() of it, which rounds the exact quotient once.  A value
+    beyond the largest double is an InputError, not an OverflowError."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise InputError("rational outside the double range",
+                         {"log2": value.numerator.bit_length()
+                          - value.denominator.bit_length()}) from exc
+
+
+def complex_array(rows):
+    """Rationals row by row as a complex numpy array.  Each entry is the
+    double to_double gives, the one complex(x) would take, without the
+    detour through numbers.Real.__complex__."""
+    import numpy as np
+    return np.array([[to_double(x) for x in row] for row in rows],
+                    dtype=complex)
+
+
 def _fractions(values) -> tuple:
     """Entries as Fractions: existing ones kept, others via to_fraction."""
     return tuple(x if isinstance(x, Fraction) else to_fraction(x)
@@ -290,11 +311,7 @@ class RationalMatrix:
         return sum((self.rows[i][i] for i in range(self.dim)), Fraction(0))
 
     def to_complex(self):
-        # float(x) is the double complex(x) would take, without the detour
-        # through numbers.Real.__complex__
-        import numpy as np
-        return np.array([[float(x) for x in row] for row in self.rows],
-                        dtype=complex)
+        return complex_array(self.rows)
 
     # -- arithmetic --------------------------------------------------------
     def _check_dim(self, other: "RationalMatrix"):

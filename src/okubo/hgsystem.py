@@ -26,6 +26,7 @@ half-sums of the hypergeometric parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -215,21 +216,27 @@ def resolvent_numerator(matrix: RationalMatrix, c, d) -> PolyMatrix:
         [cu - matrix.scale(s), sq - ident.scale(s), matrix, ident])
 
 
-def build_product_system(p: HGParams) -> FuchsianSystem:
-    """Residue matrices of the system satisfied by the product vector w."""
+def product_residue_rows(p: HGParams) -> tuple:
+    """The rows of the residue matrices H0 and H1 of the product system,
+    as exact rationals: build_product_system's matrices, and the float
+    ones of series.w_residual."""
     a1, a2, b1, b2 = p.alpha1, p.alpha2, p.beta1, p.beta2
     g1, g2 = p.gamma1, p.gamma2
-    h0 = RationalMatrix([
-        [0, 1, 1, 0],
-        [0, 1 - g1, 0, 1],
-        [0, 0, 1 - g2, 1],
-        [0, 0, 0, 2 - g1 - g2]])
-    h1 = RationalMatrix([
-        [0, 0, 0, 0],
-        [-a1 * b1, g1 - 1 - a1 - b1, 0, 0],
-        [-a2 * b2, 0, g2 - 1 - a2 - b2, 0],
-        [0, -a2 * b2, -a1 * b1, g1 + g2 - 2 - a1 - a2 - b1 - b2]])
-    return FuchsianSystem(h0, h1)
+    h0 = [[0, 1, 1, 0],
+          [0, 1 - g1, 0, 1],
+          [0, 0, 1 - g2, 1],
+          [0, 0, 0, 2 - g1 - g2]]
+    h1 = [[0, 0, 0, 0],
+          [-a1 * b1, g1 - 1 - a1 - b1, 0, 0],
+          [-a2 * b2, 0, g2 - 1 - a2 - b2, 0],
+          [0, -a2 * b2, -a1 * b1, g1 + g2 - 2 - a1 - a2 - b1 - b2]]
+    return h0, h1
+
+
+def build_product_system(p: HGParams) -> FuchsianSystem:
+    """Residue matrices of the system satisfied by the product vector w."""
+    h0, h1 = product_residue_rows(p)
+    return FuchsianSystem(RationalMatrix(h0), RationalMatrix(h1))
 
 
 def infinity_exponents(p: HGParams) -> list:
@@ -265,10 +272,24 @@ def gauge_matrix(p: HGParams) -> RationalMatrix:
         [0, l("----") ** 2, 4 * l("0+00") * l("000+"), 4 * l("+000") * l("00+0")]])
 
 
+#: the half-sums whose product is det_gauge_formula
+DET_GAUGE_FACTORS = ("----", "++--", "+-+-", "+--+")
+#: the half-sums whose product, the last two squared, is the numerator of
+#: det_diagonalizer_formula; its denominator is nonzero wherever R is
+#: defined (no parameter vanishes)
+DET_DIAGONALIZER_FACTORS = ("++++", "++--", "+-+-", "+--+", "+0-0", "0+0-")
+
+
 def det_gauge_formula(p: HGParams) -> Fraction:
     """Closed form of det(gauge_matrix): a product of four half-sums."""
-    return (lam(p, "----") * lam(p, "++--")
-            * lam(p, "+-+-") * lam(p, "+--+"))
+    return math.prod(lam(p, s) for s in DET_GAUGE_FACTORS)
+
+
+def has_zero_factor(p: HGParams, factors) -> bool:
+    """Whether one of the half-sums ``factors`` vanishes: the zero test
+    of a determinant formula (DET_GAUGE_FACTORS, DET_DIAGONALIZER_FACTORS)
+    without forming the product."""
+    return any(lam(p, s) == 0 for s in factors)
 
 
 def build_okubo_system(p: HGParams) -> tuple:
@@ -283,7 +304,7 @@ def build_okubo_system(p: HGParams) -> tuple:
     """
     if not p.is_okubo:
         raise InputError("parameters are not gamma-constrained for Okubo form")
-    if det_gauge_formula(p) == 0:
+    if has_zero_factor(p, DET_GAUGE_FACTORS):
         raise SingularMatrixError("degenerate parameters: det P = 0",
                                   {"det": "0"})
     l = lambda s: lam(p, s)
@@ -345,7 +366,7 @@ def build_diagonalizer(p: HGParams) -> RationalMatrix:
          l("+++-") / (2 * l("+000")), l("-+++") / (2 * l("000+"))],
         [1, l("+-++") * l("++-+") / (4 * l("0+00") * l("00+0")),
          l("+-++") / (2 * l("00+0")), l("++-+") / (2 * l("0+00"))]])
-    if det_diagonalizer_formula(p) == 0:
+    if has_zero_factor(p, DET_DIAGONALIZER_FACTORS):
         raise SingularMatrixError("degenerate parameters: det R = 0")
     return r
 
@@ -375,13 +396,20 @@ def gauge_inverse_closed_form(p: HGParams) -> RationalMatrix:
          l("+-++") * l("+++-") / l("-+-+"), -1]]).scale(pref)
 
 
+def contiguous_product_rows(p: HGParams) -> list:
+    """The rows of contiguous_product_matrix as exact rationals, the
+    product 1/(u v) taken as (1/u)(1/v)."""
+    a1, a2, b1, b2 = p.alpha1, p.alpha2, p.beta1, p.beta2
+    if a1 * a2 * b1 * b2 == 0:
+        raise SingularMatrixError("a hypergeometric parameter vanishes")
+    ia1, ia2, ib1, ib2 = 1 / a1, 1 / a2, 1 / b1, 1 / b2
+    row = lambda iu, iv: [1, iu, iv, iu * iv]
+    return [row(ia1, ia2), row(ib1, ib2), row(ia1, ib2), row(ib1, ia2)]
+
+
 def contiguous_product_matrix(p: HGParams) -> RationalMatrix:
     """Closed form of R P^{-1}: rows (1, 1/u, 1/v, 1/(u v)) with (u, v)
     running over (alpha1, alpha2), (beta1, beta2), (alpha1, beta2),
     (beta1, alpha2).  Applied to w it produces products of contiguous
     hypergeometric functions."""
-    a1, a2, b1, b2 = p.alpha1, p.alpha2, p.beta1, p.beta2
-    if a1 * a2 * b1 * b2 == 0:
-        raise SingularMatrixError("a hypergeometric parameter vanishes")
-    row = lambda u, v: [Fraction(1), 1 / u, 1 / v, 1 / (u * v)]
-    return RationalMatrix([row(a1, a2), row(b1, b2), row(a1, b2), row(b1, a2)])
+    return RationalMatrix(contiguous_product_rows(p))

@@ -1,11 +1,23 @@
 """Series evaluation: Gauss series, product vectors, and local solutions.
 
-The product vector w = (f1*f2, x*f1'*f2, x*f1*f2', x^2*f1'*f2') and its
-contiguous companion v are summed directly from truncated Gauss series.
-v is also reached from w by R P^{-1}, applied in its closed form
+Every truncated Gauss series is summed by one kernel, _gauss_jets, which
+evaluates k parameter triples at one point: one row-wise
+np.multiply.accumulate over their coefficient factors, one table of powers
+x**n and one row-wise sum per derivative order asked for.
+gauss_coefficients and hyp2f1_jet are its one-triple case, and hyp2f1 asks
+for the value only.  The product vector
+w = (f1*f2, x*f1'*f2, x*f1*f2', x^2*f1'*f2') is one two-triple call and its
+contiguous companion v one four-triple call that asks for no second
+derivative.  Each row is the array a one-triple call gives, so every
+number is the one the per-triple sums gave, bit for bit.  v is also
+reached from w by R P^{-1}, applied in its closed form, the rows of
 hgsystem.contiguous_product_matrix (the Gauss contiguous relations), which
-verify 1b checks exactly against R times the inverse of P; so a float
-request rebuilds and inverts no exact matrix.
+verify 1b checks exactly against R times the inverse of P; w_residual
+takes H0 and H1 from the rows of hgsystem.build_product_system.  Both are
+converted entry by entry by exact.to_double, and the det P and det R
+refusals test the half-sum factors of the determinant formulas for zero,
+so a float request builds no exact matrix.  A rational beyond the largest
+double is an InputError wherever it would become one.
 Local solutions of the Okubo system (x I - T) y' = A y are built from the
 coefficient recurrences they satisfy:
 
@@ -69,16 +81,20 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import (AdmissibilityError, InputError, OutsideDisc,
                      SingularMatrixError)
-from .exact import RationalMatrix, common_denominator
-from .hgsystem import (HGParams, OkuboSystem, build_diagonalizer,
-                       build_product_system, contiguous_product_matrix,
-                       det_diagonalizer_formula, det_gauge_formula, lam)
+from .exact import (RationalMatrix, common_denominator, complex_array,
+                    to_double)
+from .hgsystem import (DET_DIAGONALIZER_FACTORS, DET_GAUGE_FACTORS, HGParams,
+                       OkuboSystem, build_diagonalizer,
+                       contiguous_product_rows, has_zero_factor, lam,
+                       product_residue_rows)
+# callers read it as okubo.series.build_product_system
+from .hgsystem import build_product_system  # noqa: F401
 from .accessory import require_admissible
 
 #: evaluation discs (see module docstring)
@@ -88,7 +104,7 @@ DISC_INFINITY = 1.7
 
 def _as_complex(x) -> complex:
     return complex(float(x.real), float(x.imag)) if isinstance(x, complex) \
-        else complex(float(x))
+        else complex(to_double(x))
 
 
 def _is_nonpositive_integer(value) -> bool:
@@ -101,35 +117,80 @@ def _is_nonpositive_integer(value) -> bool:
     return False
 
 
-def gauss_coefficients(alpha, beta, gamma, terms: int) -> np.ndarray:
+def _gauss_table(triples, terms: int) -> np.ndarray:
     """The first ``terms`` Taylor coefficients of 2F1(alpha, beta, gamma; .)
-    as a real float64 array: real parameters give real coefficients.
+    for each triple, one real float64 row per triple (a strided view).
 
     c_0 = 1 and c_{n+1} = c_n (alpha+n) (beta+n) (1/((gamma+n)(n+1))) in
     doubles, rounded after each product from left to right; the division
     is a product with the reciprocal, as numpy's complex division by a real
-    number is.  One sequential np.multiply.accumulate runs over the factors
-    interleaved as [1, alpha+n, beta+n, 1/((gamma+n)(n+1)), ...] and every
-    third partial product is kept.
+    number is.  One sequential np.multiply.accumulate runs along each row
+    of the factors interleaved as [1, alpha+n, beta+n, 1/((gamma+n)(n+1)),
+    ...] and every third partial product is kept.  The triples are checked
+    in turn, each in full before the next: gamma must not be a nonpositive
+    integer, there must be a term, and gamma's double must not be a
+    nonpositive integer that the sum reaches.
     """
-    if _is_nonpositive_integer(gamma):
-        raise InputError("gamma must not be a nonpositive integer",
-                         {"gamma": gamma})
-    if terms < 1:
-        raise InputError("need at least one term")
-    a, b, c = (float(alpha), float(beta), float(gamma))
-    if c <= 0 and c.is_integer() and -c < terms - 1:
-        # gamma + n would be an exact zero in doubles within the sum
-        raise InputError("gamma rounds to a nonpositive integer in doubles",
-                         {"gamma": gamma, "terms": terms})
+    doubles = []
+    for alpha, beta, gamma in triples:
+        if _is_nonpositive_integer(gamma):
+            raise InputError("gamma must not be a nonpositive integer",
+                             {"gamma": gamma})
+        if terms < 1:
+            raise InputError("need at least one term")
+        a, b, c = to_double(alpha), to_double(beta), to_double(gamma)
+        if c <= 0 and c.is_integer() and -c < terms - 1:
+            # gamma + n would be an exact zero in doubles within the sum
+            raise InputError("gamma rounds to a nonpositive integer in "
+                             "doubles", {"gamma": gamma, "terms": terms})
+        doubles.append((a, b, c))
     n = np.arange(terms - 1, dtype=float)
-    factors = np.empty(3 * terms - 2)
-    factors[0] = 1.0
-    factors[1::3] = a + n
-    factors[2::3] = b + n
-    factors[3::3] = 1.0 / ((c + n) * (n + 1))
-    np.multiply.accumulate(factors, out=factors)
-    return factors[::3].copy()
+    factors = np.empty((len(doubles), 3 * terms - 2))
+    factors[:, 0] = 1.0
+    # factors[:, 1:] seen as (triple, n, [alpha+n, beta+n, gamma+n])
+    steps = factors[:, 1:].reshape(len(doubles), terms - 1, 3)
+    np.add(np.array(doubles)[:, None, :], n[:, None], out=steps)
+    reciprocal = steps[:, :, 2]
+    reciprocal *= n + 1
+    np.divide(1.0, reciprocal, out=reciprocal)
+    np.multiply.accumulate(factors, axis=1, out=factors)
+    return factors[:, ::3]
+
+
+def gauss_coefficients(alpha, beta, gamma, terms: int) -> np.ndarray:
+    """The first ``terms`` Taylor coefficients of 2F1(alpha, beta, gamma; .)
+    as a real float64 array (see _gauss_table): real parameters give real
+    coefficients."""
+    return _gauss_table([(alpha, beta, gamma)], terms)[0].copy()
+
+
+def _gauss_jets(triples, x: complex, terms: int, order: int) -> tuple:
+    """Truncated Gauss series of each triple and their derivatives up to
+    ``order`` (at most 2) at one point x of the unit disc.
+
+    Returns one list per order, of Python complexes by triple, and the
+    last summed terms.  The powers x**n are built once; each order is one
+    row-wise sum of (c_n n (n-1)...) x**(n-order), the factors multiplied
+    from the left, so that every row is the sum a single-triple array
+    would give.
+    """
+    coeffs = _gauss_table(triples, terms)
+    n = np.arange(terms)
+    powers = x ** n
+    # np.add.reduce is np.sum without its Python wrapper
+    sums = [np.add.reduce(coeffs * powers, axis=1).tolist()]
+    if order >= 1:
+        sums.append(np.add.reduce(coeffs[:, 1:] * n[1:] * powers[:-1],
+                                  axis=1).tolist())
+    if order >= 2:
+        sums.append(np.add.reduce(coeffs[:, 2:] * n[2:] * (n[2:] - 1)
+                                  * powers[:-2], axis=1).tolist())
+    return sums, coeffs[:, -1] * powers[-1]
+
+
+def _require_unit_disc(x: complex):
+    if not abs(x) < 1:  # a NaN x fails this test too
+        raise OutsideDisc("outside disc: |x| >= 1", {"x": x})
 
 
 class GaussJet(NamedTuple):
@@ -137,27 +198,26 @@ class GaussJet(NamedTuple):
     together with the magnitude of the last summed term."""
 
     value: complex
-    d1: complex
-    d2: complex
+    d1: Optional[complex]
+    d2: Optional[complex]
     tail: float
 
 
-def hyp2f1_jet(alpha, beta, gamma, x, terms: int) -> GaussJet:
+def hyp2f1_jet(alpha, beta, gamma, x, terms: int,
+               order: int = 2) -> GaussJet:
+    """The truncated Gauss series at x and its derivatives up to ``order``
+    (0, 1 or 2); a derivative not asked for is None."""
     x = _as_complex(x)
-    if not abs(x) < 1:  # a NaN x fails this test too
-        raise OutsideDisc("outside disc: |x| >= 1", {"x": x})
-    c = gauss_coefficients(alpha, beta, gamma, terms)
-    n = np.arange(terms)
-    powers = x ** n
-    value = complex(np.sum(c * powers))
-    d1 = complex(np.sum(c[1:] * n[1:] * powers[:-1]))
-    d2 = complex(np.sum(c[2:] * n[2:] * (n[2:] - 1) * powers[:-2]))
-    return GaussJet(value, d1, d2, abs(c[-1] * powers[-1]))
+    _require_unit_disc(x)
+    sums, last = _gauss_jets([(alpha, beta, gamma)], x, terms, order)
+    jet = [s[0] for s in sums] + [None] * (2 - order)
+    # the scalar abs: numpy's array abs may round a hypot differently
+    return GaussJet(*jet, abs(last[0]))
 
 
 def hyp2f1(alpha, beta, gamma, x, terms: int = 80) -> complex:
     """Truncated Gauss hypergeometric series inside the unit disc."""
-    return hyp2f1_jet(alpha, beta, gamma, x, terms).value
+    return hyp2f1_jet(alpha, beta, gamma, x, terms, 0).value
 
 
 # --------------------------------------------------------------------------
@@ -171,34 +231,35 @@ def product_vector_w(p: HGParams, x, terms: int = 60) -> np.ndarray:
 
 def _w_jet(p: HGParams, x, terms: int) -> tuple:
     x = _as_complex(x)
-    f1 = hyp2f1_jet(p.alpha1, p.beta1, p.gamma1, x, terms)
-    f2 = hyp2f1_jet(p.alpha2, p.beta2, p.gamma2, x, terms)
+    _require_unit_disc(x)
+    (v1, v2), (d1, d2), (s1, s2) = _gauss_jets(
+        [(p.alpha1, p.beta1, p.gamma1), (p.alpha2, p.beta2, p.gamma2)],
+        x, terms, 2)[0]
     w = np.array([
-        f1.value * f2.value,
-        x * f1.d1 * f2.value,
-        x * f1.value * f2.d1,
-        x * x * f1.d1 * f2.d1])
+        v1 * v2,
+        x * d1 * v2,
+        x * v1 * d2,
+        x * x * d1 * d2])
     dw = np.array([
-        f1.d1 * f2.value + f1.value * f2.d1,
-        f1.d1 * f2.value + x * f1.d2 * f2.value + x * f1.d1 * f2.d1,
-        f1.value * f2.d1 + x * f1.d1 * f2.d1 + x * f1.value * f2.d2,
-        2 * x * f1.d1 * f2.d1 + x * x * (f1.d2 * f2.d1 + f1.d1 * f2.d2)])
+        d1 * v2 + v1 * d2,
+        d1 * v2 + x * s1 * v2 + x * d1 * d2,
+        v1 * d2 + x * d1 * d2 + x * v1 * s2,
+        2 * x * d1 * d2 + x * x * (s1 * d2 + d1 * s2)])
     return w, dw
 
 
 def w_residual(p: HGParams, x, terms: int = 60) -> float:
     """Max-norm defect of w in dw/dx = (H0/x + H1/(x-1)) w.
 
-    The singular point x = 0 is refused: H0/x has a pole there.
+    H0 and H1 are the rows of build_product_system, converted entry by
+    entry.  The singular point x = 0 is refused: H0/x has a pole there.
     """
     x = _as_complex(x)
     if x == 0:
         raise OutsideDisc("w_residual is undefined at the singular point 0",
                           {"x": x})
     w, dw = _w_jet(p, x, terms)
-    sys = build_product_system(p)
-    h0 = sys.residue_at_0.to_complex()
-    h1 = sys.residue_at_1.to_complex()
+    h0, h1 = (complex_array(rows) for rows in product_residue_rows(p))
     rhs = (h0 / x + h1 / (x - 1)) @ w
     return float(np.max(np.abs(dw - rhs)))
 
@@ -216,19 +277,17 @@ def contiguous_product_vector(p: HGParams, x, terms: int = 60) -> np.ndarray:
 
 def _v_jet(p: HGParams, x, terms: int) -> tuple:
     x = _as_complex(x)
-    if not abs(x) < 1:  # a NaN x fails this test too
-        raise OutsideDisc("outside disc: |x| >= 1", {"x": x})
+    _require_unit_disc(x)
     _check_off_cut(x)
     a1, a2, b1, b2 = p.alpha1, p.alpha2, p.beta1, p.beta2
     g1, g2 = p.gamma1, p.gamma2
-    fa1 = hyp2f1_jet(a1 + 1, b1, g1, x, terms)
-    fb1 = hyp2f1_jet(a1, b1 + 1, g1, x, terms)
-    fa2 = hyp2f1_jet(a2 + 1, b2, g2, x, terms)
-    fb2 = hyp2f1_jet(a2, b2 + 1, g2, x, terms)
-    pairs = [(fa1, fa2), (fb1, fb2), (fa1, fb2), (fb1, fa2)]
-    prods = np.array([u.value * v.value for u, v in pairs])
-    dprods = np.array([u.d1 * v.value + u.value * v.d1 for u, v in pairs])
-    expo = float(g1 - 1)
+    f, df = _gauss_jets([(a1 + 1, b1, g1), (a1, b1 + 1, g1),
+                         (a2 + 1, b2, g2), (a2, b2 + 1, g2)], x, terms, 1)[0]
+    # (alpha-raised, alpha-raised), (beta, beta), (alpha, beta), (beta, alpha)
+    pairs = [(0, 2), (1, 3), (0, 3), (1, 2)]
+    prods = np.array([f[i] * f[j] for i, j in pairs])
+    dprods = np.array([df[i] * f[j] + f[i] * df[j] for i, j in pairs])
+    expo = to_double(g1 - 1)
     pref = x ** expo
     v = pref * prods
     dv = expo * x ** (expo - 1) * prods + pref * dprods
@@ -238,22 +297,24 @@ def _v_jet(p: HGParams, x, terms: int) -> tuple:
 def v_via_transform(p: HGParams, x, terms: int = 60) -> np.ndarray:
     """x^(gamma1 - 1) (R P^{-1}) w, the contiguous vector by way of w.
 
-    R P^{-1} is applied in its closed form, contiguous_product_matrix (the
-    Gauss contiguous relations), which verify 1b checks exactly against
-    R times the inverse of P.  Its domain is that of R and P^{-1}: where a
-    parameter vanishes, det R = 0 or det P = 0 the product is undefined,
-    and SingularMatrixError is raised.
+    R P^{-1} is applied in its closed form, the rows of
+    contiguous_product_matrix (the Gauss contiguous relations), which
+    verify 1b checks exactly against R times the inverse of P, converted
+    entry by entry.  Its domain is that of R and P^{-1}: where a parameter
+    vanishes, det R = 0 or det P = 0 (a half-sum factor of the determinant
+    formula vanishes) the product is undefined, and SingularMatrixError is
+    raised.
     """
     x = _as_complex(x)
     _check_off_cut(x)
     w, _ = _w_jet(p, x, terms)
-    rp = contiguous_product_matrix(p)
-    if det_gauge_formula(p) == 0:
+    rows = contiguous_product_rows(p)
+    if has_zero_factor(p, DET_GAUGE_FACTORS):
         raise SingularMatrixError("degenerate parameters: det P = 0",
                                   {"det": "0"})
-    if det_diagonalizer_formula(p) == 0:
+    if has_zero_factor(p, DET_DIAGONALIZER_FACTORS):
         raise SingularMatrixError("degenerate parameters: det R = 0")
-    return x ** float(p.gamma1 - 1) * (rp.to_complex() @ w)
+    return x ** to_double(p.gamma1 - 1) * (complex_array(rows) @ w)
 
 
 def relative_gap(direct: np.ndarray, via: np.ndarray) -> float:
@@ -269,8 +330,8 @@ def v_residual(p: HGParams, x, terms: int = 60) -> float:
     x = _as_complex(x)
     v, dv = _v_jet(p, x, terms)
     r = build_diagonalizer(p).to_complex()
-    c = float(lam(p, "++--"))
-    d = float(lam(p, "+--+"))
+    c = to_double(lam(p, "++--"))
+    d = to_double(lam(p, "+--+"))
     diag_exp = np.diag([c, -c, d, -d]).astype(complex)
     xit = np.diag([1 / x, 1 / x, 1 / (x - 1), 1 / (x - 1)])
     rhs = r @ xit @ np.linalg.solve(r, diag_exp @ v)
@@ -312,8 +373,7 @@ class SeriesSolution:
 
     def _coeff_array(self) -> np.ndarray:
         if self.exact:
-            return np.array([[complex(c) for c in vec]
-                             for vec in self.coeffs], dtype=complex)
+            return complex_array(self.coeffs)
         return np.array(self.coeffs, dtype=complex)
 
     def evaluate(self, points) -> np.ndarray:
@@ -329,7 +389,7 @@ class SeriesSolution:
             if u == 0:
                 raise OutsideDisc("cannot evaluate at the expansion point",
                                   {"x": x})
-        rho = float(self.exponent)
+        rho = to_double(self.exponent)
         coeffs = self._coeff_array()
         steps = np.stack(
             [coeffs, (rho + np.arange(len(coeffs)))[:, None] * coeffs], 1)
@@ -613,7 +673,7 @@ class _FloatDenominator:
 #: height of the exponents.
 _ARITHMETIC = {
     "exact": (common_denominator, lambda num, scale: num, _SplitDenominator),
-    "float": (lambda values: ([float(x) for x in values], 1),
+    "float": (lambda values: ([to_double(x) for x in values], 1),
               lambda num, scale: num / scale, _FloatDenominator),
 }
 

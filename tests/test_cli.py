@@ -372,6 +372,47 @@ def test_exact_subcommands_load_neither_numpy_nor_scipy(tmp_path,
         assert json.loads(proc.stdout) == [want, []], argv[0]
 
 
+#: 10**400, a rational beyond the largest double
+OUT_OF_RANGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["v-vector", "--params", "{params}", "--x", "0.2"],
+    ["series", "--params", "{params}", "--base", "0", "--index", "0",
+     "--terms", "5", "--mode", "float"],
+    ["residual", "--params", "{params}", "--base", "0", "--index", "0",
+     "--terms", "5"],
+    ["df-solve", "--a", OUT_OF_RANGE, "--b", "1/5", "--c", "1/7",
+     "--g", "1/2", "--x", "0.4"],
+], ids=["v-vector", "series", "residual", "df-solve"])
+def test_rational_outside_double_range_is_an_input_error(tmp_path, argv):
+    """Not an OverflowError traceback with exit 1, a verdict-false code."""
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"alpha1": OUT_OF_RANGE, "alpha2": "1/7",
+                                  "beta1": "1/5", "beta2": "1/11"}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "okubo.cli",
+         *(arg.format(params=params) for arg in argv)],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+        check=False)
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert proc.stderr == ""
+    error = json.loads(proc.stdout)["error"]
+    assert error["code"] == "input"
+    assert error["message"] == "rational outside the double range"
+
+
+def test_exact_series_takes_a_rational_outside_double_range(capsys,
+                                                            tmp_path):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"alpha1": OUT_OF_RANGE, "alpha2": "1/7",
+                                  "beta1": "1/5", "beta2": "1/11"}))
+    code, data = run_json(capsys, "series", "--params", str(params),
+                          "--base", "0", "--index", "0", "--terms", "5",
+                          "--mode", "exact")
+    assert code == 0 and len(data["solutions"]) == 2
+
+
 def test_df_solve_is_silent_when_the_jacobi_exponents_sum_to_minus_one():
     # a + c + g = 0: scipy computes a 0/0 branch it then discards
     proc = subprocess.run(

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from okubo.errors import (DimensionMismatch, InputError, NotAnEigenvalue,
                           SingularMatrixError)
 from okubo.exact import (Poly, PolyMatrix, RationalMatrix, left_eigenvectors,
-                         mat_mul, poly_adjugate, to_fraction)
+                         mat_mul, poly_adjugate, to_double, to_fraction)
 
 
 def rand_matrix(rng, n, lo=-9, hi=9):
@@ -46,6 +46,22 @@ def test_fraction_parsing():
         to_fraction("abc")
     with pytest.raises(InputError):
         to_fraction("1/0")
+
+
+def test_to_double_rounds_once_and_refuses_out_of_range():
+    rng = random.Random(17)
+    for _ in range(200):
+        q = F(rng.randint(-10 ** 40, 10 ** 40), rng.randint(1, 10 ** 40))
+        assert to_double(q) == q.numerator / q.denominator == float(q)
+    assert to_double(7) == 7.0 and to_double(-0.5) == -0.5
+    # below the smallest double rounds to zero; above the largest refuses
+    assert to_double(F(1, 10 ** 400)) == 0.0
+    for value in (10 ** 400, -10 ** 400, F(10 ** 400, 3), F(-10 ** 401, 7)):
+        with pytest.raises(InputError, match="outside the double range"):
+            to_double(value)
+    assert RationalMatrix([[1, 2], [3, 4]]).to_complex().dtype == complex
+    with pytest.raises(InputError):
+        RationalMatrix([[10 ** 400, 0], [0, 1]]).to_complex()
 
 
 def test_float_entries_are_rejected():

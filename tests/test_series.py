@@ -21,7 +21,7 @@ from okubo.errors import (InputError, InternalInconsistency, OkuboError,
 from okubo.exact import PolyMatrix, RationalMatrix, common_denominator
 from okubo.hgsystem import HGParams, build_okubo_system, gauge_matrix, lam
 from okubo.sampling import sample_disc, series_sample
-from okubo.series import (EvalReport, SeriesSolution, check_in_disc,
+from okubo.series import (EvalReport, GaussJet, SeriesSolution, check_in_disc,
                           contiguous_product_vector, exponents_at,
                           gauss_coefficients, hyp2f1, hyp2f1_jet,
                           local_series, okubo_residual,
@@ -830,3 +830,279 @@ def test_w_residual_refuses_the_singular_point():
         for x in (0, 0.0, 0j, complex(-0.0, 0.0)):
             with pytest.raises(OutsideDisc):
                 w_residual(PGEN, x, 60)
+
+
+# -- the batched Gauss kernel against the per-triple composition --------------
+
+def per_triple_coefficients(alpha, beta, gamma, terms):
+    """gauss_coefficients one triple at a time: one 1-D accumulate over
+    the interleaved factors."""
+    if series._is_nonpositive_integer(gamma):
+        raise InputError("gamma must not be a nonpositive integer",
+                         {"gamma": gamma})
+    if terms < 1:
+        raise InputError("need at least one term")
+    a, b, c = (float(alpha), float(beta), float(gamma))
+    if c <= 0 and c.is_integer() and -c < terms - 1:
+        raise InputError("gamma rounds to a nonpositive integer in doubles",
+                         {"gamma": gamma, "terms": terms})
+    n = np.arange(terms - 1, dtype=float)
+    factors = np.empty(3 * terms - 2)
+    factors[0] = 1.0
+    factors[1::3] = a + n
+    factors[2::3] = b + n
+    factors[3::3] = 1.0 / ((c + n) * (n + 1))
+    np.multiply.accumulate(factors, out=factors)
+    return factors[::3].copy()
+
+
+def per_triple_jet(alpha, beta, gamma, x, terms):
+    """hyp2f1_jet as one triple's own coefficients, powers and sums."""
+    x = complex(x)
+    if not abs(x) < 1:
+        raise OutsideDisc("outside disc: |x| >= 1", {"x": x})
+    c = per_triple_coefficients(alpha, beta, gamma, terms)
+    n = np.arange(terms)
+    powers = x ** n
+    value = complex(np.sum(c * powers))
+    d1 = complex(np.sum(c[1:] * n[1:] * powers[:-1]))
+    d2 = complex(np.sum(c[2:] * n[2:] * (n[2:] - 1) * powers[:-2]))
+    return GaussJet(value, d1, d2, abs(c[-1] * powers[-1]))
+
+
+def per_triple_w_jet(p, x, terms):
+    x = complex(x)
+    f1 = per_triple_jet(p.alpha1, p.beta1, p.gamma1, x, terms)
+    f2 = per_triple_jet(p.alpha2, p.beta2, p.gamma2, x, terms)
+    w = np.array([
+        f1.value * f2.value,
+        x * f1.d1 * f2.value,
+        x * f1.value * f2.d1,
+        x * x * f1.d1 * f2.d1])
+    dw = np.array([
+        f1.d1 * f2.value + f1.value * f2.d1,
+        f1.d1 * f2.value + x * f1.d2 * f2.value + x * f1.d1 * f2.d1,
+        f1.value * f2.d1 + x * f1.d1 * f2.d1 + x * f1.value * f2.d2,
+        2 * x * f1.d1 * f2.d1 + x * x * (f1.d2 * f2.d1 + f1.d1 * f2.d2)])
+    return w, dw
+
+
+def per_triple_residues(p):
+    """H0 and H1 of the product system, written out on their own."""
+    a1, a2, b1, b2 = p.alpha1, p.alpha2, p.beta1, p.beta2
+    g1, g2 = p.gamma1, p.gamma2
+    h0 = RationalMatrix([
+        [0, 1, 1, 0],
+        [0, 1 - g1, 0, 1],
+        [0, 0, 1 - g2, 1],
+        [0, 0, 0, 2 - g1 - g2]])
+    h1 = RationalMatrix([
+        [0, 0, 0, 0],
+        [-a1 * b1, g1 - 1 - a1 - b1, 0, 0],
+        [-a2 * b2, 0, g2 - 1 - a2 - b2, 0],
+        [0, -a2 * b2, -a1 * b1, g1 + g2 - 2 - a1 - a2 - b1 - b2]])
+    return h0, h1
+
+
+def per_triple_w_residual(p, x, terms):
+    """w_residual with H0 and H1 built as exact matrices."""
+    x = complex(x)
+    if x == 0:
+        raise OutsideDisc("w_residual is undefined at the singular point 0",
+                          {"x": x})
+    w, dw = per_triple_w_jet(p, x, terms)
+    h0, h1 = (h.to_complex() for h in per_triple_residues(p))
+    return float(np.max(np.abs(dw - (h0 / x + h1 / (x - 1)) @ w)))
+
+
+def per_triple_v(p, x, terms):
+    x = complex(x)
+    if not abs(x) < 1:
+        raise OutsideDisc("outside disc: |x| >= 1", {"x": x})
+    series._check_off_cut(x)
+    a1, a2, b1, b2 = p.alpha1, p.alpha2, p.beta1, p.beta2
+    fa1 = per_triple_jet(a1 + 1, b1, p.gamma1, x, terms)
+    fb1 = per_triple_jet(a1, b1 + 1, p.gamma1, x, terms)
+    fa2 = per_triple_jet(a2 + 1, b2, p.gamma2, x, terms)
+    fb2 = per_triple_jet(a2, b2 + 1, p.gamma2, x, terms)
+    prods = np.array([u.value * v.value for u, v in
+                      [(fa1, fa2), (fb1, fb2), (fa1, fb2), (fb1, fa2)]])
+    return x ** float(p.gamma1 - 1) * prods
+
+
+def per_triple_v_via_transform(p, x, terms):
+    """v_via_transform with R P^-1 as an exact matrix, its closed form
+    written out on its own, and the domain from the determinant
+    formulas."""
+    x = complex(x)
+    series._check_off_cut(x)
+    w, _ = per_triple_w_jet(p, x, terms)
+    a1, a2, b1, b2 = p.alpha1, p.alpha2, p.beta1, p.beta2
+    if a1 * a2 * b1 * b2 == 0:
+        raise SingularMatrixError("a hypergeometric parameter vanishes")
+    row = lambda u, v: [F(1), 1 / u, 1 / v, 1 / (u * v)]
+    rp = RationalMatrix([row(a1, a2), row(b1, b2), row(a1, b2), row(b1, a2)])
+    if hgsystem.det_gauge_formula(p) == 0:
+        raise SingularMatrixError("degenerate parameters: det P = 0",
+                                  {"det": "0"})
+    if hgsystem.det_diagonalizer_formula(p) == 0:
+        raise SingularMatrixError("degenerate parameters: det R = 0")
+    return x ** float(p.gamma1 - 1) * (rp.to_complex() @ w)
+
+
+def _bytes_or_refusal(f, *args):
+    """The bytes of every number f returns, or its refusal."""
+    try:
+        out = f(*args)
+    except OkuboError as exc:
+        return type(exc), exc.message, exc.context
+    if isinstance(out, GaussJet):
+        return (bits([out.value, out.d1, out.d2]).tobytes(),
+                np.float64(out.tail).tobytes())
+    return np.asarray(out).tobytes()
+
+
+#: the jet, product vector and contiguous vector requests, each beside its
+#: per-triple composition and the kind of arguments it takes
+BATCHED_AND_PER_TRIPLE = [
+    ("jet", hyp2f1_jet, per_triple_jet),
+    ("jet", hyp2f1, lambda *args: per_triple_jet(*args).value),
+    ("w", product_vector_w,
+     lambda p, x, terms: per_triple_w_jet(p, x, terms)[0]),
+    ("w", w_residual, per_triple_w_residual),
+    ("v", contiguous_product_vector, per_triple_v),
+    ("v", v_via_transform, per_triple_v_via_transform),
+]
+
+
+def test_batched_gauss_kernel_is_the_per_triple_composition_byte_for_byte():
+    rng = random.Random(59)
+    draw = lambda: F(rng.randint(-40, 40), rng.randint(1, 12))
+    outcomes = {f.__name__: set() for _, f, _ in BATCHED_AND_PER_TRIPLE}
+    for k in range(600):
+        terms = (1, 2, 3, 60, 80, 160)[k % 6]
+        # up to |x| = 0.99, a quarter of the points beyond 0.9
+        x = sample_disc(rng, *((0.9, 0.99) if k % 4 == 0 else (0.0, 0.99)),
+                        max_angle=math.pi)
+        triple = [draw(), draw(), draw()]
+        generic = [draw() for _ in range(6)]
+        okubo = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
+        if k % 5 == 0:
+            # terminating series
+            triple[0] = generic[0] = okubo[0] = F(rng.choice([0, -3]))
+        args = {"jet": (*triple, x, terms),
+                "w": (HGParams.generic(*generic), x, terms),
+                "v": (HGParams.okubo(*okubo), x, terms)}
+        for kind, f, reference in BATCHED_AND_PER_TRIPLE:
+            got = _bytes_or_refusal(f, *args[kind])
+            assert got == _bytes_or_refusal(reference, *args[kind]), \
+                (f.__name__, args[kind])
+            outcomes[f.__name__].add(got[0] if isinstance(got, tuple)
+                                     and isinstance(got[0], type)
+                                     else "answered")
+    for name, seen in outcomes.items():
+        assert "answered" in seen and len(seen) > 1, (name, seen)
+
+
+NEAR_MINUS_TWO = F(-2) + F(1, 10 ** 30)
+
+
+def _with_gammas(g1, g2):
+    return HGParams.generic(F(1, 3), F(1, 7), F(1, 5), F(1, 11), g1, g2)
+
+
+BAD_G1 = _with_gammas(F(-2), F(5, 9))
+BAD_G2 = _with_gammas(F(3, 7), F(-3))
+BAD_BOTH = _with_gammas(F(-2), F(-3))
+NEAR_G1 = _with_gammas(NEAR_MINUS_TWO, F(5, 9))
+NEAR_G2 = _with_gammas(F(3, 7), NEAR_MINUS_TWO)
+#: okubo parameters whose gamma is -2, and -2 + 10^-30
+OK_BAD = HGParams.okubo(-3, -1, -1, -1)
+OK_NEAR = HGParams.okubo(-3, -1, -1, F(-1) + F(2, 10 ** 30))
+VANISH = HGParams.okubo(0, F(1, 7), F(1, 5), F(1, 11))
+DET_P = HGParams.okubo(F(1, 3), F(1, 5), F(1, 7), F(1, 3) + F(1, 5) - F(1, 7))
+DET_R = HGParams.okubo(F(1, 3), F(1, 5), F(1, 3), F(1, 11))
+NEAR_CONTEXT = {"gamma": str(NEAR_MINUS_TWO), "terms": "10"}
+DISC = ("OutsideDisc", "outside disc: |x| >= 1")
+CUT = ("OutsideDisc", "x must avoid the branch cut (-inf, 0]")
+NONPOSITIVE = ("InputError", "gamma must not be a nonpositive integer")
+ROUNDS = ("InputError", "gamma rounds to a nonpositive integer in doubles")
+NO_TERMS = ("InputError", "need at least one term", {})
+SINGULAR_0 = ("OutsideDisc", "w_residual is undefined at the singular point 0")
+
+#: (request, arguments, (class, message, context)) as the per-triple code
+#: refused them: the disc first, then gamma, terms and the rounding test
+#: triple by triple, then the parameter and determinant tests
+REFUSALS = [
+    (hyp2f1, (1, 1, -2, 1.0, 10), DISC + ({"x": "(1+0j)"},)),
+    (hyp2f1_jet, (1, 1, NEAR_MINUS_TWO, 1.5 + 0.1j, 10),
+     DISC + ({"x": "(1.5+0.1j)"},)),
+    (hyp2f1, (1, 1, -2, complex(math.nan, 0.1), 10),
+     DISC + ({"x": "(nan+0.1j)"},)),
+    (hyp2f1_jet, (1, 1, 2, math.nan, 10), DISC + ({"x": "(nan+0j)"},)),
+    (product_vector_w, (BAD_BOTH, 1.0, 0), DISC + ({"x": "(1+0j)"},)),
+    (w_residual, (BAD_BOTH, -1.0, 10), DISC + ({"x": "(-1+0j)"},)),
+    (w_residual, (BAD_BOTH, complex(0.1, math.nan), 10),
+     DISC + ({"x": "(0.1+nanj)"},)),
+    (contiguous_product_vector, (OK_BAD, -1.5, 10),
+     DISC + ({"x": "(-1.5+0j)"},)),
+    (contiguous_product_vector, (OK_BAD, math.nan, 10),
+     DISC + ({"x": "(nan+0j)"},)),
+    (v_via_transform, (OK_BAD, -1.5, 10), CUT + ({"x": "(-1.5+0j)"},)),
+    (v_via_transform, (OK_BAD, 1.5j, 10), DISC + ({"x": "1.5j"},)),
+    (v_via_transform, (VANISH, complex(0.1, math.nan), 10),
+     DISC + ({"x": "(0.1+nanj)"},)),
+    (product_vector_w, (BAD_G1, 0.3, 10), NONPOSITIVE + ({"gamma": "-2"},)),
+    (product_vector_w, (BAD_G2, 0.3, 10), NONPOSITIVE + ({"gamma": "-3"},)),
+    (w_residual, (BAD_BOTH, 0.3, 10), NONPOSITIVE + ({"gamma": "-2"},)),
+    (w_residual, (BAD_G2, 0.3, 0), NO_TERMS),
+    (w_residual, (BAD_G1, 0.3, 0), NONPOSITIVE + ({"gamma": "-2"},)),
+    (product_vector_w, (NEAR_G1, 0.3, 10), ROUNDS + (NEAR_CONTEXT,)),
+    (w_residual, (NEAR_G2, 0.3, 10), ROUNDS + (NEAR_CONTEXT,)),
+    (product_vector_w, (NEAR_G2, 0.3, 0), NO_TERMS),
+    (contiguous_product_vector, (OK_BAD, 0.3, 10),
+     NONPOSITIVE + ({"gamma": "-2"},)),
+    (v_via_transform, (OK_BAD, 0.3, 0), NONPOSITIVE + ({"gamma": "-2"},)),
+    (contiguous_product_vector, (OK_NEAR, 0.3, 10), ROUNDS + (NEAR_CONTEXT,)),
+    (v_via_transform, (OK_NEAR, 0.3, 10), ROUNDS + (NEAR_CONTEXT,)),
+    (hyp2f1, (1, 1, NEAR_MINUS_TWO, 0.5, 10), ROUNDS + (NEAR_CONTEXT,)),
+    (hyp2f1_jet, (1, 1, NEAR_MINUS_TWO, 0.5, 0), NO_TERMS),
+    (hyp2f1, (1, 1, 2, 0.5, 0), NO_TERMS),
+    (gauss_coefficients, (1, 1, 0, 10), NONPOSITIVE + ({"gamma": "0"},)),
+    (gauss_coefficients, (1, 1, NEAR_MINUS_TWO, 10), ROUNDS + (NEAR_CONTEXT,)),
+    (gauss_coefficients, (1, 1, -2, 0), NONPOSITIVE + ({"gamma": "-2"},)),
+    (product_vector_w, (PGEN, 0.3, 0), NO_TERMS),
+    (contiguous_product_vector, (POK, 0.3, 0), NO_TERMS),
+    (w_residual, (PGEN, 0, 10), SINGULAR_0 + ({"x": "0j"},)),
+    (w_residual, (BAD_BOTH, 0j, 0), SINGULAR_0 + ({"x": "0j"},)),
+    (w_residual, (PGEN, complex(-0.0, 0.0), 10),
+     SINGULAR_0 + ({"x": "(-0+0j)"},)),
+    (contiguous_product_vector, (POK, -0.5, 10),
+     CUT + ({"x": "(-0.5+0j)"},)),
+    (v_via_transform, (POK, -0.5 + 0j, 10), CUT + ({"x": "(-0.5+0j)"},)),
+    (v_via_transform, (VANISH, 0.0, 0), CUT + ({"x": "0j"},)),
+    (contiguous_product_vector, (OK_BAD, -0.5, 10),
+     CUT + ({"x": "(-0.5+0j)"},)),
+    (v_via_transform, (VANISH, 0.3, 10),
+     ("SingularMatrixError", "a hypergeometric parameter vanishes", {})),
+    (v_via_transform, (VANISH, 0.3, 0), NO_TERMS),
+    (v_via_transform, (DET_P, 0.3 + 0.1j, 10),
+     ("SingularMatrixError", "degenerate parameters: det P = 0",
+      {"det": "0"})),
+    (v_via_transform, (DET_R, 0.3, 10),
+     ("SingularMatrixError", "degenerate parameters: det R = 0", {})),
+    (v_via_transform, (DET_P, 0.3, 0), NO_TERMS),
+]
+
+
+@pytest.mark.parametrize("request_, args, want", REFUSALS,
+                         ids=[f"{f.__name__}-{k}" for k, (f, _, _)
+                              in enumerate(REFUSALS)])
+def test_every_refusal_keeps_its_class_message_and_order(request_, args,
+                                                         want):
+    with pytest.raises(OkuboError) as info:
+        request_(*args)
+    exc = info.value
+    got = (type(exc).__name__, exc.message,
+           {k: str(v) for k, v in exc.context.items()})
+    assert got == want

@@ -122,15 +122,15 @@ def test_nan_fails_numeric_criterion(monkeypatch, check, target, name,
 def test_corrupt_contiguous_closed_form_fails_1b_and_2b(monkeypatch):
     """v_via_transform trusts the closed form of R P^{-1}: one wrong entry
     must fail both the exact check (1b) and the float dual path (2b)."""
-    honest = hgsystem.contiguous_product_matrix
+    honest = hgsystem.contiguous_product_rows
 
     def corrupt(p):
-        rows = [list(row) for row in honest(p).rows]
+        rows = honest(p)
         rows[2][1] += 1
-        return RationalMatrix(rows)
+        return rows
 
-    monkeypatch.setattr(hgsystem, "contiguous_product_matrix", corrupt)
-    monkeypatch.setattr(series, "contiguous_product_matrix", corrupt)
+    monkeypatch.setattr(hgsystem, "contiguous_product_rows", corrupt)
+    monkeypatch.setattr(series, "contiguous_product_rows", corrupt)
     criteria = dict((name, fn) for name, fn, _ in verify.EXACT_CRITERIA
                     + verify.NUMERIC_CRITERIA)
     for name, detail in (("1b-gauge-and-diagonalizer", "R G^-1"),
