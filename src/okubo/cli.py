@@ -6,8 +6,9 @@ its verdict: 0 for success / verdict-true / residual below tolerance,
 1 for verdict-false or an exceeded tolerance, 2 for input errors, 3 for
 an internal inconsistency (a bug, never a verdict).  Each subcommand
 accepts only the flags its handler reads (COMMANDS); any other flag is a
-usage error, which argparse reports with exit code 2.  `residual` and
-`v-vector` compare against TOLERANCE, `df-solve` against 1e-6.  Only
+usage error, which argparse reports with exit code 2.  `residual` (its
+defect) and `v-vector` (the gap of its two paths and, at the Okubo
+gammas, the defect of v) compare against TOLERANCE, `df-solve` against 1e-6.  Only
 the handlers that compute in floats load numpy.
 """
 
@@ -195,13 +196,19 @@ def cmd_v_vector(args):
     direct = series.contiguous_product_vector(p, x, args.terms)
     via = series.v_via_transform(p, x, args.terms)
     gap = series.relative_gap(direct, via)
+    # the two paths share their truncation; v's own defect sees it, but
+    # v solves its diagonalized system only at the Okubo gammas
+    residual = series.v_residual(p, x, args.terms) if p.is_okubo else None
     cf = lambda z: [format(z.real, ".17g"), format(z.imag, ".17g")]
     return ({"x": format(x, ".17g"),
              "direct": [cf(z) for z in direct],
              "via_transform": [cf(z) for z in via],
              "relative_gap": format(gap, ".17g"),
+             "residual": None if residual is None
+             else format(residual, ".17g"),
              "tolerance": format(TOLERANCE, ".17g")},
-            EXIT_OK if gap <= TOLERANCE else EXIT_FALSE)
+            EXIT_OK if gap <= TOLERANCE
+            and (residual is None or residual <= TOLERANCE) else EXIT_FALSE)
 
 
 def cmd_df_build(args):

@@ -35,7 +35,8 @@ positive bases; both are constant phases, which a linear system cannot
 see, so the residual check is branch-independent.
 
 The exact half of this module loads no numpy; the quadrature imports
-numpy, series.gauss_coefficients and scipy.special when called.
+numpy, series (whose batched kernel _gauss_table gives the coefficient
+rows of all four factors at once) and scipy.special when called.
 """
 
 from __future__ import annotations
@@ -307,7 +308,8 @@ def _integrals(params: DFParams, points: list):
 
 def _gauss_on_nodes(pars: list, t, terms: int):
     """Truncated Gauss series of each parameter triple at the real nodes
-    t, one row per triple, by one Horner pass updated in place.
+    t, one row per triple: one series._gauss_table call for the
+    coefficients, then one Horner pass updated in place.
 
     The triples are rational, so the coefficients are real float64: the
     pass runs in float64, which rounds as a complex pass would, and its
@@ -315,9 +317,9 @@ def _gauss_on_nodes(pars: list, t, terms: int):
     they did too (a real and a complex sum can differ in the last bit).
     """
     import numpy as np
-    from .series import gauss_coefficients
+    from .series import _gauss_table
 
-    coeffs = np.array([gauss_coefficients(*par, terms) for par in pars])
+    coeffs = _gauss_table(pars, terms)
     acc = np.zeros((len(pars), len(t)))
     for ck in coeffs[:, ::-1].T:
         acc *= t

@@ -347,17 +347,13 @@ def _okubo_coeff_half_sum_form(p: HGParams) -> RationalMatrix:
          l("+-++") * l("+++-") / l("+-+-"), 0, -l("-+-+")]])
 
 
-def build_diagonalizer(p: HGParams) -> RationalMatrix:
-    """The matrix R of left eigenvectors of the Okubo coefficient, so that
-    R A R^{-1} = diag(c*J, d*J).
-
-    Requires the four single-parameter half-sums (i.e. the parameters
-    themselves) nonzero and det R nonzero.
-    """
-    l = lambda s: lam(p, s)
-    if l("+000") * l("0+00") * l("00+0") * l("000+") == 0:
+def diagonalizer_rows(p: HGParams) -> list:
+    """The rows of build_diagonalizer as exact rationals: its matrix, and
+    the float one of series.v_residual."""
+    if has_zero_factor(p, ("+000", "0+00", "00+0", "000+")):
         raise SingularMatrixError("a hypergeometric parameter vanishes")
-    r = RationalMatrix([
+    l = lambda s: lam(p, s)
+    rows = [
         [1, l("-+++") * l("+-++") / (4 * l("+000") * l("0+00")),
          l("+-++") / (2 * l("+000")), l("-+++") / (2 * l("0+00"))],
         [1, l("++-+") * l("+++-") / (4 * l("00+0") * l("000+")),
@@ -365,10 +361,20 @@ def build_diagonalizer(p: HGParams) -> RationalMatrix:
         [1, l("-+++") * l("+++-") / (4 * l("+000") * l("000+")),
          l("+++-") / (2 * l("+000")), l("-+++") / (2 * l("000+"))],
         [1, l("+-++") * l("++-+") / (4 * l("0+00") * l("00+0")),
-         l("+-++") / (2 * l("00+0")), l("++-+") / (2 * l("0+00"))]])
+         l("+-++") / (2 * l("00+0")), l("++-+") / (2 * l("0+00"))]]
     if has_zero_factor(p, DET_DIAGONALIZER_FACTORS):
         raise SingularMatrixError("degenerate parameters: det R = 0")
-    return r
+    return rows
+
+
+def build_diagonalizer(p: HGParams) -> RationalMatrix:
+    """The matrix R of left eigenvectors of the Okubo coefficient, so that
+    R A R^{-1} = diag(c*J, d*J).
+
+    Requires the four single-parameter half-sums (i.e. the parameters
+    themselves) nonzero and det R nonzero.
+    """
+    return RationalMatrix(diagonalizer_rows(p))
 
 
 def det_diagonalizer_formula(p: HGParams) -> Fraction:

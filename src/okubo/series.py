@@ -2,22 +2,23 @@
 
 Every truncated Gauss series is summed by one kernel, _gauss_jets, which
 evaluates k parameter triples at one point: one row-wise
-np.multiply.accumulate over their coefficient factors, one table of powers
+np.multiply.accumulate over their coefficient factors (_gauss_table, which
+also gives the Dotsenko-Fateev quadrature its rows), one table of powers
 x**n and one row-wise sum per derivative order asked for.
-gauss_coefficients and hyp2f1_jet are its one-triple case, and hyp2f1 asks
-for the value only.  The product vector
-w = (f1*f2, x*f1'*f2, x*f1*f2', x^2*f1'*f2') is one two-triple call and its
-contiguous companion v one four-triple call that asks for no second
-derivative.  Each row is the array a one-triple call gives, so every
-number is the one the per-triple sums gave, bit for bit.  v is also
-reached from w by R P^{-1}, applied in its closed form, the rows of
-hgsystem.contiguous_product_matrix (the Gauss contiguous relations), which
-verify 1b checks exactly against R times the inverse of P; w_residual
-takes H0 and H1 from the rows of hgsystem.build_product_system.  Both are
-converted entry by entry by exact.to_double, and the det P and det R
-refusals test the half-sum factors of the determinant formulas for zero,
-so a float request builds no exact matrix.  A rational beyond the largest
-double is an InputError wherever it would become one.
+hyp2f1_jet is its one-triple case, and hyp2f1 asks for the value only.  The product vector
+w = (f1*f2, x*f1'*f2, x*f1*f2', x^2*f1'*f2') is one two-triple call, with
+second derivatives only for w_residual, and its contiguous companion v one
+four-triple call that asks for none.  Each row is the array a one-triple
+call gives, so every number is the one the per-triple sums gave, bit for
+bit.  v is also reached from w by R P^{-1}, applied in its closed form,
+the rows of hgsystem.contiguous_product_matrix (the Gauss contiguous
+relations), which verify 1b checks exactly against R times the inverse of
+P; w_residual takes H0 and H1 from hgsystem.product_residue_rows and
+v_residual R from hgsystem.diagonalizer_rows.  All are converted entry by
+entry by exact.to_double, and each refusal (a vanishing parameter, det P
+or det R = 0) tests half-sums for zero, so no float function builds an
+exact matrix.  A rational beyond the largest double is an InputError
+wherever it would become one.
 Local solutions of the Okubo system (x I - T) y' = A y are built from the
 coefficient recurrences they satisfy:
 
@@ -90,8 +91,8 @@ from .errors import (AdmissibilityError, InputError, OutsideDisc,
 from .exact import (RationalMatrix, common_denominator, complex_array,
                     to_double)
 from .hgsystem import (DET_DIAGONALIZER_FACTORS, DET_GAUGE_FACTORS, HGParams,
-                       OkuboSystem, build_diagonalizer,
-                       contiguous_product_rows, has_zero_factor, lam,
+                       OkuboSystem, contiguous_product_rows,
+                       diagonalizer_rows, has_zero_factor, lam,
                        product_residue_rows)
 # callers read it as okubo.series.build_product_system
 from .hgsystem import build_product_system  # noqa: F401
@@ -157,13 +158,6 @@ def _gauss_table(triples, terms: int) -> np.ndarray:
     return factors[:, ::3]
 
 
-def gauss_coefficients(alpha, beta, gamma, terms: int) -> np.ndarray:
-    """The first ``terms`` Taylor coefficients of 2F1(alpha, beta, gamma; .)
-    as a real float64 array (see _gauss_table): real parameters give real
-    coefficients."""
-    return _gauss_table([(alpha, beta, gamma)], terms)[0].copy()
-
-
 def _gauss_jets(triples, x: complex, terms: int, order: int) -> tuple:
     """Truncated Gauss series of each triple and their derivatives up to
     ``order`` (at most 2) at one point x of the unit disc.
@@ -226,20 +220,25 @@ def hyp2f1(alpha, beta, gamma, x, terms: int = 80) -> complex:
 
 def product_vector_w(p: HGParams, x, terms: int = 60) -> np.ndarray:
     """w = (f1 f2, x f1' f2, x f1 f2', x^2 f1' f2')."""
-    return _w_jet(p, x, terms)[0]
+    return _w_jet(p, x, terms, False)[0]
 
 
-def _w_jet(p: HGParams, x, terms: int) -> tuple:
+def _w_jet(p: HGParams, x, terms: int, derivative: bool) -> tuple:
+    """w at x, and dw/dx if ``derivative`` (else None, and no second
+    derivative is summed)."""
     x = _as_complex(x)
     _require_unit_disc(x)
-    (v1, v2), (d1, d2), (s1, s2) = _gauss_jets(
+    (v1, v2), (d1, d2), *second = _gauss_jets(
         [(p.alpha1, p.beta1, p.gamma1), (p.alpha2, p.beta2, p.gamma2)],
-        x, terms, 2)[0]
+        x, terms, 1 + derivative)[0]
     w = np.array([
         v1 * v2,
         x * d1 * v2,
         x * v1 * d2,
         x * x * d1 * d2])
+    if not derivative:
+        return w, None
+    (s1, s2), = second
     dw = np.array([
         d1 * v2 + v1 * d2,
         d1 * v2 + x * s1 * v2 + x * d1 * d2,
@@ -258,7 +257,7 @@ def w_residual(p: HGParams, x, terms: int = 60) -> float:
     if x == 0:
         raise OutsideDisc("w_residual is undefined at the singular point 0",
                           {"x": x})
-    w, dw = _w_jet(p, x, terms)
+    w, dw = _w_jet(p, x, terms, True)
     h0, h1 = (complex_array(rows) for rows in product_residue_rows(p))
     rhs = (h0 / x + h1 / (x - 1)) @ w
     return float(np.max(np.abs(dw - rhs)))
@@ -307,7 +306,7 @@ def v_via_transform(p: HGParams, x, terms: int = 60) -> np.ndarray:
     """
     x = _as_complex(x)
     _check_off_cut(x)
-    w, _ = _w_jet(p, x, terms)
+    w, _ = _w_jet(p, x, terms, False)
     rows = contiguous_product_rows(p)
     if has_zero_factor(p, DET_GAUGE_FACTORS):
         raise SingularMatrixError("degenerate parameters: det P = 0",
@@ -326,10 +325,13 @@ def relative_gap(direct: np.ndarray, via: np.ndarray) -> float:
 
 def v_residual(p: HGParams, x, terms: int = 60) -> float:
     """Max-norm defect of the contiguous vector in its diagonalized system
-    dv/dx = R (xI - T)^{-1} R^{-1} diag(c, -c, d, -d) v."""
+    dv/dx = R (xI - T)^{-1} R^{-1} diag(c, -c, d, -d) v, R converted from
+    hgsystem.diagonalizer_rows; refused, as build_diagonalizer is, where a
+    parameter vanishes or det R = 0.  v solves this system only at the
+    Okubo gammas; elsewhere the number is no defect."""
     x = _as_complex(x)
     v, dv = _v_jet(p, x, terms)
-    r = build_diagonalizer(p).to_complex()
+    r = complex_array(diagonalizer_rows(p))
     c = to_double(lam(p, "++--"))
     d = to_double(lam(p, "+--+"))
     diag_exp = np.diag([c, -c, d, -d]).astype(complex)
@@ -787,44 +789,6 @@ def _infinity_coeffs(system: OkuboSystem, sigma: Fraction, h0: list,
     return coeffs
 
 
-def recurrence_defects(system: OkuboSystem, sol: SeriesSolution) -> list:
-    """Defect vectors of the defining recurrence, index by index.
-
-    A's rows are Fractions, which multiply Fraction and complex entries
-    alike, so one path serves both modes: for exact solutions every entry
-    is a Fraction and must be zero; for float solutions the entries are
-    complex round-off residue.
-    """
-    apply = system.coeff.apply
-    t_diag = [0, 0, 1, 1]
-    rho = sol.exponent
-    vecs = sol.coeffs
-    defects = []
-    if sol.base in ("0", "1"):
-        shift = 0 if sol.base == "0" else -1
-        # initial condition rho * (T + shift I) g(0) = 0
-        init = [rho * (t_diag[i] + shift) * vecs[0][i] for i in range(4)]
-        defects.append(init)
-        for r in range(len(vecs) - 1):
-            z = r + rho
-            lhs = [(z + 1) * (t_diag[i] + shift) * vecs[r + 1][i]
-                   for i in range(4)]
-            rhs_vec = apply(vecs[r])
-            rhs = [z * vecs[r][i] - rhs_vec[i] for i in range(4)]
-            defects.append([lhs[i] - rhs[i] for i in range(4)])
-    else:
-        sigma = rho
-        first = apply(vecs[0])
-        defects.append([sigma * vecs[0][i] + first[i] for i in range(4)])
-        for s in range(len(vecs) - 1):
-            z = s + sigma
-            step = apply(vecs[s + 1])
-            lhs = [(z + 1) * vecs[s + 1][i] + step[i] for i in range(4)]
-            rhs = [z * (t_diag[i] - 1) * vecs[s][i] for i in range(4)]
-            defects.append([lhs[i] - rhs[i] for i in range(4)])
-    return defects
-
-
 # --------------------------------------------------------------------------
 # residual verification
 # --------------------------------------------------------------------------
@@ -866,14 +830,6 @@ def _okubo_defect(a: np.ndarray, t: np.ndarray, ident: np.ndarray,
     lhs = (x * ident - t) @ dy
     rhs = a @ y
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def okubo_residual(system: OkuboSystem, y: np.ndarray, dy: np.ndarray,
-                   x: complex) -> float:
-    """Max-norm of (xI - T) y' - A y."""
-    return _okubo_defect(system.coeff.to_complex(),
-                         np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex),
-                         np.eye(4), y, dy, x)
 
 
 def residual_report(system: OkuboSystem, solution: SeriesSolution,

@@ -60,9 +60,20 @@ def _rng(seed: int, tag: str) -> random.Random:
 # exact suite
 # --------------------------------------------------------------------------
 
-def check_infinity_factorization(seed: int, draws: int = 50) -> str:
+#: seeded draws of the exact criteria 1a-1h, in order
+FACTORIZATION_DRAWS = 50
+GAUGE_DRAWS = 50
+CUBIC_DRAWS = 100
+SAMENESS_DRAWS = 50
+BRANCH_DRAWS = 20
+REALIZATION_DRAWS = 30
+DUAL_DRAWS = 50
+DF_DRAWS = 30
+
+
+def check_infinity_factorization(seed: int) -> str:
     rng = _rng(seed, "phi")
-    for _ in range(draws):
+    for _ in range(FACTORIZATION_DRAWS):
         p = sampling.draw_generic_params(rng)
         sys = hgsystem.build_product_system(p)
         phi = sys.residue_at_inf.char_poly()
@@ -70,12 +81,12 @@ def check_infinity_factorization(seed: int, draws: int = 50) -> str:
         for e in hgsystem.infinity_exponents(p):
             want = want * Poly([-e, 1])
         _require(phi == want, f"factorization fails for {p}")
-    return f"{draws} generic parameter draws"
+    return f"{FACTORIZATION_DRAWS} generic parameter draws"
 
 
-def check_gauge_and_diagonalizer(seed: int, draws: int = 50) -> str:
+def check_gauge_and_diagonalizer(seed: int) -> str:
     rng = _rng(seed, "gauge")
-    for _ in range(draws):
+    for _ in range(GAUGE_DRAWS):
         p = sampling.draw_okubo_params(rng)
         gauge, system = hgsystem.build_okubo_system(p)
         _require(gauge.det() == hgsystem.det_gauge_formula(p), "det gauge")
@@ -90,13 +101,13 @@ def check_gauge_and_diagonalizer(seed: int, draws: int = 50) -> str:
              [RationalMatrix.zero(2), hgsystem.J2.scale(d)]])
         _require(r * system.coeff * r.inverse() == diag, "R A R^-1")
         _require(r * ginv == hgsystem.contiguous_product_matrix(p), "R G^-1")
-    return f"{draws} gamma-constrained draws"
+    return f"{GAUGE_DRAWS} gamma-constrained draws"
 
 
-def check_cubic_blocks(seed: int, draws: int = 100) -> str:
+def check_cubic_blocks(seed: int) -> str:
     rng = _rng(seed, "cubic")
     ident2 = PolyMatrix.from_constant(RationalMatrix.identity(2))
-    for _ in range(draws):
+    for _ in range(CUBIC_DRAWS):
         chart = sampling.draw_chart(rng)
         a, b, c, d = chart.a, chart.b, chart.c, chart.d
         blocks = accessory.cubic_blocks(chart)
@@ -121,19 +132,19 @@ def check_cubic_blocks(seed: int, draws: int = 100) -> str:
                  == want_mixed, "off-block product identity")
         _require(blocks.constant.trace() == -2 * a * b * c * obs.delta_prime,
                  "trace of the constant block")
-    return f"{draws} chart draws"
+    return f"{CUBIC_DRAWS} chart draws"
 
 
-def check_sameness_biconditional(seed: int, draws: int = 50) -> str:
+def check_sameness_biconditional(seed: int) -> str:
     rng = _rng(seed, "same")
-    for _ in range(draws):
+    for _ in range(SAMENESS_DRAWS):
         special = sampling.draw_special_chart(rng)
         verdict = accessory.substantially_same(special)
         _require(verdict.verdict and not verdict.nonzero_minors, "special")
         perturbed = sampling.draw_perturbed_chart(rng)
         verdict = accessory.substantially_same(perturbed)
         _require(not verdict.verdict and verdict.nonzero_minors, "perturbed")
-    return f"{draws} special + {draws} perturbed charts"
+    return f"{SAMENESS_DRAWS} special + {SAMENESS_DRAWS} perturbed charts"
 
 
 _GRID = (-3, -2, -1, 1, 2, 3)
@@ -161,34 +172,35 @@ def conditional_denominator_identity(sign1: int, sign2: int) -> bool:
     return _certify_trivariate_zero(diff)
 
 
-def check_special_value_branches(seed: int, draws: int = 20) -> str:
+def check_special_value_branches(seed: int) -> str:
     rng = _rng(seed, "branches")
     for s1 in (1, -1):
         for s2 in (1, -1):
             _require(conditional_denominator_identity(s1, s2),
                      f"conditional identity fails for signs ({s1}, {s2})")
-    for _ in range(draws):
+    for _ in range(BRANCH_DRAWS):
         a, b, c, d = sampling.draw_special_exponents(rng)
         for branch in ("via-r4", "via-r3"):
             # raises InternalInconsistency unless the chart's validated
             # system is the special matrix and its obstructions vanish
             accessory.solve_accessory(a, b, c, d, branch)
-    return f"both branches on {draws} exponent draws; 4 certified identities"
+    return (f"both branches on {BRANCH_DRAWS} exponent draws; "
+            "4 certified identities")
 
 
-def check_realization(seed: int, draws: int = 30) -> str:
+def check_realization(seed: int) -> str:
     rng = _rng(seed, "realize")
-    for _ in range(draws):
+    for _ in range(REALIZATION_DRAWS):
         p = sampling.draw_okubo_params(rng)
         report = accessory.realize_product_system(p)
         _require(report.verdict, f"realization fails for {p}")
-    return f"{draws} gamma-constrained draws"
+    return f"{REALIZATION_DRAWS} gamma-constrained draws"
 
 
-def check_dual_verdict(seed: int, draws: int = 50) -> str:
+def check_dual_verdict(seed: int) -> str:
     rng = _rng(seed, "dual")
     agree = 0
-    for k in range(draws):
+    for k in range(DUAL_DRAWS):
         if k % 3 == 0:
             chart = sampling.draw_special_chart(rng)
         elif k % 3 == 1:
@@ -202,9 +214,9 @@ def check_dual_verdict(seed: int, draws: int = 50) -> str:
     return f"{agree} charts, both singular-point pairs"
 
 
-def check_df_reduction(seed: int, draws: int = 30) -> str:
+def check_df_reduction(seed: int) -> str:
     rng = _rng(seed, "df")
-    for _ in range(draws):
+    for _ in range(DF_DRAWS):
         params = sampling.draw_df_params(rng)
         report = df.check_df_transformation(params)
         _require(report.verdict, f"transformation fails for {params}")
@@ -231,12 +243,18 @@ def check_df_reduction(seed: int, draws: int = 30) -> str:
             for root in roots:
                 want = want * Poly([-root, 1])
             _require(matrix.char_poly() == want, "reduced eigenvalues")
-    return f"{draws} parameter draws"
+    return f"{DF_DRAWS} parameter draws"
 
 
 # --------------------------------------------------------------------------
 # numeric suite
 # --------------------------------------------------------------------------
+
+#: sample points of 2a and of 2b, and the series length of 2c
+RESIDUAL_POINTS = 20
+DUAL_PATH_POINTS = 20
+SERIES_TERMS = 80
+
 
 def _draw_w_params(rng: random.Random) -> hgsystem.HGParams:
     while True:
@@ -246,31 +264,31 @@ def _draw_w_params(rng: random.Random) -> hgsystem.HGParams:
             return p
 
 
-def check_product_vector_residual(seed: int, points: int = 20) -> str:
+def check_product_vector_residual(seed: int) -> str:
     rng = _rng(seed, "wres")
     p = _draw_w_params(rng)
     worst = series.worst_defect(
         series.w_residual(p, sampling.sample_disc(rng, 0.05, 0.4), terms=60)
-        for _ in range(points))
+        for _ in range(RESIDUAL_POINTS))
     _require(worst <= 1e-10, f"residual {worst:.3e} exceeds 1e-10")
-    return f"{points} points, max residual {worst:.2e}"
+    return f"{RESIDUAL_POINTS} points, max residual {worst:.2e}"
 
 
-def check_contiguous_dual_path(seed: int, points: int = 20) -> str:
+def check_contiguous_dual_path(seed: int) -> str:
     rng = _rng(seed, "vdual")
     p = sampling.draw_okubo_params(rng)
     gaps = []
-    for _ in range(points):
+    for _ in range(DUAL_PATH_POINTS):
         x = sampling.sample_disc(rng, 0.05, 0.4, max_angle=1.2)
         direct = series.contiguous_product_vector(p, x, terms=80)
         via = series.v_via_transform(p, x, terms=80)
         gaps.append(series.relative_gap(direct, via))
     worst = series.worst_defect(gaps)
     _require(worst <= 1e-9, f"relative gap {worst:.3e} exceeds 1e-9")
-    return f"{points} points, max relative gap {worst:.2e}"
+    return f"{DUAL_PATH_POINTS} points, max relative gap {worst:.2e}"
 
 
-def check_local_series_residuals(seed: int, terms: int = 80) -> str:
+def check_local_series_residuals(seed: int) -> str:
     rng = _rng(seed, "series")
     _, special = accessory.solve_accessory(
         Fraction(1, 3), Fraction(1, 5), Fraction(1, 7), Fraction(1, 11))
@@ -281,8 +299,8 @@ def check_local_series_residuals(seed: int, terms: int = 80) -> str:
         for base in ("0", "1", "inf"):
             n_expo = len(series.exponents_at(system, base))
             for index in range(n_expo):
-                sols = series.local_series(system, base, index, terms,
-                                           mode="float")
+                sols = series.local_series(system, base, index,
+                                           SERIES_TERMS, mode="float")
                 for sol in sols:
                     samples = [sampling.series_sample(rng, base)
                                for _ in range(5)]
@@ -294,7 +312,7 @@ def check_local_series_residuals(seed: int, terms: int = 80) -> str:
             f"max residual {worst:.2e}")
 
 
-def check_df_integral_residual(seed: int = 0) -> str:
+def check_df_integral_residual(seed: int) -> str:
     params = df.DFParams(Fraction(1, 3), Fraction(1, 5), Fraction(1, 7),
                          Fraction(1, 2))
     worst = series.worst_defect(df.df_integral_solution(params, x).residual

@@ -156,6 +156,33 @@ def test_v_vector(capsys, okubo_params_file):
                           "--x", "0.2", "--terms", "80")
     assert code == 0
     assert float(data["relative_gap"]) <= 1e-10
+    assert float(data["residual"]) <= 1e-10
+
+
+@pytest.mark.parametrize("x, terms", [("0.5", "1"), ("0.9", "80")])
+def test_v_vector_fails_on_truncation(capsys, okubo_params_file, x, terms):
+    """The two paths share their truncation, so their gap stays small; the
+    defect of v in its own system must see it."""
+    code, data = run_json(capsys, "v-vector", "--params", okubo_params_file,
+                          "--x", x, "--terms", terms)
+    assert code == 1
+    assert float(data["relative_gap"]) <= 1e-10
+    assert float(data["residual"]) > (0.1 if terms == "1" else 1e-10)
+
+
+def test_v_vector_with_explicit_gammas_checks_the_gap_alone(capsys,
+                                                          tmp_path):
+    """Away from the Okubo gammas v solves no diagonalized system (its
+    defect there is of order 10), so only the gap is a verdict."""
+    path = tmp_path / "generic.json"
+    path.write_text(json.dumps({"alpha1": "1/3", "alpha2": "1/7",
+                                "beta1": "1/5", "beta2": "1/11",
+                                "gamma_mode": ["3/7", "5/9"]}))
+    code, data = run_json(capsys, "v-vector", "--params", str(path),
+                          "--x", "0.2", "--terms", "80")
+    assert code == 0
+    assert data["residual"] is None
+    assert float(data["relative_gap"]) <= 1e-10
 
 
 def test_df_subcommands(capsys, tmp_path):

@@ -29,11 +29,15 @@ from okubo.errors import InputError, QuadratureError, SingularMatrixError
 from okubo.exact import Poly, RationalMatrix
 from okubo.hgsystem import lam
 from okubo.sampling import draw_df_params
-from okubo.series import gauss_coefficients
 from okubo.verify import CriterionFailed, check_df_integral_residual
 
 PARAMS = DFParams(F(1, 3), F(1, 5), F(1, 7), F(1, 11))
 QUAD_PARAMS = DFParams(F(1, 3), F(1, 5), F(1, 7), F(1, 2))
+
+
+def gauss_coefficients(alpha, beta, gamma, terms):
+    """One triple's row of the batched Gauss kernel series._gauss_table."""
+    return series._gauss_table([(alpha, beta, gamma)], terms)[0]
 
 
 def charpoly_of_roots(roots):
@@ -409,24 +413,26 @@ def test_integral_residual_detail_at_seed_7():
 
 
 def test_one_rule_per_node_count_and_one_series_per_factor(monkeypatch):
-    rules, coefficient_runs = [], []
+    rules, tables = [], []
     real_roots = scipy.special.roots_jacobi
-    real_coeffs = series.gauss_coefficients
+    real_table = series._gauss_table
 
     def counting_roots(nodes, alpha, beta):
         rules.append(nodes)
         return real_roots(nodes, alpha, beta)
 
-    def counting_coeffs(*args):
-        coefficient_runs.append(args)
-        return real_coeffs(*args)
+    def counting_table(triples, terms):
+        tables.append(list(triples))
+        return real_table(triples, terms)
 
     monkeypatch.setattr(scipy.special, "roots_jacobi", counting_roots)
     # the quadrature looks the name up in series when it is called
-    monkeypatch.setattr(series, "gauss_coefficients", counting_coeffs)
+    monkeypatch.setattr(series, "_gauss_table", counting_table)
     df_integral_solution(QUAD_PARAMS, 0.4)
     assert sorted(rules) == [128, 256]
-    assert len(coefficient_runs) == 4
+    # one batched coefficient table carrying the four distinct factors
+    assert len(tables) == 1 and len(tables[0]) == 4
+    assert len(set(tables[0])) == 4
 
 
 @pytest.mark.parametrize("part", [0, 1], ids=["nodes", "weights"])

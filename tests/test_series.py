@@ -23,14 +23,17 @@ from okubo.hgsystem import HGParams, build_okubo_system, gauge_matrix, lam
 from okubo.sampling import sample_disc, series_sample
 from okubo.series import (EvalReport, GaussJet, SeriesSolution, check_in_disc,
                           contiguous_product_vector, exponents_at,
-                          gauss_coefficients, hyp2f1, hyp2f1_jet,
-                          local_series, okubo_residual,
-                          product_vector_w, recurrence_defects,
-                          residual_report, v_residual, v_via_transform,
-                          w_residual)
+                          hyp2f1, hyp2f1_jet, local_series,
+                          product_vector_w, residual_report, v_residual,
+                          v_via_transform, w_residual)
 
 POK = HGParams.okubo(F(1, 3), F(1, 7), F(1, 5), F(1, 11))
 PGEN = HGParams.generic(F(1, 3), F(1, 7), F(1, 5), F(1, 11), F(3, 7), F(5, 9))
+
+
+def gauss_coefficients(alpha, beta, gamma, terms):
+    """One triple's row of the batched Gauss kernel series._gauss_table."""
+    return series._gauss_table([(alpha, beta, gamma)], terms)[0]
 
 
 # -- Gauss series -------------------------------------------------------------
@@ -135,11 +138,11 @@ def test_u_chain_solves_okubo_system():
     from okubo.series import _w_jet
     for _ in range(20):
         x = sample_disc(rng, 0.05, 0.4, max_angle=1.2)
-        w, dw = _w_jet(POK, x, 80)
+        w, dw = _w_jet(POK, x, 80, True)
         xe = x ** (-e)
         u = np.linalg.solve(gauge, xe * w)
         du = np.linalg.solve(gauge, -e * x ** (-e - 1) * w + xe * dw)
-        assert okubo_residual(system, u, du, x) <= 1e-9
+        assert reference_okubo_residual(system, u, du, x) <= 1e-9
 
 
 # -- local series -------------------------------------------------------------
@@ -147,6 +150,44 @@ def test_u_chain_solves_okubo_system():
 def special_system():
     _, system = solve_accessory(F(1, 3), F(1, 5), F(1, 7), F(1, 11))
     return system
+
+
+def recurrence_defects(system, sol):
+    """Defect vectors of the defining recurrence, index by index.
+
+    A's rows are Fractions, which multiply Fraction and complex entries
+    alike, so one path serves both modes: for exact solutions every entry
+    is a Fraction and must be zero; for float solutions the entries are
+    complex round-off residue.
+    """
+    apply = system.coeff.apply
+    t_diag = [0, 0, 1, 1]
+    rho = sol.exponent
+    vecs = sol.coeffs
+    defects = []
+    if sol.base in ("0", "1"):
+        shift = 0 if sol.base == "0" else -1
+        # initial condition rho * (T + shift I) g(0) = 0
+        init = [rho * (t_diag[i] + shift) * vecs[0][i] for i in range(4)]
+        defects.append(init)
+        for r in range(len(vecs) - 1):
+            z = r + rho
+            lhs = [(z + 1) * (t_diag[i] + shift) * vecs[r + 1][i]
+                   for i in range(4)]
+            rhs_vec = apply(vecs[r])
+            rhs = [z * vecs[r][i] - rhs_vec[i] for i in range(4)]
+            defects.append([lhs[i] - rhs[i] for i in range(4)])
+    else:
+        sigma = rho
+        first = apply(vecs[0])
+        defects.append([sigma * vecs[0][i] + first[i] for i in range(4)])
+        for s in range(len(vecs) - 1):
+            z = s + sigma
+            step = apply(vecs[s + 1])
+            lhs = [(z + 1) * vecs[s + 1][i] + step[i] for i in range(4)]
+            rhs = [z * (t_diag[i] - 1) * vecs[s][i] for i in range(4)]
+            defects.append([lhs[i] - rhs[i] for i in range(4)])
+    return defects
 
 
 def test_exponent_lists_and_index_errors():
@@ -528,7 +569,8 @@ def test_transported_solution_solves_product_system():
         for _ in range(4):
             x = 1 + sample_disc(rng, 1.8, 2.8, max_angle=2.0)
             y, dy = sol.value(x), sol.derivative(x)
-            assert okubo_residual(product, dinv @ y, dinv @ dy, x) <= 1e-10
+            assert reference_okubo_residual(product, dinv @ y, dinv @ dy,
+                                            x) <= 1e-10
 
 
 def test_series_json_round_trip_values():
@@ -643,15 +685,6 @@ def test_value_and_derivative_wrap_the_one_pass_evaluation():
                                       bits(reference_value(sol, x)))
                 assert np.array_equal(bits(sol.derivative(x)),
                                       bits(reference_derivative(sol, x)))
-
-
-def test_okubo_residual_matches_its_reference():
-    system = special_system()
-    sol = local_series(system, "1", 1, 60, mode="float")[0]
-    for x in (1.3, 1.1 + 0.2j, 0.7 - 0.3j):
-        y, dy = sol.value(x), sol.derivative(x)
-        assert (okubo_residual(system, y, dy, x).hex()
-                == reference_okubo_residual(system, y, dy, x).hex())
 
 
 @pytest.mark.parametrize("base, x", [("0", 0), ("0", 0j), ("1", 1),
@@ -787,6 +820,46 @@ def test_v_via_transform_is_the_exact_rebuild_bit_for_bit():
     assert answered >= 150 and refused
 
 
+def reference_v_residual(p, x, terms):
+    """v_residual with R rebuilt as an exact matrix by build_diagonalizer
+    and converted by to_complex."""
+    x = complex(x)
+    v, dv = series._v_jet(p, x, terms)
+    r = hgsystem.build_diagonalizer(p).to_complex()
+    c, d = float(lam(p, "++--")), float(lam(p, "+--+"))
+    diag_exp = np.diag([c, -c, d, -d]).astype(complex)
+    xit = np.diag([1 / x, 1 / x, 1 / (x - 1), 1 / (x - 1)])
+    rhs = r @ xit @ np.linalg.solve(r, diag_exp @ v)
+    return float(np.max(np.abs(dv - rhs)))
+
+
+def test_v_residual_is_the_exact_rebuild_byte_for_byte(monkeypatch):
+    def refuse(self, rows):
+        raise AssertionError("exact matrix in a float request")
+
+    rng = random.Random(53)
+    draw = lambda: F(rng.randint(-9, 9), rng.randint(1, 9))
+    params = [VANISH, DET_R, DET_P, POK]
+    params += [HGParams.okubo(*(draw() for _ in range(4)))
+               for _ in range(300)]
+    params += [HGParams.generic(*(draw() for _ in range(6)))
+               for _ in range(100)]
+    got, want = [], []
+    for k, p in enumerate(params):
+        x = (-0.5, 0.0)[k % 2] if k % 37 == 0 else sample_disc(rng, 0.05,
+                                                                 0.95)
+        args = (p, x, (1, 2, 80)[k % 3])
+        want.append(_bytes_or_refusal(reference_v_residual, *args))
+        with monkeypatch.context() as m:
+            m.setattr(RationalMatrix, "__init__", refuse)
+            got.append(_bytes_or_refusal(v_residual, *args))
+    assert got == want
+    kinds = {w[1] if isinstance(w, tuple) else "answered" for w in want}
+    assert kinds >= {"answered", "a hypergeometric parameter vanishes",
+                     "degenerate parameters: det R = 0",
+                     "x must avoid the branch cut (-inf, 0]"}
+
+
 def test_to_complex_is_complex_of_each_entry():
     rng = random.Random(47)
     for _ in range(50):
@@ -835,7 +908,7 @@ def test_w_residual_refuses_the_singular_point():
 # -- the batched Gauss kernel against the per-triple composition --------------
 
 def per_triple_coefficients(alpha, beta, gamma, terms):
-    """gauss_coefficients one triple at a time: one 1-D accumulate over
+    """The Gauss coefficients one triple at a time: one 1-D accumulate over
     the interleaved factors."""
     if series._is_nonpositive_integer(gamma):
         raise InputError("gamma must not be a nonpositive integer",

@@ -149,8 +149,8 @@ def test_size_three_reduction_reduces_once_per_draw(monkeypatch):
         return honest(p)
 
     monkeypatch.setattr(dotsenko_fateev, "euler_reduce", counted)
-    assert verify.check_df_reduction(7, draws=4) == "4 parameter draws"
-    assert len(calls) == 4
+    assert verify.check_df_reduction(7) == "30 parameter draws"
+    assert len(calls) == verify.DF_DRAWS == 30
 
 
 def test_relative_gap_is_the_inline_rule_on_2b_points():
