@@ -1,22 +1,27 @@
 """Exact rational scalars, dense univariate polynomials, and small matrices.
 
 Every structural identity verified by this package is an equality between
-rationals, so entries are `fractions.Fraction`: in lowest terms with a
-positive denominator, hence unique.  The kernels do not add and multiply
-Fractions one by one (each such step is a gcd); they clear a row, a column
-or a whole matrix to integer numerators over one positive common
-denominator (`common_denominator`), run on Python ints, and reduce each
-output entry once:
+rationals.  A `RationalMatrix` stores its entries as one tuple of integer
+numerators, row by row, over one positive denominator; a `Poly` stores its
+coefficients, by degree, the same way.  The form is canonical: the
+denominator and the numerators have no common factor (one multi-argument
+``math.gcd`` after each operation), and the zero matrix or polynomial has
+denominator 1.  So equality and hashing compare integers, and every kernel
+runs on Python ints with no per-entry gcd:
 
 * `mat_mul`, `RationalMatrix.apply` and `Poly.__mul__` are integer dot
-  products and convolutions over the product of two denominators;
-* `RationalMatrix.char_poly` runs Leverrier-Faddeev on the integer matrix
-  D M, where the divisions by k are exact, and scales coefficient k by
-  D^-k;
+  products and convolutions over the product of two denominators, and
+  sums and differences are taken over the lcm of two denominators;
+* `RationalMatrix.char_poly` runs Leverrier-Faddeev on the integer
+  numerator matrix B, where the divisions by k are exact, and scales
+  coefficient k by den^-k;
 * `det`, `inverse` and `left_null_space` use fraction-free (Bareiss)
-  elimination, whose divisions by the previous pivot are exact.
+  elimination of B, whose divisions by the previous pivot are exact.
 
-The outputs are the same Fractions the textbook Fraction algorithms give.
+Fractions appear only at the boundary: `RationalMatrix.rows`, ``m[i, j]``,
+`Poly.coeffs` and `Poly.coeff` give the reduced `fractions.Fraction`s of
+the entries, built on first read and kept.  The outputs are the same
+Fractions the textbook Fraction algorithms give.
 
 Serialization convention: a rational is the string ``"p/q"`` (``"p"`` when
 the denominator is 1), sign on the numerator; a matrix is a JSON array of
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -73,12 +79,6 @@ def complex_array(rows):
                     dtype=complex)
 
 
-def _fractions(values) -> tuple:
-    """Entries as Fractions: existing ones kept, others via to_fraction."""
-    return tuple(x if isinstance(x, Fraction) else to_fraction(x)
-                 for x in values)
-
-
 def common_denominator(values) -> tuple:
     """(integer numerators, positive common denominator) of rationals.
 
@@ -88,6 +88,24 @@ def common_denominator(values) -> tuple:
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
+def _cleared(values) -> tuple:
+    """common_denominator of rationals given as Fractions, ints or strings
+    (see to_fraction)."""
+    return common_denominator([x if isinstance(x, (int, Fraction))
+                               else to_fraction(x) for x in values])
+
+
+def _reduced(nums, den: int) -> tuple:
+    """(nums, den) divided by their gcd, the denominator made positive;
+    a zero numerator tuple gets denominator 1."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(nums), den
+    return tuple(x // g for x in nums), den // g
+
+
 def _dot(xs, ys) -> int:
     return sum(map(mul, xs, ys))
 
@@ -95,18 +113,25 @@ def _dot(xs, ys) -> int:
 class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
-    Coefficients are indexed by degree; trailing zeros are stripped so the
-    leading coefficient is nonzero unless the polynomial is zero (empty
-    coefficient tuple, degree -1).
+    ``nums`` holds the integer numerators by degree over the positive
+    denominator ``den``; trailing zeros are stripped, so the leading
+    coefficient is nonzero unless the polynomial is zero (empty tuple,
+    degree -1, denominator 1).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = list(_fractions(coeffs))
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self._set(*_cleared(list(coeffs)))
+
+    def _set(self, nums: list, den: int) -> "Poly":
+        """Store integer numerators over a nonzero denominator, trailing
+        zeros stripped, in canonical form."""
+        while nums and nums[-1] == 0:
+            nums.pop()
+        self.nums, self.den = _reduced(nums, den)
+        self._coeffs = None
+        return self
 
     @classmethod
     def constant(cls, c: Scalar) -> "Poly":
@@ -117,64 +142,61 @@ class Poly:
         """The polynomial z."""
         return cls([0, 1])
 
-    @classmethod
-    def interpolate(cls, points: Sequence[tuple]) -> "Poly":
-        """Lagrange interpolation through exact (x, y) pairs."""
-        result = cls()
-        for i, (xi, yi) in enumerate(points):
-            num = cls.constant(yi)
-            den = Fraction(1)
-            for j, (xj, _) in enumerate(points):
-                if j == i:
-                    continue
-                num = num * cls([-xj, 1])
-                den *= Fraction(xi) - Fraction(xj)
-            result = result + num * (Fraction(1) / den)
-        return result
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as reduced Fractions, by degree."""
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = tuple(Fraction(x, den) for x in self.nums)
+        return self._coeffs
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return self.coeffs[k] if 0 <= k < len(self.nums) else Fraction(0)
+
+    def _combine(self, other, sign: int) -> "Poly":
+        other = _as_poly(other)
+        da, db = self.den, other.den
+        g = math.gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        return _poly([x * fa + y * fb for x, y in
+                      zip_longest(self.nums, other.nums, fillvalue=0)],
+                     da * fa)
 
     def __add__(self, other) -> "Poly":
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(k) + other.coeff(k) for k in range(n)])
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Poly":
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(k) - other.coeff(k) for k in range(n)])
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> "Poly":
         return _as_poly(other) - self
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return _poly([-x for x in self.nums], self.den)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
+            p, q = other.numerator, other.denominator
+            return _poly([x * p for x in self.nums], self.den * q)
         other = _as_poly(other)
-        if self.is_zero() or other.is_zero():
+        xs, ys = self.nums, other.nums
+        if not xs or not ys:
             return Poly()
-        xs, dx = common_denominator(self.coeffs)
-        ys, dy = common_denominator(other.coeffs)
         out = [0] * (len(xs) + len(ys) - 1)
         for i, a in enumerate(xs):
             if a:
-                for j, b in enumerate(ys):
-                    out[i + j] += a * b
-        den = dx * dy
-        return Poly([Fraction(n, den) for n in out])
+                for j, b in enumerate(ys, i):
+                    out[j] += a * b
+        return _poly(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -187,18 +209,25 @@ class Poly:
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(other)
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (isinstance(other, Poly) and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.den, self.nums))
 
     def __call__(self, x):
         """Evaluate by Horner's rule; exact for Fraction/int arguments."""
         if isinstance(x, (int, Fraction)):
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
+            nums = self.nums
+            if not nums:
+                return Fraction(0)
+            # sum c_k p^k q^(deg-k) / (den q^deg), homogeneous Horner
+            p, q = x.numerator, x.denominator
+            acc, qk = nums[-1], 1
+            for c in reversed(nums[:-1]):
+                qk *= q
+                acc = acc * p + c * qk
+            return Fraction(acc, self.den * qk)
         acc = 0j
         for c in reversed(self.coeffs):
             acc = acc * x + complex(c)
@@ -206,7 +235,8 @@ class Poly:
 
     def reflected(self) -> "Poly":
         """The polynomial p(-z)."""
-        return Poly([c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)])
+        return _poly([-c if k % 2 else c for k, c in enumerate(self.nums)],
+                     self.den)
 
     def __repr__(self):
         if self.is_zero():
@@ -227,6 +257,12 @@ class Poly:
         return [str(c) for c in self.coeffs]
 
 
+def _poly(nums: list, den: int) -> Poly:
+    """A Poly from integer numerators by degree over a nonzero
+    denominator."""
+    return object.__new__(Poly)._set(nums, den)
+
+
 def _as_poly(x) -> Poly:
     if isinstance(x, Poly):
         return x
@@ -236,42 +272,60 @@ def _as_poly(x) -> Poly:
 
 
 class RationalMatrix:
-    """Dense square matrix over exact rationals."""
+    """Dense square matrix over exact rationals.
 
-    __slots__ = ("rows",)
+    ``nums`` holds the dim x dim integer numerators row by row over the
+    positive denominator ``den``, in canonical form.
+    """
+
+    __slots__ = ("dim", "nums", "den", "_rows")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
-        rs = tuple(_fractions(row) for row in rows)
-        n = len(rs)
-        if any(len(row) != n for row in rs):
-            raise DimensionMismatch("matrix must be square",
-                                    {"rows": n, "cols": [len(r) for r in rs]})
-        self.rows = rs
+        rs = [list(row) for row in rows]
+        self._set(_square(rs), *_cleared([x for row in rs for x in row]))
+
+    def _set(self, n: int, nums: list, den: int) -> "RationalMatrix":
+        """Store n*n integer numerators, row by row, over a nonzero
+        denominator, in canonical form."""
+        self.dim = n
+        self.nums, self.den = _reduced(nums, den)
+        self._rows = None
+        return self
 
     # -- constructors ------------------------------------------------------
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.diagonal([1] * n)
 
     @classmethod
     def zero(cls, n: int) -> "RationalMatrix":
-        return cls([[0] * n for _ in range(n)])
+        return _matrix(n, [0] * (n * n), 1)
 
     @classmethod
     def diagonal(cls, entries: Sequence[Scalar]) -> "RationalMatrix":
         n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)]
-                    for i in range(n)])
+        diag, den = _cleared(entries)
+        nums = [0] * (n * n)
+        nums[::n + 1] = diag
+        return _matrix(n, nums, den)
 
     @classmethod
     def from_blocks(cls, blocks) -> "RationalMatrix":
         """Assemble from a 2x2 grid of equally sized square blocks."""
-        top, bottom = blocks
-        rows = []
-        for left, right in ((top[0], top[1]), (bottom[0], bottom[1])):
-            for rl, rr in zip(left.rows, right.rows):
-                rows.append(rl + rr)
-        return cls(rows)
+        (tl, tr), (bl, br) = blocks
+        k = tl.dim
+        if any(b.dim != k for b in (tr, bl, br)):
+            raise DimensionMismatch("matrix must be square",
+                                    {"blocks": [b.dim for b in
+                                                (tl, tr, bl, br)]})
+        den = math.lcm(tl.den, tr.den, bl.den, br.den)
+        nums = []
+        for left, right in ((tl, tr), (bl, br)):
+            fl, fr = den // left.den, den // right.den
+            for i in range(0, k * k, k):
+                nums += [x * fl for x in left.nums[i:i + k]]
+                nums += [x * fr for x in right.nums[i:i + k]]
+        return _matrix(2 * k, nums, den)
 
     @classmethod
     def from_strings(cls, rows) -> "RationalMatrix":
@@ -279,18 +333,30 @@ class RationalMatrix:
 
     # -- basic structure ---------------------------------------------------
     @property
-    def dim(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple:
+        """The entries as reduced Fractions, a tuple of row tuples."""
+        if self._rows is None:
+            n, den = self.dim, self.den
+            flat = [Fraction(x, den) for x in self.nums]
+            self._rows = tuple(tuple(flat[i:i + n])
+                               for i in range(0, n * n, n))
+        return self._rows
+
+    def _int_rows(self) -> list:
+        """The numerator rows, as tuples."""
+        n, nums = self.dim, self.nums
+        return [nums[i:i + n] for i in range(0, n * n, n)]
 
     def __getitem__(self, idx):
         i, j = idx
         return self.rows[i][j]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self.rows == other.rows
+        return (isinstance(other, RationalMatrix) and self.dim == other.dim
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.dim, self.den, self.nums))
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)
@@ -300,15 +366,16 @@ class RationalMatrix:
         return [[str(x) for x in row] for row in self.rows]
 
     def block(self, i0: int, i1: int, j0: int, j1: int) -> "RationalMatrix":
-        return RationalMatrix([row[j0:j1] for row in self.rows[i0:i1]])
+        rows = [row[j0:j1] for row in self._int_rows()[i0:i1]]
+        return _matrix(_square(rows), [x for row in rows for x in row],
+                       self.den)
 
     def transpose(self) -> "RationalMatrix":
-        n = self.dim
-        return RationalMatrix([[self.rows[j][i] for j in range(n)]
-                               for i in range(n)])
+        n, nums = self.dim, self.nums
+        return _matrix(n, [x for j in range(n) for x in nums[j::n]], self.den)
 
     def trace(self) -> Fraction:
-        return sum((self.rows[i][i] for i in range(self.dim)), Fraction(0))
+        return Fraction(sum(self.nums[::self.dim + 1]), self.den)
 
     def to_complex(self):
         return complex_array(self.rows)
@@ -319,18 +386,22 @@ class RationalMatrix:
             raise DimensionMismatch(
                 f"dimension mismatch: {self.dim} vs {other.dim}")
 
-    def __add__(self, other) -> "RationalMatrix":
+    def _combine(self, other, sign: int) -> "RationalMatrix":
         self._check_dim(other)
-        return RationalMatrix([[a + b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.rows, other.rows)])
+        da, db = self.den, other.den
+        g = math.gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        return _matrix(self.dim, [x * fa + y * fb for x, y in
+                                  zip(self.nums, other.nums)], da * fa)
+
+    def __add__(self, other) -> "RationalMatrix":
+        return self._combine(other, 1)
 
     def __sub__(self, other) -> "RationalMatrix":
-        self._check_dim(other)
-        return RationalMatrix([[a - b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.rows, other.rows)])
+        return self._combine(other, -1)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix([[-x for x in row] for row in self.rows])
+        return _matrix(self.dim, [-x for x in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -343,7 +414,9 @@ class RationalMatrix:
         return NotImplemented
 
     def scale(self, s: Scalar) -> "RationalMatrix":
-        return RationalMatrix([[x * s for x in row] for row in self.rows])
+        s = s if isinstance(s, (int, Fraction)) else to_fraction(s)
+        return _matrix(self.dim, [x * s.numerator for x in self.nums],
+                       self.den * s.denominator)
 
     def apply(self, vector: Sequence) -> list:
         """M v: exact Fractions for a rational v, entry by entry otherwise
@@ -352,45 +425,42 @@ class RationalMatrix:
             raise DimensionMismatch("vector length does not match matrix")
         if all(isinstance(v, (int, Fraction)) for v in vector):
             ys, dy = common_denominator(vector)
-            return [Fraction(_dot(xs, ys), dx * dy)
-                    for xs, dx in map(common_denominator, self.rows)]
+            den = self.den * dy
+            return [Fraction(_dot(xs, ys), den) for xs in self._int_rows()]
         return [sum((a * v for a, v in zip(row, vector)), Fraction(0))
                 for row in self.rows]
 
     # -- elimination-based operations --------------------------------------
     def det(self) -> Fraction:
-        """det M = det B / prod(d_i) for the rows B_i = d_i M_i cleared."""
-        cleared = [common_denominator(row) for row in self.rows]
-        pivots, pivot, sign = _eliminate([xs for xs, _ in cleared], self.dim)
-        if len(pivots) < self.dim:
+        """det M = det B / den^n for the numerator matrix B."""
+        n = self.dim
+        pivots, pivot, sign = _eliminate(self._int_rows(), n)
+        if len(pivots) < n:
             return Fraction(0)
-        return Fraction(sign * pivot, math.prod(d for _, d in cleared))
+        return Fraction(sign * pivot, self.den ** n)
 
     def inverse(self) -> "RationalMatrix":
-        """M^-1 = B^-1 diag(d) for the rows B_i = d_i M_i cleared; the
-        elimination of [B | I] leaves [p I | p B^-1]."""
+        """M^-1 = den B^-1 for the numerator matrix B; the elimination of
+        [B | I] leaves [p I | p B^-1]."""
         n = self.dim
-        cleared = [common_denominator(row) for row in self.rows]
-        m = [xs + [int(i == j) for j in range(n)]
-             for i, (xs, _) in enumerate(cleared)]
+        m = [[*row, *(int(i == j) for j in range(n))]
+             for i, row in enumerate(self._int_rows())]
         pivots, pivot, _ = _eliminate(m, n)
         if len(pivots) < n:
             raise SingularMatrixError("matrix is singular")
-        return RationalMatrix([[Fraction(x * d, pivot)
-                                for x, (_, d) in zip(row[n:], cleared)]
-                               for row in m])
+        den = self.den
+        return _matrix(n, [x * den for row in m for x in row[n:]], pivot)
 
     def char_poly(self) -> Poly:
         """Monic characteristic polynomial det(tI - M), Leverrier-Faddeev.
 
-        Run on the integer matrix B = D M: with M_1 = I and
+        Run on the numerator matrix B = den M: with M_1 = I and
         M_(k+1) = B M_k + c_k I, the coefficient of t^(n-k) of det(tI - B)
         is the integer c_k = -tr(B M_k) / k (an exact division), and that
-        of det(tI - M) is c_k / D^k.
+        of det(tI - M) is c_k / den^k, c_k den^(n-k) over den^n.
         """
-        n = self.dim
-        flat, den = common_denominator([x for row in self.rows for x in row])
-        b = [flat[i * n:(i + 1) * n] for i in range(n)]
+        n, den = self.dim, self.den
+        b = self._int_rows()
         coeffs = [1]
         acc = [[int(i == j) for j in range(n)] for i in range(n)]
         for k in range(1, n + 1):
@@ -399,19 +469,20 @@ class RationalMatrix:
             coeffs.append(ck)
             for i in range(n):
                 acc[i][i] += ck
-        return Poly([Fraction(c, den ** k)
-                     for k, c in enumerate(coeffs)][::-1])
+        return _poly([c * den ** (n - k) for k, c in enumerate(coeffs)][::-1],
+                     den ** n)
 
     def left_null_space(self) -> list:
         """Exact basis of {v : v M = 0}, rows normalized so the first
         nonzero entry is 1.
 
-        The columns of M, cleared to integers, are eliminated as the rows of
-        M^T; with pivot p, v[free] = p and v[pivot column i] = -m_i[free]
-        is p times the textbook vector, and the normalization removes p.
+        The columns of the numerator matrix are eliminated as the rows of
+        its transpose; with pivot p, v[free] = p and v[pivot column i] =
+        -m_i[free] is p times the textbook vector, and the normalization
+        removes p.
         """
-        n = self.dim
-        m = [common_denominator(col)[0] for col in zip(*self.rows)]
+        n, nums = self.dim, self.nums
+        m = [list(nums[j::n]) for j in range(n)]
         pivots, pivot, _ = _eliminate(m, n)
         basis = []
         for free in (c for c in range(n) if c not in pivots):
@@ -422,6 +493,21 @@ class RationalMatrix:
             first = next(x for x in v if x)
             basis.append([Fraction(x, first) for x in v])
         return basis
+
+
+def _square(rows: list) -> int:
+    """The size of a list of rows; DimensionMismatch unless square."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise DimensionMismatch("matrix must be square",
+                                {"rows": n, "cols": [len(r) for r in rows]})
+    return n
+
+
+def _matrix(n: int, nums: list, den: int) -> RationalMatrix:
+    """A RationalMatrix from n*n integer numerators, row by row, over a
+    nonzero denominator."""
+    return object.__new__(RationalMatrix)._set(n, nums, den)
 
 
 def _eliminate(m: list, ncols: int) -> tuple:
@@ -460,14 +546,15 @@ def _eliminate(m: list, ncols: int) -> tuple:
 
 def mat_mul(lhs: RationalMatrix, rhs: RationalMatrix) -> RationalMatrix:
     """Exact matrix product of equally sized square matrices: integer dot
-    products of cleared rows and columns, one reduction per entry."""
+    products of numerator rows and columns over the product of the two
+    denominators, reduced once."""
     if lhs.dim != rhs.dim:
         raise DimensionMismatch(
             f"dimension mismatch: {lhs.dim} vs {rhs.dim}")
-    cols = [common_denominator(col) for col in zip(*rhs.rows)]
-    return RationalMatrix([[Fraction(_dot(xs, ys), dx * dy)
-                            for ys, dy in cols]
-                           for xs, dx in map(common_denominator, lhs.rows)])
+    n, b = lhs.dim, rhs.nums
+    cols = [b[j::n] for j in range(n)]
+    return _matrix(n, [_dot(row, col) for row in lhs._int_rows()
+                       for col in cols], lhs.den * rhs.den)
 
 
 def left_eigenvectors(matrix: RationalMatrix, eigenvalue: Scalar) -> list:
@@ -500,8 +587,10 @@ class PolyMatrix:
     def from_matrix_coeffs(cls, coeff_matrices: Sequence[RationalMatrix]) -> "PolyMatrix":
         """Build sum_k z^k M_k from constant matrices M_0, M_1, ..."""
         n = coeff_matrices[0].dim
-        return cls([[Poly([m[i, j] for m in coeff_matrices])
-                     for j in range(n)] for i in range(n)])
+        den = math.lcm(*(m.den for m in coeff_matrices))
+        scaled = [(m.nums, den // m.den) for m in coeff_matrices]
+        return cls([[_poly([nums[k] * f for nums, f in scaled], den)
+                     for k in range(i, i + n)] for i in range(0, n * n, n)])
 
     @classmethod
     def from_constant(cls, m: RationalMatrix) -> "PolyMatrix":

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InputError, InternalInconsistency, SingularMatrixError
-from .exact import PolyMatrix, RationalMatrix, to_fraction
+from .exact import PolyMatrix, RationalMatrix, common_denominator, to_fraction
 
 _SIGN = {"+": 1, "-": -1, "0": 0}
 
@@ -104,6 +104,14 @@ class HGParams:
         hashed by."""
         return {}
 
+    @cached_property
+    def _upper_cleared(self) -> tuple:
+        """(alpha1, alpha2, beta1, beta2) as integer numerators over one
+        positive denominator, cleared once and kept outside the compared
+        fields like ``_half_sums``."""
+        return common_denominator((self.alpha1, self.alpha2,
+                                   self.beta1, self.beta2))
+
 
 def lam(p: HGParams, signs: str) -> Fraction:
     """Signed half-sum of the upper parameters.
@@ -117,9 +125,9 @@ def lam(p: HGParams, signs: str) -> Fraction:
     if value is None:
         if len(signs) != 4 or any(s not in _SIGN for s in signs):
             raise InputError(f"invalid sign index {signs!r}")
-        s = [_SIGN[c] for c in signs]
-        value = table[signs] = (s[0] * p.alpha1 + s[1] * p.alpha2
-                                + s[2] * p.beta1 + s[3] * p.beta2) / 2
+        nums, den = p._upper_cleared
+        value = table[signs] = Fraction(
+            sum(_SIGN[c] * x for c, x in zip(signs, nums)), 2 * den)
     return value
 
 

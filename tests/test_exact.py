@@ -91,11 +91,26 @@ def test_poly_product_degree(cs1, cs2):
         assert (p * q).degree == p.degree + q.degree
 
 
+def lagrange_interpolate(points) -> Poly:
+    """The polynomial of least degree through exact (x, y) pairs, by
+    Lagrange's formula (an oracle for tests; src/ has no use for it)."""
+    result = Poly()
+    for i, (xi, yi) in enumerate(points):
+        num = Poly.constant(yi)
+        den = F(1)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                num = num * Poly([-xj, 1])
+                den *= F(xi) - F(xj)
+        result = result + num * (1 / den)
+    return result
+
+
 def test_poly_eval_and_interpolate():
     p = Poly([F(1), F(-2), F(3)])  # 1 - 2z + 3z^2
     assert p(F(2)) == 1 - 4 + 12
     pts = [(F(k), p(F(k))) for k in range(4)]
-    assert Poly.interpolate(pts) == p
+    assert lagrange_interpolate(pts) == p
     assert Poly([1, 1]).reflected() == Poly([1, -1])
 
 
@@ -420,3 +435,132 @@ def test_poly_mul_matches_reference(pair):
     p, q = (Poly(cs) for cs in pair)
     assert exact_form((p * q).coeffs) == \
         exact_form(ref_poly_mul(p.coeffs, q.coeffs))
+
+
+# -- the remaining container ops against textbook Fraction forms -----------
+
+def ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_poly_call(cs, x):
+    acc = F(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def assert_canonical(m):
+    """One positive denominator sharing no factor with the numerators
+    (1 for the zero matrix or polynomial), and Fraction entries."""
+    from math import gcd
+    assert m.den > 0 and gcd(m.den, *m.nums) == 1
+    if not any(m.nums):
+        assert m.den == 1
+    entries = ([m[i, j] for i in range(m.dim) for j in range(m.dim)]
+               if isinstance(m, RationalMatrix)
+               else [m.coeff(k) for k in range(m.degree + 2)])
+    assert all(type(x) is F for x in entries)
+
+
+same_size_pair = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(square_rows(n), square_rows(n)))
+
+
+@kernel_settings
+@given(same_size_pair)
+def test_add_sub_neg_match_reference(pair):
+    a, b = pair
+    ma, mb = RationalMatrix(a), RationalMatrix(b)
+    for got, want in (
+            (ma + mb, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+            (ma - mb, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+            (-ma, [[-x for x in r] for r in a])):
+        assert_canonical(got)
+        assert exact_form(got.rows) == exact_form(want)
+    assert ma - ma == RationalMatrix.zero(len(a))
+
+
+@kernel_settings
+@given(square_rows(), entry_kinds["mixed"])
+def test_scale_and_trace_match_reference(a, s):
+    got = RationalMatrix(a).scale(s)
+    assert_canonical(got)
+    assert exact_form(got.rows) == exact_form([[x * s for x in r] for r in a])
+    assert exact_form(RationalMatrix(a).trace()) == \
+        exact_form(sum((a[i][i] for i in range(len(a))), F(0)))
+
+
+@kernel_settings
+@given(square_rows(), st.data())
+def test_transpose_and_block_match_reference(a, data):
+    n = len(a)
+    m = RationalMatrix(a)
+    got = m.transpose()
+    assert_canonical(got)
+    assert exact_form(got.rows) == \
+        exact_form([[a[j][i] for j in range(n)] for i in range(n)])
+    k = data.draw(st.integers(1, n))
+    i0, j0 = data.draw(st.integers(0, n - k)), data.draw(st.integers(0, n - k))
+    got = m.block(i0, i0 + k, j0, j0 + k)
+    assert_canonical(got)
+    assert exact_form(got.rows) == \
+        exact_form([row[j0:j0 + k] for row in a[i0:i0 + k]])
+
+
+@kernel_settings
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(*[square_rows(k)] * 4)))
+def test_from_blocks_matches_reference(blocks):
+    tl, tr, bl, br = blocks
+    got = RationalMatrix.from_blocks(
+        [[RationalMatrix(tl), RationalMatrix(tr)],
+         [RationalMatrix(bl), RationalMatrix(br)]])
+    assert_canonical(got)
+    want = ([r + s for r, s in zip(tl, tr)] + [r + s for r, s in zip(bl, br)])
+    assert exact_form(got.rows) == exact_form(want)
+    assert got == RationalMatrix(want)
+
+
+poly_pair = st.sampled_from(sorted(entry_kinds)).flatmap(
+    lambda kind: st.tuples(*[st.lists(entry_kinds[kind], max_size=9)] * 2))
+
+
+@kernel_settings
+@given(poly_pair, entry_kinds["mixed"])
+def test_poly_add_sub_call_match_reference(pair, x):
+    cs, ds = pair
+    p, q = Poly(cs), Poly(ds)
+    n = max(len(cs), len(ds))
+    pad = lambda v: list(v) + [F(0)] * (n - len(v))
+    for got, want in ((p + q, [u + v for u, v in zip(pad(cs), pad(ds))]),
+                      (p - q, [u - v for u, v in zip(pad(cs), pad(ds))]),
+                      (-p, [-u for u in cs])):
+        assert_canonical(got)
+        assert exact_form(got.coeffs) == exact_form(ref_trim(want))
+    assert exact_form(p(x)) == exact_form(ref_poly_call(cs, x))
+    assert_canonical(p * q)
+    assert p - p == Poly() and (p - p).den == 1
+
+
+def test_canonical_form_and_fraction_boundary():
+    half = RationalMatrix([[F(2, 4)]])
+    assert half == RationalMatrix([["1/2"]])
+    assert hash(half) == hash(RationalMatrix([["1/2"]]))
+    assert (half.nums, half.den) == ((1,), 2)
+    zero = RationalMatrix([[F(0, 7), 0], [F(0), "0/3"]])
+    assert zero == RationalMatrix.zero(2) and (zero.den, zero.nums) == \
+        (1, (0, 0, 0, 0))
+    assert Poly([F(2, 4), F(0, 5)]) == Poly(["1/2"])
+    assert hash(Poly([F(2, 4)])) == hash(Poly.constant(F(1, 2)))
+    # the canonical form survives a negative pivot and a scale to zero
+    m = RationalMatrix([[0, F(1, 3)], [F(-2, 5), 0]])
+    for out in (m.inverse(), m.scale(F(-6, 4)), m.scale(0), m * m, m - m,
+                m.block(0, 1, 1, 2), m.char_poly(), m.char_poly() * 0):
+        assert_canonical(out)
+    assert m.inverse() == RationalMatrix([[0, F(-5, 2)], [3, 0]])
+    assert all(type(x) is F for row in RationalMatrix.identity(3).rows
+               for x in row)
+    assert RationalMatrix.identity(2).scale(F(4, 6)).den == 3

@@ -1,0 +1,175 @@
+"""Golden digests of the exact layer's outputs.
+
+Each digest is a sha256 over exact numbers written as numerator and
+denominator, or over canonical JSON, recorded from an earlier release of
+the exact containers.  A change to how `RationalMatrix` and `Poly` store
+or compute their entries must leave every digest unchanged.
+
+The CLI digests in ``exact_cli.sha256`` cover the same commands the CI
+step "Exact CLI bytes" runs through the installed script.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from okubo import cli
+from okubo.accessory import solve_accessory, substantially_same
+from okubo.dotsenko_fateev import check_df_transformation, euler_reduce
+from okubo.errors import OkuboError
+from okubo.hgsystem import HGParams, build_okubo_system
+from okubo.sampling import (draw_chart, draw_df_params, draw_okubo_params,
+                            draw_perturbed_chart, draw_special_chart,
+                            draw_special_exponents)
+from okubo.series import local_series
+
+HERE = Path(__file__).resolve().parent
+SERIES_TERMS = 120
+DRAWS = 50
+#: (base, number of exponents) of every local series
+BASES = (("0", 3), ("1", 3), ("inf", 4))
+
+
+def pok_system():
+    return build_okubo_system(
+        HGParams.okubo(F(1, 3), F(1, 7), F(1, 5), F(1, 11)))[1]
+
+
+def special_system():
+    return solve_accessory(F(1, 3), F(1, 5), F(1, 7), F(1, 11))[1]
+
+
+def series_digest(system) -> str:
+    """Every exact local series of a system, at every base and exponent
+    index, coefficient by coefficient as numerator/denominator."""
+    h = hashlib.sha256()
+    for base, count in BASES:
+        for index in range(count):
+            for sol in local_series(system, base, index, SERIES_TERMS,
+                                    "exact"):
+                h.update(f"{base}:{index}:{sol.exponent};".encode())
+                for vec in sol.coeffs:
+                    h.update(";".join(f"{c.numerator}/{c.denominator}"
+                                      for c in vec).encode())
+                    h.update(b"\n")
+    return h.hexdigest()
+
+
+def _outcome(build):
+    """The JSON of a call, or the class and message of its refusal."""
+    try:
+        return build()
+    except OkuboError as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def draws_digest(kind: str) -> str:
+    h = hashlib.sha256()
+    for seed in range(DRAWS):
+        rng = random.Random(f"golden:{kind}:{seed}")
+        out = DRAW_KINDS[kind](rng)
+        h.update(json.dumps(out, sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _solve_accessory(rng):
+    abcd = draw_special_exponents(rng)
+
+    def solve(branch):
+        chart, system = solve_accessory(*abcd, branch=branch)
+        return {"chart": chart.to_json(),
+                "coeff": system.coeff.to_strings()}
+    return [_outcome(lambda: solve("via-r4")),
+            _outcome(lambda: solve("via-r3"))]
+
+
+def _build_okubo_system(rng):
+    gauge, system = build_okubo_system(draw_okubo_params(rng))
+    return {"gauge": gauge.to_strings(), "coeff": system.coeff.to_strings(),
+            "exponents": [str(x) for x in
+                          (system.a, system.b, system.c, system.d)]}
+
+
+def _euler_reduce(rng):
+    params = draw_df_params(rng)
+    k0, k1 = euler_reduce(params.induced_hg())
+    return {"k0": k0.to_strings(), "k1": k1.to_strings(),
+            "check": check_df_transformation(params).to_json()}
+
+
+def _substantially_same(rng):
+    charts = (draw_chart(rng), draw_special_chart(rng),
+              draw_perturbed_chart(rng))
+    return [substantially_same(chart, pair).to_json()
+            for chart in charts for pair in ("1-inf", "0-inf")]
+
+
+DRAW_KINDS = {"solve_accessory": _solve_accessory,
+              "build_okubo_system": _build_okubo_system,
+              "euler_reduce": _euler_reduce,
+              "substantially_same": _substantially_same}
+
+GOLDEN_SERIES = {
+    "pok":
+        "1ce58ee03fb7796c4512c1861de8106d6894f75a065131a175e8a84219f6c701",
+    "special":
+        "bf0163b3e6aa80c1fa6d5db6ba915061e6fb4620c8360170ba86a6b4b0180ad4",
+}
+
+GOLDEN_DRAWS = {
+    "solve_accessory":
+        "0a972051f45323914a5508d97207ffd5964fb721a962351b8720d4f33a17b279",
+    "build_okubo_system":
+        "54d742d0c6087a2b11de11b1f10e8e96e468e81bd5d85bcd0e994daffd8812dc",
+    "euler_reduce":
+        "2e46bef2141a5ab559e8c040e7926b8397191f80bf3da2526276016fe8c1a5d5",
+    "substantially_same":
+        "b3e9a7d17ef39fd7178940e82bef771b6f8bcbd33a033ae330f6a58abe493fd4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SERIES))
+def test_exact_local_series_digest(name):
+    system = {"pok": pok_system, "special": special_system}[name]()
+    assert series_digest(system) == GOLDEN_SERIES[name]
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_DRAWS))
+def test_seeded_draws_json_digest(kind):
+    assert draws_digest(kind) == GOLDEN_DRAWS[kind]
+
+
+def cli_digests() -> dict:
+    """file name -> sha256 of ``exact_cli.sha256``, in sha256sum's format."""
+    lines = (HERE / "exact_cli.sha256").read_text().splitlines()
+    return {name: digest for digest, name in (l.split() for l in lines)}
+
+
+#: the arguments of each output file of the CI step "Exact CLI bytes"
+CLI_RUNS = {
+    "series.json": ["series", "--params", "{params}", "--base", "inf",
+                    "--index", "0", "--terms", "80", "--mode", "exact"],
+    "solve-accessory.json": ["solve-accessory", "--a", "1/3", "--b", "1/5",
+                             "--c", "1/7", "--d", "1/11"],
+    "df-reduce.json": ["df-reduce", "--a", "1/3", "--b", "1/5", "--c", "1/7",
+                       "--g", "1/2"],
+    "df-verify.json": ["df-verify", "--a", "1/3", "--b", "1/5", "--c", "1/7",
+                       "--g", "1/2"],
+}
+
+
+def test_exact_cli_digests(tmp_path, capsys):
+    params = tmp_path / "p.json"
+    params.write_text('{"alpha1": "1/3", "alpha2": "1/7", '
+                      '"beta1": "1/5", "beta2": "1/11"}\n')
+    want = cli_digests()
+    assert sorted(want) == sorted(CLI_RUNS)
+    for name, args in CLI_RUNS.items():
+        args = [a.format(params=params) for a in args]
+        assert cli.main(args) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == want[name], name

@@ -54,6 +54,28 @@ def test_half_sum_table_matches_formula_and_stays_out_of_equality():
     assert repr(p) == repr(fresh) and p.to_json() == fresh.to_json()
 
 
+def test_half_sums_from_cleared_parameters_on_draws():
+    """lam's single Fraction over the parameters' common denominator
+    equals the sum of four Fraction products halved, on fresh parameters
+    of both kinds; the cleared form stays out of equality."""
+    rng = random.Random(2024)
+    weight = {"+": 1, "-": -1, "0": 0}
+    words = ["".join(s) for s in iproduct("+-0", repeat=4)]
+    for k in range(300):
+        p = (draw_okubo_params if k % 2 else draw_generic_params)(rng)
+        twin = HGParams(p.alpha1, p.alpha2, p.beta1, p.beta2,
+                        p.gamma1, p.gamma2)
+        for word in rng.sample(words, 20):
+            s = [weight[c] for c in word]
+            want = (s[0] * p.alpha1 + s[1] * p.alpha2
+                    + s[2] * p.beta1 + s[3] * p.beta2) / 2
+            got = lam(p, word)
+            assert type(got) is F
+            assert (got.numerator, got.denominator) == \
+                (want.numerator, want.denominator)
+        assert p == twin and hash(p) == hash(twin)
+
+
 def test_okubo_constraint():
     assert POK.is_okubo
     assert POK.gamma1 == lam(POK, "++++") + 1
