@@ -35,14 +35,15 @@ cached by value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import (AdmissibilityError, DConditionError, DegenerateChart,
                      EigenvectorDegeneracy, InputError, InternalInconsistency)
-from .exact import (Poly, PolyMatrix, RationalMatrix, common_denominator,
-                    left_eigenvectors, to_fraction)
+from .exact import (Poly, PolyMatrix, RationalMatrix, _poly,
+                    common_denominator, left_eigenvectors, to_fraction)
 from .hgsystem import (HGParams, J2, OkuboSystem, _even_quartic,
                        build_okubo_system, lam)
 
@@ -56,9 +57,17 @@ def base_condition_failures(a, b, c, d) -> list:
 
     The excluded set is: any of a, b, c, d, 2a, 2b, 2c, 2d and all the
     pairwise sums/differences being an integer.  Integrality is detected
-    exactly (denominator 1), never by a floating-point epsilon.
+    exactly, never by a floating-point epsilon: see `cleared_failures`.
     """
-    a, b, c, d = (to_fraction(x) for x in (a, b, c, d))
+    return cleared_failures(*common_denominator(
+        [to_fraction(x) for x in (a, b, c, d)]))
+
+
+def cleared_failures(nums, den: int) -> list:
+    """base_condition_failures of (a, b, c, d) = nums / den, for integer
+    numerators over one positive denominator: a combination of them is an
+    integer exactly when den divides its numerator."""
+    a, b, c, d = nums
     named = {"a": a, "b": b, "c": c, "d": d,
              "2a": 2 * a, "2b": 2 * b, "2c": 2 * c, "2d": 2 * d}
     for (n1, x), (n2, y) in (
@@ -66,7 +75,7 @@ def base_condition_failures(a, b, c, d) -> list:
             (("b", b), ("c", c)), (("b", b), ("d", d)), (("c", c), ("d", d))):
         named[f"{n1}+{n2}"] = x + y
         named[f"{n1}-{n2}"] = x - y
-    return [name for name, value in named.items() if value.denominator == 1]
+    return [name for name, value in named.items() if value % den == 0]
 
 
 def is_admissible(a, b, c, d) -> bool:
@@ -98,9 +107,10 @@ class AccessoryChart:
     validated Okubo system are cached properties, kept outside the fields
     the chart is compared and hashed by (like `OkuboSystem.resolvent`).
     Only success is kept, so an invalid chart raises on every call.  The
-    closed forms are integer polynomials in (a, b, c) cleared over one
-    denominator and r cleared over another, with one Fraction per output
-    entry.
+    closed forms are integer polynomials in (a, b, c, d) cleared over one
+    denominator and r cleared over another; a matrix is built from its
+    integer numerators (`RationalMatrix.from_integers`), a scalar as one
+    Fraction.
     """
 
     a: Fraction
@@ -151,15 +161,15 @@ class AccessoryChart:
 
     @cached_property
     def _cleared(self) -> tuple:
-        """((A, B, C), D, (R1, R2, R3, R4), E) with (a, b, c) = (A, B, C)/D
-        and r = R/E, the denominators D and E positive."""
-        abc, den_abc = common_denominator((self.a, self.b, self.c))
+        """((A, B, C, Dd), D, (R1, R2, R3, R4), E) with (a, b, c, d) =
+        (A, B, C, Dd)/D and r = R/E, the denominators D and E positive."""
+        abcd, den_abcd = common_denominator((self.a, self.b, self.c, self.d))
         r, den_r = common_denominator(self.r)
-        return abc, den_abc, r, den_r
+        return abcd, den_abcd, r, den_r
 
     @cached_property
     def _d_constraint(self) -> Fraction:
-        (a, b, c), da, (r1, r2, r3, r4), _ = self._cleared
+        (a, b, c, _), da, (r1, r2, r3, r4), _ = self._cleared
         if r1 == r2 or r3 == r4:
             raise self._degenerate()
         ab4 = 4 * a * b
@@ -181,7 +191,7 @@ class AccessoryChart:
 
     @cached_property
     def _a12(self) -> RationalMatrix:
-        (_, b, c), da, (r1, r2, r3, r4), _ = self._cleared
+        (_, b, c, _), da, (r1, r2, r3, r4), _ = self._cleared
         if r1 == r2:
             raise self._degenerate()
         bm, bp = b - c, b + c
@@ -191,7 +201,7 @@ class AccessoryChart:
 
     @cached_property
     def _a21(self) -> RationalMatrix:
-        (a, _, c), da, (r1, r2, r3, r4), _ = self._cleared
+        (a, _, c, _), da, (r1, r2, r3, r4), _ = self._cleared
         if r3 == r4:
             raise self._degenerate()
         am, ap = a - c, a + c
@@ -200,14 +210,22 @@ class AccessoryChart:
              ap * r1 - am * r3, am * r2 - ap * r3], da * (r4 - r3))
 
     @cached_property
-    def _obstructions(self) -> "Obstructions":
-        (a, b, c), da, (r1, r2, r3, r4), dr = self._cleared
+    def _obstruction_nums(self) -> tuple:
+        """(eps, dlt, den): with the chart cleared as in ``_cleared``,
+        epsilon = eps / (D^2 E), delta = dlt / E^2 and
+        (r1 - r2)(r3 - r4) = den / E^2."""
+        (a, b, c, _), _, (r1, r2, r3, r4), _ = self._cleared
         eps = (b * (a + c) * r1 + b * (a - c) * r2
                - a * (b + c) * r3 - a * (b - c) * r4)
-        dlt = r1 * r2 - r3 * r4
         den = (r1 - r2) * (r3 - r4)
         if den == 0:
             raise DegenerateChart("degenerate chart")
+        return eps, r1 * r2 - r3 * r4, den
+
+    @cached_property
+    def _obstructions(self) -> "Obstructions":
+        eps, dlt, den = self._obstruction_nums
+        _, da, _, dr = self._cleared
         da2 = da * da
         return Obstructions(Fraction(eps, da2 * dr), Fraction(dlt, dr * dr),
                             Fraction(2 * dr * eps, da2 * den),
@@ -247,16 +265,21 @@ class AccessoryChart:
 
 def solve_r4(a, b, c, d, r1, r2, r3) -> Fraction:
     """The unique r4 making the d-constraint hold, in `special_factors`
-    (A r1 r3 - B r2 r3 - 4ab r1 r2) / (D r1 - C r2 + 4ab r3)."""
-    a, b = to_fraction(a), to_fraction(b)
-    fa, fb, fc, fd = special_factors(a, b, c, d)
-    r1, r2, r3 = (to_fraction(x) for x in (r1, r2, r3))
+    (A r1 r3 - B r2 r3 - 4ab r1 r2) / (D r1 - C r2 + 4ab r3).
+
+    With (a, b, c, d) cleared over one denominator and (r1, r2, r3) over
+    E, the factors and 4ab share the denominator, which cancels, and E
+    cancels but once.
+    """
+    a, b, (fa, fb, fc, fd), _ = _cleared_factors(a, b, c, d)
+    (r1, r2, r3), den_r = common_denominator(
+        [to_fraction(x) for x in (r1, r2, r3)])
     ab4 = 4 * a * b
     coef = fc * r2 - fd * r1 - ab4 * r3
-    const = fa * r1 * r3 - fb * r2 * r3 - ab4 * r1 * r2
     if coef == 0:
         raise DegenerateChart("r4 is not determined by (r1, r2, r3)")
-    return -const / coef
+    const = fa * r1 * r3 - fb * r2 * r3 - ab4 * r1 * r2
+    return Fraction(-const, den_r * coef)
 
 
 # --------------------------------------------------------------------------
@@ -264,10 +287,10 @@ def solve_r4(a, b, c, d, r1, r2, r3) -> Fraction:
 # --------------------------------------------------------------------------
 
 def _signed_quotients(nums: list, den: int) -> RationalMatrix:
-    """[[n1, -n2], [-n3, n4]] / den, the shape of both off-diagonal blocks."""
+    """[[n1, -n2], [-n3, n4]] / den, the shape of both off-diagonal blocks;
+    a zero den raises ZeroDivisionError, as Fraction(n1, 0) does."""
     n1, n2, n3, n4 = nums
-    return RationalMatrix([[Fraction(n1, den), Fraction(-n2, den)],
-                           [Fraction(-n3, den), Fraction(n4, den)]])
+    return RationalMatrix.from_integers([n1, -n2, -n3, n4], den)
 
 
 def upper_block(chart: AccessoryChart) -> RationalMatrix:
@@ -300,15 +323,20 @@ def special_matrix(a, b, c, d) -> OkuboSystem:
 
 
 def _special_coeff(a, b, c, d) -> RationalMatrix:
-    """The closed-form special coefficient matrix, for Fractions a..d."""
-    a12 = RationalMatrix([
-        [((a - b + c) ** 2 - d ** 2) / (4 * a), ((a + b + c) ** 2 - d ** 2) / (4 * a)],
-        [(d ** 2 - (a + b - c) ** 2) / (4 * a), (d ** 2 - (a - b - c) ** 2) / (4 * a)]])
-    a21 = RationalMatrix([
-        [((a - b - c) ** 2 - d ** 2) / (4 * b), ((a + b + c) ** 2 - d ** 2) / (4 * b)],
-        [(d ** 2 - (a + b - c) ** 2) / (4 * b), (d ** 2 - (a - b + c) ** 2) / (4 * b)]])
-    return RationalMatrix.from_blocks(
-        [[J2.scale(a), a12], [a21, J2.scale(b)]])
+    """The closed-form special coefficient matrix, with A..D the factors
+    of `special_factors`:
+
+        [[a J, [[D, A], [-C, -B]] / (4a)], [[[B, A], [-C, -D]] / (4b), b J]],
+
+    built over the one denominator 4ab from (a, b, c, d) cleared.  A zero
+    a or b raises ZeroDivisionError."""
+    a, b, (fa, fb, fc, fd), den = _cleared_factors(a, b, c, d)
+    ja, jb = 4 * a * a * b, 4 * a * b * b
+    return RationalMatrix.from_integers(
+        [ja, 0, b * fd, b * fa,
+         0, -ja, -b * fc, -b * fb,
+         a * fb, a * fa, jb, 0,
+         -a * fc, -a * fd, 0, -jb], 4 * a * b * den)
 
 
 # --------------------------------------------------------------------------
@@ -415,38 +443,61 @@ def cubic_blocks(chart: AccessoryChart) -> CubicBlockDecomposition:
         quadratic = a J
         linear    = (a^2-b^2-c^2-d^2)/2 I + eps' E - b delta' C
         constant  = b A12 J A21 - a b^2 J - 2abc delta' I.
+
+    Each block is built from integer numerators over one denominator: in
+    the chart's cleared integers (see `AccessoryChart._obstruction_nums`)
+    eps' r_k = 2 eps R_k / (D^2 den) and delta' = 2 dlt / den.
     """
     chart.check()
-    a, b, c, d = chart.a, chart.b, chart.c, chart.d
-    r1, r2 = chart.r1, chart.r2
-    obs = epsilon_delta(chart)
-    ident = RationalMatrix.identity(2)
-    cross = RationalMatrix([[0, r2], [r1, 0]])
-    skew = RationalMatrix([[c, a + c], [a - c, -c]])
-    half = (a * a - b * b - c * c - d * d) / 2
-    linear = (ident.scale(half) + cross.scale(obs.epsilon_prime)
-              - skew.scale(b * obs.delta_prime))
-    sandwich = upper_block(chart) * J2 * lower_block(chart)
-    constant = (sandwich.scale(b) - J2.scale(a * b * b)
-                - ident.scale(2 * a * b * c * obs.delta_prime))
-    return CubicBlockDecomposition(quadratic=J2.scale(a), linear=linear,
-                                   constant=constant)
+    (a, b, c, d), da, (r1, r2, _, _), _ = chart._cleared
+    eps, dlt, den = chart._obstruction_nums
+    da2 = da * da
+    half = (a * a - b * b - c * c - d * d) * den
+    bc4 = 4 * b * c * dlt
+    linear = RationalMatrix.from_integers(
+        [half - bc4, 4 * (eps * r2 - b * (a + c) * dlt),
+         4 * (eps * r1 - b * (a - c) * dlt), half + bc4], 2 * da2 * den)
+    # over D^3 pd den, with U J L = Q / pd: b U J L, a b^2 J, 2abc delta' I
+    _, q, pd = _off_block_products(upper_block(chart), lower_block(chart))
+    bq = b * da2 * den
+    jt = a * b * b * pd * den
+    it = 4 * a * b * c * dlt * pd
+    constant = RationalMatrix.from_integers(
+        [bq * q[0] - jt - it, bq * q[1], bq * q[2], bq * q[3] + jt - it],
+        da2 * da * pd * den)
+    return CubicBlockDecomposition(
+        quadratic=RationalMatrix.from_integers([a, 0, 0, -a], da),
+        linear=linear, constant=constant)
+
+
+def _off_block_products(upper: RationalMatrix, lower: RationalMatrix) -> tuple:
+    """(P, Q, den) with U L = P / den and U J L = Q / den, P and Q the
+    integer products of the numerators of U and L, row by row."""
+    u0, u1, u2, u3 = upper.nums
+    l0, l1, l2, l3 = lower.nums
+    return ([u0 * l0 + u1 * l2, u0 * l1 + u1 * l3,
+             u2 * l0 + u3 * l2, u2 * l1 + u3 * l3],
+            [u0 * l0 - u1 * l2, u0 * l1 - u1 * l3,
+             u2 * l0 - u3 * l2, u2 * l1 - u3 * l3], upper.den * lower.den)
+
+
+_I2 = RationalMatrix.identity(2)
 
 
 def _monic_cubic(coeffs: list) -> PolyMatrix:
     """z^3 I + z^2 M2 + z M1 + M0 from the 2x2 matrices [M0, M1, M2]."""
-    return PolyMatrix.from_matrix_coeffs(coeffs + [RationalMatrix.identity(2)])
+    return PolyMatrix.from_matrix_coeffs(coeffs + [_I2])
 
 
 def _adjugate_cubic(coeffs: list) -> PolyMatrix:
     """The adjugate of the monic cubic with coefficients [M0, M1, M2].
 
     A 2x2 adjugate is the trace complement tr(M) I - M, linear in M and
-    fixing I, so it is taken coefficient by coefficient.
+    fixing I, so it is taken coefficient by coefficient, on the numerators.
     """
-    return _monic_cubic([RationalMatrix([[m[1, 1], -m[0, 1]],
-                                         [-m[1, 0], m[0, 0]]])
-                         for m in coeffs])
+    return _monic_cubic([RationalMatrix.from_integers(
+        [m.nums[3], -m.nums[1], -m.nums[2], m.nums[0]], m.den)
+        for m in coeffs])
 
 
 # --------------------------------------------------------------------------
@@ -478,14 +529,14 @@ class DifferenceSystem:
         return self.matrix.eval(z0).scale(self.scalar_numerator(z0) / den)
 
 
-#: per point pair: the sign of both scalar numerators; (e, f, U, L) with e J
-#: the diagonal block of A the pair reads, U in its rows, L in its columns;
-#: the labels of the systems at the finite point and at infinity
+#: per point pair: the sign of both scalar numerators; whether the pair
+#: reads the bottom diagonal block b J of A, with (e, f, U, L) = (b, a, A21,
+#: A12), rather than the top one, with (a, b, A12, A21): e J the block, U in
+#: its rows, L in its columns; the labels of the systems at the finite
+#: point and at infinity
 _POINT_PAIRS = {
-    "1-inf": (-1, lambda ch: (ch.a, ch.b, upper_block(ch), lower_block(ch)),
-              "g-at-1", "h-at-inf"),
-    "0-inf": (1, lambda ch: (ch.b, ch.a, lower_block(ch), upper_block(ch)),
-              "g-at-0", "h-at-inf-dual"),
+    "1-inf": (-1, False, "g-at-1", "h-at-inf"),
+    "0-inf": (1, True, "g-at-0", "h-at-inf-dual"),
 }
 
 
@@ -507,24 +558,33 @@ def difference_systems(chart: AccessoryChart, point_pair: str = "1-inf") -> tupl
     chart.check()
     if point_pair not in _POINT_PAIRS:
         raise InputError(f"unknown point pair {point_pair!r}")
-    sign, block_of, g_label, h_label = _POINT_PAIRS[point_pair]
-    e, f, upper, lower = block_of(chart)
-    c2, d2 = chart.c * chart.c, chart.d * chart.d
-    s = c2 + d2
-    ul = upper * lower
-    b2 = J2.scale(e)
-    b1 = RationalMatrix.identity(2).scale(e * e - s) + ul
-    b0 = ((ul * J2 + J2 * ul + J2.scale(e * e - s)).scale(e)
-          + (upper * J2 * lower).scale(f))
+    sign, bottom, g_label, h_label = _POINT_PAIRS[point_pair]
+    (e, f, c, d), da, _, _ = chart._cleared
+    upper, lower = upper_block(chart), lower_block(chart)
+    if bottom:
+        e, f, upper, lower = f, e, lower, upper
+    # k = D^2 (e^2 - s); UL = P / pd and U J L = Q / pd; UL J + J UL is
+    # 2 diag(UL_11, -UL_22)
+    k = e * e - c * c - d * d
+    p, q, pd = _off_block_products(upper, lower)
+    da2 = da * da
+    kp = k * pd
+    b2 = RationalMatrix.from_integers([e, 0, 0, -e], da)
+    b1 = RationalMatrix.from_integers(
+        [kp + da2 * p[0], da2 * p[1], da2 * p[2], kp + da2 * p[3]], da2 * pd)
+    fd2 = f * da2
+    b0 = RationalMatrix.from_integers(
+        [e * (2 * da2 * p[0] + kp) + fd2 * q[0], fd2 * q[1], fd2 * q[2],
+         fd2 * q[3] - e * (2 * da2 * p[3] + kp)], da2 * da * pd)
     g_sys = DifferenceSystem(
         matrix=_adjugate_cubic([b0, b1, b2]),
         scalar_numerator=Poly.constant(sign),
-        scalar_denominator=Poly([1, 1]) * Poly([-(f * f), 0, 1]),
+        scalar_denominator=_poly([-f * f, -f * f, da2, da2], da2),
         label=g_label)
     h_sys = DifferenceSystem(
         matrix=_monic_cubic([-b0, b1, -b2]),
         scalar_numerator=Poly([-sign, sign]),
-        scalar_denominator=Poly([-c2, 0, 1]) * Poly([-d2, 0, 1]),
+        scalar_denominator=_even_quartic(chart.c, chart.d),
         label=h_label)
     return g_sys, h_sys
 
@@ -563,17 +623,41 @@ def cross_products(b_matrix: PolyMatrix, c_matrix: PolyMatrix) -> dict:
     """All 2x2-entry cross products c_jk b_lm - b_jk c_lm as polynomials.
 
     Only the 6 with jk before lm are multiplied out: swapping jk and lm
-    negates a cross product, and jk == lm gives zero.
+    negates a cross product, and jk == lm gives zero.  Each matrix is
+    cleared once, over the lcm of its entries' denominators, so a cross
+    product is an integer convolution over the product of the two.
     """
-    entries = [(j, k) for j in range(2) for k in range(2)]
+    bs, db = _cleared_entries(b_matrix)
+    cs, dc = _cleared_entries(c_matrix)
+    keys = ("11", "12", "21", "22")
     out = {}
-    for x, (j, k) in enumerate(entries):
-        out[f"{j + 1}{k + 1}" * 2] = Poly()
-        for l, m in entries[x + 1:]:
-            minor = (c_matrix[j, k] * b_matrix[l, m]
-                     - b_matrix[j, k] * c_matrix[l, m])
-            out[f"{j + 1}{k + 1}{l + 1}{m + 1}"] = minor
-            out[f"{l + 1}{m + 1}{j + 1}{k + 1}"] = -minor
+    for x, jk in enumerate(keys):
+        out[jk * 2] = Poly()
+        for y in range(x + 1, 4):
+            minor = _poly(_cross(cs[x], bs[y], bs[x], cs[y]), db * dc)
+            out[jk + keys[y]] = minor
+            out[keys[y] + jk] = -minor
+    return out
+
+
+def _cleared_entries(m: PolyMatrix) -> tuple:
+    """(integer coefficient lists, row by row, over one positive
+    denominator) of the entries of a 2x2 polynomial matrix."""
+    polys = [e for row in m.entries for e in row]
+    den = math.lcm(*(e.den for e in polys))
+    return [[x * (den // e.den) for x in e.nums] for e in polys], den
+
+
+def _cross(p, q, r, s) -> list:
+    """The integer coefficients of p q - r s, for coefficient lists by
+    degree; the result may end in zeros."""
+    out = [0] * max(len(p) + len(q), len(r) + len(s))
+    for i, x in enumerate(p):
+        for j, y in enumerate(q, i):
+            out[j] += x * y
+    for i, x in enumerate(r):
+        for j, y in enumerate(s, i):
+            out[j] -= x * y
     return out
 
 
@@ -609,17 +693,29 @@ def substantially_same(chart: AccessoryChart,
 def special_factors(a, b, c, d) -> tuple:
     """(A, B, C, D): the factors (a+b+c)^2, (a-b-c)^2, (a+b-c)^2 and
     (a-b+c)^2, each minus d^2, of the special ratios."""
-    a, b, c, d = (to_fraction(x) for x in (a, b, c, d))
-    d2 = d * d
-    return ((a + b + c) ** 2 - d2, (a - b - c) ** 2 - d2,
-            (a + b - c) ** 2 - d2, (a - b + c) ** 2 - d2)
+    _, _, factors, den = _cleared_factors(a, b, c, d)
+    den2 = den * den
+    return tuple(Fraction(x, den2) for x in factors)
 
 
 def special_ratios(a, b, c, d) -> tuple:
     """(BC, AD, CD, AB): the one solution of epsilon = delta = 0 up to
     scale, a chart unless a coordinate is zero, r1 = r2 or r3 = r4."""
-    fa, fb, fc, fd = special_factors(a, b, c, d)
-    return fb * fc, fa * fd, fc * fd, fa * fb
+    _, _, (fa, fb, fc, fd), den = _cleared_factors(a, b, c, d)
+    den4 = den ** 4
+    return (Fraction(fb * fc, den4), Fraction(fa * fd, den4),
+            Fraction(fc * fd, den4), Fraction(fa * fb, den4))
+
+
+def _cleared_factors(a, b, c, d) -> tuple:
+    """(A, B, (FA, FB, FC, FD), D): (a, b, c, d) cleared over one positive
+    denominator D, with a = A/D, b = B/D and the factors of
+    `special_factors` FA/D^2 .. FD/D^2."""
+    (a, b, c, d), den = common_denominator(
+        [to_fraction(x) for x in (a, b, c, d)])
+    d2 = d * d
+    return a, b, ((a + b + c) ** 2 - d2, (a - b - c) ** 2 - d2,
+                  (a + b - c) ** 2 - d2, (a - b + c) ** 2 - d2), den
 
 
 def solve_accessory(a, b, c, d, branch: str = "via-r4",

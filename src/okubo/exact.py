@@ -18,10 +18,14 @@ runs on Python ints with no per-entry gcd:
 * `det`, `inverse` and `left_null_space` use fraction-free (Bareiss)
   elimination of B, whose divisions by the previous pivot are exact.
 
-Fractions appear only at the boundary: `RationalMatrix.rows`, ``m[i, j]``,
+Fractions appear only at the boundary: `RationalMatrix.rows`,
 `Poly.coeffs` and `Poly.coeff` give the reduced `fractions.Fraction`s of
-the entries, built on first read and kept.  The outputs are the same
-Fractions the textbook Fraction algorithms give.
+the entries, built on first read and kept, and ``m[i, j]`` builds the one
+entry it reads.  The outputs are the same Fractions the textbook Fraction
+algorithms give.  The way in without Fractions is
+`RationalMatrix.from_integers(nums, den)`: n*n integer numerators, row by
+row, over one nonzero denominator, reduced by the same one gcd; every
+kernel builds its result through it.
 
 Serialization convention: a rational is the string ``"p/q"`` (``"p"`` when
 the denominator is 1), sign on the numerator; a matrix is a JSON array of
@@ -298,8 +302,23 @@ class RationalMatrix:
         return cls.diagonal([1] * n)
 
     @classmethod
+    def from_integers(cls, nums: Sequence[int], den: int) -> "RationalMatrix":
+        """The matrix of the n*n integer numerators ``nums``, row by row,
+        over the nonzero integer ``den``, brought to canonical form by one
+        gcd; nothing is cleared.  A zero ``den`` raises the
+        ZeroDivisionError that Fraction(nums[0], 0) raises."""
+        nums = tuple(nums)
+        n = math.isqrt(len(nums))
+        if n * n != len(nums):
+            raise DimensionMismatch("matrix must be square",
+                                    {"entries": len(nums)})
+        if not den:
+            raise ZeroDivisionError(f"Fraction({nums[0] if nums else 0}, 0)")
+        return object.__new__(cls)._set(n, nums, den)
+
+    @classmethod
     def zero(cls, n: int) -> "RationalMatrix":
-        return _matrix(n, [0] * (n * n), 1)
+        return cls.from_integers([0] * (n * n), 1)
 
     @classmethod
     def diagonal(cls, entries: Sequence[Scalar]) -> "RationalMatrix":
@@ -307,7 +326,7 @@ class RationalMatrix:
         diag, den = _cleared(entries)
         nums = [0] * (n * n)
         nums[::n + 1] = diag
-        return _matrix(n, nums, den)
+        return cls.from_integers(nums, den)
 
     @classmethod
     def from_blocks(cls, blocks) -> "RationalMatrix":
@@ -325,7 +344,7 @@ class RationalMatrix:
             for i in range(0, k * k, k):
                 nums += [x * fl for x in left.nums[i:i + k]]
                 nums += [x * fr for x in right.nums[i:i + k]]
-        return _matrix(2 * k, nums, den)
+        return cls.from_integers(nums, den)
 
     @classmethod
     def from_strings(cls, rows) -> "RationalMatrix":
@@ -348,8 +367,15 @@ class RationalMatrix:
         return [nums[i:i + n] for i in range(0, n * n, n)]
 
     def __getitem__(self, idx):
+        """Entry (i, j) as a reduced Fraction, built alone; the indices
+        behave as in ``.rows[i][j]`` (negative ones count from the end)."""
         i, j = idx
-        return self.rows[i][j]
+        span = range(self.dim)
+        try:
+            k = span[i] * self.dim + span[j]
+        except IndexError:
+            raise IndexError("tuple index out of range") from None
+        return Fraction(self.nums[k], self.den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalMatrix) and self.dim == other.dim
@@ -367,12 +393,14 @@ class RationalMatrix:
 
     def block(self, i0: int, i1: int, j0: int, j1: int) -> "RationalMatrix":
         rows = [row[j0:j1] for row in self._int_rows()[i0:i1]]
-        return _matrix(_square(rows), [x for row in rows for x in row],
-                       self.den)
+        _square(rows)
+        return RationalMatrix.from_integers([x for row in rows for x in row],
+                                            self.den)
 
     def transpose(self) -> "RationalMatrix":
         n, nums = self.dim, self.nums
-        return _matrix(n, [x for j in range(n) for x in nums[j::n]], self.den)
+        return RationalMatrix.from_integers(
+            [x for j in range(n) for x in nums[j::n]], self.den)
 
     def trace(self) -> Fraction:
         return Fraction(sum(self.nums[::self.dim + 1]), self.den)
@@ -391,8 +419,8 @@ class RationalMatrix:
         da, db = self.den, other.den
         g = math.gcd(da, db)
         fa, fb = db // g, sign * (da // g)
-        return _matrix(self.dim, [x * fa + y * fb for x, y in
-                                  zip(self.nums, other.nums)], da * fa)
+        return RationalMatrix.from_integers(
+            [x * fa + y * fb for x, y in zip(self.nums, other.nums)], da * fa)
 
     def __add__(self, other) -> "RationalMatrix":
         return self._combine(other, 1)
@@ -401,7 +429,7 @@ class RationalMatrix:
         return self._combine(other, -1)
 
     def __neg__(self) -> "RationalMatrix":
-        return _matrix(self.dim, [-x for x in self.nums], self.den)
+        return RationalMatrix.from_integers([-x for x in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -415,8 +443,8 @@ class RationalMatrix:
 
     def scale(self, s: Scalar) -> "RationalMatrix":
         s = s if isinstance(s, (int, Fraction)) else to_fraction(s)
-        return _matrix(self.dim, [x * s.numerator for x in self.nums],
-                       self.den * s.denominator)
+        return RationalMatrix.from_integers(
+            [x * s.numerator for x in self.nums], self.den * s.denominator)
 
     def apply(self, vector: Sequence) -> list:
         """M v: exact Fractions for a rational v, entry by entry otherwise
@@ -449,7 +477,8 @@ class RationalMatrix:
         if len(pivots) < n:
             raise SingularMatrixError("matrix is singular")
         den = self.den
-        return _matrix(n, [x * den for row in m for x in row[n:]], pivot)
+        return RationalMatrix.from_integers(
+            [x * den for row in m for x in row[n:]], pivot)
 
     def char_poly(self) -> Poly:
         """Monic characteristic polynomial det(tI - M), Leverrier-Faddeev.
@@ -504,12 +533,6 @@ def _square(rows: list) -> int:
     return n
 
 
-def _matrix(n: int, nums: list, den: int) -> RationalMatrix:
-    """A RationalMatrix from n*n integer numerators, row by row, over a
-    nonzero denominator."""
-    return object.__new__(RationalMatrix)._set(n, nums, den)
-
-
 def _eliminate(m: list, ncols: int) -> tuple:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
@@ -553,8 +576,9 @@ def mat_mul(lhs: RationalMatrix, rhs: RationalMatrix) -> RationalMatrix:
             f"dimension mismatch: {lhs.dim} vs {rhs.dim}")
     n, b = lhs.dim, rhs.nums
     cols = [b[j::n] for j in range(n)]
-    return _matrix(n, [_dot(row, col) for row in lhs._int_rows()
-                       for col in cols], lhs.den * rhs.den)
+    return RationalMatrix.from_integers(
+        [_dot(row, col) for row in lhs._int_rows() for col in cols],
+        lhs.den * rhs.den)
 
 
 def left_eigenvectors(matrix: RationalMatrix, eigenvalue: Scalar) -> list:

@@ -32,7 +32,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InputError, InternalInconsistency, SingularMatrixError
-from .exact import PolyMatrix, RationalMatrix, common_denominator, to_fraction
+from .exact import (Poly, PolyMatrix, RationalMatrix, _poly,
+                    common_denominator, to_fraction)
 
 _SIGN = {"+": 1, "-": -1, "0": 0}
 
@@ -123,12 +124,24 @@ def lam(p: HGParams, signs: str) -> Fraction:
     table = p._half_sums
     value = table.get(signs)
     if value is None:
-        if len(signs) != 4 or any(s not in _SIGN for s in signs):
-            raise InputError(f"invalid sign index {signs!r}")
         nums, den = p._upper_cleared
-        value = table[signs] = Fraction(
-            sum(_SIGN[c] * x for c, x in zip(signs, nums)), 2 * den)
+        value = table[signs] = Fraction(_signed_sum(signs, nums), 2 * den)
     return value
+
+
+def half_sum_numerators(p: HGParams, words) -> tuple:
+    """([lam(p, w) * den for w in words], den): the half-sums as integer
+    numerators over one positive denominator, the upper parameters cleared
+    once; no Fraction is built."""
+    nums, den = p._upper_cleared
+    return [_signed_sum(w, nums) for w in words], 2 * den
+
+
+def _signed_sum(signs: str, nums) -> int:
+    """The signed sum of four integers selected by a sign word."""
+    if len(signs) != 4 or any(s not in _SIGN for s in signs):
+        raise InputError(f"invalid sign index {signs!r}")
+    return sum(_SIGN[c] * x for c, x in zip(signs, nums))
 
 
 @dataclass(frozen=True)
@@ -203,9 +216,12 @@ class OkuboSystem:
         return {}
 
 
-def _even_quartic(c: Fraction, d: Fraction):
-    from .exact import Poly
-    return Poly([c * c * d * d, 0, -(c * c + d * d), 0, 1])
+def _even_quartic(c: Fraction, d: Fraction) -> Poly:
+    """(z^2 - c^2)(z^2 - d^2), built from c and d cleared over one
+    denominator."""
+    (c, d), den = common_denominator((c, d))
+    c2, d2, den2 = c * c, d * d, den * den
+    return _poly([c2 * d2, 0, -(c2 + d2) * den2, 0, den2 * den2], den2 * den2)
 
 
 def resolvent_numerator(matrix: RationalMatrix, c, d) -> PolyMatrix:
@@ -328,9 +344,10 @@ def build_okubo_system(p: HGParams) -> tuple:
     shift = RationalMatrix.identity(4).scale(l("----"))
     part0 = ginv * (hs0 - shift) * gauge
     part1 = ginv * hs1 * gauge
-    if any(part0[i, j] != 0 for i in (2, 3) for j in range(4)):
+    # rows 3, 4 and rows 1, 2 of a 4x4 matrix: its numerators 8..15 and 0..7
+    if any(part0.nums[8:]):
         raise InternalInconsistency("rows 3,4 of the x=0 part are not zero")
-    if any(part1[i, j] != 0 for i in (0, 1) for j in range(4)):
+    if any(part1.nums[:8]):
         raise InternalInconsistency("rows 1,2 of the x=1 part are not zero")
     coeff = part0 + part1
     if coeff != _okubo_coeff_half_sum_form(p):

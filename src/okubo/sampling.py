@@ -12,12 +12,13 @@ import cmath
 import random
 from fractions import Fraction
 
-from .accessory import (AccessoryChart, epsilon_delta, is_admissible,
-                        solve_accessory, solve_r4, special_ratios)
+from .accessory import (AccessoryChart, cleared_failures, epsilon_delta,
+                        is_admissible, solve_accessory, solve_r4,
+                        special_ratios)
 from .dotsenko_fateev import DFParams
 from .errors import DegenerateChart, DConditionError, OkuboError
-from .hgsystem import (HGParams, det_diagonalizer_formula, det_gauge_formula,
-                       lam)
+from .hgsystem import (DET_DIAGONALIZER_FACTORS, DET_GAUGE_FACTORS, HGParams,
+                       half_sum_numerators)
 
 MAX_ATTEMPTS = 10_000
 
@@ -64,6 +65,21 @@ def draw_generic_params(rng: random.Random) -> HGParams:
     return HGParams.generic(*(rand_fraction(rng) for _ in range(6)))
 
 
+#: the half-sums a, b, c, d of the Okubo form (hgsystem.build_okubo_system)
+_EXPONENT_WORDS = ("++++", "-+-+", "++--", "+--+")
+
+
+def _passes(p: HGParams, needed: tuple) -> bool:
+    """Whether the Okubo exponents of gamma-constrained parameters are
+    admissible and no half-sum of det P, of the numerator of det R or of
+    ``needed`` is zero (det R's denominator is a product of parameters,
+    which ``needed`` holds), tested on the half-sums' integer numerators."""
+    nums, den = half_sum_numerators(
+        p, _EXPONENT_WORDS + DET_GAUGE_FACTORS + DET_DIAGONALIZER_FACTORS
+        + needed)
+    return all(nums[4:]) and not cleared_failures(nums[:4], den)
+
+
 def draw_okubo_params(rng: random.Random) -> HGParams:
     """Gamma-constrained parameters passing every nondegeneracy condition
     used by the gauge, the diagonalizer and the realization check."""
@@ -71,14 +87,8 @@ def draw_okubo_params(rng: random.Random) -> HGParams:
               "+0-0", "0+0-", "--++", "0-0+", "-0+0")
     for _ in range(MAX_ATTEMPTS):
         p = HGParams.okubo(*(rand_fraction(rng) for _ in range(4)))
-        abcd = (lam(p, "++++"), lam(p, "-+-+"), lam(p, "++--"), lam(p, "+--+"))
-        if not is_admissible(*abcd):
-            continue
-        if det_gauge_formula(p) == 0 or det_diagonalizer_formula(p) == 0:
-            continue
-        if any(lam(p, s) == 0 for s in needed):
-            continue
-        return p
+        if _passes(p, needed):
+            return p
     _give_up("gamma-constrained parameters")
 
 
@@ -142,19 +152,11 @@ def draw_df_params(rng: random.Random) -> DFParams:
         a, b, g = params.a, params.b, params.g
         if (2 * a + g) == 0 or (2 * a + 2 * b + g) == 0:
             continue
-        hg = params.induced_hg()
-        abcd = (lam(hg, "++++"), lam(hg, "-+-+"),
-                lam(hg, "++--"), lam(hg, "+--+"))
-        if not is_admissible(*abcd):
-            continue
-        if det_gauge_formula(hg) == 0 or det_diagonalizer_formula(hg) == 0:
-            continue
         needed = ("+000", "0+00", "00+0", "000+", "+--+", "+-++", "+0-0",
                   "0+0-", "+++-", "--++", "0-0+", "-0+0", "+0+0", "++00",
                   "0+-0")
-        if any(lam(hg, s) == 0 for s in needed):
-            continue
-        return params
+        if _passes(params.induced_hg(), needed):
+            return params
     _give_up("size-three system parameters")
 
 

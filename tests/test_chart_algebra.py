@@ -16,6 +16,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from okubo import accessory as acc
 from okubo.accessory import (AccessoryChart, Obstructions, cubic_blocks,
@@ -118,10 +119,10 @@ PAIRS = (
 )
 
 
-def outcome(fn, chart):
+def outcome(fn, *args):
     """The value, or everything that identifies the exception."""
     try:
-        return "value", fn(chart)
+        return "value", fn(*args)
     except (ArithmeticError, DegenerateChart, DConditionError) as exc:
         return ("raised", type(exc), exc.args, getattr(exc, "context", None))
 
@@ -198,6 +199,74 @@ def test_degenerate_charts_raise_as_the_references_do():
     # A12 at r1 = r2 and A21 at r3 = r4 raise DegenerateChart like the
     # chart checks do, not a ZeroDivisionError
     assert set(errors) == {DegenerateChart, DConditionError}
+
+
+# -- integers in place of Fractions: admissibility, the off-diagonal shape ---
+
+def ref_base_condition_failures(a, b, c, d):
+    """The Fraction form of accessory.base_condition_failures."""
+    a, b, c, d = (to_fraction(x) for x in (a, b, c, d))
+    named = {"a": a, "b": b, "c": c, "d": d,
+             "2a": 2 * a, "2b": 2 * b, "2c": 2 * c, "2d": 2 * d}
+    for (n1, x), (n2, y) in (
+            (("a", a), ("b", b)), (("a", a), ("c", c)), (("a", a), ("d", d)),
+            (("b", b), ("c", c)), (("b", b), ("d", d)), (("c", c), ("d", d))):
+        named[f"{n1}+{n2}"] = x + y
+        named[f"{n1}-{n2}"] = x - y
+    return [name for name, value in named.items() if value.denominator == 1]
+
+
+BIG = 10 ** 12
+exponent_value = st.one_of(
+    # integers, halves, thirds and quarters
+    st.fractions(min_value=-20, max_value=20, max_denominator=4),
+    # an integer or a half-integer off by 1/q, q up to 10^12
+    st.builds(lambda k, half, e, q: F(k, 1 + half) + F(e, q),
+              st.integers(-9, 9), st.integers(0, 1),
+              st.sampled_from((-1, 1)), st.integers(1, BIG)),
+    st.builds(F, st.integers(-10 * BIG, 10 * BIG), st.integers(1, BIG)))
+
+
+@st.composite
+def exponent_quadruples(draw):
+    """(a, b, c, d), some of them an integer or a half-integer plus or
+    minus another, so that sums and differences land on integers too."""
+    vals = [draw(exponent_value) for _ in range(4)]
+    for k in range(4):
+        if draw(st.booleans()):
+            shift = F(draw(st.integers(-9, 9)), draw(st.sampled_from((1, 2))))
+            other = vals[draw(st.integers(0, 3))]
+            vals[k] = shift + draw(st.sampled_from((1, -1))) * other
+    return vals
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_quadruples())
+@example([F(1, 3), F(1, 5), F(1, 7), F(1, 2)])
+@example([F(BIG + 1, BIG), F(-1, 2), F(1, 2) - F(1, BIG), F(2 * BIG - 1, BIG)])
+def test_base_condition_failures_match_the_fraction_reference(abcd):
+    got = acc.base_condition_failures(*abcd)
+    assert got == ref_base_condition_failures(*abcd)
+    assert acc.is_admissible(*abcd) == (not got)
+    # strings parse to the same values
+    assert acc.base_condition_failures(*map(str, abcd)) == got
+
+
+def ref_signed_quotients(nums, den):
+    """The Fraction form of accessory._signed_quotients."""
+    n1, n2, n3, n4 = nums
+    return RationalMatrix([[F(n1, den), F(-n2, den)],
+                           [F(-n3, den), F(n4, den)]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-BIG, BIG), min_size=4, max_size=4),
+       st.one_of(st.just(0), st.integers(-BIG, BIG)))
+def test_signed_quotients_match_the_fraction_reference(nums, den):
+    """Both blocks pass D (r1 - r2) or D (r4 - r3) as den: at r1 = r2 or
+    r3 = r4 the ZeroDivisionError of Fraction(n1, 0), as before."""
+    assert outcome(acc._signed_quotients, nums, den) == \
+        outcome(ref_signed_quotients, nums, den)
 
 
 # -- once per chart object ---------------------------------------------------

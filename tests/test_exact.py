@@ -7,6 +7,7 @@ numerator and denominator, with textbook Fraction algorithms that live
 only in this file.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -522,6 +523,57 @@ def test_from_blocks_matches_reference(blocks):
     want = ([r + s for r, s in zip(tl, tr)] + [r + s for r, s in zip(bl, br)])
     assert exact_form(got.rows) == exact_form(want)
     assert got == RationalMatrix(want)
+
+
+def outcome(fn):
+    """The exact form of the value, or the class and args of the error."""
+    try:
+        return "value", exact_form(fn())
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return "raised", type(exc), exc.args
+
+
+@kernel_settings
+@given(square_rows(), st.data())
+def test_getitem_matches_rows(a, data):
+    """m[i, j] builds the one entry it reads, as .rows[i][j] gives it, for
+    negative and out-of-range indices as well."""
+    n = len(a)
+    index = st.integers(-n - 2, n + 1)
+    for _ in range(6):
+        i, j = data.draw(index), data.draw(index)
+        m = RationalMatrix(a)
+        got = outcome(lambda: m[i, j])
+        assert m._rows is None  # no other entry was built
+        assert got == outcome(lambda: m.rows[i][j])
+        if -n <= i < n and -n <= j < n:
+            assert got == ("value", exact_form(a[i][j]))
+        else:
+            assert got[:2] == ("raised", IndexError)
+
+
+@kernel_settings
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.integers(-HUGE, HUGE), min_size=n * n, max_size=n * n)),
+    st.integers(-HUGE, HUGE).filter(bool))
+def test_from_integers_matches_the_fraction_constructor(nums, den):
+    n = math.isqrt(len(nums))
+    got = RationalMatrix.from_integers(nums, den)
+    assert_canonical(got)
+    assert got == RationalMatrix([[F(x, den) for x in nums[i:i + n]]
+                                  for i in range(0, n * n, n)])
+
+
+def test_from_integers_errors():
+    with pytest.raises(DimensionMismatch, match="square"):
+        RationalMatrix.from_integers([1, 2, 3], 1)
+    # a zero denominator raises what Fraction(nums[0], 0) raises
+    for nums in ([7, 1, 2, 3], [0, 1, 2, 3], [-5]):
+        with pytest.raises(ZeroDivisionError) as got:
+            RationalMatrix.from_integers(nums, 0)
+        with pytest.raises(ZeroDivisionError) as want:
+            F(nums[0], 0)
+        assert got.value.args == want.value.args
 
 
 poly_pair = st.sampled_from(sorted(entry_kinds)).flatmap(
