@@ -43,10 +43,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (InputError, InternalInconsistency, QuadratureError,
                      SingularMatrixError)
-from .exact import RationalMatrix, to_double, to_fraction
+from .exact import (RationalMatrix, common_denominator, to_double,
+                    to_fraction)
 from .hgsystem import HGParams, build_okubo_system, build_diagonalizer, lam
 
 
@@ -62,6 +64,13 @@ class DFParams:
     def __post_init__(self):
         for name in ("a", "b", "c", "g"):
             object.__setattr__(self, name, to_fraction(getattr(self, name)))
+
+    @cached_property
+    def _cleared(self) -> tuple:
+        """(a, b, c, g) as integer numerators over one positive
+        denominator, cleared once and kept outside the fields the
+        parameters are compared and hashed by."""
+        return common_denominator((self.a, self.b, self.c, self.g))
 
     def induced_hg(self) -> HGParams:
         """The gamma-constrained hypergeometric parameters matched to
@@ -149,17 +158,19 @@ def df_eigenvector_matrix(params: DFParams) -> RationalMatrix:
     r = (a+b) / ((2a+g)(2a+2b+g)), which makes the conjugation split
     over the two residues separately.
     """
-    a, b, g = params.a, params.b, params.g
-    for name, value in (("2a+2b+g", 2 * a + 2 * b + g), ("2a+g", 2 * a + g)):
+    (a, b, _, g), den = params._cleared
+    s, t, u = 2 * a + 2 * b + g, 2 * a + g, 2 * b + g
+    for name, value in (("2a+2b+g", s), ("2a+g", t)):
         if value == 0:
             raise SingularMatrixError(f"denominator {name} vanishes",
                                       {"factor": name})
-    q = -a * (a + b + g) / (2 * a + 2 * b + g)
-    r = (a + b) / ((2 * a + g) * (2 * a + 2 * b + g))
-    return RationalMatrix([
-        [-b, q, -b * (2 * b + g) * r],
-        [a, q, -a * (2 * a + g) * r],
-        [a - b, 2 * q, (2 * a + g) * (2 * b + g) * r]])
+    # every entry times den t s, with 2a+2b+g = s/den, 2a+g = t/den and
+    # 2b+g = u/den; q becomes -a(a+b+g) t
+    q = -a * (a + b + g) * t
+    return RationalMatrix.from_integers([
+        -b * t * s, q, -b * u * (a + b),
+        a * t * s, q, -a * t * (a + b),
+        (a - b) * t * s, 2 * q, t * u * (a + b)], den * t * s)
 
 
 def transition_half_sum_form(p: HGParams) -> RationalMatrix:

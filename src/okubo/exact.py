@@ -25,7 +25,11 @@ entry it reads.  The outputs are the same Fractions the textbook Fraction
 algorithms give.  The way in without Fractions is
 `RationalMatrix.from_integers(nums, den)`: n*n integer numerators, row by
 row, over one nonzero denominator, reduced by the same one gcd; every
-kernel builds its result through it.
+kernel builds its result through it.  The way out to doubles without
+Fractions is `ratio_to_double(num, den)`, int/int true division, which
+rounds once as float() of the Fraction does: `to_double`,
+`RationalMatrix.to_complex` and the float requests of `series` go through
+it.
 
 Serialization convention: a rational is the string ``"p/q"`` (``"p"`` when
 the denominator is 1), sign on the numerator; a matrix is a JSON array of
@@ -64,14 +68,27 @@ def to_fraction(value) -> Fraction:
 
 def to_double(value) -> float:
     """The double nearest a rational (Fraction or int; a float passes
-    through): float() of it, which rounds the exact quotient once.  A value
-    beyond the largest double is an InputError, not an OverflowError."""
+    through), rounded once as ratio_to_double rounds it.  A value beyond
+    the largest double is an InputError, not an OverflowError."""
+    if isinstance(value, (int, Fraction)):
+        return ratio_to_double(value.numerator, value.denominator)
+    return float(value)
+
+
+def ratio_to_double(num: int, den: int) -> float:
+    """The double nearest num/den for integers num and den > 0: int/int
+    true division, which rounds the exact quotient once, so it is the
+    double float(Fraction(num, den)) gives whether or not num/den is
+    reduced (and 0.0, never -0.0, for a zero num).  A quotient beyond the
+    largest double is an InputError carrying the binary magnitude of the
+    reduced fraction."""
     try:
-        return float(value)
+        return num / den
     except OverflowError as exc:
+        g = math.gcd(num, den)
         raise InputError("rational outside the double range",
-                         {"log2": value.numerator.bit_length()
-                          - value.denominator.bit_length()}) from exc
+                         {"log2": (num // g).bit_length()
+                          - (den // g).bit_length()}) from exc
 
 
 def complex_array(rows):
@@ -81,6 +98,26 @@ def complex_array(rows):
     import numpy as np
     return np.array([[to_double(x) for x in row] for row in rows],
                     dtype=complex)
+
+
+def ratios_to_doubles(nums, den: int) -> list:
+    """[ratio_to_double(x, den) for x in nums], divided in one pass; if an
+    entry passes the double range, the first such is refused as
+    ratio_to_double refuses it."""
+    try:
+        return [x / den for x in nums]
+    except OverflowError:
+        return [ratio_to_double(x, den) for x in nums]
+
+
+def cleared_complex_array(nums, den: int, n: int):
+    """n*n integer numerators, row by row, over one positive denominator as
+    an n x n complex numpy array, each entry rounded once by
+    ratio_to_double: the array complex_array gives for the rationals, with
+    no Fraction built."""
+    import numpy as np
+    return np.array(ratios_to_doubles(nums, den),
+                    dtype=complex).reshape(n, n)
 
 
 def common_denominator(values) -> tuple:
@@ -112,6 +149,15 @@ def _reduced(nums, den: int) -> tuple:
 
 def _dot(xs, ys) -> int:
     return sum(map(mul, xs, ys))
+
+
+def int_mat_mul(xs: Sequence[int], ys: Sequence[int], n: int) -> list:
+    """The product of two n x n integer matrices given as numerators row
+    by row: mat_mul's kernel, for callers that keep their own
+    denominators."""
+    cols = [ys[j::n] for j in range(n)]
+    return [_dot(xs[i:i + n], col) for i in range(0, n * n, n)
+            for col in cols]
 
 
 class Poly:
@@ -406,7 +452,7 @@ class RationalMatrix:
         return Fraction(sum(self.nums[::self.dim + 1]), self.den)
 
     def to_complex(self):
-        return complex_array(self.rows)
+        return cleared_complex_array(self.nums, self.den, self.dim)
 
     # -- arithmetic --------------------------------------------------------
     def _check_dim(self, other: "RationalMatrix"):
@@ -574,11 +620,8 @@ def mat_mul(lhs: RationalMatrix, rhs: RationalMatrix) -> RationalMatrix:
     if lhs.dim != rhs.dim:
         raise DimensionMismatch(
             f"dimension mismatch: {lhs.dim} vs {rhs.dim}")
-    n, b = lhs.dim, rhs.nums
-    cols = [b[j::n] for j in range(n)]
     return RationalMatrix.from_integers(
-        [_dot(row, col) for row in lhs._int_rows() for col in cols],
-        lhs.den * rhs.den)
+        int_mat_mul(lhs.nums, rhs.nums, lhs.dim), lhs.den * rhs.den)
 
 
 def left_eigenvectors(matrix: RationalMatrix, eigenvalue: Scalar) -> list:

@@ -30,12 +30,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
+from operator import mul
 
 from .errors import InputError, InternalInconsistency, SingularMatrixError
 from .exact import (Poly, PolyMatrix, RationalMatrix, _poly,
-                    common_denominator, to_fraction)
+                    common_denominator, int_mat_mul, to_fraction)
 
 _SIGN = {"+": 1, "-": -1, "0": 0}
+#: the sign vector of every word of length four over {+, -, 0}
+_WORDS = {"".join(w): tuple(_SIGN[c] for c in w)
+          for w in product(_SIGN, repeat=4)}
 
 #: J = diag(1, -1), the 2x2 sign involution.
 J2 = RationalMatrix.diagonal([1, -1])
@@ -72,8 +77,11 @@ class HGParams:
 
     @property
     def is_okubo(self) -> bool:
-        g = (self.alpha1 + self.alpha2 + self.beta1 + self.beta2) / 2 + 1
-        return self.gamma1 == g and self.gamma2 == g
+        """Whether 2 gamma_j = alpha1 + alpha2 + beta1 + beta2 + 2 for both
+        j, tested on the cleared numerators."""
+        nums, den = self._cleared
+        g = sum(nums[:4]) + 2 * den
+        return 2 * nums[4] == g and 2 * nums[5] == g
 
     @classmethod
     def from_json(cls, data: dict) -> "HGParams":
@@ -106,12 +114,14 @@ class HGParams:
         return {}
 
     @cached_property
-    def _upper_cleared(self) -> tuple:
-        """(alpha1, alpha2, beta1, beta2) as integer numerators over one
-        positive denominator, cleared once and kept outside the compared
-        fields like ``_half_sums``."""
-        return common_denominator((self.alpha1, self.alpha2,
-                                   self.beta1, self.beta2))
+    def _cleared(self) -> tuple:
+        """(alpha1, alpha2, beta1, beta2, gamma1, gamma2) as integer
+        numerators over one positive denominator, cleared once and kept
+        outside the compared fields like ``_half_sums``.  The half-sums,
+        the closed-form rows and the float requests of series are built
+        from them."""
+        return common_denominator((self.alpha1, self.alpha2, self.beta1,
+                                   self.beta2, self.gamma1, self.gamma2))
 
 
 def lam(p: HGParams, signs: str) -> Fraction:
@@ -124,24 +134,35 @@ def lam(p: HGParams, signs: str) -> Fraction:
     table = p._half_sums
     value = table.get(signs)
     if value is None:
-        nums, den = p._upper_cleared
+        nums, den = p._cleared
         value = table[signs] = Fraction(_signed_sum(signs, nums), 2 * den)
     return value
 
 
 def half_sum_numerators(p: HGParams, words) -> tuple:
     """([lam(p, w) * den for w in words], den): the half-sums as integer
-    numerators over one positive denominator, the upper parameters cleared
+    numerators over one positive denominator, the parameters cleared
     once; no Fraction is built."""
-    nums, den = p._upper_cleared
+    nums, den = p._cleared
     return [_signed_sum(w, nums) for w in words], 2 * den
 
 
 def _signed_sum(signs: str, nums) -> int:
-    """The signed sum of four integers selected by a sign word."""
-    if len(signs) != 4 or any(s not in _SIGN for s in signs):
-        raise InputError(f"invalid sign index {signs!r}")
-    return sum(_SIGN[c] * x for c, x in zip(signs, nums))
+    """The signed sum of the first four integers selected by a sign
+    word."""
+    try:
+        vector = _WORDS[signs]
+    except (KeyError, TypeError):
+        raise InputError(f"invalid sign index {signs!r}") from None
+    return sum(map(mul, vector, nums))
+
+
+def _positive(nums, den: int) -> tuple:
+    """(nums, den) with den made positive, so that a zero entry rounds to
+    0.0 and not -0.0."""
+    if den < 0:
+        return tuple(-x for x in nums), -den
+    return tuple(nums), den
 
 
 @dataclass(frozen=True)
@@ -189,23 +210,30 @@ class OkuboSystem:
 
         Built and checked once per system object and kept outside the
         fields the system is compared and hashed by.  The identity is
-        compared column by column and power by power: the z^k coefficient
-        of column j of (zI - A) N(z) is N_{k-1} e_j - A N_k e_j.
+        compared power by power on integers: with A = B/D, N's entries
+        cleared to M_k / L and the quartic to P_k / E, the z^k coefficient
+        of (zI - A) N(z) is N_{k-1} - A N_k, and the check is
+        E (D M_{k-1} - B M_k) = D L P_k I.
         """
         numer = resolvent_numerator(self.coeff, self.c, self.d)
         char = _even_quartic(self.c, self.d)
-        dim = self.coeff.dim
-        for j in range(dim):
-            prev = [0] * dim
-            for k in range(5):
-                col = [numer[i, j].coeff(k) for i in range(dim)]
-                got = [x - y for x, y in zip(prev, self.coeff.apply(col))]
-                if got != [char.coeff(k) if i == j else 0
-                           for i in range(dim)]:
-                    raise InternalInconsistency(
-                        "resolvent numerator does not invert zI - A "
-                        f"(c = {self.c}, d = {self.d})")
-                prev = col
+        n, b, den = self.coeff.dim, self.coeff.nums, self.coeff.den
+        polys = [e for row in numer.entries for e in row]
+        lden = math.lcm(*(e.den for e in polys))
+        top = max(5, *(len(e.nums) + 1 for e in polys))
+        prev = [0] * (n * n)
+        for k in range(top):
+            cur = [e.nums[k] * (lden // e.den) if k < len(e.nums) else 0
+                   for e in polys]
+            want = den * lden * (char.nums[k] if k < len(char.nums) else 0)
+            got = [char.den * (den * x - y)
+                   for x, y in zip(prev, int_mat_mul(b, cur, n))]
+            if got != [want if i % (n + 1) == 0 else 0
+                       for i in range(n * n)]:
+                raise InternalInconsistency(
+                    "resolvent numerator does not invert zI - A "
+                    f"(c = {self.c}, d = {self.d})")
+            prev = cur
         return numer
 
     @cached_property
@@ -228,39 +256,53 @@ def resolvent_numerator(matrix: RationalMatrix, c, d) -> PolyMatrix:
     """The polynomial numerator N(z) with
     (zI - A)^{-1} = N(z) / ((z^2-c^2)(z^2-d^2)):
 
-        N(z) = z^3 I + z^2 A + z (A^2 - (c^2+d^2) I) + A^3 - (c^2+d^2) A.
+        N(z) = z^3 I + z^2 A + z (A^2 - s I) + A^3 - s A,  s = c^2 + d^2.
+
+    With A = B/D and s = S/E it is built from integer products as
+    (z^3 D^3 E I + z^2 D^2 E B + z (D E B^2 - D^3 S I) + E B^3 - D^2 S B)
+    over D^3 E.
     """
-    c, d = to_fraction(c), to_fraction(d)
-    n = matrix.dim
-    ident = RationalMatrix.identity(n)
-    sq = matrix * matrix
-    cu = sq * matrix
-    s = c * c + d * d
-    return PolyMatrix.from_matrix_coeffs(
-        [cu - matrix.scale(s), sq - ident.scale(s), matrix, ident])
+    (c, d), cden = common_denominator((to_fraction(c), to_fraction(d)))
+    s, e = c * c + d * d, cden * cden
+    n, b, den = matrix.dim, matrix.nums, matrix.den
+    sq = int_mat_mul(b, b, n)
+    cu = int_mat_mul(sq, b, n)
+    d2, d3 = den * den, den * den * den
+    entries = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            k, diag = i * n + j, i == j
+            row.append(_poly([e * cu[k] - d2 * s * b[k],
+                              den * e * sq[k] - d3 * s * diag,
+                              d2 * e * b[k], d3 * e * diag], d3 * e))
+        entries.append(row)
+    return PolyMatrix(entries)
 
 
 def product_residue_rows(p: HGParams) -> tuple:
-    """The rows of the residue matrices H0 and H1 of the product system,
-    as exact rationals: build_product_system's matrices, and the float
-    ones of series.w_residual."""
-    a1, a2, b1, b2 = p.alpha1, p.alpha2, p.beta1, p.beta2
-    g1, g2 = p.gamma1, p.gamma2
-    h0 = [[0, 1, 1, 0],
-          [0, 1 - g1, 0, 1],
-          [0, 0, 1 - g2, 1],
-          [0, 0, 0, 2 - g1 - g2]]
-    h1 = [[0, 0, 0, 0],
-          [-a1 * b1, g1 - 1 - a1 - b1, 0, 0],
-          [-a2 * b2, 0, g2 - 1 - a2 - b2, 0],
-          [0, -a2 * b2, -a1 * b1, g1 + g2 - 2 - a1 - a2 - b1 - b2]]
-    return h0, h1
+    """The residue matrices H0 and H1 of the product system as (h0, h1,
+    den): integer numerators row by row over one positive denominator,
+    D^2 for the parameters' common denominator D.  build_product_system
+    builds its matrices from them, and series.w_residual rounds them."""
+    (a1, a2, b1, b2, g1, g2), d = p._cleared
+    dd = d * d
+    h0 = (0, dd, dd, 0,
+          0, d * (d - g1), 0, dd,
+          0, 0, d * (d - g2), dd,
+          0, 0, 0, d * (2 * d - g1 - g2))
+    h1 = (0, 0, 0, 0,
+          -a1 * b1, d * (g1 - d - a1 - b1), 0, 0,
+          -a2 * b2, 0, d * (g2 - d - a2 - b2), 0,
+          0, -a2 * b2, -a1 * b1, d * (g1 + g2 - 2 * d - a1 - a2 - b1 - b2))
+    return h0, h1, dd
 
 
 def build_product_system(p: HGParams) -> FuchsianSystem:
     """Residue matrices of the system satisfied by the product vector w."""
-    h0, h1 = product_residue_rows(p)
-    return FuchsianSystem(RationalMatrix(h0), RationalMatrix(h1))
+    h0, h1, den = product_residue_rows(p)
+    return FuchsianSystem(RationalMatrix.from_integers(h0, den),
+                          RationalMatrix.from_integers(h1, den))
 
 
 def infinity_exponents(p: HGParams) -> list:
@@ -312,8 +354,8 @@ def det_gauge_formula(p: HGParams) -> Fraction:
 def has_zero_factor(p: HGParams, factors) -> bool:
     """Whether one of the half-sums ``factors`` vanishes: the zero test
     of a determinant formula (DET_GAUGE_FACTORS, DET_DIAGONALIZER_FACTORS)
-    without forming the product."""
-    return any(lam(p, s) == 0 for s in factors)
+    without forming the product, on the half-sums' numerators."""
+    return not all(half_sum_numerators(p, factors)[0])
 
 
 def build_okubo_system(p: HGParams) -> tuple:
@@ -360,36 +402,54 @@ def build_okubo_system(p: HGParams) -> tuple:
 
 
 def _okubo_coeff_half_sum_form(p: HGParams) -> RationalMatrix:
-    l = lambda s: lam(p, s)
-    return RationalMatrix([
-        [l("++++"), 0,
-         l("+-++") * l("+++-") / l("++++"), l("-+++") * l("++-+") / l("++++")],
-        [0, -l("++++"),
-         4 * l("0+00") * l("000+") / l("----"), 4 * l("+000") * l("00+0") / l("----")],
-        [4 * l("+000") * l("00+0") / l("-+-+"),
-         l("-+++") * l("++-+") / l("-+-+"), l("-+-+"), 0],
-        [4 * l("0+00") * l("000+") / l("+-+-"),
-         l("+-++") * l("+++-") / l("+-+-"), 0, -l("-+-+")]])
+    """The Okubo coefficient in half-sums,
+
+        [[a, 0, u/a, v/a], [0, -a, -y/a, -z/a],
+         [z/b, v/b, b, 0], [-y/b, -u/b, 0, -b]]
+
+    with a = lam(++++), b = lam(-+-+), u = lam(+-++) lam(+++-),
+    v = lam(-+++) lam(++-+), y = 4 lam(0+00) lam(000+) and
+    z = 4 lam(+000) lam(00+0), built from the half-sums' integer
+    numerators over h a b."""
+    (a, b, u1, u2, v1, v2, y1, y2, z1, z2), h = half_sum_numerators(
+        p, ("++++", "-+-+", "+-++", "+++-", "-+++", "++-+",
+            "0+00", "000+", "+000", "00+0"))
+    u, v, y, z = u1 * u2, v1 * v2, 4 * y1 * y2, 4 * z1 * z2
+    ab = a * b
+    return RationalMatrix.from_integers([
+        a * ab, 0, u * b, v * b,
+        0, -a * ab, -y * b, -z * b,
+        z * a, v * a, b * ab, 0,
+        -y * a, -u * a, 0, -b * ab], h * ab)
 
 
-def diagonalizer_rows(p: HGParams) -> list:
-    """The rows of build_diagonalizer as exact rationals: its matrix, and
-    the float one of series.v_residual."""
-    if has_zero_factor(p, ("+000", "0+00", "00+0", "000+")):
+#: the parameter pairs (u, v) of the rows of R, as the half-sum words of
+#: (alpha1, alpha2), (beta1, beta2), (alpha1, beta2) and (beta1, alpha2),
+#: and the half-sums s, t of its rows (1, s t / (4 u v), s/(2u), t/(2v))
+_DIAGONALIZER_ROWS = (("+000", "0+00", "+-++", "-+++"),
+                      ("00+0", "000+", "+++-", "++-+"),
+                      ("+000", "000+", "+++-", "-+++"),
+                      ("00+0", "0+00", "+-++", "++-+"))
+
+
+def diagonalizer_rows(p: HGParams) -> tuple:
+    """The matrix of build_diagonalizer as (nums, den): integer numerators
+    row by row over one positive denominator, 4 times the product of the
+    four parameters' half-sum numerators (see _DIAGONALIZER_ROWS).
+    series.v_residual rounds them."""
+    words = ("+000", "0+00", "00+0", "000+", "+-++", "-+++", "+++-", "++-+")
+    n = dict(zip(words, half_sum_numerators(p, words)[0]))
+    prod = n["+000"] * n["0+00"] * n["00+0"] * n["000+"]
+    if not prod:
         raise SingularMatrixError("a hypergeometric parameter vanishes")
-    l = lambda s: lam(p, s)
-    rows = [
-        [1, l("-+++") * l("+-++") / (4 * l("+000") * l("0+00")),
-         l("+-++") / (2 * l("+000")), l("-+++") / (2 * l("0+00"))],
-        [1, l("++-+") * l("+++-") / (4 * l("00+0") * l("000+")),
-         l("+++-") / (2 * l("00+0")), l("++-+") / (2 * l("000+"))],
-        [1, l("-+++") * l("+++-") / (4 * l("+000") * l("000+")),
-         l("+++-") / (2 * l("+000")), l("-+++") / (2 * l("000+"))],
-        [1, l("+-++") * l("++-+") / (4 * l("0+00") * l("00+0")),
-         l("+-++") / (2 * l("00+0")), l("++-+") / (2 * l("0+00"))]]
+    nums = []
+    for u, v, s, t in _DIAGONALIZER_ROWS:
+        u, v, s, t = n[u], n[v], n[s], n[t]
+        k = prod // (u * v)
+        nums += [4 * prod, k * s * t, 2 * k * v * s, 2 * k * u * t]
     if has_zero_factor(p, DET_DIAGONALIZER_FACTORS):
         raise SingularMatrixError("degenerate parameters: det R = 0")
-    return rows
+    return _positive(nums, 4 * prod)
 
 
 def build_diagonalizer(p: HGParams) -> RationalMatrix:
@@ -399,7 +459,7 @@ def build_diagonalizer(p: HGParams) -> RationalMatrix:
     Requires the four single-parameter half-sums (i.e. the parameters
     themselves) nonzero and det R nonzero.
     """
-    return RationalMatrix(diagonalizer_rows(p))
+    return RationalMatrix.from_integers(*diagonalizer_rows(p))
 
 
 def det_diagonalizer_formula(p: HGParams) -> Fraction:
@@ -413,29 +473,41 @@ def det_diagonalizer_formula(p: HGParams) -> Fraction:
 
 def gauge_inverse_closed_form(p: HGParams) -> RationalMatrix:
     """The inverse gauge matrix written in half-sums (rows are left
-    eigenvectors of the two residue parts for the eigenvalue 0)."""
-    l = lambda s: lam(p, s)
-    pref = 1 / (l("++--") * l("+--+"))
-    return RationalMatrix([
-        [l("++--") * l("+--+"), 4 * l("0+00") * l("000+") / l("++++"),
-         4 * l("+000") * l("00+0") / l("----"), l("+-+-") / l("----")],
-        [0, 4 * l("0+00") * l("000+") / l("----"),
-         4 * l("+000") * l("00+0") / l("++++"), l("-+-+") / l("----")],
-        [0, l("-+++") * l("++-+") / l("-+-+"),
-         4 * l("+000") * l("00+0") / l("+-+-"), 1],
-        [0, 4 * l("0+00") * l("000+") / l("+-+-"),
-         l("+-++") * l("+++-") / l("-+-+"), -1]]).scale(pref)
+    eigenvectors of the two residue parts for the eigenvalue 0):
+
+        [[c e, y/a, -z/a, b/a], [0, -y/a, z/a, -b/a],
+         [0, v/b, -z/b, 1], [0, -y/b, u/b, -1]] / (c e)
+
+    with c = lam(++--), e = lam(+--+) and a, b, u, v, y, z as in
+    _okubo_coeff_half_sum_form, built from the half-sums' integer
+    numerators over a b c e."""
+    (a, b, c, e, u1, u2, v1, v2, y1, y2, z1, z2), h = half_sum_numerators(
+        p, ("++++", "-+-+", "++--", "+--+", "+-++", "+++-", "-+++", "++-+",
+            "0+00", "000+", "+000", "00+0"))
+    u, v, y, z = u1 * u2, v1 * v2, 4 * y1 * y2, 4 * z1 * z2
+    hb, ha, hh = h * b, h * a, h * h
+    return RationalMatrix.from_integers([
+        c * e * a * b, y * hb, -z * hb, hh * b * b,
+        0, -y * hb, z * hb, -hh * b * b,
+        0, v * ha, -z * ha, hh * a * b,
+        0, -y * ha, u * ha, -hh * a * b], a * b * c * e)
 
 
-def contiguous_product_rows(p: HGParams) -> list:
-    """The rows of contiguous_product_matrix as exact rationals, the
-    product 1/(u v) taken as (1/u)(1/v)."""
-    a1, a2, b1, b2 = p.alpha1, p.alpha2, p.beta1, p.beta2
-    if a1 * a2 * b1 * b2 == 0:
+def contiguous_product_rows(p: HGParams) -> tuple:
+    """The matrix of contiguous_product_matrix as (nums, den): integer
+    numerators row by row over one positive denominator, the product of
+    the four parameters' numerators.  series.v_via_transform rounds
+    them."""
+    (a1, a2, b1, b2, *_), d = p._cleared
+    prod = a1 * a2 * b1 * b2
+    if not prod:
         raise SingularMatrixError("a hypergeometric parameter vanishes")
-    ia1, ia2, ib1, ib2 = 1 / a1, 1 / a2, 1 / b1, 1 / b2
-    row = lambda iu, iv: [1, iu, iv, iu * iv]
-    return [row(ia1, ia2), row(ib1, ib2), row(ia1, ib2), row(ib1, ia2)]
+    nums = []
+    for u, v in ((a1, a2), (b1, b2), (a1, b2), (b1, a2)):
+        # (1, 1/u, 1/v, 1/(u v)) of the parameters u/d, v/d, times prod
+        k = prod // (u * v)
+        nums += [prod, k * d * v, k * d * u, k * d * d]
+    return _positive(nums, prod)
 
 
 def contiguous_product_matrix(p: HGParams) -> RationalMatrix:
@@ -443,4 +515,4 @@ def contiguous_product_matrix(p: HGParams) -> RationalMatrix:
     running over (alpha1, alpha2), (beta1, beta2), (alpha1, beta2),
     (beta1, alpha2).  Applied to w it produces products of contiguous
     hypergeometric functions."""
-    return RationalMatrix(contiguous_product_rows(p))
+    return RationalMatrix.from_integers(*contiguous_product_rows(p))

@@ -5,20 +5,31 @@ evaluates k parameter triples at one point: one row-wise
 np.multiply.accumulate over their coefficient factors (_gauss_table, which
 also gives the Dotsenko-Fateev quadrature its rows), one table of powers
 x**n and one row-wise sum per derivative order asked for.
-hyp2f1_jet is its one-triple case, and hyp2f1 asks for the value only.  The product vector
-w = (f1*f2, x*f1'*f2, x*f1*f2', x^2*f1'*f2') is one two-triple call, with
-second derivatives only for w_residual, and its contiguous companion v one
-four-triple call that asks for none.  Each row is the array a one-triple
-call gives, so every number is the one the per-triple sums gave, bit for
-bit.  v is also reached from w by R P^{-1}, applied in its closed form,
-the rows of hgsystem.contiguous_product_matrix (the Gauss contiguous
-relations), which verify 1b checks exactly against R times the inverse of
-P; w_residual takes H0 and H1 from hgsystem.product_residue_rows and
-v_residual R from hgsystem.diagonalizer_rows.  All are converted entry by
-entry by exact.to_double, and each refusal (a vanishing parameter, det P
-or det R = 0) tests half-sums for zero, so no float function builds an
-exact matrix.  A rational beyond the largest double is an InputError
-wherever it would become one.
+hyp2f1_jet is its one-triple case, and hyp2f1 asks for the value only.
+The product vector w = (f1*f2, x*f1'*f2, x*f1*f2', x^2*f1'*f2') is one
+two-triple call, with second derivatives only for w_residual, and its
+contiguous companion v one four-triple call, with first derivatives only
+for v_residual.  Each row is the array a one-triple call gives, so every
+number is the one the per-triple sums gave, bit for bit.  v is also
+reached from w by R P^{-1}, applied in its closed form, the rows of
+hgsystem.contiguous_product_matrix (the Gauss contiguous relations), which
+verify 1b checks exactly against R times the inverse of P; w_residual
+takes H0 and H1 from hgsystem.product_residue_rows and v_residual R from
+hgsystem.diagonalizer_rows.
+
+A float request builds no exact matrix, and none that answers builds a
+Fraction (a refusal names its gamma as one).  Every rational it needs is
+an integer numerator over one positive denominator: the parameters,
+cleared once per HGParams, for the Gauss triples (alpha + 1 and beta + 1
+of v add the denominator) and the prefactor exponent gamma1 - 1; the
+closed-form rows, which hgsystem returns as integers over one
+denominator; and the half-sums whose vanishing refuses a request (a
+parameter, det P or det R = 0), tested for zero as integers.  Each is
+rounded once by int/int true division (exact.ratio_to_double), the double
+float() of the Fraction gives, so every output is the one the Fraction
+route gave, bit for bit.  A rational beyond the largest double is an
+InputError wherever it would become one.
+
 Local solutions of the Okubo system (x I - T) y' = A y are built from the
 coefficient recurrences they satisfy:
 
@@ -88,12 +99,13 @@ import numpy as np
 
 from .errors import (AdmissibilityError, InputError, OutsideDisc,
                      SingularMatrixError)
-from .exact import (RationalMatrix, common_denominator, complex_array,
-                    to_double)
+from .exact import (RationalMatrix, cleared_complex_array,
+                    common_denominator, complex_array, ratio_to_double,
+                    ratios_to_doubles, to_double)
 from .hgsystem import (DET_DIAGONALIZER_FACTORS, DET_GAUGE_FACTORS, HGParams,
                        OkuboSystem, contiguous_product_rows,
-                       diagonalizer_rows, has_zero_factor, lam,
-                       product_residue_rows)
+                       diagonalizer_rows, half_sum_numerators,
+                       has_zero_factor, product_residue_rows)
 # callers read it as okubo.series.build_product_system
 from .hgsystem import build_product_system  # noqa: F401
 from .accessory import require_admissible
@@ -118,9 +130,15 @@ def _is_nonpositive_integer(value) -> bool:
     return False
 
 
-def _gauss_table(triples, terms: int) -> np.ndarray:
+def _gauss_table(triples, terms: int, den: int = 0) -> np.ndarray:
     """The first ``terms`` Taylor coefficients of 2F1(alpha, beta, gamma; .)
     for each triple, one real float64 row per triple (a strided view).
+
+    The entries of the triples are rationals or floats or, given a positive
+    ``den``, the integer numerators of rationals over it (the parameters of
+    a float request, cleared once by HGParams); either way each rational
+    enters as the double to_double gives it, and gamma's exact tests run
+    on what is given.
 
     c_0 = 1 and c_{n+1} = c_n (alpha+n) (beta+n) (1/((gamma+n)(n+1))) in
     doubles, rounded after each product from left to right; the division
@@ -134,16 +152,24 @@ def _gauss_table(triples, terms: int) -> np.ndarray:
     """
     doubles = []
     for alpha, beta, gamma in triples:
-        if _is_nonpositive_integer(gamma):
+        if den:
+            nonpositive = gamma <= 0 and not gamma % den
+        else:
+            nonpositive = _is_nonpositive_integer(gamma)
+        if nonpositive:
             raise InputError("gamma must not be a nonpositive integer",
-                             {"gamma": gamma})
+                             {"gamma": _rational(gamma, den)})
         if terms < 1:
             raise InputError("need at least one term")
-        a, b, c = to_double(alpha), to_double(beta), to_double(gamma)
+        if den:
+            a, b, c = ratios_to_doubles((alpha, beta, gamma), den)
+        else:
+            a, b, c = to_double(alpha), to_double(beta), to_double(gamma)
         if c <= 0 and c.is_integer() and -c < terms - 1:
             # gamma + n would be an exact zero in doubles within the sum
             raise InputError("gamma rounds to a nonpositive integer in "
-                             "doubles", {"gamma": gamma, "terms": terms})
+                             "doubles",
+                             {"gamma": _rational(gamma, den), "terms": terms})
         doubles.append((a, b, c))
     n = np.arange(terms - 1, dtype=float)
     factors = np.empty((len(doubles), 3 * terms - 2))
@@ -158,9 +184,16 @@ def _gauss_table(triples, terms: int) -> np.ndarray:
     return factors[:, ::3]
 
 
-def _gauss_jets(triples, x: complex, terms: int, order: int) -> tuple:
-    """Truncated Gauss series of each triple and their derivatives up to
-    ``order`` (at most 2) at one point x of the unit disc.
+def _rational(value, den: int):
+    """A refusal's gamma: the value, or numerator over den as a Fraction."""
+    return Fraction(value, den) if den else value
+
+
+def _gauss_jets(triples, x: complex, terms: int, order: int,
+                den: int = 0) -> tuple:
+    """Truncated Gauss series of each triple (given as _gauss_table takes
+    them) and their derivatives up to ``order`` (at most 2) at one point x
+    of the unit disc.
 
     Returns one list per order, of Python complexes by triple, and the
     last summed terms.  The powers x**n are built once; each order is one
@@ -168,7 +201,7 @@ def _gauss_jets(triples, x: complex, terms: int, order: int) -> tuple:
     from the left, so that every row is the sum a single-triple array
     would give.
     """
-    coeffs = _gauss_table(triples, terms)
+    coeffs = _gauss_table(triples, terms, den)
     n = np.arange(terms)
     powers = x ** n
     # np.add.reduce is np.sum without its Python wrapper
@@ -228,9 +261,9 @@ def _w_jet(p: HGParams, x, terms: int, derivative: bool) -> tuple:
     derivative is summed)."""
     x = _as_complex(x)
     _require_unit_disc(x)
+    (a1, a2, b1, b2, g1, g2), den = p._cleared
     (v1, v2), (d1, d2), *second = _gauss_jets(
-        [(p.alpha1, p.beta1, p.gamma1), (p.alpha2, p.beta2, p.gamma2)],
-        x, terms, 1 + derivative)[0]
+        [(a1, b1, g1), (a2, b2, g2)], x, terms, 1 + derivative, den)[0]
     w = np.array([
         v1 * v2,
         x * d1 * v2,
@@ -250,15 +283,17 @@ def _w_jet(p: HGParams, x, terms: int, derivative: bool) -> tuple:
 def w_residual(p: HGParams, x, terms: int = 60) -> float:
     """Max-norm defect of w in dw/dx = (H0/x + H1/(x-1)) w.
 
-    H0 and H1 are the rows of build_product_system, converted entry by
-    entry.  The singular point x = 0 is refused: H0/x has a pole there.
+    H0 and H1 are the integer rows of build_product_system, each entry
+    rounded once.  The singular point x = 0 is refused: H0/x has a pole
+    there.
     """
     x = _as_complex(x)
     if x == 0:
         raise OutsideDisc("w_residual is undefined at the singular point 0",
                           {"x": x})
     w, dw = _w_jet(p, x, terms, True)
-    h0, h1 = (complex_array(rows) for rows in product_residue_rows(p))
+    *rows, den = product_residue_rows(p)
+    h0, h1 = (cleared_complex_array(nums, den, 4) for nums in rows)
     rhs = (h0 / x + h1 / (x - 1)) @ w
     return float(np.max(np.abs(dw - rhs)))
 
@@ -271,24 +306,37 @@ def _check_off_cut(x: complex):
 def contiguous_product_vector(p: HGParams, x, terms: int = 60) -> np.ndarray:
     """x^(gamma1 - 1) times the four products of parameter-shifted Gauss
     functions (the alpha- and beta-raised contiguous companions)."""
-    return _v_jet(p, x, terms)[0]
+    return _v_jet(p, x, terms, False)[0]
 
 
-def _v_jet(p: HGParams, x, terms: int) -> tuple:
+def _prefactor_exponent(p: HGParams) -> float:
+    """gamma1 - 1 as a double, from the cleared parameters."""
+    (*_, g1, _), den = p._cleared
+    return ratio_to_double(g1 - den, den)
+
+
+def _v_jet(p: HGParams, x, terms: int, derivative: bool = True) -> tuple:
+    """v at x, and dv/dx if ``derivative`` (else None, and no derivative
+    is summed)."""
     x = _as_complex(x)
     _require_unit_disc(x)
     _check_off_cut(x)
-    a1, a2, b1, b2 = p.alpha1, p.alpha2, p.beta1, p.beta2
-    g1, g2 = p.gamma1, p.gamma2
-    f, df = _gauss_jets([(a1 + 1, b1, g1), (a1, b1 + 1, g1),
-                         (a2 + 1, b2, g2), (a2, b2 + 1, g2)], x, terms, 1)[0]
+    # the raised parameters alpha + 1 and beta + 1 over den
+    (a1, a2, b1, b2, g1, g2), den = p._cleared
+    sums = _gauss_jets([(a1 + den, b1, g1), (a1, b1 + den, g1),
+                        (a2 + den, b2, g2), (a2, b2 + den, g2)],
+                       x, terms, int(derivative), den)[0]
+    f = sums[0]
     # (alpha-raised, alpha-raised), (beta, beta), (alpha, beta), (beta, alpha)
     pairs = [(0, 2), (1, 3), (0, 3), (1, 2)]
     prods = np.array([f[i] * f[j] for i, j in pairs])
-    dprods = np.array([df[i] * f[j] + f[i] * df[j] for i, j in pairs])
-    expo = to_double(g1 - 1)
+    expo = _prefactor_exponent(p)
     pref = x ** expo
     v = pref * prods
+    if not derivative:
+        return v, None
+    df = sums[1]
+    dprods = np.array([df[i] * f[j] + f[i] * df[j] for i, j in pairs])
     dv = expo * x ** (expo - 1) * prods + pref * dprods
     return v, dv
 
@@ -296,10 +344,10 @@ def _v_jet(p: HGParams, x, terms: int) -> tuple:
 def v_via_transform(p: HGParams, x, terms: int = 60) -> np.ndarray:
     """x^(gamma1 - 1) (R P^{-1}) w, the contiguous vector by way of w.
 
-    R P^{-1} is applied in its closed form, the rows of
+    R P^{-1} is applied in its closed form, the integer rows of
     contiguous_product_matrix (the Gauss contiguous relations), which
-    verify 1b checks exactly against R times the inverse of P, converted
-    entry by entry.  Its domain is that of R and P^{-1}: where a parameter
+    verify 1b checks exactly against R times the inverse of P, each entry
+    rounded once.  Its domain is that of R and P^{-1}: where a parameter
     vanishes, det R = 0 or det P = 0 (a half-sum factor of the determinant
     formula vanishes) the product is undefined, and SingularMatrixError is
     raised.
@@ -307,13 +355,14 @@ def v_via_transform(p: HGParams, x, terms: int = 60) -> np.ndarray:
     x = _as_complex(x)
     _check_off_cut(x)
     w, _ = _w_jet(p, x, terms, False)
-    rows = contiguous_product_rows(p)
+    nums, den = contiguous_product_rows(p)
     if has_zero_factor(p, DET_GAUGE_FACTORS):
         raise SingularMatrixError("degenerate parameters: det P = 0",
                                   {"det": "0"})
     if has_zero_factor(p, DET_DIAGONALIZER_FACTORS):
         raise SingularMatrixError("degenerate parameters: det R = 0")
-    return x ** to_double(p.gamma1 - 1) * (complex_array(rows) @ w)
+    return (x ** _prefactor_exponent(p)
+            * (cleared_complex_array(nums, den, 4) @ w))
 
 
 def relative_gap(direct: np.ndarray, via: np.ndarray) -> float:
@@ -325,15 +374,16 @@ def relative_gap(direct: np.ndarray, via: np.ndarray) -> float:
 
 def v_residual(p: HGParams, x, terms: int = 60) -> float:
     """Max-norm defect of the contiguous vector in its diagonalized system
-    dv/dx = R (xI - T)^{-1} R^{-1} diag(c, -c, d, -d) v, R converted from
-    hgsystem.diagonalizer_rows; refused, as build_diagonalizer is, where a
-    parameter vanishes or det R = 0.  v solves this system only at the
-    Okubo gammas; elsewhere the number is no defect."""
+    dv/dx = R (xI - T)^{-1} R^{-1} diag(c, -c, d, -d) v, R rounded from
+    the integer rows of hgsystem.diagonalizer_rows; refused, as
+    build_diagonalizer is, where a parameter vanishes or det R = 0.  v
+    solves this system only at the Okubo gammas; elsewhere the number is
+    no defect."""
     x = _as_complex(x)
     v, dv = _v_jet(p, x, terms)
-    r = complex_array(diagonalizer_rows(p))
-    c = to_double(lam(p, "++--"))
-    d = to_double(lam(p, "+--+"))
+    r = cleared_complex_array(*diagonalizer_rows(p), 4)
+    (c, d), h = half_sum_numerators(p, ("++--", "+--+"))
+    c, d = ratio_to_double(c, h), ratio_to_double(d, h)
     diag_exp = np.diag([c, -c, d, -d]).astype(complex)
     xit = np.diag([1 / x, 1 / x, 1 / (x - 1), 1 / (x - 1)])
     rhs = r @ xit @ np.linalg.solve(r, diag_exp @ v)
@@ -663,19 +713,21 @@ class _FloatDenominator:
         return nums, 1, tuple(complex(n) for n in nums)
 
 
-#: what the kernels do by mode: (enter rationals as numerators over one
-#: denominator, carry a step factor num/scale, the normaliser built from a
-#: series' fixed scales, which reduces a step's numerators over its
-#: denominator and leaves a vector as output coefficients).  Exact mode
-#: carries the integer num (the scales cancel between a step's numerators
-#: and its denominator), keeps each denominator split over the heavy
-#: primes of the scales and returns reduced Fractions, built without a
-#: second gcd; float mode enters every table as doubles over 1 and carries
-#: the double nearest num/scale, so no number it handles grows with the
-#: height of the exponents.
+#: what the kernels do by mode: (enter integer numerators over one
+#: positive denominator, carry a step factor num/scale, the normaliser
+#: built from a series' fixed scales, which reduces a step's numerators
+#: over its denominator and leaves a vector as output coefficients).
+#: Exact mode keeps the integers, carries the integer num (the scales
+#: cancel between a step's numerators and its denominator), keeps each
+#: denominator split over the heavy primes of the scales and returns
+#: reduced Fractions, built without a second gcd; float mode rounds every
+#: entry once to a double over 1 and carries the double nearest
+#: num/scale, so no number it handles grows with the height of the
+#: exponents.
 _ARITHMETIC = {
-    "exact": (common_denominator, lambda num, scale: num, _SplitDenominator),
-    "float": (lambda values: ([to_double(x) for x in values], 1),
+    "exact": (lambda nums, den: (list(nums), den), lambda num, scale: num,
+              _SplitDenominator),
+    "float": (lambda nums, den: (ratios_to_doubles(nums, den), 1),
               lambda num, scale: num / scale, _FloatDenominator),
 }
 
@@ -701,7 +753,7 @@ def _finite_coeffs(system: OkuboSystem, base: str, rho: Fraction,
     e = system.a if base == "0" else system.b
     _require_nonzero_steps((rho, rho - e, rho + e), terms)
     enter, factor, normaliser = _ARITHMETIC[mode]
-    flat, dmat = enter([x for row in system.coeff.rows for x in row])
+    flat, dmat = enter(system.coeff.nums, system.coeff.den)
     amat = [flat[4 * i:4 * i + 4] for i in range(4)]
     p, q = rho.numerator, rho.denominator
     ep, eq = e.numerator, e.denominator
@@ -712,7 +764,7 @@ def _finite_coeffs(system: OkuboSystem, base: str, rho: Fraction,
     qe = q * eq
     qf, qef = factor(q, q), factor(qe, qe)
     norm = normaliser((dmat, qe))
-    nums, den = enter(start)
+    nums, den = enter(*common_denominator(start))
     nums, den, vec = norm.normalise(nums, (den,), norm.one)
     coeffs = [vec]
     for r in range(terms - 1):
@@ -756,18 +808,22 @@ def _infinity_coeffs(system: OkuboSystem, sigma: Fraction, h0: list,
     _require_nonzero_steps((sigma - c, sigma + c, sigma - d, sigma + d),
                            terms)
     enter, factor, normaliser = _ARITHMETIC[mode]
-    numer = system.resolvent
-    flat, lden = enter([numer[i, j].coeff(k) for k in range(4)
-                        for i in range(4) for j in (0, 1)])
+    # the first two columns of N, cleared over the lcm of their
+    # denominators
+    polys = [system.resolvent[i, j] for i in range(4) for j in (0, 1)]
+    lden = math.lcm(*(e.den for e in polys))
+    flat, lden = enter([e.nums[k] * (lden // e.den) if k < len(e.nums)
+                        else 0 for k in range(4) for e in polys], lden)
     p, q = sigma.numerator, sigma.denominator
     qf = factor(q, q)
-    (k0, k1, k2), kden = enter([1, -(c * c + d * d), c * c * d * d])
+    (k0, k1, k2), kden = enter(*common_denominator(
+        [1, -(c * c + d * d), c * c * d * d]))
     quartic = (k0, k1 * qf * qf, k2 * qf ** 4)
     # mats[k][i][j] = K q^(3-k) N'_k[i][j]
     mats = [[[kden * qf ** (3 - k) * flat[8 * k + 2 * i + j]
               for j in (0, 1)] for i in range(4)] for k in range(4)]
     norm = normaliser((lden, kden, q))
-    nums, den = enter(h0)
+    nums, den = enter(*common_denominator(h0))
     nums, den, vec = norm.normalise(nums, (den,), norm.one)
     coeffs = [vec]
     for s in range(terms - 1):

@@ -125,9 +125,11 @@ def test_corrupt_contiguous_closed_form_fails_1b_and_2b(monkeypatch):
     honest = hgsystem.contiguous_product_rows
 
     def corrupt(p):
-        rows = honest(p)
-        rows[2][1] += 1
-        return rows
+        # entry (2, 1) plus one, in the rows' integer numerators over den
+        nums, den = honest(p)
+        nums = list(nums)
+        nums[2 * 4 + 1] += den
+        return tuple(nums), den
 
     monkeypatch.setattr(hgsystem, "contiguous_product_rows", corrupt)
     monkeypatch.setattr(series, "contiguous_product_rows", corrupt)
