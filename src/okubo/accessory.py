@@ -142,10 +142,6 @@ class AccessoryChart:
     def r3(self):
         return self.r[2]
 
-    @property
-    def r4(self):
-        return self.r[3]
-
     def d_constraint_value(self) -> Fraction:
         """The rational expression that must equal d^2."""
         return self._d_constraint
@@ -239,13 +235,6 @@ class AccessoryChart:
         system = OkuboSystem(coeff, self.a, self.b, self.c, self.d)
         system.validate()
         return system
-
-    def scaled(self, s) -> "AccessoryChart":
-        s = to_fraction(s)
-        if s == 0:
-            raise DegenerateChart("zero scale")
-        return AccessoryChart(self.a, self.b, self.c, self.d,
-                              tuple(x * s for x in self.r))
 
     @classmethod
     def from_json(cls, data: dict) -> "AccessoryChart":
@@ -518,15 +507,6 @@ class DifferenceSystem:
     scalar_numerator: Poly
     scalar_denominator: Poly
     label: str
-
-    def step(self, z0) -> RationalMatrix:
-        """Exact forward step matrix at a rational point."""
-        z0 = to_fraction(z0)
-        den = self.scalar_denominator(z0)
-        if den == 0:
-            raise InputError("step undefined: scalar denominator vanishes",
-                             {"z": z0})
-        return self.matrix.eval(z0).scale(self.scalar_numerator(z0) / den)
 
 
 #: per point pair: the sign of both scalar numerators; whether the pair

@@ -300,9 +300,11 @@ def _integrals(params: DFParams, points: list):
     phase = np.exp(1j * np.pi * (g / 2 - 1))
     pairs = _integrand_factors(params)
     distinct = list(dict.fromkeys(par for pair in pairs for par in pair))
-    gauss = _gauss_on_nodes(distinct,
+    nums, den = common_denominator([v for par in distinct for v in par])
+    gauss = _gauss_on_nodes([tuple(nums[i:i + 3])
+                             for i in range(0, len(nums), 3)],
                             np.concatenate([x * s for x, s, _ in points]),
-                            160)
+                            160, den)
     rows = [(distinct.index(par1), distinct.index(par2))
             for par1, par2 in pairs]
     out = np.empty((len(points), 3), dtype=complex)
@@ -317,20 +319,21 @@ def _integrals(params: DFParams, points: list):
     return out
 
 
-def _gauss_on_nodes(pars: list, t, terms: int):
-    """Truncated Gauss series of each parameter triple at the real nodes
-    t, one row per triple: one series._gauss_table call for the
-    coefficients, then one Horner pass updated in place.
+def _gauss_on_nodes(pars: list, t, terms: int, den: int):
+    """Truncated Gauss series of each parameter triple (integer numerators
+    over the positive ``den``) at the real nodes t, one row per triple:
+    one series._gauss_table call for the coefficients, then one Horner
+    pass updated in place.
 
     The triples are rational, so the coefficients are real float64: the
     pass runs in float64, which rounds as a complex pass would, and its
-    result is returned as complex, so that the sums over the nodes round as
-    they did too (a real and a complex sum can differ in the last bit).
+    result is returned as complex, so that the sums over the nodes are
+    complex sums (a real and a complex sum can differ in the last bit).
     """
     import numpy as np
     from .series import _gauss_table
 
-    coeffs = _gauss_table(pars, terms)
+    coeffs = _gauss_table(pars, terms, den)
     acc = np.zeros((len(pars), len(t)))
     for ck in coeffs[:, ::-1].T:
         acc *= t

@@ -9,8 +9,8 @@ denominator and the numerators have no common factor (one multi-argument
 denominator 1.  So equality and hashing compare integers, and every kernel
 runs on Python ints with no per-entry gcd:
 
-* `mat_mul`, `RationalMatrix.apply` and `Poly.__mul__` are integer dot
-  products and convolutions over the product of two denominators, and
+* `mat_mul` and `Poly.__mul__` are integer dot products and
+  convolutions over the product of two denominators, and
   sums and differences are taken over the lcm of two denominators;
 * `RationalMatrix.char_poly` runs Leverrier-Faddeev on the integer
   numerator matrix B, where the divisions by k are exact, and scales
@@ -18,10 +18,10 @@ runs on Python ints with no per-entry gcd:
 * `det`, `inverse` and `left_null_space` use fraction-free (Bareiss)
   elimination of B, whose divisions by the previous pivot are exact.
 
-Fractions appear only at the boundary: `RationalMatrix.rows`,
-`Poly.coeffs` and `Poly.coeff` give the reduced `fractions.Fraction`s of
-the entries, built on first read and kept, and ``m[i, j]`` builds the one
-entry it reads.  The outputs are the same Fractions the textbook Fraction
+Fractions appear only at the boundary: `RationalMatrix.rows` and
+`Poly.coeffs` give the reduced `fractions.Fraction`s of the entries,
+built on first read and kept, and ``m[i, j]`` builds the one entry it
+reads.  The outputs are the same Fractions the textbook Fraction
 algorithms give.  The way in without Fractions is
 `RationalMatrix.from_integers(nums, den)`: n*n integer numerators, row by
 row, over one nonzero denominator, reduced by the same one gcd; every
@@ -187,11 +187,6 @@ class Poly:
     def constant(cls, c: Scalar) -> "Poly":
         return cls([c])
 
-    @classmethod
-    def variable(cls) -> "Poly":
-        """The polynomial z."""
-        return cls([0, 1])
-
     @property
     def coeffs(self) -> tuple:
         """The coefficients as reduced Fractions, by degree."""
@@ -200,15 +195,8 @@ class Poly:
             self._coeffs = tuple(Fraction(x, den) for x in self.nums)
         return self._coeffs
 
-    @property
-    def degree(self) -> int:
-        return len(self.nums) - 1
-
     def is_zero(self) -> bool:
         return not self.nums
-
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.nums) else Fraction(0)
 
     def _combine(self, other, sign: int) -> "Poly":
         other = _as_poly(other)
@@ -250,12 +238,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Poly":
-        out = Poly.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(other)
@@ -265,28 +247,18 @@ class Poly:
     def __hash__(self):
         return hash((self.den, self.nums))
 
-    def __call__(self, x):
-        """Evaluate by Horner's rule; exact for Fraction/int arguments."""
-        if isinstance(x, (int, Fraction)):
-            nums = self.nums
-            if not nums:
-                return Fraction(0)
-            # sum c_k p^k q^(deg-k) / (den q^deg), homogeneous Horner
-            p, q = x.numerator, x.denominator
-            acc, qk = nums[-1], 1
-            for c in reversed(nums[:-1]):
-                qk *= q
-                acc = acc * p + c * qk
-            return Fraction(acc, self.den * qk)
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + complex(c)
-        return acc
-
-    def reflected(self) -> "Poly":
-        """The polynomial p(-z)."""
-        return _poly([-c if k % 2 else c for k, c in enumerate(self.nums)],
-                     self.den)
+    def __call__(self, x: Scalar) -> Fraction:
+        """Exact value at a rational x, by Horner's rule."""
+        nums = self.nums
+        if not nums:
+            return Fraction(0)
+        # sum c_k p^k q^(deg-k) / (den q^deg), homogeneous Horner
+        p, q = x.numerator, x.denominator
+        acc, qk = nums[-1], 1
+        for c in reversed(nums[:-1]):
+            qk *= q
+            acc = acc * p + c * qk
+        return Fraction(acc, self.den * qk)
 
     def __repr__(self):
         if self.is_zero():
@@ -392,10 +364,6 @@ class RationalMatrix:
                 nums += [x * fr for x in right.nums[i:i + k]]
         return cls.from_integers(nums, den)
 
-    @classmethod
-    def from_strings(cls, rows) -> "RationalMatrix":
-        return cls([[to_fraction(x) for x in row] for row in rows])
-
     # -- basic structure ---------------------------------------------------
     @property
     def rows(self) -> tuple:
@@ -491,18 +459,6 @@ class RationalMatrix:
         s = s if isinstance(s, (int, Fraction)) else to_fraction(s)
         return RationalMatrix.from_integers(
             [x * s.numerator for x in self.nums], self.den * s.denominator)
-
-    def apply(self, vector: Sequence) -> list:
-        """M v: exact Fractions for a rational v, entry by entry otherwise
-        (a complex v gives complex entries)."""
-        if len(vector) != self.dim:
-            raise DimensionMismatch("vector length does not match matrix")
-        if all(isinstance(v, (int, Fraction)) for v in vector):
-            ys, dy = common_denominator(vector)
-            den = self.den * dy
-            return [Fraction(_dot(xs, ys), den) for xs in self._int_rows()]
-        return [sum((a * v for a, v in zip(row, vector)), Fraction(0))
-                for row in self.rows]
 
     # -- elimination-based operations --------------------------------------
     def det(self) -> Fraction:
@@ -680,21 +636,6 @@ class PolyMatrix:
     def __repr__(self):
         return f"PolyMatrix({[[repr(e) for e in row] for row in self.entries]})"
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.dim != other.dim:
-            raise DimensionMismatch("dimension mismatch")
-        return PolyMatrix([[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.dim != other.dim:
-            raise DimensionMismatch("dimension mismatch")
-        return PolyMatrix([[a - b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)])
-
-    def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix([[-e for e in row] for row in self.entries])
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
             return PolyMatrix([[e * other for e in row] for row in self.entries])
@@ -709,15 +650,6 @@ class PolyMatrix:
 
     def block(self, i0: int, i1: int, j0: int, j1: int) -> "PolyMatrix":
         return PolyMatrix([row[j0:j1] for row in self.entries[i0:i1]])
-
-    def eval(self, z0: Scalar) -> RationalMatrix:
-        """Exact evaluation at a rational point."""
-        x = to_fraction(z0)
-        return RationalMatrix([[e(x) for e in row] for row in self.entries])
-
-    def reflected(self) -> "PolyMatrix":
-        """Entrywise substitution z -> -z."""
-        return PolyMatrix([[e.reflected() for e in row] for row in self.entries])
 
     def det(self) -> Poly:
         """Determinant of a 2x2 polynomial matrix."""
@@ -745,4 +677,4 @@ def matrix_from_json(data) -> RationalMatrix:
     if not (isinstance(data, list)
             and all(isinstance(row, list) for row in data)):
         raise InputError("matrix JSON must be an array of arrays")
-    return RationalMatrix.from_strings(data)
+    return RationalMatrix(data)

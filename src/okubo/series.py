@@ -4,31 +4,33 @@ Every truncated Gauss series is summed by one kernel, _gauss_jets, which
 evaluates k parameter triples at one point: one row-wise
 np.multiply.accumulate over their coefficient factors (_gauss_table, which
 also gives the Dotsenko-Fateev quadrature its rows), one table of powers
-x**n and one row-wise sum per derivative order asked for.
-hyp2f1_jet is its one-triple case, and hyp2f1 asks for the value only.
+x**n and one row-wise sum per derivative order asked for.  The kernel
+takes one input form: the triples as integer numerators over one
+positive denominator.  hyp2f1_jet clears its rational triple once and is
+the kernel's one-triple case; hyp2f1 asks for the value only.
 The product vector w = (f1*f2, x*f1'*f2, x*f1*f2', x^2*f1'*f2') is one
 two-triple call, with second derivatives only for w_residual, and its
 contiguous companion v one four-triple call, with first derivatives only
-for v_residual.  Each row is the array a one-triple call gives, so every
-number is the one the per-triple sums gave, bit for bit.  v is also
-reached from w by R P^{-1}, applied in its closed form, the rows of
+for v_residual.  Each row is the array a one-triple call gives.  v is
+also reached from w by R P^{-1}, applied in its closed form, the rows of
 hgsystem.contiguous_product_matrix (the Gauss contiguous relations), which
 verify 1b checks exactly against R times the inverse of P; w_residual
 takes H0 and H1 from hgsystem.product_residue_rows and v_residual R from
 hgsystem.diagonalizer_rows.
 
 A float request builds no exact matrix, and none that answers builds a
-Fraction (a refusal names its gamma as one).  Every rational it needs is
-an integer numerator over one positive denominator: the parameters,
-cleared once per HGParams, for the Gauss triples (alpha + 1 and beta + 1
-of v add the denominator) and the prefactor exponent gamma1 - 1; the
-closed-form rows, which hgsystem returns as integers over one
-denominator; and the half-sums whose vanishing refuses a request (a
+Fraction (a refusal names its parameters as Fractions).  Every rational
+it needs is an integer numerator over one positive denominator: the
+parameters, cleared once per HGParams, for the Gauss triples (alpha + 1
+and beta + 1 of v add the denominator) and the prefactor exponent
+gamma1 - 1; the closed-form rows, which hgsystem returns as integers over
+one denominator; and the half-sums whose vanishing refuses a request (a
 parameter, det P or det R = 0), tested for zero as integers.  Each is
 rounded once by int/int true division (exact.ratio_to_double), the double
-float() of the Fraction gives, so every output is the one the Fraction
-route gave, bit for bit.  A rational beyond the largest double is an
-InputError wherever it would become one.
+float() of the Fraction gives.  A rational beyond the largest double, or
+a Gauss coefficient that leaves the double range, is an InputError
+wherever it would become one, and a power x ** (gamma1 - 1) that leaves
+it is OutsideDisc.
 
 Local solutions of the Okubo system (x I - T) y' = A y are built from the
 coefficient recurrences they satisfy:
@@ -79,11 +81,11 @@ and |x-1| <= 0.6 at the finite points, |x-1| >= 1.7 at infinity.  Powers
 x^rho use the principal branch.  SeriesSolution.evaluate sums value and
 derivative at many points in one Horner sweep over the coefficients,
 converted to complex once, and applies each point's power u^rho as a
-Python complex, so every number is the one the per-point loop gave.  A
-residual report checks every sample (finite, inside the disc, not the
-expansion point) before that sweep, and forms each point's defect
-(xI - T) y' - A y on its own, since a batched product would reorder the
-sums; worst_defect takes the maximum so that a NaN defect is kept.
+Python complex.  A residual report checks every sample (finite, inside
+the disc, not the expansion point) before that sweep, and forms each
+point's defect (xI - T) y' - A y on its own, since a batched product
+would reorder the sums; worst_defect takes the maximum so that a NaN
+defect is kept.
 """
 
 from __future__ import annotations
@@ -120,25 +122,14 @@ def _as_complex(x) -> complex:
         else complex(to_double(x))
 
 
-def _is_nonpositive_integer(value) -> bool:
-    if isinstance(value, Fraction):
-        return value.denominator == 1 and value <= 0
-    if isinstance(value, int):
-        return value <= 0
-    if isinstance(value, float):
-        return value <= 0 and value == int(value)
-    return False
-
-
-def _gauss_table(triples, terms: int, den: int = 0) -> np.ndarray:
+def _gauss_table(triples, terms: int, den: int) -> np.ndarray:
     """The first ``terms`` Taylor coefficients of 2F1(alpha, beta, gamma; .)
     for each triple, one real float64 row per triple (a strided view).
 
-    The entries of the triples are rationals or floats or, given a positive
-    ``den``, the integer numerators of rationals over it (the parameters of
-    a float request, cleared once by HGParams); either way each rational
-    enters as the double to_double gives it, and gamma's exact tests run
-    on what is given.
+    The entries of the triples are the integer numerators of rationals over
+    the one positive denominator ``den``.  Each enters as its double,
+    rounded once by int/int true division (the double float() of the
+    Fraction gives), and gamma's exact tests run on the integers.
 
     c_0 = 1 and c_{n+1} = c_n (alpha+n) (beta+n) (1/((gamma+n)(n+1))) in
     doubles, rounded after each product from left to right; the division
@@ -148,28 +139,23 @@ def _gauss_table(triples, terms: int, den: int = 0) -> np.ndarray:
     ...] and every third partial product is kept.  The triples are checked
     in turn, each in full before the next: gamma must not be a nonpositive
     integer, there must be a term, and gamma's double must not be a
-    nonpositive integer that the sum reaches.
+    nonpositive integer that the sum reaches.  A row whose last coefficient
+    is not finite (a partial product that overflows stays inf or NaN) is
+    refused after the pass.
     """
     doubles = []
     for alpha, beta, gamma in triples:
-        if den:
-            nonpositive = gamma <= 0 and not gamma % den
-        else:
-            nonpositive = _is_nonpositive_integer(gamma)
-        if nonpositive:
+        if gamma <= 0 and not gamma % den:
             raise InputError("gamma must not be a nonpositive integer",
-                             {"gamma": _rational(gamma, den)})
+                             {"gamma": Fraction(gamma, den)})
         if terms < 1:
             raise InputError("need at least one term")
-        if den:
-            a, b, c = ratios_to_doubles((alpha, beta, gamma), den)
-        else:
-            a, b, c = to_double(alpha), to_double(beta), to_double(gamma)
+        a, b, c = ratios_to_doubles((alpha, beta, gamma), den)
         if c <= 0 and c.is_integer() and -c < terms - 1:
             # gamma + n would be an exact zero in doubles within the sum
             raise InputError("gamma rounds to a nonpositive integer in "
                              "doubles",
-                             {"gamma": _rational(gamma, den), "terms": terms})
+                             {"gamma": Fraction(gamma, den), "terms": terms})
         doubles.append((a, b, c))
     n = np.arange(terms - 1, dtype=float)
     factors = np.empty((len(doubles), 3 * terms - 2))
@@ -180,17 +166,19 @@ def _gauss_table(triples, terms: int, den: int = 0) -> np.ndarray:
     reciprocal = steps[:, :, 2]
     reciprocal *= n + 1
     np.divide(1.0, reciprocal, out=reciprocal)
-    np.multiply.accumulate(factors, axis=1, out=factors)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply.accumulate(factors, axis=1, out=factors)
+    for (alpha, beta, gamma), last in zip(triples, factors[:, -1].tolist()):
+        if not math.isfinite(last):
+            raise InputError("Gauss coefficients leave the double range",
+                             {"alpha": Fraction(alpha, den),
+                              "beta": Fraction(beta, den),
+                              "gamma": Fraction(gamma, den), "terms": terms})
     return factors[:, ::3]
 
 
-def _rational(value, den: int):
-    """A refusal's gamma: the value, or numerator over den as a Fraction."""
-    return Fraction(value, den) if den else value
-
-
 def _gauss_jets(triples, x: complex, terms: int, order: int,
-                den: int = 0) -> tuple:
+                den: int) -> tuple:
     """Truncated Gauss series of each triple (given as _gauss_table takes
     them) and their derivatives up to ``order`` (at most 2) at one point x
     of the unit disc.
@@ -233,17 +221,25 @@ class GaussJet(NamedTuple):
 def hyp2f1_jet(alpha, beta, gamma, x, terms: int,
                order: int = 2) -> GaussJet:
     """The truncated Gauss series at x and its derivatives up to ``order``
-    (0, 1 or 2); a derivative not asked for is None."""
+    (0, 1 or 2); a derivative not asked for is None.  The parameters are
+    rationals (ints or Fractions), cleared once over one denominator."""
     x = _as_complex(x)
     _require_unit_disc(x)
-    sums, last = _gauss_jets([(alpha, beta, gamma)], x, terms, order)
+    params = (alpha, beta, gamma)
+    try:
+        nums, den = common_denominator(params)
+    except AttributeError:  # no .denominator: not an int or a Fraction
+        raise InputError("Gauss parameters must be rationals",
+                         {"parameters": repr(params)}) from None
+    sums, last = _gauss_jets([nums], x, terms, order, den)
     jet = [s[0] for s in sums] + [None] * (2 - order)
     # the scalar abs: numpy's array abs may round a hypot differently
     return GaussJet(*jet, abs(last[0]))
 
 
 def hyp2f1(alpha, beta, gamma, x, terms: int = 80) -> complex:
-    """Truncated Gauss hypergeometric series inside the unit disc."""
+    """Truncated Gauss hypergeometric series inside the unit disc, at
+    rational parameters."""
     return hyp2f1_jet(alpha, beta, gamma, x, terms, 0).value
 
 
@@ -303,6 +299,16 @@ def _check_off_cut(x: complex):
         raise OutsideDisc("x must avoid the branch cut (-inf, 0]", {"x": x})
 
 
+def _power(x: complex, expo: float) -> complex:
+    """x ** expo on the principal branch; OutsideDisc where it leaves the
+    double range (a negative exponent at tiny |x|)."""
+    try:
+        return x ** expo
+    except OverflowError as exc:
+        raise OutsideDisc("a power of x leaves the double range",
+                          {"x": x, "exponent": expo}) from exc
+
+
 def contiguous_product_vector(p: HGParams, x, terms: int = 60) -> np.ndarray:
     """x^(gamma1 - 1) times the four products of parameter-shifted Gauss
     functions (the alpha- and beta-raised contiguous companions)."""
@@ -331,13 +337,13 @@ def _v_jet(p: HGParams, x, terms: int, derivative: bool = True) -> tuple:
     pairs = [(0, 2), (1, 3), (0, 3), (1, 2)]
     prods = np.array([f[i] * f[j] for i, j in pairs])
     expo = _prefactor_exponent(p)
-    pref = x ** expo
+    pref = _power(x, expo)
     v = pref * prods
     if not derivative:
         return v, None
     df = sums[1]
     dprods = np.array([df[i] * f[j] + f[i] * df[j] for i, j in pairs])
-    dv = expo * x ** (expo - 1) * prods + pref * dprods
+    dv = expo * _power(x, expo - 1) * prods + pref * dprods
     return v, dv
 
 
@@ -361,7 +367,7 @@ def v_via_transform(p: HGParams, x, terms: int = 60) -> np.ndarray:
                                   {"det": "0"})
     if has_zero_factor(p, DET_DIAGONALIZER_FACTORS):
         raise SingularMatrixError("degenerate parameters: det R = 0")
-    return (x ** _prefactor_exponent(p)
+    return (_power(x, _prefactor_exponent(p))
             * (cleared_complex_array(nums, den, 4) @ w))
 
 
@@ -376,9 +382,10 @@ def v_residual(p: HGParams, x, terms: int = 60) -> float:
     """Max-norm defect of the contiguous vector in its diagonalized system
     dv/dx = R (xI - T)^{-1} R^{-1} diag(c, -c, d, -d) v, R rounded from
     the integer rows of hgsystem.diagonalizer_rows; refused, as
-    build_diagonalizer is, where a parameter vanishes or det R = 0.  v
-    solves this system only at the Okubo gammas; elsewhere the number is
-    no defect."""
+    build_diagonalizer is, where a parameter vanishes or det R = 0, and
+    as SingularMatrixError where R is singular in doubles only.  v solves
+    this system only at the Okubo gammas; elsewhere the number is no
+    defect."""
     x = _as_complex(x)
     v, dv = _v_jet(p, x, terms)
     r = cleared_complex_array(*diagonalizer_rows(p), 4)
@@ -386,7 +393,11 @@ def v_residual(p: HGParams, x, terms: int = 60) -> float:
     c, d = ratio_to_double(c, h), ratio_to_double(d, h)
     diag_exp = np.diag([c, -c, d, -d]).astype(complex)
     xit = np.diag([1 / x, 1 / x, 1 / (x - 1), 1 / (x - 1)])
-    rhs = r @ xit @ np.linalg.solve(r, diag_exp @ v)
+    try:
+        solved = np.linalg.solve(r, diag_exp @ v)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("R is singular in doubles") from exc
+    rhs = r @ xit @ solved
     return float(np.max(np.abs(dv - rhs)))
 
 
@@ -457,13 +468,6 @@ class SeriesSolution:
             acc[1, i] = (-(u ** (rho + 1)) if self.base == "inf"
                          else u ** (rho - 1)) * acc[1, i]
         return acc
-
-    def value(self, x) -> np.ndarray:
-        return self.evaluate([x])[0, 0]
-
-    def derivative(self, x) -> np.ndarray:
-        """dy/dx of the truncated sum."""
-        return self.evaluate([x])[1, 0]
 
     def to_json(self) -> dict:
         return {"base": self.base, "exponent": str(self.exponent),

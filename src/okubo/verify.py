@@ -259,7 +259,7 @@ SERIES_TERMS = 80
 def _draw_w_params(rng: random.Random) -> hgsystem.HGParams:
     while True:
         p = sampling.draw_generic_params(rng)
-        if not any(series._is_nonpositive_integer(g)
+        if not any(g.denominator == 1 and g <= 0
                    for g in (p.gamma1, p.gamma2)):
             return p
 

@@ -156,10 +156,11 @@ def ref_resolvent_numerator(matrix, c, d):
 # -- the float requests as they were, on the references -----------------------
 
 def ref_gauss_jets(triples, x, terms, order):
-    """The Gauss kernel with its parameters converted by float()."""
+    """The Gauss kernel with its parameters converted by float(); a row
+    whose coefficients leave the double range is refused."""
     doubles = []
     for alpha, beta, gamma in triples:
-        if series._is_nonpositive_integer(gamma):
+        if gamma.denominator == 1 and gamma <= 0:
             raise InputError("gamma must not be a nonpositive integer",
                              {"gamma": gamma})
         if terms < 1:
@@ -178,7 +179,13 @@ def ref_gauss_jets(triples, x, terms, order):
     reciprocal = steps[:, :, 2]
     reciprocal *= n + 1
     np.divide(1.0, reciprocal, out=reciprocal)
-    np.multiply.accumulate(factors, axis=1, out=factors)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply.accumulate(factors, axis=1, out=factors)
+    for (alpha, beta, gamma), last in zip(triples, factors[:, -1]):
+        if not math.isfinite(last):
+            raise InputError("Gauss coefficients leave the double range",
+                             {"alpha": alpha, "beta": beta, "gamma": gamma,
+                              "terms": terms})
     coeffs = factors[:, ::3]
     n = np.arange(terms)
     powers = x ** n
@@ -234,6 +241,15 @@ def ref_w_residual(p, x, terms):
     return float(np.max(np.abs(dw - rhs)))
 
 
+def ref_power(x, expo):
+    """x ** expo, refused as OutsideDisc where it leaves the double range."""
+    try:
+        return x ** expo
+    except OverflowError:
+        raise series.OutsideDisc("a power of x leaves the double range",
+                                 {"x": x, "exponent": expo}) from None
+
+
 def ref_v_jet(p, x, terms, derivative=True):
     """The contiguous vector, its derivative formed if ``derivative``
     (both sums are always taken)."""
@@ -249,10 +265,10 @@ def ref_v_jet(p, x, terms, derivative=True):
     prods = np.array([f[i] * f[j] for i, j in pairs])
     dprods = np.array([df[i] * f[j] + f[i] * df[j] for i, j in pairs])
     expo = ref_to_double(g1 - 1)
-    pref = x ** expo
+    pref = ref_power(x, expo)
     if not derivative:
         return pref * prods, None
-    return pref * prods, expo * x ** (expo - 1) * prods + pref * dprods
+    return pref * prods, expo * ref_power(x, expo - 1) * prods + pref * dprods
 
 
 def ref_v_via_transform(p, x, terms):
@@ -265,7 +281,8 @@ def ref_v_via_transform(p, x, terms):
                                   {"det": "0"})
     if ref_has_zero_factor(p, DET_DIAGONALIZER_FACTORS):
         raise SingularMatrixError("degenerate parameters: det R = 0")
-    return x ** ref_to_double(p.gamma1 - 1) * (ref_complex_array(rows) @ w)
+    return (ref_power(x, ref_to_double(p.gamma1 - 1))
+            * (ref_complex_array(rows) @ w))
 
 
 def ref_v_residual(p, x, terms):
@@ -276,7 +293,10 @@ def ref_v_residual(p, x, terms):
     d = ref_to_double(lam(p, "+--+"))
     diag_exp = np.diag([c, -c, d, -d]).astype(complex)
     xit = np.diag([1 / x, 1 / x, 1 / (x - 1), 1 / (x - 1)])
-    rhs = r @ xit @ np.linalg.solve(r, diag_exp @ v)
+    try:
+        rhs = r @ xit @ np.linalg.solve(r, diag_exp @ v)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("R is singular in doubles") from None
     return float(np.max(np.abs(dv - rhs)))
 
 
@@ -297,9 +317,8 @@ REQUESTS = [
 
 def outcome(f, *args):
     """The bytes of every number f returns, or its refusal as (class,
-    message, context as strings), or any other error it raises (numpy's
-    LinAlgError, OverflowError of a complex power, a RuntimeWarning) as
-    (class, text)."""
+    message, context as strings), or any other error it raises (a
+    RuntimeWarning, say) as (class, text)."""
     with warnings.catch_warnings():
         # as the test settings do for okubo's own modules, on both sides
         warnings.simplefilter("error", RuntimeWarning)

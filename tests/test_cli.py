@@ -99,8 +99,8 @@ def test_build_okubo_matrix_round_trip(capsys, okubo_params_file):
     assert code == 0
     _, system = build_okubo_system(
         HGParams.okubo(F(1, 3), F(1, 7), F(1, 5), F(1, 11)))
-    assert RationalMatrix.from_strings(data["coeff"]) == system.coeff
-    assert RationalMatrix.from_strings(data["gauge"]).det() != 0
+    assert RationalMatrix(data["coeff"]) == system.coeff
+    assert RationalMatrix(data["gauge"]).det() != 0
 
 
 def test_verify_realize(capsys, okubo_params_file):
@@ -168,6 +168,19 @@ def test_v_vector_fails_on_truncation(capsys, okubo_params_file, x, terms):
     assert code == 1
     assert float(data["relative_gap"]) <= 1e-10
     assert float(data["residual"]) > (0.1 if terms == "1" else 1e-10)
+
+
+def test_v_vector_refuses_r_singular_in_doubles(capsys, tmp_path):
+    """alpha1 = -2 + 10^-30: det R != 0 exactly, but R's doubles are
+    singular, so v's defect cannot be formed and the request is refused."""
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"alpha1": str(F(-2) + F(1, 10 ** 30)),
+                                "alpha2": "-37/4", "beta1": "-2",
+                                "beta2": "5/3"}))
+    code, data = run_json(capsys, "v-vector", "--params", str(path),
+                          "--x", "0.5", "--terms", "10")
+    assert code == EXIT_INPUT
+    assert data["error"]["code"] == "singular-matrix"
 
 
 def test_v_vector_with_explicit_gammas_checks_the_gap_alone(capsys,

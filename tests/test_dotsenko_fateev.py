@@ -26,7 +26,7 @@ from okubo.dotsenko_fateev import (DFParams, DFTransformReport,
                                    shifted_eigenvalues,
                                    transition_half_sum_form)
 from okubo.errors import InputError, QuadratureError, SingularMatrixError
-from okubo.exact import Poly, RationalMatrix
+from okubo.exact import Poly, RationalMatrix, common_denominator
 from okubo.hgsystem import lam
 from okubo.sampling import draw_df_params
 from okubo.verify import CriterionFailed, check_df_integral_residual
@@ -37,7 +37,15 @@ QUAD_PARAMS = DFParams(F(1, 3), F(1, 5), F(1, 7), F(1, 2))
 
 def gauss_coefficients(alpha, beta, gamma, terms):
     """One triple's row of the batched Gauss kernel series._gauss_table."""
-    return series._gauss_table([(alpha, beta, gamma)], terms)[0]
+    nums, den = common_denominator((alpha, beta, gamma))
+    return series._gauss_table([nums], terms, den)[0]
+
+
+def gauss_on_nodes(pars, t, terms):
+    """_gauss_on_nodes for rational triples, cleared over one denominator."""
+    nums, den = common_denominator([v for par in pars for v in par])
+    return _gauss_on_nodes([nums[i:i + 3] for i in range(0, len(nums), 3)],
+                           t, terms, den)
 
 
 def charpoly_of_roots(roots):
@@ -185,7 +193,7 @@ def test_contour_reparametrization_invariance():
     power = x ** (a + c + g)
     direct = df_integral_solution(params, x, 80).integrals
     for k, (par1, par2) in enumerate(_integrand_factors(params)):
-        f1, f2 = _gauss_on_nodes([par1, par2], x * u * u, 200)
+        f1, f2 = gauss_on_nodes([par1, par2], x * u * u, 200)
         smooth = 2 * (1 + u) ** alpha * f1 * f2
         reparam = phase * power * scale * np.sum(weights * smooth)
         assert abs(reparam - direct[k]) < 1e-10 * max(1.0, abs(direct[k]))
@@ -324,9 +332,11 @@ def test_batched_quadrature_is_bit_identical_on_draws():
 # the real Horner pass against the complex one
 # --------------------------------------------------------------------------
 
-def reference_gauss_on_nodes(pars, t, terms):
-    """The one-pass Horner sweep in complex arithmetic."""
-    coeffs = np.array([gauss_coefficients(*par, terms) for par in pars])
+def reference_gauss_on_nodes(pars, t, terms, den=1):
+    """The one-pass Horner sweep in complex arithmetic; the triples are
+    numerators over den."""
+    coeffs = np.array([gauss_coefficients(*(F(v, den) for v in par), terms)
+                       for par in pars])
     acc = np.zeros((len(pars), len(t)), dtype=complex)
     for ck in coeffs[:, ::-1].T:
         acc *= t
@@ -375,7 +385,7 @@ def test_real_gauss_pass_is_bit_identical_to_complex_pass():
                                   for par in pair))
         for t in nodes + [np.array([rng.uniform(0, 1) for _ in range(50)])]:
             for terms in (1, 2, 160):
-                got = _gauss_on_nodes(pars, t, terms)
+                got = gauss_on_nodes(pars, t, terms)
                 assert got.dtype == complex
                 assert bits(got) == bits(reference_gauss_on_nodes(pars, t,
                                                                   terms))
@@ -421,9 +431,9 @@ def test_one_rule_per_node_count_and_one_series_per_factor(monkeypatch):
         rules.append(nodes)
         return real_roots(nodes, alpha, beta)
 
-    def counting_table(triples, terms):
+    def counting_table(triples, terms, den):
         tables.append(list(triples))
-        return real_table(triples, terms)
+        return real_table(triples, terms, den)
 
     monkeypatch.setattr(scipy.special, "roots_jacobi", counting_roots)
     # the quadrature looks the name up in series when it is called

@@ -18,7 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 from okubo.errors import (DimensionMismatch, InputError, NotAnEigenvalue,
                           SingularMatrixError)
 from okubo.exact import (Poly, PolyMatrix, RationalMatrix, left_eigenvectors,
-                         mat_mul, poly_adjugate, to_double, to_fraction)
+                         mat_mul, matrix_from_json, poly_adjugate, to_double,
+                         to_fraction)
 
 
 def rand_matrix(rng, n, lo=-9, hi=9):
@@ -89,7 +90,7 @@ def test_poly_product_degree(cs1, cs2):
     if p.is_zero() or q.is_zero():
         assert (p * q).is_zero()
     else:
-        assert (p * q).degree == p.degree + q.degree
+        assert len((p * q).nums) == len(p.nums) + len(q.nums) - 1
 
 
 def lagrange_interpolate(points) -> Poly:
@@ -112,10 +113,12 @@ def test_poly_eval_and_interpolate():
     assert p(F(2)) == 1 - 4 + 12
     pts = [(F(k), p(F(k))) for k in range(4)]
     assert lagrange_interpolate(pts) == p
-    assert Poly([1, 1]).reflected() == Poly([1, -1])
 
 
 def test_polymatrix_eval_commutes_with_product():
+    def at(m, z0):
+        return RationalMatrix([[e(z0) for e in row] for row in m.entries])
+
     rng = random.Random(11)
     for _ in range(10):
         m = PolyMatrix([[Poly([rng.randint(-4, 4) for _ in range(3)])
@@ -125,7 +128,7 @@ def test_polymatrix_eval_commutes_with_product():
         prod = m * n
         for _ in range(5):
             z0 = F(rng.randint(-20, 20), rng.randint(1, 7))
-            assert prod.eval(z0) == m.eval(z0) * n.eval(z0)
+            assert at(prod, z0) == at(m, z0) * at(n, z0)
 
 
 # -- matrices ---------------------------------------------------------------
@@ -172,7 +175,7 @@ def test_inverse_and_adjugate_consistency():
 
 
 def test_poly_adjugate_examples():
-    z = Poly.variable()
+    z = Poly([0, 1])
     m = PolyMatrix([[z, Poly.constant(1)], [Poly(), z]])
     adj, det = poly_adjugate(m)
     assert adj == PolyMatrix([[z, Poly.constant(-1)], [Poly(), z]])
@@ -188,7 +191,7 @@ def test_poly_adjugate_examples():
 
 
 def test_poly_adjugate_singular_input_is_legal():
-    z = Poly.variable()
+    z = Poly([0, 1])
     m = PolyMatrix([[z, z], [z, z]])
     adj, det = poly_adjugate(m)
     assert det.is_zero()
@@ -228,7 +231,8 @@ def test_matrix_serialization_round_trip():
     m = RationalMatrix([[F(1, 3), F(-2)], [F(0), F(7, 11)]])
     data = m.to_strings()
     assert data == [["1/3", "-2"], ["0", "7/11"]]
-    assert RationalMatrix.from_strings(data) == m
+    assert RationalMatrix(data) == m
+    assert matrix_from_json(data) == m
 
 
 # -- integer kernels against textbook Fraction algorithms -------------------
@@ -237,10 +241,6 @@ def ref_mat_mul(a, b):
     cols = list(zip(*b))
     return [[sum((x * y for x, y in zip(row, col)), F(0)) for col in cols]
             for row in a]
-
-
-def ref_apply(a, v):
-    return [sum((x * y for x, y in zip(row, v)), F(0)) for row in a]
 
 
 def ref_det(a):
@@ -385,17 +385,6 @@ def test_mat_mul_matches_reference(pair):
 
 
 @kernel_settings
-@given(st.integers(1, 8).flatmap(
-    lambda n: st.tuples(square_rows(n),
-                        st.lists(entry_kinds["mixed"], min_size=n,
-                                 max_size=n))))
-def test_apply_matches_reference(pair):
-    a, v = pair
-    assert exact_form(RationalMatrix(a).apply(v)) == \
-        exact_form(ref_apply(a, v))
-
-
-@kernel_settings
 @given(square_rows())
 def test_char_poly_matches_reference(a):
     got = RationalMatrix(a).char_poly().coeffs
@@ -463,7 +452,7 @@ def assert_canonical(m):
         assert m.den == 1
     entries = ([m[i, j] for i in range(m.dim) for j in range(m.dim)]
                if isinstance(m, RationalMatrix)
-               else [m.coeff(k) for k in range(m.degree + 2)])
+               else m.coeffs)
     assert all(type(x) is F for x in entries)
 
 
