@@ -35,15 +35,15 @@ cached by value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import (AdmissibilityError, DConditionError, DegenerateChart,
                      EigenvectorDegeneracy, InputError, InternalInconsistency)
-from .exact import (Poly, PolyMatrix, RationalMatrix, _poly,
-                    common_denominator, left_eigenvectors, to_fraction)
+from .exact import (Poly, PolyMatrix, RationalMatrix, _cross, _poly,
+                    common_denominator, left_eigenvectors, poly_adjugate,
+                    to_fraction)
 from .hgsystem import (HGParams, J2, OkuboSystem, _even_quartic,
                        build_okubo_system, lam)
 
@@ -163,11 +163,18 @@ class AccessoryChart:
         r, den_r = common_denominator(self.r)
         return abcd, den_abcd, r, den_r
 
+    def _nondegenerate(self) -> tuple:
+        """``_cleared``, or the DegenerateChart of ``_degenerate`` unless
+        r1 r2 r3 r4 != 0, r1 != r2 and r3 != r4: the one test every
+        derived object runs first."""
+        r1, r2, r3, r4 = self._cleared[2]
+        if not r1 * r2 * r3 * r4 or r1 == r2 or r3 == r4:
+            raise self._degenerate()
+        return self._cleared
+
     @cached_property
     def _d_constraint(self) -> Fraction:
-        (a, b, c, _), da, (r1, r2, r3, r4), _ = self._cleared
-        if r1 == r2 or r3 == r4:
-            raise self._degenerate()
+        (a, b, c, _), da, (r1, r2, r3, r4), _ = self._nondegenerate()
         ab4 = 4 * a * b
         num = ((a + b + c) ** 2 * r1 * r3 - (a - b + c) ** 2 * r1 * r4
                - (a - b - c) ** 2 * r2 * r3 + (a + b - c) ** 2 * r2 * r4
@@ -176,9 +183,7 @@ class AccessoryChart:
 
     @cached_property
     def _checked(self) -> bool:
-        r1, r2, r3, r4 = self.r
-        if 0 in self.r or r1 == r2 or r3 == r4:
-            raise self._degenerate()
+        # the d-constraint runs the degeneracy test first
         if self.d_constraint_value() != self.d ** 2:
             raise DConditionError("d-condition fails",
                                   {"value": self.d_constraint_value(),
@@ -187,9 +192,7 @@ class AccessoryChart:
 
     @cached_property
     def _a12(self) -> RationalMatrix:
-        (_, b, c, _), da, (r1, r2, r3, r4), _ = self._cleared
-        if r1 == r2:
-            raise self._degenerate()
+        (_, b, c, _), da, (r1, r2, r3, r4), _ = self._nondegenerate()
         bm, bp = b - c, b + c
         return _signed_quotients(
             [bm * r2 - bp * r3, bp * r2 - bm * r4,
@@ -197,9 +200,7 @@ class AccessoryChart:
 
     @cached_property
     def _a21(self) -> RationalMatrix:
-        (a, _, c, _), da, (r1, r2, r3, r4), _ = self._cleared
-        if r3 == r4:
-            raise self._degenerate()
+        (a, _, c, _), da, (r1, r2, r3, r4), _ = self._nondegenerate()
         am, ap = a - c, a + c
         return _signed_quotients(
             [ap * r1 - am * r4, am * r2 - ap * r4,
@@ -210,13 +211,10 @@ class AccessoryChart:
         """(eps, dlt, den): with the chart cleared as in ``_cleared``,
         epsilon = eps / (D^2 E), delta = dlt / E^2 and
         (r1 - r2)(r3 - r4) = den / E^2."""
-        (a, b, c, _), _, (r1, r2, r3, r4), _ = self._cleared
+        (a, b, c, _), _, (r1, r2, r3, r4), _ = self._nondegenerate()
         eps = (b * (a + c) * r1 + b * (a - c) * r2
                - a * (b + c) * r3 - a * (b - c) * r4)
-        den = (r1 - r2) * (r3 - r4)
-        if den == 0:
-            raise DegenerateChart("degenerate chart")
-        return eps, r1 * r2 - r3 * r4, den
+        return eps, r1 * r2 - r3 * r4, (r1 - r2) * (r3 - r4)
 
     @cached_property
     def _obstructions(self) -> "Obstructions":
@@ -283,12 +281,14 @@ def _signed_quotients(nums: list, den: int) -> RationalMatrix:
 
 
 def upper_block(chart: AccessoryChart) -> RationalMatrix:
-    """The block A12; built once per chart, DegenerateChart at r1 = r2."""
+    """The block A12; built once per chart, DegenerateChart on a
+    degenerate chart."""
     return chart._a12
 
 
 def lower_block(chart: AccessoryChart) -> RationalMatrix:
-    """The block A21; built once per chart, DegenerateChart at r3 = r4."""
+    """The block A21; built once per chart, DegenerateChart on a
+    degenerate chart."""
     return chart._a21
 
 
@@ -408,8 +408,7 @@ class CubicBlockDecomposition:
     """Coefficients of the top block of the resolvent numerator of A.
 
     The top 2x2 block of (z^2-c^2)(z^2-d^2) (zI - A)^{-1} is the cubic
-    z^3 I + z^2 quadratic + z linear + constant; its adjugate, the
-    numerator of its own inverse, is the coefficientwise trace complement.
+    z^3 I + z^2 quadratic + z linear + constant.
     """
 
     quadratic: RationalMatrix
@@ -417,10 +416,7 @@ class CubicBlockDecomposition:
     constant: RationalMatrix
 
     def top_block(self) -> PolyMatrix:
-        return _monic_cubic([self.constant, self.linear, self.quadratic])
-
-    def adjugate_block(self) -> PolyMatrix:
-        return _adjugate_cubic([self.constant, self.linear, self.quadratic])
+        return PolyMatrix([self.constant, self.linear, self.quadratic, _I2])
 
 
 def cubic_blocks(chart: AccessoryChart) -> CubicBlockDecomposition:
@@ -471,22 +467,6 @@ def _off_block_products(upper: RationalMatrix, lower: RationalMatrix) -> tuple:
 
 
 _I2 = RationalMatrix.identity(2)
-
-
-def _monic_cubic(coeffs: list) -> PolyMatrix:
-    """z^3 I + z^2 M2 + z M1 + M0 from the 2x2 matrices [M0, M1, M2]."""
-    return PolyMatrix.from_matrix_coeffs(coeffs + [_I2])
-
-
-def _adjugate_cubic(coeffs: list) -> PolyMatrix:
-    """The adjugate of the monic cubic with coefficients [M0, M1, M2].
-
-    A 2x2 adjugate is the trace complement tr(M) I - M, linear in M and
-    fixing I, so it is taken coefficient by coefficient, on the numerators.
-    """
-    return _monic_cubic([RationalMatrix.from_integers(
-        [m.nums[3], -m.nums[1], -m.nums[2], m.nums[0]], m.den)
-        for m in coeffs])
 
 
 # --------------------------------------------------------------------------
@@ -557,12 +537,12 @@ def difference_systems(chart: AccessoryChart, point_pair: str = "1-inf") -> tupl
         [e * (2 * da2 * p[0] + kp) + fd2 * q[0], fd2 * q[1], fd2 * q[2],
          fd2 * q[3] - e * (2 * da2 * p[3] + kp)], da2 * da * pd)
     g_sys = DifferenceSystem(
-        matrix=_adjugate_cubic([b0, b1, b2]),
+        matrix=poly_adjugate(PolyMatrix([b0, b1, b2, _I2])),
         scalar_numerator=Poly.constant(sign),
         scalar_denominator=_poly([-f * f, -f * f, da2, da2], da2),
         label=g_label)
     h_sys = DifferenceSystem(
-        matrix=_monic_cubic([-b0, b1, -b2]),
+        matrix=PolyMatrix([-b0, b1, -b2, _I2]),
         scalar_numerator=Poly([-sign, sign]),
         scalar_denominator=_even_quartic(chart.c, chart.d),
         label=h_label)
@@ -603,12 +583,13 @@ def cross_products(b_matrix: PolyMatrix, c_matrix: PolyMatrix) -> dict:
     """All 2x2-entry cross products c_jk b_lm - b_jk c_lm as polynomials.
 
     Only the 6 with jk before lm are multiplied out: swapping jk and lm
-    negates a cross product, and jk == lm gives zero.  Each matrix is
-    cleared once, over the lcm of its entries' denominators, so a cross
-    product is an integer convolution over the product of the two.
+    negates a cross product, and jk == lm gives zero.  Each matrix is read
+    cleared over one denominator, so a cross product is an integer
+    convolution over the product of the two.
     """
-    bs, db = _cleared_entries(b_matrix)
-    cs, dc = _cleared_entries(c_matrix)
+    bs, db = b_matrix.cleared
+    cs, dc = c_matrix.cleared
+    bs, cs = list(zip(*bs)), list(zip(*cs))
     keys = ("11", "12", "21", "22")
     out = {}
     for x, jk in enumerate(keys):
@@ -617,27 +598,6 @@ def cross_products(b_matrix: PolyMatrix, c_matrix: PolyMatrix) -> dict:
             minor = _poly(_cross(cs[x], bs[y], bs[x], cs[y]), db * dc)
             out[jk + keys[y]] = minor
             out[keys[y] + jk] = -minor
-    return out
-
-
-def _cleared_entries(m: PolyMatrix) -> tuple:
-    """(integer coefficient lists, row by row, over one positive
-    denominator) of the entries of a 2x2 polynomial matrix."""
-    polys = [e for row in m.entries for e in row]
-    den = math.lcm(*(e.den for e in polys))
-    return [[x * (den // e.den) for x in e.nums] for e in polys], den
-
-
-def _cross(p, q, r, s) -> list:
-    """The integer coefficients of p q - r s, for coefficient lists by
-    degree; the result may end in zeros."""
-    out = [0] * max(len(p) + len(q), len(r) + len(s))
-    for i, x in enumerate(p):
-        for j, y in enumerate(q, i):
-            out[j] += x * y
-    for i, x in enumerate(r):
-        for j, y in enumerate(s, i):
-            out[j] -= x * y
     return out
 
 

@@ -10,13 +10,17 @@ denominator 1.  So equality and hashing compare integers, and every kernel
 runs on Python ints with no per-entry gcd:
 
 * `mat_mul` and `Poly.__mul__` are integer dot products and
-  convolutions over the product of two denominators, and
+  convolutions over the product of two denominators, and matrix
   sums and differences are taken over the lcm of two denominators;
 * `RationalMatrix.char_poly` runs Leverrier-Faddeev on the integer
   numerator matrix B, where the divisions by k are exact, and scales
   coefficient k by den^-k;
 * `det`, `inverse` and `left_null_space` use fraction-free (Bareiss)
   elimination of B, whose divisions by the previous pivot are exact.
+
+A `PolyMatrix` stores a matrix polynomial as its `RationalMatrix`
+coefficients by degree, and its entries, products and determinant run on
+those coefficients cleared over one denominator.
 
 Fractions appear only at the boundary: `RationalMatrix.rows` and
 `Poly.coeffs` give the reduced `fractions.Fraction`s of the entries,
@@ -40,8 +44,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence, Union
 
 from .errors import (DimensionMismatch, InputError, NotAnEigenvalue,
@@ -198,26 +201,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.nums
 
-    def _combine(self, other, sign: int) -> "Poly":
-        other = _as_poly(other)
-        da, db = self.den, other.den
-        g = math.gcd(da, db)
-        fa, fb = db // g, sign * (da // g)
-        return _poly([x * fa + y * fb for x, y in
-                      zip_longest(self.nums, other.nums, fillvalue=0)],
-                     da * fa)
-
-    def __add__(self, other) -> "Poly":
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Poly":
-        return self._combine(other, -1)
-
-    def __rsub__(self, other) -> "Poly":
-        return _as_poly(other) - self
-
     def __neg__(self) -> "Poly":
         return _poly([-x for x in self.nums], self.den)
 
@@ -225,7 +208,8 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             p, q = other.numerator, other.denominator
             return _poly([x * p for x in self.nums], self.den * q)
-        other = _as_poly(other)
+        if not isinstance(other, Poly):
+            return NotImplemented
         xs, ys = self.nums, other.nums
         if not xs or not ys:
             return Poly()
@@ -283,14 +267,6 @@ def _poly(nums: list, den: int) -> Poly:
     """A Poly from integer numerators by degree over a nonzero
     denominator."""
     return object.__new__(Poly)._set(nums, den)
-
-
-def _as_poly(x) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Poly.constant(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to Poly")
 
 
 class RationalMatrix:
@@ -594,83 +570,115 @@ def left_eigenvectors(matrix: RationalMatrix, eigenvalue: Scalar) -> list:
 
 
 class PolyMatrix:
-    """Dense square matrix whose entries are exact polynomials in z; its
-    determinant and `poly_adjugate` are for 2x2 matrices only."""
+    """Dense square matrix polynomial sum_k z^k M_k with exact rational
+    coefficients; its determinant and `poly_adjugate` are for 2x2 matrices
+    only.
 
-    __slots__ = ("entries",)
+    ``coeffs`` holds the square `RationalMatrix` coefficients M_0, M_1, ...
+    by degree, trailing zero matrices stripped (the zero matrix polynomial
+    keeps M_0 = 0), so equality and hashing are canonical.
+    """
 
-    def __init__(self, entries: Iterable[Iterable]):
-        rs = tuple(tuple(_as_poly(e) for e in row) for row in entries)
-        n = len(rs)
-        if any(len(row) != n for row in rs):
-            raise DimensionMismatch("polynomial matrix must be square")
-        self.entries = rs
+    __slots__ = ("coeffs", "_cleared")
 
-    @classmethod
-    def from_matrix_coeffs(cls, coeff_matrices: Sequence[RationalMatrix]) -> "PolyMatrix":
-        """Build sum_k z^k M_k from constant matrices M_0, M_1, ..."""
-        n = coeff_matrices[0].dim
-        den = math.lcm(*(m.den for m in coeff_matrices))
-        scaled = [(m.nums, den // m.den) for m in coeff_matrices]
-        return cls([[_poly([nums[k] * f for nums, f in scaled], den)
-                     for k in range(i, i + n)] for i in range(0, n * n, n)])
-
-    @classmethod
-    def from_constant(cls, m: RationalMatrix) -> "PolyMatrix":
-        return cls.from_matrix_coeffs([m])
+    def __init__(self, coeffs: Iterable[RationalMatrix]):
+        cs = list(coeffs)
+        if len({m.dim for m in cs}) != 1:
+            raise DimensionMismatch("coefficients must be square matrices "
+                                    "of one size",
+                                    {"dims": [m.dim for m in cs]})
+        while len(cs) > 1 and not any(cs[-1].nums):
+            cs.pop()
+        self.coeffs = tuple(cs)
+        self._cleared = None
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return self.coeffs[0].dim
+
+    @property
+    def cleared(self) -> tuple:
+        """(nums, den): the numerators of every coefficient, row by row
+        and by degree, over the lcm of their denominators; built on first
+        read and kept."""
+        if self._cleared is None:
+            den = math.lcm(*(m.den for m in self.coeffs))
+            self._cleared = (tuple(tuple(x * (den // m.den) for x in m.nums)
+                                   for m in self.coeffs), den)
+        return self._cleared
 
     def __getitem__(self, idx) -> Poly:
+        """Entry (i, j) as a Poly, built alone."""
         i, j = idx
-        return self.entries[i][j]
+        span = range(self.dim)
+        k = span[i] * self.dim + span[j]
+        nums, den = self.cleared
+        return _poly([c[k] for c in nums], den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PolyMatrix) and self.entries == other.entries
+        return isinstance(other, PolyMatrix) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash(self.coeffs)
 
     def __repr__(self):
-        return f"PolyMatrix({[[repr(e) for e in row] for row in self.entries]})"
+        return f"PolyMatrix({list(self.coeffs)!r})"
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return PolyMatrix([[e * other for e in row] for row in self.entries])
-        if self.dim != other.dim:
-            raise DimensionMismatch("dimension mismatch")
-        cols = list(zip(*other.entries))
-        return PolyMatrix([[sum((a * b for a, b in zip(row, col)), Poly())
-                            for col in cols]
-                           for row in self.entries])
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        """The product, convolved coefficient by coefficient on the
+        numerators over the product of the two denominators."""
+        if not isinstance(other, PolyMatrix):
+            return NotImplemented
+        n = self.dim
+        if n != other.dim:
+            raise DimensionMismatch(f"dimension mismatch: {n} vs {other.dim}")
+        (xs, dx), (ys, dy) = self.cleared, other.cleared
+        out = [[0] * (n * n) for _ in range(len(xs) + len(ys) - 1)]
+        for i, x in enumerate(xs):
+            for k, y in enumerate(ys, i):
+                out[k] = list(map(add, out[k], int_mat_mul(x, y, n)))
+        return PolyMatrix(RationalMatrix.from_integers(c, dx * dy)
+                          for c in out)
 
     def block(self, i0: int, i1: int, j0: int, j1: int) -> "PolyMatrix":
-        return PolyMatrix([row[j0:j1] for row in self.entries[i0:i1]])
+        return PolyMatrix(m.block(i0, i1, j0, j1) for m in self.coeffs)
 
     def det(self) -> Poly:
-        """Determinant of a 2x2 polynomial matrix."""
+        """Determinant of a 2x2 polynomial matrix, a d - b c on the
+        numerators' coefficient lists."""
         if self.dim != 2:
             raise DimensionMismatch("determinant implemented for dimension 2",
                                     {"dim": self.dim})
-        (a, b), (c, d) = self.entries
-        return a * d - b * c
+        nums, den = self.cleared
+        a, b, c, d = zip(*nums)
+        return _poly(_cross(a, d, b, c), den * den)
 
 
-def poly_adjugate(m: PolyMatrix) -> tuple:
-    """Adjugate and determinant of a 2x2 polynomial matrix.
+def _cross(p, q, r, s) -> list:
+    """The integer coefficients of p q - r s, for coefficient lists by
+    degree; the result may end in zeros."""
+    out = [0] * max(len(p) + len(q), len(r) + len(s))
+    for i, x in enumerate(p):
+        for j, y in enumerate(q, i):
+            out[j] += x * y
+    for i, x in enumerate(r):
+        for j, y in enumerate(s, i):
+            out[j] -= x * y
+    return out
 
-    Satisfies M * adj = det * I as an exact polynomial identity; a zero
-    determinant is a legal output.
+
+def poly_adjugate(m: PolyMatrix) -> PolyMatrix:
+    """Adjugate of a 2x2 polynomial matrix: M adj = det(M) I as an exact
+    polynomial identity, a zero determinant included.
+
+    A 2x2 adjugate is the trace complement tr(M) I - M, linear in M, so it
+    is taken coefficient by coefficient, on the numerators.
     """
     if m.dim != 2:
         raise DimensionMismatch("adjugate implemented for dimension 2",
                                 {"dim": m.dim})
-    (a, b), (c, d) = m.entries
-    return PolyMatrix([[d, -b], [-c, a]]), m.det()
+    return PolyMatrix(RationalMatrix.from_integers([d, -b, -c, a], x.den)
+                      for x in m.coeffs for a, b, c, d in [x.nums])
 
 
 def matrix_from_json(data) -> RationalMatrix:

@@ -210,21 +210,18 @@ class OkuboSystem:
 
         Built and checked once per system object and kept outside the
         fields the system is compared and hashed by.  The identity is
-        compared power by power on integers: with A = B/D, N's entries
-        cleared to M_k / L and the quartic to P_k / E, the z^k coefficient
-        of (zI - A) N(z) is N_{k-1} - A N_k, and the check is
+        compared power by power on the coefficients: with A = B/D, N's
+        coefficients cleared to M_k / L and the quartic to P_k / E, the z^k
+        coefficient of (zI - A) N(z) is N_{k-1} - A N_k, and the check is
         E (D M_{k-1} - B M_k) = D L P_k I.
         """
         numer = resolvent_numerator(self.coeff, self.c, self.d)
         char = _even_quartic(self.c, self.d)
         n, b, den = self.coeff.dim, self.coeff.nums, self.coeff.den
-        polys = [e for row in numer.entries for e in row]
-        lden = math.lcm(*(e.den for e in polys))
-        top = max(5, *(len(e.nums) + 1 for e in polys))
-        prev = [0] * (n * n)
-        for k in range(top):
-            cur = [e.nums[k] * (lden // e.den) if k < len(e.nums) else 0
-                   for e in polys]
+        coeffs, lden = numer.cleared
+        prev = zero = (0,) * (n * n)
+        for k in range(max(5, len(coeffs) + 1)):
+            cur = coeffs[k] if k < len(coeffs) else zero
             want = den * lden * (char.nums[k] if k < len(char.nums) else 0)
             got = [char.den * (den * x - y)
                    for x, y in zip(prev, int_mat_mul(b, cur, n))]
@@ -256,28 +253,25 @@ def resolvent_numerator(matrix: RationalMatrix, c, d) -> PolyMatrix:
     """The polynomial numerator N(z) with
     (zI - A)^{-1} = N(z) / ((z^2-c^2)(z^2-d^2)):
 
-        N(z) = z^3 I + z^2 A + z (A^2 - s I) + A^3 - s A,  s = c^2 + d^2.
+        N(z) = z^3 I + z^2 A + z (A^2 - s I) + A^3 - s A,  s = c^2 + d^2,
 
-    With A = B/D and s = S/E it is built from integer products as
-    (z^3 D^3 E I + z^2 D^2 E B + z (D E B^2 - D^3 S I) + E B^3 - D^2 S B)
-    over D^3 E.
+    as its four coefficient matrices.  With A = B/D and s = S/E they are
+    built from integer products: A^3 - sA = (E B^3 - D^2 S B) / (D^3 E)
+    and A^2 - sI = (E B^2 - D^2 S I) / (D^2 E).
     """
     (c, d), cden = common_denominator((to_fraction(c), to_fraction(d)))
     s, e = c * c + d * d, cden * cden
     n, b, den = matrix.dim, matrix.nums, matrix.den
     sq = int_mat_mul(b, b, n)
     cu = int_mat_mul(sq, b, n)
-    d2, d3 = den * den, den * den * den
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            k, diag = i * n + j, i == j
-            row.append(_poly([e * cu[k] - d2 * s * b[k],
-                              den * e * sq[k] - d3 * s * diag,
-                              d2 * e * b[k], d3 * e * diag], d3 * e))
-        entries.append(row)
-    return PolyMatrix(entries)
+    ident = RationalMatrix.identity(n)
+    d2s = den * den * s
+    return PolyMatrix([
+        RationalMatrix.from_integers(
+            [e * x - d2s * y for x, y in zip(cu, b)], den * den * den * e),
+        RationalMatrix.from_integers(
+            [e * x - d2s * y for x, y in zip(sq, ident.nums)], den * den * e),
+        matrix, ident])
 
 
 def product_residue_rows(p: HGParams) -> tuple:

@@ -445,7 +445,8 @@ class SeriesSolution:
         coefficients carried beside (rho + k) times them.
 
         The expansion point is refused: the derivative's factor u^(rho-1)
-        is singular there.
+        is singular there; so is a point where a factor u^rho leaves the
+        double range (OutsideDisc, see _power).
         """
         us = [self._local(x) for x in points]
         for x, u in zip(points, us):
@@ -463,10 +464,10 @@ class SeriesSolution:
             acc += step[:, None]
         for i, u in enumerate(us):
             # factor first: numpy's complex product need not commute
-            acc[0, i] = u ** rho * acc[0, i]
+            acc[0, i] = _power(u, rho) * acc[0, i]
             # with u = 1/(x-1) at infinity, du/dx = -u^2
-            acc[1, i] = (-(u ** (rho + 1)) if self.base == "inf"
-                         else u ** (rho - 1)) * acc[1, i]
+            acc[1, i] = (-_power(u, rho + 1) if self.base == "inf"
+                         else _power(u, rho - 1)) * acc[1, i]
         return acc
 
     def to_json(self) -> dict:
@@ -812,12 +813,11 @@ def _infinity_coeffs(system: OkuboSystem, sigma: Fraction, h0: list,
     _require_nonzero_steps((sigma - c, sigma + c, sigma - d, sigma + d),
                            terms)
     enter, factor, normaliser = _ARITHMETIC[mode]
-    # the first two columns of N, cleared over the lcm of their
-    # denominators
-    polys = [system.resolvent[i, j] for i in range(4) for j in (0, 1)]
-    lden = math.lcm(*(e.den for e in polys))
-    flat, lden = enter([e.nums[k] * (lden // e.den) if k < len(e.nums)
-                        else 0 for k in range(4) for e in polys], lden)
+    # the first two columns of N's four coefficients, cleared over one
+    # denominator
+    nums, lden = system.resolvent.cleared
+    flat, lden = enter([m[i + j] for m in nums for i in range(0, 16, 4)
+                        for j in (0, 1)], lden)
     p, q = sigma.numerator, sigma.denominator
     qf = factor(q, q)
     (k0, k1, k2), kden = enter(*common_denominator(

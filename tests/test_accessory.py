@@ -28,7 +28,7 @@ from okubo.hgsystem import (HGParams, J2, build_okubo_system, lam,
 from okubo.sampling import (draw_chart, draw_exponents, draw_okubo_params,
                             draw_perturbed_chart, draw_special_chart,
                             draw_special_exponents)
-from test_exact import lagrange_interpolate
+from test_exact import at, lagrange_interpolate, poly_sum
 
 ABCD = (F(1, 3), F(1, 5), F(1, 7), F(1, 11))
 POK = HGParams.okubo(F(1, 3), F(1, 7), F(1, 5), F(1, 11))
@@ -42,11 +42,6 @@ def solved_chart(scale=F(1)):
 def coeff(p: Poly, k: int) -> F:
     """Coefficient k of p, 0 past its degree."""
     return p.coeffs[k] if k < len(p.coeffs) else F(0)
-
-
-def at(m: PolyMatrix, z0) -> RationalMatrix:
-    """A polynomial matrix evaluated at a rational point."""
-    return RationalMatrix([[e(z0) for e in row] for row in m.entries])
 
 
 def step(system, z0) -> RationalMatrix:
@@ -288,7 +283,6 @@ def test_dual_pair_systems():
 
 def ref_difference_systems(chart, point_pair):
     a, b, c, d = chart.a, chart.b, chart.c, chart.d
-    zvar = Poly([0, 1])
     fall = Poly([-(c * c), 0, 1]) * Poly([-(d * d), 0, 1])
     ident = RationalMatrix.identity(2)
     if point_pair == "1-inf":
@@ -302,27 +296,24 @@ def ref_difference_systems(chart, point_pair):
         sandwich = acc.upper_block(chart) * J2 * acc.lower_block(chart)
         adj_constant = J2.scale(a * b * b) - sandwich.scale(b)
         g_sys = acc.DifferenceSystem(
-            PolyMatrix.from_matrix_coeffs(
-                [adj_constant, adj_linear, J2.scale(-a), ident]),
+            PolyMatrix([adj_constant, adj_linear, J2.scale(-a), ident]),
             Poly.constant(-1), Poly([1, 1]) * Poly([-(b * b), 0, 1]),
             "g-at-1")
         h_sys = acc.DifferenceSystem(
-            PolyMatrix.from_matrix_coeffs(
-                [-blocks.constant, blocks.linear, J2.scale(-a), ident]),
-            -(zvar - Poly.constant(1)), fall, "h-at-inf")
+            PolyMatrix([-blocks.constant, blocks.linear, J2.scale(-a),
+                        ident]),
+            Poly([1, -1]), fall, "h-at-inf")
         return g_sys, h_sys
     numer = resolvent_numerator(okubo_from_chart(chart).coeff, c, d)
     bottom = numer.block(2, 4, 2, 4)
-    b0, b1, b2 = (RationalMatrix([[coeff(e, k) for e in row]
-                                  for row in bottom.entries])
-                  for k in range(3))
+    b0, b1, b2 = bottom.coeffs[:3]
     adj = [ident.scale(m.trace()) - m for m in (b0, b1, b2)]
     g_sys = acc.DifferenceSystem(
-        PolyMatrix.from_matrix_coeffs(adj + [ident]), Poly.constant(1),
+        PolyMatrix(adj + [ident]), Poly.constant(1),
         Poly([1, 1]) * Poly([-(a * a), 0, 1]), "g-at-0")
     h_sys = acc.DifferenceSystem(
-        PolyMatrix.from_matrix_coeffs([-b0, b1, -b2, ident]),
-        zvar - Poly.constant(1), fall, "h-at-inf-dual")
+        PolyMatrix([-b0, b1, -b2, ident]),
+        Poly([-1, 1]), fall, "h-at-inf-dual")
     return g_sys, h_sys
 
 
@@ -417,7 +408,8 @@ def test_cross_product_leading_coefficients():
 def cross_products_reference(b_matrix, c_matrix):
     """All 16 cross products, each multiplied out."""
     return {f"{j + 1}{k + 1}{l + 1}{m + 1}":
-            c_matrix[j, k] * b_matrix[l, m] - b_matrix[j, k] * c_matrix[l, m]
+            poly_sum(c_matrix[j, k] * b_matrix[l, m],
+                     -(b_matrix[j, k] * c_matrix[l, m]))
             for j in range(2) for k in range(2)
             for l in range(2) for m in range(2)}
 

@@ -5,6 +5,9 @@ The rational closed forms the package used before it cleared a chart to
 integers are kept here as references.  The integer forms must give the
 same Fractions on drawn, special, perturbed and rescaled charts, and the
 same exceptions (class, order, message and context) on degenerate ones.
+The references refuse a degenerate ratio vector (a zero ratio, r1 = r2 or
+r3 = r4) as the package now does, everywhere with the DegenerateChart of
+`AccessoryChart.check`, which carries r.
 Likewise the two branch solvers that wrote the special accessory values
 out twice are kept as references for the one projective solution.
 """
@@ -35,16 +38,19 @@ ABCD = (F(1, 3), F(1, 5), F(1, 7), F(1, 11))
 
 # -- the rational closed forms, as references --------------------------------
 
-def ref_degenerate(chart):
-    raise DegenerateChart("degenerate chart",
-                          {"r": [str(x) for x in chart.r]})
+def ref_nondegenerate(chart):
+    """Every derived object refuses a degenerate ratio vector first, with
+    the one DegenerateChart that check() raises."""
+    r1, r2, r3, r4 = chart.r
+    if r1 * r2 * r3 * r4 == 0 or r1 == r2 or r3 == r4:
+        raise DegenerateChart("degenerate chart",
+                              {"r": [str(x) for x in chart.r]})
 
 
 def ref_d_constraint(chart):
     a, b, c = chart.a, chart.b, chart.c
+    ref_nondegenerate(chart)
     r1, r2, r3, r4 = chart.r
-    if r1 == r2 or r3 == r4:
-        ref_degenerate(chart)
     num = ((a + b + c) ** 2 * r1 * r3 - (a - b + c) ** 2 * r1 * r4
            - (a - b - c) ** 2 * r2 * r3 + (a + b - c) ** 2 * r2 * r4
            - 4 * a * b * r1 * r2 - 4 * a * b * r3 * r4)
@@ -52,9 +58,7 @@ def ref_d_constraint(chart):
 
 
 def ref_check(chart):
-    r1, r2, r3, r4 = chart.r
-    if r1 * r2 * r3 * r4 == 0 or r1 == r2 or r3 == r4:
-        ref_degenerate(chart)
+    ref_nondegenerate(chart)
     if ref_d_constraint(chart) != chart.d ** 2:
         raise DConditionError("d-condition fails",
                               {"value": ref_d_constraint(chart),
@@ -63,9 +67,8 @@ def ref_check(chart):
 
 def ref_upper_block(chart):
     b, c = chart.b, chart.c
+    ref_nondegenerate(chart)
     r1, r2, r3, r4 = chart.r
-    if r1 == r2:
-        ref_degenerate(chart)
     return RationalMatrix([
         [((b - c) * r2 - (b + c) * r3) / (r1 - r2),
          ((b + c) * r2 - (b - c) * r4) / (r2 - r1)],
@@ -75,9 +78,8 @@ def ref_upper_block(chart):
 
 def ref_lower_block(chart):
     a, c = chart.a, chart.c
+    ref_nondegenerate(chart)
     r1, r2, r3, r4 = chart.r
-    if r3 == r4:
-        ref_degenerate(chart)
     return RationalMatrix([
         [((a + c) * r1 - (a - c) * r4) / (r4 - r3),
          ((a - c) * r2 - (a + c) * r4) / (r3 - r4)],
@@ -86,14 +88,13 @@ def ref_lower_block(chart):
 
 
 def ref_epsilon_delta(chart):
+    ref_nondegenerate(chart)
     a, b, c = chart.a, chart.b, chart.c
     r1, r2, r3, r4 = chart.r
     eps = (b * (a + c) * r1 + b * (a - c) * r2
            - a * (b + c) * r3 - a * (b - c) * r4)
     dlt = r1 * r2 - r3 * r4
     den = (r1 - r2) * (r3 - r4)
-    if den == 0:
-        raise DegenerateChart("degenerate chart")
     return Obstructions(eps, dlt, 2 * eps / den, 2 * dlt / den)
 
 
@@ -343,6 +344,21 @@ def test_failed_check_raises_on_every_call(builds):
             with pytest.raises(error):
                 substantially_same(chart)
     assert builds["validate"] == 0
+
+
+@pytest.mark.parametrize("r", [(1, 1, 2, 3), (1, 2, 3, 3), (0, 1, 2, 3)])
+def test_a_degenerate_chart_is_refused_with_its_ratios(r):
+    """Every entry point refuses with the DegenerateChart of check(), the
+    ratios in its context, whichever derived object it builds first."""
+    calls = (AccessoryChart.check, AccessoryChart.d_constraint_value,
+             upper_block, lower_block, epsilon_delta, cubic_blocks,
+             okubo_from_chart, lambda chart: substantially_same(chart),
+             lambda chart: substantially_same(chart, "0-inf"))
+    for call in calls:
+        chart = AccessoryChart(*ABCD, r)
+        with pytest.raises(DegenerateChart) as info:
+            call(chart)
+        assert info.value.context == {"r": [str(x) for x in r]}
 
 
 def test_solve_accessory_validates_one_system(builds):

@@ -149,8 +149,8 @@ def ref_resolvent_numerator(matrix, c, d):
     sq = matrix * matrix
     cu = sq * matrix
     s = c * c + d * d
-    return PolyMatrix.from_matrix_coeffs(
-        [cu - matrix.scale(s), sq - ident.scale(s), matrix, ident])
+    return PolyMatrix([cu - matrix.scale(s), sq - ident.scale(s), matrix,
+                       ident])
 
 
 # -- the float requests as they were, on the references -----------------------

@@ -296,6 +296,20 @@ def test_foreign_flags_exit_2(capsys, name, flags):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("r", [["1", "1", "2", "3"], ["1", "2", "3", "3"]])
+@pytest.mark.parametrize("pair", ["1-inf", "0-inf"])
+def test_check_same_refuses_a_degenerate_chart_with_its_ratios(
+        capsys, tmp_path, r, pair):
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps({"a": "1/3", "b": "1/5", "c": "1/7",
+                                "d": "1/11", "r": r}))
+    code, data = run_json(capsys, "check-same", "--chart", str(path),
+                          "--pair", pair)
+    assert code == EXIT_INPUT
+    assert data["error"]["code"] == "degenerate-chart"
+    assert data["error"]["context"] == {"r": str(r)}
+
+
 def test_series_from_each_system_source(capsys, tmp_path, okubo_params_file):
     chart, _ = solve_accessory(F(1, 3), F(1, 5), F(1, 7), F(1, 11))
     chart_file = tmp_path / "chart.json"

@@ -149,27 +149,38 @@ def cli_digests() -> dict:
     return {name: digest for digest, name in (l.split() for l in lines)}
 
 
-#: the arguments of each output file of the CI step "Exact CLI bytes"
+#: the exit code and arguments of each output file of the CI step "Exact
+#: CLI bytes"; check-same answers "not the same" (exit 1) on CHART, a valid
+#: chart off the special values with 12 nonzero minors
 CLI_RUNS = {
-    "series.json": ["series", "--params", "{params}", "--base", "inf",
-                    "--index", "0", "--terms", "80", "--mode", "exact"],
-    "solve-accessory.json": ["solve-accessory", "--a", "1/3", "--b", "1/5",
-                             "--c", "1/7", "--d", "1/11"],
-    "df-reduce.json": ["df-reduce", "--a", "1/3", "--b", "1/5", "--c", "1/7",
-                       "--g", "1/2"],
-    "df-verify.json": ["df-verify", "--a", "1/3", "--b", "1/5", "--c", "1/7",
-                       "--g", "1/2"],
+    "series.json": (0, ["series", "--params", "{params}", "--base", "inf",
+                        "--index", "0", "--terms", "80", "--mode", "exact"]),
+    "solve-accessory.json": (0, ["solve-accessory", "--a", "1/3", "--b",
+                                 "1/5", "--c", "1/7", "--d", "1/11"]),
+    "df-reduce.json": (0, ["df-reduce", "--a", "1/3", "--b", "1/5", "--c",
+                           "1/7", "--g", "1/2"]),
+    "df-verify.json": (0, ["df-verify", "--a", "1/3", "--b", "1/5", "--c",
+                           "1/7", "--g", "1/2"]),
+    "check-same-1-inf.json": (1, ["check-same", "--chart", "{chart}",
+                                  "--pair", "1-inf"]),
+    "check-same-0-inf.json": (1, ["check-same", "--chart", "{chart}",
+                                  "--pair", "0-inf"]),
 }
+
+CHART = ('{"a": "1/3", "b": "1/5", "c": "1/7", "d": "1/11", '
+         '"r": ["1", "2", "3", "287688/193301"]}\n')
 
 
 def test_exact_cli_digests(tmp_path, capsys):
     params = tmp_path / "p.json"
     params.write_text('{"alpha1": "1/3", "alpha2": "1/7", '
                       '"beta1": "1/5", "beta2": "1/11"}\n')
+    chart = tmp_path / "c.json"
+    chart.write_text(CHART)
     want = cli_digests()
     assert sorted(want) == sorted(CLI_RUNS)
-    for name, args in CLI_RUNS.items():
-        args = [a.format(params=params) for a in args]
-        assert cli.main(args) == 0
+    for name, (code, args) in CLI_RUNS.items():
+        args = [a.format(params=params, chart=chart) for a in args]
+        assert cli.main(args) == code, name
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == want[name], name

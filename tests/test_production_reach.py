@@ -22,7 +22,6 @@ SRC = Path(okubo.__file__).resolve().parent
 
 #: functions the traced run does not call, and why they stay
 ALLOWED = {
-    "exact.poly_adjugate": "named in perfbench's spans.TARGETS",
     "series.hyp2f1": "public float entry; perfbench's series-numeric "
                      "workload requests it",
     "series.hyp2f1_jet": "named in perfbench's spans.TARGETS",

@@ -121,6 +121,18 @@ def test_a_power_of_tiny_x_past_the_double_range_is_refused(request_):
         assert np.isfinite(request_(p, 3.5e-307, 1)).all()
 
 
+def test_a_series_power_of_tiny_u_past_the_double_range_is_refused():
+    # at x = 0, index 2, rho = -443/1155: u^(rho - 1) overflows at 1e-300
+    _, system = build_okubo_system(POK)
+    sol = local_series(system, "0", 2, 20)[0]
+    assert sol.exponent == F(-443, 1155)
+    with pytest.raises(OutsideDisc, match="power of x"):
+        sol.evaluate([1e-300])
+    with pytest.raises(OutsideDisc, match="power of x"):
+        residual_report(system, sol, [0.1, 1e-300])
+    assert np.isfinite(sol.evaluate([1e-3])).all()
+
+
 @pytest.mark.parametrize("x", [math.nan, complex(math.nan, 0.1),
                                complex(0.1, math.nan)])
 def test_nan_points_are_outside_the_disc(x):
@@ -462,8 +474,10 @@ def test_perturbed_resolvent_is_an_internal_inconsistency(monkeypatch):
     honest = hgsystem.resolvent_numerator
 
     def perturbed(matrix, c, d):
-        (n00, *rest), *rows = honest(matrix, c, d).entries
-        return PolyMatrix([(n00 + F(1, 10**6), *rest), *rows])
+        # N_0 with 1/10^6 added to its entry (0, 0)
+        n0, *rest = honest(matrix, c, d).coeffs
+        bump = RationalMatrix.from_integers([1] + [0] * 15, 10 ** 6)
+        return PolyMatrix([n0 + bump, *rest])
 
     monkeypatch.setattr(hgsystem, "resolvent_numerator", perturbed)
     # special_system() builds a new system object, so nothing is cached
