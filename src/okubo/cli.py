@@ -40,6 +40,8 @@ def _load_json(path: str, kind=dict):
         raise InputError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, kind):
         raise InputError(f"{path} must hold a JSON "
                          f"{'object' if kind is dict else 'array'}")

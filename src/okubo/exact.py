@@ -19,14 +19,14 @@ runs on Python ints with no per-entry gcd:
   elimination of B, whose divisions by the previous pivot are exact.
 
 A `PolyMatrix` stores a matrix polynomial as its `RationalMatrix`
-coefficients by degree, and its entries, products and determinant run on
+coefficients by degree, and its products, determinant and adjugate run on
 those coefficients cleared over one denominator.
 
 Fractions appear only at the boundary: `RationalMatrix.rows` and
-`Poly.coeffs` give the reduced `fractions.Fraction`s of the entries,
-built on first read and kept, and ``m[i, j]`` builds the one entry it
-reads.  The outputs are the same Fractions the textbook Fraction
-algorithms give.  The way in without Fractions is
+`Poly.coeffs` build the reduced `fractions.Fraction`s of the entries on
+each read, and ``m[i, j]`` builds the one matrix entry it reads.  The
+outputs are the same Fractions the textbook Fraction algorithms give.
+The way in without Fractions is
 `RationalMatrix.from_integers(nums, den)`: n*n integer numerators, row by
 row, over one nonzero denominator, reduced by the same one gcd; every
 kernel builds its result through it.  The way out to doubles without
@@ -54,10 +54,11 @@ Scalar = Union[Fraction, int]
 
 
 def to_fraction(value) -> Fraction:
-    """Parse a rational from a string like '-3/7' (or int/Fraction)."""
+    """Parse a rational from a string like '-3/7' (or int/Fraction); a
+    bool is refused, not read as 0 or 1."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -172,7 +173,7 @@ class Poly:
     degree -1, denominator 1).
     """
 
-    __slots__ = ("nums", "den", "_coeffs")
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         self._set(*_cleared(list(coeffs)))
@@ -183,7 +184,6 @@ class Poly:
         while nums and nums[-1] == 0:
             nums.pop()
         self.nums, self.den = _reduced(nums, den)
-        self._coeffs = None
         return self
 
     @classmethod
@@ -193,10 +193,8 @@ class Poly:
     @property
     def coeffs(self) -> tuple:
         """The coefficients as reduced Fractions, by degree."""
-        if self._coeffs is None:
-            den = self.den
-            self._coeffs = tuple(Fraction(x, den) for x in self.nums)
-        return self._coeffs
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -205,9 +203,6 @@ class Poly:
         return _poly([-x for x in self.nums], self.den)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            p, q = other.numerator, other.denominator
-            return _poly([x * p for x in self.nums], self.den * q)
         if not isinstance(other, Poly):
             return NotImplemented
         xs, ys = self.nums, other.nums
@@ -220,29 +215,12 @@ class Poly:
                     out[j] += a * b
         return _poly(out, self.den * other.den)
 
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other)
         return (isinstance(other, Poly) and self.den == other.den
                 and self.nums == other.nums)
 
     def __hash__(self):
         return hash((self.den, self.nums))
-
-    def __call__(self, x: Scalar) -> Fraction:
-        """Exact value at a rational x, by Horner's rule."""
-        nums = self.nums
-        if not nums:
-            return Fraction(0)
-        # sum c_k p^k q^(deg-k) / (den q^deg), homogeneous Horner
-        p, q = x.numerator, x.denominator
-        acc, qk = nums[-1], 1
-        for c in reversed(nums[:-1]):
-            qk *= q
-            acc = acc * p + c * qk
-        return Fraction(acc, self.den * qk)
 
     def __repr__(self):
         if self.is_zero():
@@ -276,7 +254,7 @@ class RationalMatrix:
     positive denominator ``den``, in canonical form.
     """
 
-    __slots__ = ("dim", "nums", "den", "_rows")
+    __slots__ = ("dim", "nums", "den")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
         rs = [list(row) for row in rows]
@@ -287,7 +265,6 @@ class RationalMatrix:
         denominator, in canonical form."""
         self.dim = n
         self.nums, self.den = _reduced(nums, den)
-        self._rows = None
         return self
 
     # -- constructors ------------------------------------------------------
@@ -344,12 +321,9 @@ class RationalMatrix:
     @property
     def rows(self) -> tuple:
         """The entries as reduced Fractions, a tuple of row tuples."""
-        if self._rows is None:
-            n, den = self.dim, self.den
-            flat = [Fraction(x, den) for x in self.nums]
-            self._rows = tuple(tuple(flat[i:i + n])
-                               for i in range(0, n * n, n))
-        return self._rows
+        n, den = self.dim, self.den
+        flat = [Fraction(x, den) for x in self.nums]
+        return tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
 
     def _int_rows(self) -> list:
         """The numerator rows, as tuples."""
@@ -387,11 +361,6 @@ class RationalMatrix:
         return RationalMatrix.from_integers([x for row in rows for x in row],
                                             self.den)
 
-    def transpose(self) -> "RationalMatrix":
-        n, nums = self.dim, self.nums
-        return RationalMatrix.from_integers(
-            [x for j in range(n) for x in nums[j::n]], self.den)
-
     def trace(self) -> Fraction:
         return Fraction(sum(self.nums[::self.dim + 1]), self.den)
 
@@ -422,14 +391,9 @@ class RationalMatrix:
         return RationalMatrix.from_integers([-x for x in self.nums], self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
         return mat_mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def scale(self, s: Scalar) -> "RationalMatrix":
         s = s if isinstance(s, (int, Fraction)) else to_fraction(s)
@@ -559,14 +523,15 @@ def mat_mul(lhs: RationalMatrix, rhs: RationalMatrix) -> RationalMatrix:
 def left_eigenvectors(matrix: RationalMatrix, eigenvalue: Scalar) -> list:
     """Exact basis of left eigenvectors v with v M = xi v.
 
-    The eigenvalue must be an exact root of the characteristic polynomial;
-    otherwise the (empty) null space is rejected with an error.
+    The eigenvalue must be an exact root of the characteristic polynomial:
+    an empty left null space of M - xi I is rejected with an error.
     """
     xi = to_fraction(eigenvalue)
-    if matrix.char_poly()(xi) != 0:
-        raise NotAnEigenvalue(f"{xi} is not an eigenvalue")
     shifted = matrix - RationalMatrix.identity(matrix.dim).scale(xi)
-    return shifted.left_null_space()
+    basis = shifted.left_null_space()
+    if not basis:
+        raise NotAnEigenvalue(f"{xi} is not an eigenvalue")
+    return basis
 
 
 class PolyMatrix:
@@ -606,14 +571,6 @@ class PolyMatrix:
             self._cleared = (tuple(tuple(x * (den // m.den) for x in m.nums)
                                    for m in self.coeffs), den)
         return self._cleared
-
-    def __getitem__(self, idx) -> Poly:
-        """Entry (i, j) as a Poly, built alone."""
-        i, j = idx
-        span = range(self.dim)
-        k = span[i] * self.dim + span[j]
-        nums, den = self.cleared
-        return _poly([c[k] for c in nums], den)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyMatrix) and self.coeffs == other.coeffs
@@ -685,4 +642,4 @@ def matrix_from_json(data) -> RationalMatrix:
     if not (isinstance(data, list)
             and all(isinstance(row, list) for row in data)):
         raise InputError("matrix JSON must be an array of arrays")
-    return RationalMatrix(data)
+    return RationalMatrix([to_fraction(x) for x in row] for row in data)

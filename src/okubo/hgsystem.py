@@ -233,13 +233,6 @@ class OkuboSystem:
             prev = cur
         return numer
 
-    @cached_property
-    def infinity_starts(self) -> dict:
-        """Initial vectors h(0) of the local solutions at infinity by
-        exponent, filled by ``series`` on first use, once per system object
-        and exponent, and kept outside the fields like ``resolvent``."""
-        return {}
-
 
 def _even_quartic(c: Fraction, d: Fraction) -> Poly:
     """(z^2 - c^2)(z^2 - d^2), built from c and d cleared over one

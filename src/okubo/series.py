@@ -59,8 +59,9 @@ are formed.  At infinity the step matrix is inverted in closed form,
   w = s+sigma+1,
 
 with N = OkuboSystem.resolvent, the resolvent numerator the sameness
-verdict reduces, built and checked exactly once per system.  A step whose
-denominator vanishes is refused, exactly, before the recurrence runs.
+verdict reduces, built and checked exactly once per system; h(0) is a
+nonzero column of N(-sigma).  A step whose denominator vanishes is
+refused, exactly, before the recurrence runs.
 The modes differ only in how rationals enter and how a step's numerators
 are normalised over its denominator and leave as coefficients.  Exact
 mode enters integers over common denominators and keeps each denominator
@@ -99,11 +100,10 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import (AdmissibilityError, InputError, OutsideDisc,
-                     SingularMatrixError)
-from .exact import (RationalMatrix, cleared_complex_array,
-                    common_denominator, complex_array, ratio_to_double,
-                    ratios_to_doubles, to_double)
+from .errors import (AdmissibilityError, InputError, InternalInconsistency,
+                     OutsideDisc, SingularMatrixError)
+from .exact import (cleared_complex_array, common_denominator, complex_array,
+                    ratio_to_double, ratios_to_doubles, to_double)
 from .hgsystem import (DET_DIAGONALIZER_FACTORS, DET_GAUGE_FACTORS, HGParams,
                        OkuboSystem, contiguous_product_rows,
                        diagonalizer_rows, half_sum_numerators,
@@ -223,6 +223,9 @@ def hyp2f1_jet(alpha, beta, gamma, x, terms: int,
     """The truncated Gauss series at x and its derivatives up to ``order``
     (0, 1 or 2); a derivative not asked for is None.  The parameters are
     rationals (ints or Fractions), cleared once over one denominator."""
+    if order not in (0, 1, 2):
+        raise InputError("derivative order must be 0, 1 or 2",
+                         {"order": order})
     x = _as_complex(x)
     _require_unit_disc(x)
     params = (alpha, beta, gamma)
@@ -557,18 +560,29 @@ def _finite_starts(system: OkuboSystem, base: str, rho: Fraction) -> list:
     return starts
 
 
-def _infinity_start(system: OkuboSystem, sigma: Fraction) -> tuple:
+def _infinity_start(system: OkuboSystem, sigma: Fraction) -> list:
     """The exact initial vector h(0), spanning the kernel of sigma I + A,
-    found once per system object and exponent."""
-    starts = system.infinity_starts
-    if sigma not in starts:
-        shifted = system.coeff + RationalMatrix.identity(4).scale(sigma)
-        null = shifted.transpose().left_null_space()
-        if len(null) != 1:
-            raise InputError("initial vector at infinity is not unique",
-                             {"dimension": len(null)})
-        starts[sigma] = tuple(null[0])
-    return starts[sigma]
+    with its first nonzero entry 1.
+
+    (-sigma I - A) N(-sigma) = P(-sigma) I = 0 and -sigma is a simple
+    eigenvalue of A, so every nonzero column of N(-sigma) spans that
+    kernel.  With sigma = p/q and N's coefficients cleared to N'_k,
+    N(-sigma) is a multiple of sum_k N'_k (-p)^k q^(3-k), taken by
+    homogeneous Horner on the integers.
+    """
+    coeffs, _ = system.resolvent.cleared
+    p, q = -sigma.numerator, sigma.denominator
+    value, qk = coeffs[-1], 1
+    for m in reversed(coeffs[:-1]):
+        qk *= q
+        value = [x * p + y * qk for x, y in zip(value, m)]
+    for j in range(4):
+        col = value[j::4]
+        first = next((x for x in col if x), 0)
+        if first:
+            return [Fraction(x, first) for x in col]
+    raise InternalInconsistency(
+        f"resolvent numerator vanishes at -sigma (sigma = {sigma})")
 
 
 def _require_nonzero_steps(shifts, terms: int):
@@ -584,12 +598,14 @@ def _require_nonzero_steps(shifts, terms: int):
             {"step": int(min(steps))})
 
 
-if hasattr(Fraction, "_from_coprime_ints"):          # Python 3.12+
-    _coprime_fraction = Fraction._from_coprime_ints
-else:
-    def _coprime_fraction(num: int, den: int) -> Fraction:
-        """num/den for coprime num and den > 0, without a second gcd."""
-        return Fraction(num, den, _normalize=False)
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """num/den for coprime num and den > 0, without a second gcd: a bare
+    Fraction with its two slots set, as Python 3.12's own coprime
+    constructor builds it, and as every supported version's slots admit."""
+    obj = object.__new__(Fraction)
+    obj._numerator = num
+    obj._denominator = den
+    return obj
 
 
 #: heavy primes are the prime factors of a series' fixed scales below

@@ -28,7 +28,7 @@ from okubo.hgsystem import (HGParams, J2, build_okubo_system, lam,
 from okubo.sampling import (draw_chart, draw_exponents, draw_okubo_params,
                             draw_perturbed_chart, draw_special_chart,
                             draw_special_exponents)
-from test_exact import at, lagrange_interpolate, poly_sum
+from test_exact import at, entry, lagrange_interpolate, poly_at, poly_sum
 
 ABCD = (F(1, 3), F(1, 5), F(1, 7), F(1, 11))
 POK = HGParams.okubo(F(1, 3), F(1, 7), F(1, 5), F(1, 11))
@@ -46,8 +46,9 @@ def coeff(p: Poly, k: int) -> F:
 
 def step(system, z0) -> RationalMatrix:
     """The forward step matrix of a difference system at a rational z0."""
-    return at(system.matrix, z0).scale(system.scalar_numerator(z0)
-                                       / system.scalar_denominator(z0))
+    return at(system.matrix, z0).scale(
+        poly_at(system.scalar_numerator, z0)
+        / poly_at(system.scalar_denominator, z0))
 
 
 # -- admissibility ----------------------------------------------------------
@@ -196,7 +197,7 @@ def test_resolvent_numerator_by_interpolation():
                 inv = (RationalMatrix.identity(4).scale(z0)
                        - system.coeff).inverse()
                 samples.append((z0, inv[i, j] * scale))
-            assert lagrange_interpolate(samples) == numer[i, j]
+            assert lagrange_interpolate(samples) == entry(numer, i, j)
 
 
 # -- difference systems -------------------------------------------------------
@@ -206,8 +207,8 @@ def test_difference_system_shapes():
     g_sys, h_sys = difference_systems(chart, "1-inf")
     # monic cubic top coefficient with the scalar sign pulled out
     for sys in (g_sys, h_sys):
-        assert coeff(sys.matrix[0, 0], 3) == 1
-        assert len(sys.matrix[0, 1].nums) <= 3
+        assert coeff(entry(sys.matrix, 0, 0), 3) == 1
+        assert len(entry(sys.matrix, 0, 1).nums) <= 3
     assert g_sys.scalar_numerator == Poly.constant(-1)
     assert g_sys.label == "g-at-1"
     assert h_sys.scalar_numerator == Poly([1, -1])
@@ -408,8 +409,8 @@ def test_cross_product_leading_coefficients():
 def cross_products_reference(b_matrix, c_matrix):
     """All 16 cross products, each multiplied out."""
     return {f"{j + 1}{k + 1}{l + 1}{m + 1}":
-            poly_sum(c_matrix[j, k] * b_matrix[l, m],
-                     -(b_matrix[j, k] * c_matrix[l, m]))
+            poly_sum(entry(c_matrix, j, k) * entry(b_matrix, l, m),
+                     -(entry(b_matrix, j, k) * entry(c_matrix, l, m)))
             for j in range(2) for k in range(2)
             for l in range(2) for m in range(2)}
 

@@ -528,6 +528,37 @@ def test_malformed_input_files_exit_2(capsys, tmp_path, argv, flag, content):
     assert data["error"]["code"] == "input"
 
 
+POK_FILE = {"alpha1": "1/3", "alpha2": "1/7", "beta1": "1/5", "beta2": "1/11"}
+RECOVER = ["recover-chart", "--a", "443/1155", "--b=-173/1155",
+           "--c", "107/1155", "--d", "47/1155"]
+POK_COEFF = build_okubo_system(HGParams.from_json(POK_FILE))[1] \
+    .coeff.to_strings()
+
+
+@pytest.mark.parametrize("argv,flag,content", [
+    (["build-product"], "--params", dict(POK_FILE, alpha1=True)),
+    (["build-product"], "--params", dict(POK_FILE, gamma_mode=[True, "1/2"])),
+    (["check-same"], "--chart", dict(CHART_1234, r=[True, "2", "3", "4"])),
+    (RECOVER, "--matrix", [[True, *POK_COEFF[0][1:]], *POK_COEFF[1:]]),
+], ids=["alpha1", "gamma-mode", "chart-r", "matrix"])
+def test_json_booleans_are_not_rationals(capsys, tmp_path, argv, flag,
+                                         content):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    code, data = run_json(capsys, *argv, flag, str(path))
+    assert code == EXIT_INPUT
+    assert data["error"]["message"] == "cannot convert bool to a rational"
+
+
+def test_unreadable_input_files_exit_2(capsys, tmp_path):
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(b"\xff\xfe")
+    for path in (tmp_path, raw):
+        code, data = run_json(capsys, "build-product", "--params", str(path))
+        assert code == EXIT_INPUT
+        assert data["error"]["code"] == "input"
+
+
 def test_chart_1234_is_valid_with_its_ratios_as_a_list(capsys, tmp_path):
     path = tmp_path / "chart.json"
     path.write_text(json.dumps(dict(CHART_1234, r=["1", "2", "3", "4"])))

@@ -26,8 +26,6 @@ ALLOWED = {
                      "workload requests it",
     "series.hyp2f1_jet": "named in perfbench's spans.TARGETS",
     "series.product_vector_w": "named in perfbench's spans.TARGETS",
-    "series._coprime_fraction": "Python < 3.12 only: later versions use "
-                                "Fraction._from_coprime_ints",
     "sampling._give_up": "error path: a draw loop that runs out of "
                          "candidates, which no seed reaches",
 }

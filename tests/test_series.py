@@ -15,12 +15,14 @@ import numpy as np
 import pytest
 
 from okubo import hgsystem, series
-from okubo.accessory import realize_product_system, solve_accessory
+from okubo.accessory import (okubo_from_chart, realize_product_system,
+                             solve_accessory)
 from okubo.errors import (InputError, InternalInconsistency, OkuboError,
                           OutsideDisc, SingularMatrixError)
 from okubo.exact import PolyMatrix, RationalMatrix, common_denominator
 from okubo.hgsystem import HGParams, build_okubo_system, gauge_matrix, lam
-from okubo.sampling import sample_disc, series_sample
+from okubo.sampling import (draw_chart, draw_okubo_params, sample_disc,
+                            series_sample)
 from okubo.series import (EvalReport, GaussJet, SeriesSolution, check_in_disc,
                           contiguous_product_vector, exponents_at,
                           hyp2f1, hyp2f1_jet, local_series,
@@ -77,6 +79,21 @@ def test_hyp2f1_takes_rationals_only():
             hyp2f1(*args, 0.3, 10)
         with pytest.raises(InputError, match="must be rationals"):
             hyp2f1_jet(*args, 0.3, 10)
+
+
+@pytest.mark.parametrize("order", [3, -1])
+def test_hyp2f1_jet_refuses_an_order_outside_0_to_2(monkeypatch, order):
+    # refused before any sum runs
+    monkeypatch.setattr(series, "_gauss_jets", None)
+    with pytest.raises(InputError, match="order"):
+        hyp2f1_jet(F(1, 3), F(1, 5), F(1, 7), 0.3, 10, order)
+
+
+def test_coprime_fraction_is_the_reduced_fraction():
+    for num, den in ((3, 7), (-3, 7), (1, 1)):
+        got = series._coprime_fraction(num, den)
+        assert type(got) is F and got == F(num, den)
+        assert hash(got) == hash(F(num, den)) and str(got) == str(F(num, den))
 
 
 @pytest.mark.parametrize("x", [0.0, 0.1])
@@ -503,24 +520,21 @@ def test_resolvent_is_built_once_per_system(monkeypatch):
     assert len(calls) == 1
 
 
-def test_infinity_start_is_found_once_per_system_and_exponent(monkeypatch):
-    system = special_system()
-    honest = RationalMatrix.left_null_space
-    calls = []
-
-    def counted(matrix):
-        calls.append(matrix)
-        return honest(matrix)
-
-    monkeypatch.setattr(RationalMatrix, "left_null_space", counted)
-    for terms in (10, 20):
-        for mode in ("exact", "float"):
-            for idx in range(4):
-                local_series(system, "inf", idx, terms, mode)
-    assert len(calls) == 4
-    # a new system object finds its own
-    local_series(special_system(), "inf", 0, 10, "float")
-    assert len(calls) == 5
+def test_infinity_start_is_the_left_null_space_reference():
+    """h(0), read off a column of the resolvent numerator N(-sigma), is the
+    kernel vector of sigma I + A that left_null_space finds for the
+    transpose, first nonzero entry 1, for every exponent at infinity."""
+    rng = random.Random(23)
+    systems = [okubo_from_chart(draw_chart(rng)) for _ in range(4)]
+    systems += [build_okubo_system(draw_okubo_params(rng))[1]
+                for _ in range(4)]
+    for system in systems:
+        for idx, sigma in enumerate(exponents_at(system, "inf")):
+            shifted = system.coeff + RationalMatrix.identity(4).scale(sigma)
+            transposed = RationalMatrix(zip(*shifted.rows))
+            want, = transposed.left_null_space()
+            got = local_series(system, "inf", idx, 1, "exact")[0].coeffs[0]
+            assert list(got) == want
 
 
 def test_zero_step_denominator_raises():
