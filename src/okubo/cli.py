@@ -4,12 +4,13 @@ Every subcommand reads rationals as 'p/q' strings (inline flags or JSON
 parameter files), emits a JSON report, and uses the exit code to state
 its verdict: 0 for success / verdict-true / residual below tolerance,
 1 for verdict-false or an exceeded tolerance, 2 for input errors, 3 for
-an internal inconsistency (a bug, never a verdict).  Each subcommand
-accepts only the flags its handler reads (COMMANDS); any other flag is a
-usage error, which argparse reports with exit code 2.  `residual` (its
-defect) and `v-vector` (the gap of its two paths and, at the Okubo
-gammas, the defect of v) compare against TOLERANCE, `df-solve` against 1e-6.  Only
-the handlers that compute in floats load numpy.
+an internal inconsistency or any other unexpected exception (a bug,
+never a verdict).  Each subcommand accepts only the flags its handler
+reads (COMMANDS); any other flag is a usage error, which argparse reports
+with exit code 2.  `residual` (its defect) and `v-vector` (the gap of its
+two paths and, at the Okubo gammas, the defect of v) compare against
+TOLERANCE, `df-solve` against 1e-6.  Only the handlers that compute in
+floats load numpy.
 """
 
 from __future__ import annotations
@@ -368,6 +369,14 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except InternalInconsistency as exc:
         _emit({"error": {"code": "internal", "message": str(exc)}}, args.out)
+        return EXIT_INTERNAL
+    except Exception as exc:  # noqa: BLE001 - any other crash is a bug too
+        import traceback  # the error path only: no cost at start-up
+
+        traceback.print_exc()
+        _emit({"error": {"code": "internal",
+                         "message": f"{type(exc).__name__}: {exc}"}},
+              args.out)
         return EXIT_INTERNAL
     if report is not None:
         _emit(report, args.out)

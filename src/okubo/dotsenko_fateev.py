@@ -41,12 +41,13 @@ rows of all four factors at once) and scipy.special when called.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import (InputError, InternalInconsistency, QuadratureError,
-                     SingularMatrixError)
+from .errors import (InputError, InternalInconsistency, OutsideDisc,
+                     QuadratureError, SingularMatrixError)
 from .exact import (RationalMatrix, common_denominator, to_double,
                     to_fraction)
 from .hgsystem import HGParams, build_okubo_system, build_diagonalizer, lam
@@ -292,6 +293,7 @@ def _integrals(params: DFParams, points: list):
     distinct Gauss factor is summed once over the nodes of every point.
     """
     import numpy as np
+    from .series import _power
 
     a, c, g = to_double(params.a), to_double(params.c), to_double(params.g)
     alpha = g / 2 - 1        # exponent at s = 1
@@ -312,7 +314,7 @@ def _integrals(params: DFParams, points: list):
     for j, (x, s, w) in enumerate(points):
         at = slice(start, start + len(s))
         start = at.stop
-        power = x ** (a + c + g)
+        power = _power(x, a + c + g)
         for k, (i1, i2) in enumerate(rows):
             out[j, k] = phase * power * scale * np.sum(
                 w * gauss[i1, at] * gauss[i2, at])
@@ -341,14 +343,15 @@ def _gauss_on_nodes(pars: list, t, terms: int, den: int):
     return acc.astype(complex)
 
 
-def _assemble(params: DFParams, m, x: float, integrals):
-    """z = x^(a+c) (x-1)^(b+c) M I at one point."""
+def _prefactor(params: DFParams, x: float) -> complex:
+    """x^(a+c) (x-1)^(b+c), the factor of z = x^(a+c) (x-1)^(b+c) M I at
+    one point; OutsideDisc where a power leaves the double range."""
     import numpy as np
+    from .series import _power
 
     b, c = to_double(params.b), to_double(params.c)
-    prefactor = (x ** (to_double(params.a) + c)
-                 * np.exp(1j * np.pi * (b + c)) * (1 - x) ** (b + c))
-    return prefactor * (m @ integrals)
+    return (_power(x, to_double(params.a) + c)
+            * np.exp(1j * np.pi * (b + c)) * _power(1 - x, b + c))
 
 
 def df_integral_solution(params: DFParams, x: float,
@@ -364,6 +367,10 @@ def df_integral_solution(params: DFParams, x: float,
     is a five-point central difference with step 1e-4 x(1-x), its four
     points on the finer rule.  Each rule is built once, and one Horner
     pass sums the Gauss factors over the nodes of all six points.
+
+    A power of x or 1-x that overflows, and a solution whose size
+    |x^(a+c) (1-x)^(b+c)| max|I| falls below the smallest normal double
+    (where z would read as zero), are OutsideDisc.
     """
     import numpy as np
 
@@ -389,10 +396,17 @@ def df_integral_solution(params: DFParams, x: float,
         raise QuadratureError(
             "quadrature refinements disagree", {"difference": diff})
 
+    prefactor = _prefactor(params, x)
+    magnitude = abs(prefactor) * float(np.max(np.abs(fine)))
+    if magnitude < sys.float_info.min:
+        raise OutsideDisc("the integral solution underflows the double "
+                          "range", {"x": x, "magnitude": magnitude})
+
     m = df_eigenvector_matrix(params).to_complex()
-    zs = [_assemble(params, m, xx, v) for xx, v in zip(stencil, at_stencil)]
+    zs = [_prefactor(params, xx) * (m @ v)
+          for xx, v in zip(stencil, at_stencil)]
     dz = (zs[0] - 8 * zs[1] + 8 * zs[2] - zs[3]) / (12 * h)
-    z0 = _assemble(params, m, x, fine)
+    z0 = prefactor * (m @ fine)
     c0, c1 = df_residues(params)
     rhs = (c0.to_complex() / x + c1.to_complex() / (x - 1)) @ z0
     residual = float(np.max(np.abs(dz - rhs)))

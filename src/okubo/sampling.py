@@ -65,6 +65,17 @@ def draw_generic_params(rng: random.Random) -> HGParams:
     return HGParams.generic(*(rand_fraction(rng) for _ in range(6)))
 
 
+def draw_w_params(rng: random.Random) -> HGParams:
+    """Unconstrained parameters whose gammas are no nonpositive integer,
+    so that both Gauss series of the product vector w are defined."""
+    for _ in range(MAX_ATTEMPTS):
+        p = draw_generic_params(rng)
+        if not any(g.denominator == 1 and g <= 0
+                   for g in (p.gamma1, p.gamma2)):
+            return p
+    _give_up("parameters with defined Gauss series")
+
+
 #: the half-sums a, b, c, d of the Okubo form (hgsystem.build_okubo_system)
 _EXPONENT_WORDS = ("++++", "-+-+", "++--", "+--+")
 

@@ -256,17 +256,9 @@ DUAL_PATH_POINTS = 20
 SERIES_TERMS = 80
 
 
-def _draw_w_params(rng: random.Random) -> hgsystem.HGParams:
-    while True:
-        p = sampling.draw_generic_params(rng)
-        if not any(g.denominator == 1 and g <= 0
-                   for g in (p.gamma1, p.gamma2)):
-            return p
-
-
 def check_product_vector_residual(seed: int) -> str:
     rng = _rng(seed, "wres")
-    p = _draw_w_params(rng)
+    p = sampling.draw_w_params(rng)
     worst = series.worst_defect(
         series.w_residual(p, sampling.sample_disc(rng, 0.05, 0.4), terms=60)
         for _ in range(RESIDUAL_POINTS))
@@ -366,20 +358,11 @@ def run_criterion(name: str, fn, seed: int,
     return CriterionResult(name, passed, detail, elapsed, time_limit)
 
 
-def exact_suite(seed: int) -> list:
-    return [run_criterion(name, fn, seed, limit)
-            for name, fn, limit in EXACT_CRITERIA]
-
-
-def numeric_suite(seed: int) -> list:
-    return [run_criterion(name, fn, seed, limit)
-            for name, fn, limit in NUMERIC_CRITERIA]
-
-
 def verify_all(seed: int) -> tuple:
     """(deterministic report dict, measured wall times by criterion)."""
     start = time.perf_counter()
-    results = exact_suite(seed) + numeric_suite(seed)
+    results = [run_criterion(name, fn, seed, limit)
+               for name, fn, limit in EXACT_CRITERIA + NUMERIC_CRITERIA]
     report = {"seed": seed,
               "criteria": [r.to_json() for r in results],
               "all_passed": all(r.passed for r in results)}

@@ -17,7 +17,8 @@ here and in okubo.verify:
   2b  contiguous vector dual path, 20 points              <= 1e-9 relative
   2c  local series residuals, all bases and exponents     <= 1e-9, 80 terms
   2d  integral-solution residual at x in {0.3, 0.4, 0.5}  <= 1e-6, < 60 s
-  3   verify-all --seed 7 end to end                      exit 0, < 300 s
+  3   verify-all --seed 7 end to end                      exit 0, < 300 s,
+                                                          pinned report bytes
 """
 
 import json
@@ -26,6 +27,7 @@ import sys
 import time
 
 import pytest
+from test_golden import report_pin, sha256
 
 from okubo.verify import EXACT_CRITERIA, NUMERIC_CRITERIA, run_criterion
 
@@ -62,3 +64,4 @@ def test_criterion_3_cli_verify_all(tmp_path):
     report = json.loads(out.read_text())
     assert report["all_passed"] is True
     assert len(report["criteria"]) == len(ALL_CRITERIA)
+    assert sha256(out.read_bytes()) == report_pin(SEED)

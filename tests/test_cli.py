@@ -1,16 +1,14 @@
 """Command-line interface: exit codes, JSON reports, reproducibility."""
 
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import numpy as np
 import pytest
+from test_golden import report_pin, sha256, src_env
 
-import okubo
 from okubo import hgsystem, verify
 from okubo.accessory import solve_accessory
 from okubo.cli import COMMANDS, EXIT_INPUT, EXIT_INTERNAL, FLAGS, main
@@ -218,7 +216,12 @@ def test_df_subcommands(capsys, tmp_path):
                                     "g": "1/2", "x": 0.4, "nodes": 96}))
     code, data = run_json(capsys, "df-solve", "--params", str(df_file2))
     assert code == 0 and data["nodes"] == 192
-    # inline flags instead of a file
+    # inline flags instead of a file: the same reports
+    inline = ["--a", "1/3", "--b", "1/5", "--c", "1/7", "--g", "1/2"]
+    for argv in (["df-build"], ["df-reduce"], ["df-verify"],
+                 ["df-solve", "--x", "0.4", "--nodes", "128"]):
+        assert run_cli(capsys, *argv, *inline) == \
+            run_cli(capsys, *argv, "--params", str(df_file)), argv[0]
     code, data = run_json(capsys, "df-verify", "--a", "1/3", "--b", "1/5",
                           "--c", "1/7", "--g", "1/11")
     assert code == 0
@@ -247,6 +250,21 @@ def test_internal_inconsistency_exits_3(capsys, monkeypatch,
     assert "gauge lost its determinant" in data["error"]["message"]
 
 
+def test_unexpected_exception_exits_3(capsys, monkeypatch,
+                                      okubo_params_file):
+    """Any exception but a stated refusal is a bug, not a verdict false."""
+    def crashing(params):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(hgsystem, "build_okubo_system", crashing)
+    code = main(["build-okubo", "--params", okubo_params_file])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INTERNAL == 3
+    assert json.loads(out)["error"] == {
+        "code": "internal", "message": "ZeroDivisionError: division by zero"}
+    assert err.startswith("Traceback") and "in crashing" in err
+
+
 def test_recover_chart_cli(capsys, tmp_path, okubo_params_file):
     _, system = build_okubo_system(
         HGParams.okubo(F(1, 3), F(1, 7), F(1, 5), F(1, 11)))
@@ -262,7 +280,7 @@ def test_recover_chart_cli(capsys, tmp_path, okubo_params_file):
 
 def test_verify_all_reproducible(tmp_path):
     # run through the console entry twice; the JSON reports must be
-    # byte-identical for the same seed
+    # byte-identical for the same seed, and equal to the pinned bytes
     outs = []
     for k in (1, 2):
         out = tmp_path / f"report{k}.json"
@@ -272,16 +290,12 @@ def test_verify_all_reproducible(tmp_path):
             capture_output=True, text=True, timeout=300, check=False)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "PASS overall" in proc.stdout
-        outs.append(out.read_text())
+        outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+    assert sha256(outs[0]) == report_pin(3)
     report = json.loads(outs[0])
     assert report["all_passed"] is True
     assert len(report["criteria"]) == 12
-
-
-def _src_env() -> dict:
-    return dict(os.environ,
-                PYTHONPATH=str(Path(okubo.__file__).resolve().parent.parent))
 
 
 @pytest.mark.parametrize("name,flags", [(c[0], c[2]) for c in COMMANDS],
@@ -381,7 +395,7 @@ def test_import_leaves_scipy_unloaded():
     probe = ("import sys, okubo, okubo.cli; "
              "print(sorted(m for m in sys.modules "
              "if m == 'scipy' or m.startswith('scipy.')))")
-    proc = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+    proc = subprocess.run([sys.executable, "-c", probe], env=src_env(),
                           capture_output=True, text=True, timeout=60,
                           check=True)
     assert proc.stdout.strip() == "[]"
@@ -421,7 +435,7 @@ def test_exact_subcommands_load_neither_numpy_nor_scipy(tmp_path,
         proc = subprocess.run(
             [sys.executable, "-c", probe, *argv, "--out",
              str(tmp_path / "report.json")],
-            env=_src_env(), capture_output=True, text=True, timeout=60,
+            env=src_env(), capture_output=True, text=True, timeout=60,
             check=True)
         assert json.loads(proc.stdout) == [want, []], argv[0]
 
@@ -440,20 +454,33 @@ OUT_OF_RANGE = "1" + "0" * 400
      "--g", "1/2", "--x", "0.4"],
 ], ids=["v-vector", "series", "residual", "df-solve"])
 def test_rational_outside_double_range_is_an_input_error(tmp_path, argv):
-    """Not an OverflowError traceback with exit 1, a verdict-false code."""
+    """A stated input error, not an OverflowError (exit 3, a bug)."""
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"alpha1": OUT_OF_RANGE, "alpha2": "1/7",
                                   "beta1": "1/5", "beta2": "1/11"}))
     proc = subprocess.run(
         [sys.executable, "-m", "okubo.cli",
          *(arg.format(params=params) for arg in argv)],
-        env=_src_env(), capture_output=True, text=True, timeout=120,
+        env=src_env(), capture_output=True, text=True, timeout=120,
         check=False)
     assert proc.returncode == EXIT_INPUT, proc.stderr
     assert proc.stderr == ""
     error = json.loads(proc.stdout)["error"]
     assert error["code"] == "input"
     assert error["message"] == "rational outside the double range"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--a=-9/10", "--b", "1/5", "--c=-1/5", "--g", "1/2", "--x", "1e-300"],
+    ["--a", "1/3", "--b", "1/5", "--c", "1/7", "--g", "1/2", "--x", "1e-300"],
+    ["--a", "1/3", "--b", "1/5", "--c", "1/7", "--g", "1000", "--x", "0.4"],
+], ids=["power-overflows", "z-underflows", "integrals-underflow"])
+def test_df_solve_outside_the_double_range_is_refused(capsys, argv):
+    """Not an OverflowError (exit 3), nor an all-zero z that passes its
+    own ODE check (exit 0)."""
+    code, data = run_json(capsys, "df-solve", *argv)
+    assert code == EXIT_INPUT
+    assert data["error"]["code"] == "outside-disc"
 
 
 def test_exact_series_takes_a_rational_outside_double_range(capsys,
@@ -472,7 +499,7 @@ def test_df_solve_is_silent_when_the_jacobi_exponents_sum_to_minus_one():
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "okubo.cli", "df-solve",
          "--a=-1", "--b=-1", "--c", "1/2", "--g", "1/2", "--x", "0.4"],
-        env=_src_env(), capture_output=True, text=True, timeout=120,
+        env=src_env(), capture_output=True, text=True, timeout=120,
         check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

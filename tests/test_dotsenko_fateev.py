@@ -25,7 +25,8 @@ from okubo.dotsenko_fateev import (DFParams, DFTransformReport,
                                    df_residues, euler_reduce,
                                    shifted_eigenvalues,
                                    transition_half_sum_form)
-from okubo.errors import InputError, QuadratureError, SingularMatrixError
+from okubo.errors import (InputError, OutsideDisc, QuadratureError,
+                          SingularMatrixError)
 from okubo.exact import Poly, RationalMatrix, common_denominator
 from okubo.hgsystem import lam
 from okubo.sampling import draw_df_params
@@ -210,6 +211,19 @@ def test_integral_solution_input_errors():
         df_integral_solution(deep, 0.4)  # a+c+g/2+1 < 0
     with pytest.raises(InputError):
         df_integral_solution(QUAD_PARAMS, 0.4, nodes=2)
+
+
+@pytest.mark.parametrize("abcg, x, message", [
+    ((F(-9, 10), F(1, 5), F(-1, 5), F(1, 2)), 1e-300,
+     "a power of x leaves the double range"),
+    ((F(1, 3), F(1, 5), F(1, 7), F(1, 2)), 1e-300,
+     "the integral solution underflows the double range"),
+    ((F(1, 3), F(1, 5), F(1, 7), F(1000)), 0.4,
+     "the integral solution underflows the double range"),
+], ids=["power-overflows", "z-underflows", "integrals-underflow"])
+def test_integral_solution_outside_the_double_range(abcg, x, message):
+    with pytest.raises(OutsideDisc, match=message):
+        df_integral_solution(DFParams(*abcg), x)
 
 
 def test_report_serialization():

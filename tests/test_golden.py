@@ -1,22 +1,31 @@
-"""Golden digests of the exact layer's outputs.
+"""Golden digests: the one home of every byte pin.
 
-Each digest is a sha256 over exact numbers written as numerator and
-denominator, or over canonical JSON, recorded from an earlier release of
-the exact containers.  A change to how `RationalMatrix` and `Poly` store
-or compute their entries must leave every digest unchanged.
+Each digest of the exact layer is a sha256 over exact numbers written as
+numerator and denominator, or over canonical JSON, recorded from an
+earlier release of the exact containers.  A change to how `RationalMatrix`
+and `Poly` store or compute their entries must leave every digest
+unchanged.
 
-The CLI digests in ``exact_cli.sha256`` cover the same commands the CI
-step "Exact CLI bytes" runs through the installed script.
+Two files in sha256sum's format hold the output pins: ``exact_cli.sha256``
+the stdout of six exact CLI commands, and ``verify_reports.sha256`` the
+`verify-all --out` report of seeds 0-9 (``r<seed>.json``).  A report is
+checked in-process for every seed, and for seed 7 also as written by a
+separate interpreter under ``-O`` and ``-W error``; the subprocess runs of
+`test_acceptance` (seed 7) and `test_cli` (seed 3) check theirs too.
 """
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+import okubo
 from okubo import cli
 from okubo.accessory import solve_accessory, substantially_same
 from okubo.dotsenko_fateev import check_df_transformation, euler_reduce
@@ -26,6 +35,7 @@ from okubo.sampling import (draw_chart, draw_df_params, draw_okubo_params,
                             draw_perturbed_chart, draw_special_chart,
                             draw_special_exponents)
 from okubo.series import local_series
+from okubo.verify import verify_all
 
 HERE = Path(__file__).resolve().parent
 SERIES_TERMS = 120
@@ -143,15 +153,30 @@ def test_seeded_draws_json_digest(kind):
     assert draws_digest(kind) == GOLDEN_DRAWS[kind]
 
 
-def cli_digests() -> dict:
-    """file name -> sha256 of ``exact_cli.sha256``, in sha256sum's format."""
-    lines = (HERE / "exact_cli.sha256").read_text().splitlines()
+def digests(pins: str) -> dict:
+    """file name -> sha256 of a pin file in sha256sum's format."""
+    lines = (HERE / pins).read_text().splitlines()
     return {name: digest for digest, name in (l.split() for l in lines)}
 
 
-#: the exit code and arguments of each output file of the CI step "Exact
-#: CLI bytes"; check-same answers "not the same" (exit 1) on CHART, a valid
-#: chart off the special values with 12 nonzero minors
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def report_pin(seed: int) -> str:
+    """The pinned sha256 of the `verify-all --seed SEED --out` report."""
+    return digests("verify_reports.sha256")[f"r{seed}.json"]
+
+
+def src_env() -> dict:
+    """The environment of a subprocess that imports okubo from this tree."""
+    return dict(os.environ,
+                PYTHONPATH=str(Path(okubo.__file__).resolve().parent.parent))
+
+
+#: the exit code and arguments of each output file of ``exact_cli.sha256``;
+#: check-same answers "not the same" (exit 1) on CHART, a valid chart off
+#: the special values with 12 nonzero minors
 CLI_RUNS = {
     "series.json": (0, ["series", "--params", "{params}", "--base", "inf",
                         "--index", "0", "--terms", "80", "--mode", "exact"]),
@@ -177,10 +202,33 @@ def test_exact_cli_digests(tmp_path, capsys):
                       '"beta1": "1/5", "beta2": "1/11"}\n')
     chart = tmp_path / "c.json"
     chart.write_text(CHART)
-    want = cli_digests()
+    want = digests("exact_cli.sha256")
     assert sorted(want) == sorted(CLI_RUNS)
     for name, (code, args) in CLI_RUNS.items():
         args = [a.format(params=params, chart=chart) for a in args]
         assert cli.main(args) == code, name
         out = capsys.readouterr().out.encode()
-        assert hashlib.sha256(out).hexdigest() == want[name], name
+        assert sha256(out) == want[name], name
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_verify_all_report_digest(tmp_path, seed):
+    report, _ = verify_all(seed)
+    out = tmp_path / "report.json"
+    cli._emit(report, str(out))  # the bytes `verify-all --out` writes
+    assert sha256(out.read_bytes()) == report_pin(seed)
+
+
+@pytest.mark.parametrize("flags", [["-O"], ["-W", "error"]],
+                         ids=["O", "W-error"])
+def test_seed_7_report_digest_under_interpreter_flags(tmp_path, flags):
+    """-O strips every assert and -W error turns every warning into an
+    exception; neither may change a verdict or a byte of the report."""
+    out = tmp_path / "r7.json"
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "okubo.cli", "verify-all", "--seed",
+         "7", "--out", str(out)],
+        env=src_env(), capture_output=True, text=True, timeout=300,
+        check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert sha256(out.read_bytes()) == report_pin(7)

@@ -1,8 +1,8 @@
 """No test-only code in src/: every function and method defined in
 src/okubo is called by a production run.
 
-The run is `verify-all --seed 7` and the README/CI examples of the CLI,
-refusals included, traced with sys.settrace on call events only.  Dunders
+The run is `verify-all --seed 7`, the README's examples of the CLI and a
+few refusals, traced with sys.settrace on call events only.  Dunders
 and lambdas are exempt; ALLOWED lists the functions the run does not
 reach, each with the reason it stays.
 """

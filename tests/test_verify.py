@@ -3,15 +3,14 @@ under -O."""
 
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from test_golden import src_env
 
-import okubo
 from okubo import (accessory, dotsenko_fateev, hgsystem, sampling, series,
                    verify)
 from okubo.cli import EXIT_INTERNAL, main
@@ -69,9 +68,8 @@ def test_failure_survives_python_O():
                           "passed": result.passed,
                           "detail": result.detail}))
     """
-    src = str(Path(okubo.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-O", "-c", probe],
-                          env=dict(os.environ, PYTHONPATH=src),
+                          env=src_env(),
                           capture_output=True, text=True, timeout=120,
                           check=True)
     out = json.loads(proc.stdout)
@@ -190,3 +188,27 @@ def test_wrong_special_matrix_is_a_bug_in_1e_not_a_pass(monkeypatch, capsys):
     monkeypatch.setattr(verify, "NUMERIC_CRITERIA", ())
     assert main(["verify-all", "--seed", "7"]) == EXIT_INTERNAL == 3
     assert "special matrix" in capsys.readouterr().out
+
+
+def test_verify_all_passes_at_seed_40658():
+    """1e's exponent stream at this seed draws exponents outside the
+    domain of via-r4, which draw_special_exponents must redraw."""
+    report, _ = verify.verify_all(40658)
+    assert report["all_passed"], [c for c in report["criteria"]
+                                  if not c["passed"]]
+
+
+def test_w_parameter_draw_is_capped(monkeypatch):
+    """2a's draw rejects a gamma that is a nonpositive integer, and gives
+    up after MAX_ATTEMPTS candidates instead of looping forever."""
+    candidates = []
+
+    def integer_gamma(rng):
+        candidates.append(rng)
+        return hgsystem.HGParams.generic(*(F(1, 3),) * 4, F(-2), F(1, 2))
+
+    monkeypatch.setattr(sampling, "MAX_ATTEMPTS", 5)
+    monkeypatch.setattr(sampling, "draw_generic_params", integer_gamma)
+    with pytest.raises(RuntimeError, match="sampling cap exceeded"):
+        sampling.draw_w_params(verify._rng(7, "wres"))
+    assert len(candidates) == 5
