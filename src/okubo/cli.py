@@ -3,9 +3,10 @@
 Every subcommand reads rationals as 'p/q' strings (inline flags or JSON
 parameter files), emits a JSON report, and uses the exit code to state
 its verdict: 0 for success / verdict-true / residual below tolerance,
-1 for verdict-false or an exceeded tolerance, 2 for input errors, 3 for
-an internal inconsistency or any other unexpected exception (a bug,
-never a verdict).  Each subcommand accepts only the flags its handler
+1 for verdict-false or an exceeded tolerance, 2 for input errors (an
+--out file that cannot be written included), 3 for an internal
+inconsistency or any other unexpected exception (a bug, never a
+verdict).  Each subcommand accepts only the flags its handler
 reads (COMMANDS); any other flag is a usage error, which argparse reports
 with exit code 2.  `residual` (its defect) and `v-vector` (the gap of its
 two paths and, at the Okubo gammas, the defect of v) compare against
@@ -20,7 +21,7 @@ import json
 import sys
 
 from . import accessory, dotsenko_fateev as df, hgsystem, sampling
-from .errors import InputError, InternalInconsistency, OkuboError
+from .errors import InputError, OkuboError
 from .exact import matrix_from_json, to_fraction
 
 EXIT_OK = 0
@@ -61,8 +62,11 @@ def _file_field(data: dict, key: str, kind, what: str):
 def _emit(report: dict, out: str = None):
     text = json.dumps(report, indent=2, sort_keys=True)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
     else:
         print(text)
 
@@ -364,22 +368,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = args.handler(args)
+        if report is not None:
+            _emit(report, args.out)
+        return code
     except OkuboError as exc:
-        _emit(exc.as_json(), args.out)
-        return EXIT_INPUT
-    except InternalInconsistency as exc:
-        _emit({"error": {"code": "internal", "message": str(exc)}}, args.out)
-        return EXIT_INTERNAL
-    except Exception as exc:  # noqa: BLE001 - any other crash is a bug too
+        error, code = exc.as_json(), EXIT_INPUT
+    except Exception as exc:  # noqa: BLE001 - any other exception is a bug
         import traceback  # the error path only: no cost at start-up
 
         traceback.print_exc()
-        _emit({"error": {"code": "internal",
-                         "message": f"{type(exc).__name__}: {exc}"}},
-              args.out)
-        return EXIT_INTERNAL
-    if report is not None:
-        _emit(report, args.out)
+        error = {"error": {"code": "internal",
+                           "message": f"{type(exc).__name__}: {exc}"}}
+        code = EXIT_INTERNAL
+    try:
+        _emit(error, args.out)
+    except InputError:  # --out is not writable: the error goes to stdout
+        _emit(error)
     return code
 
 

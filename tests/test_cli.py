@@ -265,6 +265,28 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch,
     assert err.startswith("Traceback") and "in crashing" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-all", "--seed", "7"],
+    ["solve-accessory", "--a", "1/3", "--b", "1/5", "--c", "1/7",
+     "--d", "1/11"],
+], ids=["verify-all", "solve-accessory"])
+def test_unwritable_out_is_an_input_error(capsys, monkeypatch, tmp_path,
+                                          argv):
+    """Not an OSError traceback with exit 1, the verdict-false code; the
+    error body goes to stdout, since --out cannot take it."""
+    # verify-all with no criteria: only the write of its report is tested
+    monkeypatch.setattr(verify, "EXACT_CRITERIA", ())
+    monkeypatch.setattr(verify, "NUMERIC_CRITERIA", ())
+    out = tmp_path / "no-such-dir" / "report.json"
+    code = main([*argv, "--out", str(out)])
+    stdout, stderr = capsys.readouterr()
+    assert code == EXIT_INPUT
+    error = json.loads(stdout[stdout.index("{"):])["error"]
+    assert error["code"] == "input"
+    assert error["message"].startswith(f"cannot write {out}: ")
+    assert stderr == ""
+
+
 def test_recover_chart_cli(capsys, tmp_path, okubo_params_file):
     _, system = build_okubo_system(
         HGParams.okubo(F(1, 3), F(1, 7), F(1, 5), F(1, 11)))
