@@ -44,8 +44,8 @@ from .errors import (AdmissibilityError, DConditionError, DegenerateChart,
 from .exact import (Poly, PolyMatrix, RationalMatrix, _cross, _poly,
                     common_denominator, left_eigenvectors, poly_adjugate,
                     to_fraction)
-from .hgsystem import (HGParams, J2, OkuboSystem, _even_quartic,
-                       build_okubo_system, lam)
+from .hgsystem import (OKUBO_EXPONENT_WORDS, HGParams, J2, OkuboSystem,
+                       _even_quartic, build_okubo_system, lam)
 
 
 # --------------------------------------------------------------------------
@@ -354,7 +354,7 @@ def recover_chart(matrix: RationalMatrix, a, b, c, d) -> tuple:
     if len(plus) != 1 or len(minus) != 1:
         raise EigenvectorDegeneracy(
             "eigenvalue c or -c has a repeated eigenspace",
-            ["eigenspace-dimension"])
+            {"failures": "eigenspace-dimension"})
     v_plus, v_minus = plus[0], minus[0]
     failures = []
     for k in range(4):
@@ -367,7 +367,8 @@ def recover_chart(matrix: RationalMatrix, a, b, c, d) -> tuple:
         if det2 == 0:
             failures.append(f"det of columns {l + 1},{l + 2} = 0")
     if failures:
-        raise EigenvectorDegeneracy("eigenvector degeneracy", failures)
+        raise EigenvectorDegeneracy("eigenvector degeneracy",
+                                    {"failures": "; ".join(failures)})
     diag = RationalMatrix.diagonal(v_plus)
     ratios = tuple(v_minus[k] / v_plus[k] for k in range(4))
     chart = AccessoryChart(a, b, c, d, ratios)
@@ -727,7 +728,7 @@ def realize_product_system(p: HGParams) -> RealizationReport:
     if not p.is_okubo:
         raise InputError("parameters are not gamma-constrained for Okubo form")
     l = lambda s: lam(p, s)
-    a, b, c, d = l("++++"), l("-+-+"), l("++--"), l("+--+")
+    a, b, c, d = (l(s) for s in OKUBO_EXPONENT_WORDS)
     require_admissible(a, b, c, d)
     needed = ["0+00", "00+0", "+-++", "++-+", "+000", "000+", "-+++", "+++-"]
     for signs in needed:

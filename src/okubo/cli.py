@@ -1,23 +1,27 @@
 """Batch command-line interface.
 
-Every subcommand reads rationals as 'p/q' strings (inline flags or JSON
-parameter files), emits a JSON report, and uses the exit code to state
-its verdict: 0 for success / verdict-true / residual below tolerance,
-1 for verdict-false or an exceeded tolerance, 2 for input errors (an
---out file that cannot be written included), 3 for an internal
+Every subcommand reads rationals as 'p/q' strings from exactly one
+source, a JSON file or a full set of inline flags (none, two or a partial
+set is an input error), emits a JSON report, and uses the exit code to
+state its verdict: 0 for success / verdict-true / residual below
+tolerance, 1 for verdict-false or an exceeded tolerance, 2 for input
+errors (an --out file that cannot be written included), 3 for an internal
 inconsistency or any other unexpected exception (a bug, never a
-verdict).  Each subcommand accepts only the flags its handler
-reads (COMMANDS); any other flag is a usage error, which argparse reports
-with exit code 2.  `residual` (its defect) and `v-vector` (the gap of its
-two paths and, at the Okubo gammas, the defect of v) compare against
+verdict).  Each subcommand accepts only the flags its handler reads
+(COMMANDS); any other flag is a usage error, which argparse reports with
+exit code 2.  `residual` (its defect) and `v-vector` (the gap of its two
+paths and, at the Okubo gammas, the defect of v) compare against
 TOLERANCE, `df-solve` against 1e-6.  Only the handlers that compute in
-floats load numpy.
+floats load numpy.  `_emit` writes every report, error body and summary
+line; a stdout whose reader has gone takes no more, and the run keeps its
+exit code.  `verify-all` writes its summary to stdout, its report to --out.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import accessory, dotsenko_fateev as df, hgsystem, sampling
@@ -59,51 +63,66 @@ def _file_field(data: dict, key: str, kind, what: str):
     return value
 
 
-def _emit(report: dict, out: str = None):
-    text = json.dumps(report, indent=2, sort_keys=True)
+def _emit(report, out: str = None):
+    """The JSON of ``report``, or ``report`` itself if it is text, and a
+    newline, to the file ``out`` or to stdout.  A stdout whose reader has
+    gone takes no more output: it is pointed at the null device, so that
+    the run ends with the exit code it decided."""
+    if not isinstance(report, str):
+        report = json.dumps(report, indent=2, sort_keys=True)
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                fh.write(report + "\n")
         except OSError as exc:
             raise InputError(f"cannot write {out}: {exc}") from exc
-    else:
-        print(text)
+        return
+    try:
+        print(report, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _source(args, files=(), inline=""):
+    """The one parameter source given: the JSON object in the file of a flag
+    of ``files``, or the rationals of all the one-letter flags ``inline`` by
+    name.  None, two or a partial inline set is an input error that names
+    the accepted sources or the missing flags."""
+    flags = lambda names: " ".join(f"--{f}" for f in names)
+    given = [f for f in files if getattr(args, f) is not None]
+    present = [f for f in inline if getattr(args, f) is not None]
+    if len(given) + bool(present) != 1:
+        accepted = [f"--{f} FILE" for f in files] + [flags(inline)]
+        raise InputError("need exactly one parameter source: "
+                         + " or ".join(filter(None, accepted)),
+                         {"given": flags(given + present)})
+    if given:
+        return _load_json(getattr(args, given[0]))
+    missing = [f for f in inline if f not in present]
+    if missing:
+        raise InputError(f"inline parameters lack {flags(missing)}")
+    return {f: to_fraction(getattr(args, f)) for f in inline}
 
 
 def _hg_params(args) -> hgsystem.HGParams:
-    if not args.params:
-        raise InputError("this command needs --params FILE")
-    return hgsystem.HGParams.from_json(_load_json(args.params))
+    return hgsystem.HGParams.from_json(_source(args, ("params",)))
 
 
-def _df_params(args) -> df.DFParams:
-    if args.params:
-        return df.DFParams.from_json(_load_json(args.params))
-    if all(getattr(args, k) is not None for k in ("a", "b", "c", "g")):
-        return df.DFParams(to_fraction(args.a), to_fraction(args.b),
-                           to_fraction(args.c), to_fraction(args.g))
-    raise InputError("need --params FILE or all of --a --b --c --g")
-
-
-def _abcd(args) -> tuple:
-    vals = (args.a, args.b, args.c, args.d)
-    if any(v is None for v in vals):
-        raise InputError("need all of --a --b --c --d")
-    return tuple(to_fraction(v) for v in vals)
+def _df_params(args) -> tuple:
+    """(DFParams, the object they were read from) of a DF command."""
+    data = _source(args, ("params",), "abcg")
+    return df.DFParams.from_json(data), data
 
 
 def _system_from_args(args) -> hgsystem.OkuboSystem:
-    if args.chart:
-        chart = accessory.AccessoryChart.from_json(_load_json(args.chart))
+    data = _source(args, ("chart", "params"), "abcd")
+    if args.chart is not None:
+        chart = accessory.AccessoryChart.from_json(data)
         return accessory.okubo_from_chart(chart)
-    if args.params:
-        _, system = hgsystem.build_okubo_system(_hg_params(args))
-        return system
-    if args.a is not None:
-        _, system = accessory.solve_accessory(*_abcd(args))
-        return system
-    raise InputError("need --chart, --params, or --a/--b/--c/--d")
+    if args.params is not None:
+        return hgsystem.build_okubo_system(
+            hgsystem.HGParams.from_json(data))[1]
+    return accessory.solve_accessory(**data)[1]
 
 
 # --------------------------------------------------------------------------
@@ -134,28 +153,25 @@ def cmd_recover_chart(args):
     if not args.matrix:
         raise InputError("recover-chart needs --matrix FILE")
     matrix = matrix_from_json(_load_json(args.matrix, list))
-    a, b, c, d = _abcd(args)
-    diag, chart = accessory.recover_chart(matrix, a, b, c, d)
+    diag, chart = accessory.recover_chart(matrix,
+                                          **_source(args, inline="abcd"))
     return {"diag": diag.to_strings(),
             "chart": chart.to_json()}, EXIT_OK
 
 
 def cmd_solve_accessory(args):
-    a, b, c, d = _abcd(args)
-    scale = to_fraction(args.scale)
-    chart, system = accessory.solve_accessory(a, b, c, d, args.branch, scale)
+    abcd = _source(args, inline="abcd")
+    chart, system = accessory.solve_accessory(
+        **abcd, branch=args.branch, scale=to_fraction(args.scale))
     return {"chart": chart.to_json(),
             "coeff": system.coeff.to_strings(),
             "branch": args.branch}, EXIT_OK
 
 
 def cmd_check_same(args):
-    if not args.chart:
-        raise InputError("check-same needs --chart FILE")
-    chart = accessory.AccessoryChart.from_json(_load_json(args.chart))
+    chart = accessory.AccessoryChart.from_json(_source(args, ("chart",)))
     verdict = accessory.substantially_same(chart, args.pair)
-    report = verdict.to_json()
-    return report, EXIT_OK if verdict.verdict else EXIT_FALSE
+    return verdict.to_json(), EXIT_OK if verdict.verdict else EXIT_FALSE
 
 
 def cmd_verify_realize(args):
@@ -219,7 +235,7 @@ def cmd_v_vector(args):
 
 
 def cmd_df_build(args):
-    params = _df_params(args)
+    params, _ = _df_params(args)
     c0, c1 = df.df_residues(params)
     shifts = df.shifted_eigenvalues(params)
     return {"params": params.to_json(),
@@ -229,36 +245,30 @@ def cmd_df_build(args):
 
 
 def cmd_df_reduce(args):
-    if args.params:
-        data = _load_json(args.params)
-        if "alpha1" in data:
-            hg = hgsystem.HGParams.from_json(data)
-        else:
-            hg = df.DFParams.from_json(data).induced_hg()
-    else:
-        hg = _df_params(args).induced_hg()
+    # a parameter file may hold hypergeometric parameters instead
+    data = _source(args, ("params",), "abcg")
+    hg = (hgsystem.HGParams.from_json(data) if "alpha1" in data
+          else df.DFParams.from_json(data).induced_hg())
     k0, k1 = df.euler_reduce(hg)
     return {"params": hg.to_json(),
             "k0": k0.to_strings(), "k1": k1.to_strings()}, EXIT_OK
 
 
 def cmd_df_verify(args):
-    params = _df_params(args)
+    params, _ = _df_params(args)
     report = df.check_df_transformation(params)
     return report.to_json(), EXIT_OK if report.verdict else EXIT_FALSE
 
 
 def cmd_df_solve(args):
-    params = _df_params(args)
+    params, data = _df_params(args)
     x, nodes = args.x, args.nodes
-    if args.params:
-        # the parameter file may carry the evaluation point and node count;
-        # flags given on the command line take precedence
-        data = _load_json(args.params)
-        if x is None and "x" in data:
-            x = float(_file_field(data, "x", (int, float), "a number"))
-        if nodes is None and "nodes" in data:
-            nodes = _file_field(data, "nodes", int, "an integer")
+    # the parameter file may carry the evaluation point and node count;
+    # flags given on the command line take precedence
+    if x is None and "x" in data:
+        x = float(_file_field(data, "x", (int, float), "a number"))
+    if nodes is None and "nodes" in data:
+        nodes = _file_field(data, "nodes", int, "an integer")
     if x is None:
         raise InputError("df-solve needs --x in (0, 1)")
     # without a node count anywhere, df_integral_solution's default applies
@@ -277,13 +287,13 @@ def cmd_verify_all(args):
     report, times = verify.verify_all(args.seed)
     for crit in report["criteria"]:
         status = "PASS" if crit["passed"] else "FAIL"
-        print(f"{status} {crit['name']:32s} {times[crit['name']]:8.2f}s  "
+        _emit(f"{status} {crit['name']:32s} {times[crit['name']]:8.2f}s  "
               f"{crit['detail']}")
-    print(f"{'PASS' if report['all_passed'] else 'FAIL'} overall "
+    _emit(f"{'PASS' if report['all_passed'] else 'FAIL'} overall "
           f"({times['total']:.1f}s, seed {report['seed']})")
-    if args.out:
-        _emit(report, args.out)
-    return None, EXIT_OK if report["all_passed"] else EXIT_FALSE
+    # without --out the summary is the whole output
+    return (report if args.out else None,
+            EXIT_OK if report["all_passed"] else EXIT_FALSE)
 
 
 # --------------------------------------------------------------------------

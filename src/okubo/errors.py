@@ -48,13 +48,9 @@ class DConditionError(OkuboError):
 
 class EigenvectorDegeneracy(OkuboError):
     """Left eigenvectors violate the nonvanishing conditions needed to
-    normalize the coefficient matrix; ``failures`` lists which ones."""
+    normalize the coefficient matrix; context["failures"] lists which."""
 
     code = "eigenvector-degeneracy"
-
-    def __init__(self, message, failures, context=None):
-        super().__init__(message, context)
-        self.failures = list(failures)
 
 
 class AdmissibilityError(OkuboError):

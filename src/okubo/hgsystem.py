@@ -325,12 +325,15 @@ def gauge_matrix(p: HGParams) -> RationalMatrix:
         [0, l("----") ** 2, 4 * l("0+00") * l("000+"), 4 * l("+000") * l("00+0")]])
 
 
+#: the half-sums a, b, c, d of the Okubo form (build_okubo_system)
+OKUBO_EXPONENT_WORDS = ("++++", "-+-+", "++--", "+--+")
 #: the half-sums whose product is det_gauge_formula
 DET_GAUGE_FACTORS = ("----", "++--", "+-+-", "+--+")
-#: the half-sums whose product, the last two squared, is the numerator of
-#: det_diagonalizer_formula; its denominator is nonzero wherever R is
-#: defined (no parameter vanishes)
-DET_DIAGONALIZER_FACTORS = ("++++", "++--", "+-+-", "+--+", "+0-0", "0+0-")
+#: the half-sums whose product, a squared one listed twice, is the
+#: numerator of det_diagonalizer_formula; its denominator is nonzero
+#: wherever R is defined (no parameter vanishes)
+DET_DIAGONALIZER_FACTORS = ("++++", "++--", "+-+-", "+--+",
+                            "+0-0", "+0-0", "0+0-", "0+0-")
 
 
 def det_gauge_formula(p: HGParams) -> Fraction:
@@ -382,8 +385,7 @@ def build_okubo_system(p: HGParams) -> tuple:
     if coeff != _okubo_coeff_half_sum_form(p):
         raise InternalInconsistency(
             "gauged coefficient disagrees with its half-sum block form")
-    system = OkuboSystem(coeff, a=l("++++"), b=l("-+-+"),
-                         c=l("++--"), d=l("+--+"))
+    system = OkuboSystem(coeff, *(l(s) for s in OKUBO_EXPONENT_WORDS))
     system.validate()
     return gauge, system
 
@@ -451,11 +453,8 @@ def build_diagonalizer(p: HGParams) -> RationalMatrix:
 
 def det_diagonalizer_formula(p: HGParams) -> Fraction:
     """Closed form of det(build_diagonalizer)."""
-    l = lambda s: lam(p, s)
-    return (l("++++") * l("++--") * l("+-+-") * l("+--+")
-            * l("+0-0") ** 2 * l("0+0-") ** 2
-            / (16 * l("+000") ** 2 * l("0+00") ** 2
-               * l("00+0") ** 2 * l("000+") ** 2))
+    return (math.prod(lam(p, s) for s in DET_DIAGONALIZER_FACTORS)
+            / (p.alpha1 * p.alpha2 * p.beta1 * p.beta2 / 4) ** 2)
 
 
 def gauge_inverse_closed_form(p: HGParams) -> RationalMatrix:

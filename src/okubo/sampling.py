@@ -17,8 +17,8 @@ from .accessory import (AccessoryChart, cleared_failures, epsilon_delta,
                         special_ratios)
 from .dotsenko_fateev import DFParams
 from .errors import DegenerateChart, DConditionError, OkuboError
-from .hgsystem import (DET_DIAGONALIZER_FACTORS, DET_GAUGE_FACTORS, HGParams,
-                       half_sum_numerators)
+from .hgsystem import (DET_DIAGONALIZER_FACTORS, DET_GAUGE_FACTORS,
+                       OKUBO_EXPONENT_WORDS, HGParams, half_sum_numerators)
 
 MAX_ATTEMPTS = 10_000
 
@@ -76,17 +76,13 @@ def draw_w_params(rng: random.Random) -> HGParams:
     _give_up("parameters with defined Gauss series")
 
 
-#: the half-sums a, b, c, d of the Okubo form (hgsystem.build_okubo_system)
-_EXPONENT_WORDS = ("++++", "-+-+", "++--", "+--+")
-
-
 def _passes(p: HGParams, needed: tuple) -> bool:
     """Whether the Okubo exponents of gamma-constrained parameters are
     admissible and no half-sum of det P, of the numerator of det R or of
     ``needed`` is zero (det R's denominator is a product of parameters,
     which ``needed`` holds), tested on the half-sums' integer numerators."""
     nums, den = half_sum_numerators(
-        p, _EXPONENT_WORDS + DET_GAUGE_FACTORS + DET_DIAGONALIZER_FACTORS
+        p, OKUBO_EXPONENT_WORDS + DET_GAUGE_FACTORS + DET_DIAGONALIZER_FACTORS
         + needed)
     return all(nums[4:]) and not cleared_failures(nums[:4], den)
 

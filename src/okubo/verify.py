@@ -71,16 +71,22 @@ DUAL_DRAWS = 50
 DF_DRAWS = 30
 
 
+def _char_poly_has_roots(matrix: RationalMatrix, roots) -> bool:
+    """Whether the characteristic polynomial of ``matrix`` is the monic
+    product of (t - root) over ``roots``."""
+    want = Poly.constant(1)
+    for root in roots:
+        want = want * Poly([-root, 1])
+    return matrix.char_poly() == want
+
+
 def check_infinity_factorization(seed: int) -> str:
     rng = _rng(seed, "phi")
     for _ in range(FACTORIZATION_DRAWS):
         p = sampling.draw_generic_params(rng)
-        sys = hgsystem.build_product_system(p)
-        phi = sys.residue_at_inf.char_poly()
-        want = Poly.constant(1)
-        for e in hgsystem.infinity_exponents(p):
-            want = want * Poly([-e, 1])
-        _require(phi == want, f"factorization fails for {p}")
+        h_inf = hgsystem.build_product_system(p).residue_at_inf
+        _require(_char_poly_has_roots(h_inf, hgsystem.infinity_exponents(p)),
+                 f"factorization fails for {p}")
     return f"{FACTORIZATION_DRAWS} generic parameter draws"
 
 
@@ -224,25 +230,16 @@ def check_df_reduction(seed: int) -> str:
         shifts = df.shifted_eigenvalues(params)
         a, b, c = params.a, params.b, params.c
         ident = RationalMatrix.identity(3)
-        for matrix, roots in (
-                (c0 - ident.scale(a + c), shifts["at-0"]),
-                (c1 - ident.scale(b + c), shifts["at-1"]),
-                (c0 + c1 - ident.scale(a + b + 2 * c), shifts["sum"])):
-            want = Poly.constant(1)
-            for root in roots:
-                want = want * Poly([-root, 1])
-            _require(matrix.char_poly() == want, "shifted eigenvalues")
         hg = params.induced_hg()
         k0, k1 = report.reduced
-        for matrix, roots in (
-                (k0, (hg.beta1 + hg.beta2, -hg.alpha1 - hg.alpha2,
-                      Fraction(0))),
-                (k1, (hg.beta2 - hg.alpha1, hg.beta1 - hg.alpha2,
-                      Fraction(0)))):
-            want = Poly.constant(1)
-            for root in roots:
-                want = want * Poly([-root, 1])
-            _require(matrix.char_poly() == want, "reduced eigenvalues")
+        rows = ((c0 - ident.scale(a + c), shifts["at-0"]),
+                (c1 - ident.scale(b + c), shifts["at-1"]),
+                (c0 + c1 - ident.scale(a + b + 2 * c), shifts["sum"]),
+                (k0, (hg.beta1 + hg.beta2, -hg.alpha1 - hg.alpha2, 0)),
+                (k1, (hg.beta2 - hg.alpha1, hg.beta1 - hg.alpha2, 0)))
+        for k, (matrix, roots) in enumerate(rows):
+            _require(_char_poly_has_roots(matrix, roots),
+                     "shifted eigenvalues" if k < 3 else "reduced eigenvalues")
     return f"{DF_DRAWS} parameter draws"
 
 

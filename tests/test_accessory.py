@@ -134,7 +134,9 @@ def test_recover_chart_degenerate_eigenvectors():
          [RationalMatrix.zero(2), J2.scale(d)]])
     with pytest.raises(EigenvectorDegeneracy) as err:
         recover_chart(m, c, d, c, d)
-    assert err.value.failures
+    assert err.value.context == {"failures": (
+        "v_-c[1] = 0; v_c[2] = 0; v_c[3] = 0; v_-c[3] = 0; v_c[4] = 0; "
+        "v_-c[4] = 0; det of columns 3,4 = 0")}
     with pytest.raises(InputError):
         recover_chart(m, F(1, 3), d, c, d)  # wrong diagonal block
 

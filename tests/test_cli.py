@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON reports, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -627,3 +628,109 @@ def test_silent_numeric_arguments_exit_2(capsys, okubo_params_file, argv,
     code, data = run_json(capsys, *argv, "--params", okubo_params_file)
     assert code == EXIT_INPUT
     assert data["error"]["code"] == error
+
+
+def run_into_closed_pipe(*argv):
+    """Run the console entry with a stdout whose reader has already gone."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "okubo.cli", *argv], stdout=write,
+            stderr=subprocess.PIPE, env=src_env(), text=True, timeout=300,
+            check=False)
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["series", "--a", "1/3", "--b", "1/5", "--c", "1/7", "--d", "1/11",
+      "--base", "1", "--index", "0", "--terms", "3", "--mode", "exact"], 0),
+    (["residual", "--a", "1/3", "--b", "1/5", "--c", "1/7", "--d", "1/11",
+      "--base", "1", "--index", "0", "--terms", "1", "--seed", "3"], 1),
+], ids=["series", "residual-over-tolerance"])
+def test_closed_stdout_keeps_the_exit_code(argv, want):
+    """A reader that stops early takes no more output; it turns no verdict
+    into exit 1 and leaves no traceback."""
+    proc = run_into_closed_pipe(*argv)
+    assert (proc.returncode, proc.stderr) == (want, "")
+
+
+def test_closed_stdout_leaves_the_verify_all_report_whole(tmp_path):
+    out = tmp_path / "r7.json"
+    proc = run_into_closed_pipe("verify-all", "--seed", "7", "--out",
+                                str(out))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sha256(out.read_bytes()) == report_pin(7)
+
+
+SOURCE_NEEDED = "need exactly one parameter source: "
+INLINE_ABCD = ["--a", "1/3", "--b", "1/5", "--c", "1/7", "--d", "1/11"]
+
+
+@pytest.mark.parametrize("name", ["series", "residual"])
+@pytest.mark.parametrize("mix", [("chart", "params"), ("params", "inline"),
+                                 ("chart", "inline")],
+                         ids=["chart+params", "params+inline",
+                              "chart+inline"])
+def test_series_and_residual_refuse_two_system_sources(
+        capsys, tmp_path, okubo_params_file, name, mix):
+    """Each source defines a system of its own; none is dropped silently."""
+    chart, _ = solve_accessory(F(1, 3), F(1, 5), F(1, 7), F(1, 11))
+    chart_file = tmp_path / "chart.json"
+    chart_file.write_text(json.dumps(chart.to_json()))
+    sources = {"chart": ["--chart", str(chart_file)],
+               "params": ["--params", okubo_params_file],
+               "inline": INLINE_ABCD}
+    code, data = run_json(capsys, name, *sources[mix[0]], *sources[mix[1]],
+                          "--base", "inf", "--terms", "2")
+    assert code == EXIT_INPUT
+    assert data["error"]["message"] == SOURCE_NEEDED + (
+        "--chart FILE or --params FILE or --a --b --c --d")
+
+
+@pytest.mark.parametrize("argv", [["df-build"], ["df-reduce"], ["df-verify"],
+                                  ["df-solve", "--x", "0.4"]],
+                         ids=lambda argv: argv[0])
+def test_df_commands_refuse_a_file_and_inline_flags(capsys, tmp_path, argv):
+    df_file = tmp_path / "d.json"
+    df_file.write_text(json.dumps(DF_FILE))
+    code, data = run_json(capsys, *argv, "--params", str(df_file),
+                          "--a", "9/7")
+    assert code == EXIT_INPUT
+    assert data["error"] == {
+        "code": "input", "context": {"given": "--params --a"},
+        "message": SOURCE_NEEDED + "--params FILE or --a --b --c --g"}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["series", "--a", "1/3", "--b", "1/5", "--c", "1/7"],
+     "inline parameters lack --d"),
+    (["solve-accessory", "--b", "1/5", "--d", "1/11"],
+     "inline parameters lack --a --c"),
+    (["df-verify", "--a", "1/3", "--g", "1/2"],
+     "inline parameters lack --b --c"),
+    (["series"], SOURCE_NEEDED
+     + "--chart FILE or --params FILE or --a --b --c --d"),
+    (["v-vector", "--x", "0.2"], SOURCE_NEEDED + "--params FILE"),
+], ids=["series-partial", "solve-accessory-partial", "df-verify-partial",
+        "series-none", "v-vector-none"])
+def test_partial_or_missing_source_is_named(capsys, argv, message):
+    code, data = run_json(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert data["error"]["message"] == message
+
+
+def test_recover_chart_names_the_vanishing_components(capsys, tmp_path):
+    matrix = tmp_path / "diag.json"
+    matrix.write_text(json.dumps(
+        RationalMatrix.diagonal([F(1, 3), F(-1, 3), F(1, 5), F(-1, 5)])
+        .to_strings()))
+    code, data = run_json(capsys, "recover-chart", "--matrix", str(matrix),
+                          "--a", "1/3", "--b", "1/5", "--c", "1/3",
+                          "--d", "1/5")
+    assert code == EXIT_INPUT
+    assert data["error"]["code"] == "eigenvector-degeneracy"
+    assert data["error"]["context"] == {"failures": (
+        "v_-c[1] = 0; v_c[2] = 0; v_c[3] = 0; v_-c[3] = 0; v_c[4] = 0; "
+        "v_-c[4] = 0; det of columns 3,4 = 0")}

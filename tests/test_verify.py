@@ -140,6 +140,18 @@ def test_corrupt_contiguous_closed_form_fails_1b_and_2b(monkeypatch):
         assert detail in result.detail
 
 
+@pytest.mark.parametrize("word", sorted(set(
+    hgsystem.DET_DIAGONALIZER_FACTORS)))
+def test_dropping_a_det_r_factor_word_fails_1b(monkeypatch, word):
+    """1b's det R check verifies the very word list that the det R = 0
+    refusals test: a list short of one word fails it."""
+    words = list(hgsystem.DET_DIAGONALIZER_FACTORS)
+    words.remove(word)
+    monkeypatch.setattr(hgsystem, "DET_DIAGONALIZER_FACTORS", tuple(words))
+    with pytest.raises(CriterionFailed, match="^det R$"):
+        verify.check_gauge_and_diagonalizer(7)
+
+
 def test_size_three_reduction_reduces_once_per_draw(monkeypatch):
     calls = []
     honest = dotsenko_fateev.euler_reduce
