@@ -36,7 +36,12 @@ see, so the residual check is branch-independent.
 
 The exact half of this module loads no numpy; the quadrature imports
 numpy, series (whose batched kernel _gauss_table gives the coefficient
-rows of all four factors at once) and scipy.special when called.
+rows of all four factors at once) and scipy.special when called.  It
+builds no exact matrix and, unless it refuses, no Fraction: the residues
+(df_residue_rows), the eigenvector matrix (df_eigenvector_rows) and the
+Gauss parameters of the integrands are integer rows over one positive
+denominator, each entry rounded once, and its domain is tested on the
+cleared parameters.
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ from functools import cached_property
 
 from .errors import (InputError, InternalInconsistency, OutsideDisc,
                      QuadratureError, SingularMatrixError)
-from .exact import (RationalMatrix, common_denominator, to_double,
-                    to_fraction)
+from .exact import (RationalMatrix, cleared_complex_array,
+                    common_denominator, require_int, to_double, to_fraction)
 from .hgsystem import HGParams, build_okubo_system, build_diagonalizer, lam
 
 
@@ -91,18 +96,23 @@ class DFParams:
                 "c": str(self.c), "g": str(self.g)}
 
 
+def df_residue_rows(params: DFParams) -> tuple:
+    """The residue matrices (C0, C1) as (nums0, nums1, den): integer
+    numerators row by row over the one positive denominator of the
+    cleared parameters.  df_integral_solution rounds them."""
+    (a, b, c, g), den = params._cleared
+    return ([2 * a + 2 * c + g, 0, b,
+             0, 0, 0,
+             0, 2 * b + g, a + c],
+            [0, 0, 0,
+             0, 2 * b + 2 * c + g, a,
+             2 * a + g, 0, b + c], den)
+
+
 def df_residues(params: DFParams) -> tuple:
     """The residue matrices (C0, C1)."""
-    a, b, c, g = params.a, params.b, params.c, params.g
-    c0 = RationalMatrix([
-        [2 * a + 2 * c + g, 0, b],
-        [0, 0, 0],
-        [0, 2 * b + g, a + c]])
-    c1 = RationalMatrix([
-        [0, 0, 0],
-        [0, 2 * b + 2 * c + g, a],
-        [2 * a + g, 0, b + c]])
-    return c0, c1
+    *rows, den = df_residue_rows(params)
+    return tuple(RationalMatrix.from_integers(nums, den) for nums in rows)
 
 
 def shifted_eigenvalues(params: DFParams) -> dict:
@@ -151,14 +161,11 @@ def euler_reduce(p: HGParams) -> tuple:
     return k0, k1
 
 
-def df_eigenvector_matrix(params: DFParams) -> RationalMatrix:
-    """The right-eigenvector matrix Q of C0 + C1 - (a+b+2c) I, the constant
-    3x3 factor in front of the integral vector.
-
-    Columns are scaled by (1, q, r) with q = -a(a+b+g)/(2a+2b+g) and
-    r = (a+b) / ((2a+g)(2a+2b+g)), which makes the conjugation split
-    over the two residues separately.
-    """
+def df_eigenvector_rows(params: DFParams) -> tuple:
+    """The matrix of df_eigenvector_matrix as (nums, den): integer
+    numerators row by row over one positive denominator.  A vanishing
+    2a+2b+g or 2a+g is a SingularMatrixError.  df_integral_solution
+    rounds them."""
     (a, b, _, g), den = params._cleared
     s, t, u = 2 * a + 2 * b + g, 2 * a + g, 2 * b + g
     for name, value in (("2a+2b+g", s), ("2a+g", t)):
@@ -168,10 +175,24 @@ def df_eigenvector_matrix(params: DFParams) -> RationalMatrix:
     # every entry times den t s, with 2a+2b+g = s/den, 2a+g = t/den and
     # 2b+g = u/den; q becomes -a(a+b+g) t
     q = -a * (a + b + g) * t
-    return RationalMatrix.from_integers([
-        -b * t * s, q, -b * u * (a + b),
-        a * t * s, q, -a * t * (a + b),
-        (a - b) * t * s, 2 * q, t * u * (a + b)], den * t * s)
+    nums = [-b * t * s, q, -b * u * (a + b),
+            a * t * s, q, -a * t * (a + b),
+            (a - b) * t * s, 2 * q, t * u * (a + b)]
+    if t * s < 0:
+        # a positive denominator, so that a zero entry rounds to 0.0
+        return [-x for x in nums], -den * t * s
+    return nums, den * t * s
+
+
+def df_eigenvector_matrix(params: DFParams) -> RationalMatrix:
+    """The right-eigenvector matrix Q of C0 + C1 - (a+b+2c) I, the constant
+    3x3 factor in front of the integral vector.
+
+    Columns are scaled by (1, q, r) with q = -a(a+b+g)/(2a+2b+g) and
+    r = (a+b) / ((2a+g)(2a+2b+g)), which makes the conjugation split
+    over the two residues separately.
+    """
+    return RationalMatrix.from_integers(*df_eigenvector_rows(params))
 
 
 def transition_half_sum_form(p: HGParams) -> RationalMatrix:
@@ -256,13 +277,24 @@ class DFSolutionReport:
                     format(self.refinement_difference, ".17g")}
 
 
-def _integrand_factors(params: DFParams) -> list:
-    """Gauss-series parameter pairs of the three integrands."""
-    a, b, c, g = params.a, params.b, params.c, params.g
-    gamma = a + c + g / 2 + 1
-    return [((a, -b + 1, gamma), (c, a + b + c + g + 1, gamma)),
-            ((a + 1, -b, gamma), (c, a + b + c + g + 1, gamma)),
-            ((a, -b + 1, gamma), (c + 1, a + b + c + g, gamma))]
+def _integrand_factors(params: DFParams) -> tuple:
+    """Gauss-series parameter pairs of the three integrands, with
+    gamma = a+c+g/2+1:
+
+        (a, 1-b, gamma) (c, a+b+c+g+1, gamma),
+        (a+1, -b, gamma) (c, a+b+c+g+1, gamma),
+        (a, 1-b, gamma) (c+1, a+b+c+g, gamma),
+
+    as (pairs, den): integer triples over the one positive denominator
+    twice that of the cleared parameters."""
+    (a, b, c, g), den = params._cleared
+    # over 2 den: a -> 2a, g/2 -> g and 1 -> 2 den
+    a, b, c, one = 2 * a, 2 * b, 2 * c, 2 * den
+    gamma = a + c + g + one
+    upper = a + b + c + 2 * g
+    return [((a, one - b, gamma), (c, upper + one, gamma)),
+            ((a + one, -b, gamma), (c, upper + one, gamma)),
+            ((a, one - b, gamma), (c + one, upper, gamma))], one
 
 
 def _jacobi_rule(params: DFParams, nodes: int) -> tuple:
@@ -300,11 +332,9 @@ def _integrals(params: DFParams, points: list):
     beta = a + c + g / 2     # exponent at s = 0
     scale = 2.0 ** (-alpha - beta - 1)
     phase = np.exp(1j * np.pi * (g / 2 - 1))
-    pairs = _integrand_factors(params)
+    pairs, den = _integrand_factors(params)
     distinct = list(dict.fromkeys(par for pair in pairs for par in pair))
-    nums, den = common_denominator([v for par in distinct for v in par])
-    gauss = _gauss_on_nodes([tuple(nums[i:i + 3])
-                             for i in range(0, len(nums), 3)],
+    gauss = _gauss_on_nodes(distinct,
                             np.concatenate([x * s for x, s, _ in points]),
                             160, den)
     rows = [(distinct.index(par1), distinct.index(par2))
@@ -374,13 +404,15 @@ def df_integral_solution(params: DFParams, x: float,
     """
     import numpy as np
 
-    if nodes < 4:
+    if require_int(nodes, "nodes") < 4:
         raise InputError("need at least 4 quadrature nodes", {"nodes": nodes})
     if not 0 < x < 1:
         raise InputError("x must lie in (0, 1)", {"x": x})
-    if not params.g / 2 > 0:
+    # the domain tests on the cleared parameters (a, c, g over den > 0)
+    (a, _, c, g), den = params._cleared
+    if not g > 0:
         raise InputError("need g/2 > 0", {"g/2": params.g / 2})
-    if not params.a + params.c + params.g / 2 + 1 > 0:
+    if not 2 * (a + c + den) + g > 0:
         raise InputError("need a+c+g/2+1 > 0",
                          {"a+c+g/2+1": params.a + params.c + params.g / 2 + 1})
     coarse_rule = _jacobi_rule(params, nodes)
@@ -402,13 +434,14 @@ def df_integral_solution(params: DFParams, x: float,
         raise OutsideDisc("the integral solution underflows the double "
                           "range", {"x": x, "magnitude": magnitude})
 
-    m = df_eigenvector_matrix(params).to_complex()
+    m = cleared_complex_array(*df_eigenvector_rows(params), 3)
     zs = [_prefactor(params, xx) * (m @ v)
           for xx, v in zip(stencil, at_stencil)]
     dz = (zs[0] - 8 * zs[1] + 8 * zs[2] - zs[3]) / (12 * h)
     z0 = prefactor * (m @ fine)
-    c0, c1 = df_residues(params)
-    rhs = (c0.to_complex() / x + c1.to_complex() / (x - 1)) @ z0
+    *rows, den = df_residue_rows(params)
+    c0, c1 = (cleared_complex_array(nums, den, 3) for nums in rows)
+    rhs = (c0 / x + c1 / (x - 1)) @ z0
     residual = float(np.max(np.abs(dz - rhs)))
     return DFSolutionReport(tuple(fine), tuple(z0), residual,
                             2 * nodes, diff)

@@ -70,6 +70,14 @@ def to_fraction(value) -> Fraction:
                      {"value": repr(value)})
 
 
+def require_int(value, name: str) -> int:
+    """``value`` if it is an int; any other type, a bool included (as
+    to_fraction refuses one), is an InputError naming ``name``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputError(f"{name} must be an integer", {name: repr(value)})
+
+
 def to_double(value) -> float:
     """The double nearest a rational (Fraction or int; a float passes
     through), rounded once as ratio_to_double rounds it.  A value beyond

@@ -70,12 +70,20 @@ scales (their prime factors below 2**16), which carry most of its bits;
 light holds the rest, so gcd(light, p) == 1.  Every gcd with the
 denominator then runs against the small modulus
 light * prod p**min(e_p, k_p), p**k_p < 2**30, and loops only for a prime
-that fills its chunk.  The reduced entries are coprime by construction and
-leave as Fractions built without a second gcd (the recurrence then holds
-with zero error).  Float mode enters every table as doubles over 1, rounds
-each exact step factor once to the nearest double (so nothing it handles
-grows with the height of the exponents), divides by each step's
-denominator and returns complex coefficients.
+that fills its chunk.  A step's four numerators are small-integer
+combinations of two big integers, the two solved rows at a finite point
+and the previous top pair at infinity, so exact mode passes those two and
+the small rows: each of the two is reduced modulo the small modulus once
+and the four residues are formed from theirs, two big divisions per step
+instead of four.  The constant step factors (D^2 at the finite points, L
+at infinity) are split over the heavy primes once per series, and a step's
+small factors are multiplied together before the one big product.  The
+reduced entries are coprime by construction and leave as Fractions built
+without a second gcd (the recurrence then holds with zero error).  Float
+mode enters every table as doubles over 1, rounds each exact step factor
+once to the nearest double (so nothing it handles grows with the height
+of the exponents), forms the four numerators in the kernel, divides by
+each step's denominator and returns complex coefficients.
 
 Series are only summed well inside their convergence discs: |x| <= 0.6
 and |x-1| <= 0.6 at the finite points, |x-1| >= 1.7 at infinity.  Powers
@@ -103,7 +111,8 @@ import numpy as np
 from .errors import (AdmissibilityError, InputError, InternalInconsistency,
                      OutsideDisc, SingularMatrixError)
 from .exact import (cleared_complex_array, common_denominator, complex_array,
-                    ratio_to_double, ratios_to_doubles, to_double)
+                    ratio_to_double, ratios_to_doubles, require_int,
+                    to_double)
 from .hgsystem import (DET_DIAGONALIZER_FACTORS, DET_GAUGE_FACTORS, HGParams,
                        OkuboSystem, contiguous_product_rows,
                        diagonalizer_rows, half_sum_numerators,
@@ -138,17 +147,17 @@ def _gauss_table(triples, terms: int, den: int) -> np.ndarray:
     of the factors interleaved as [1, alpha+n, beta+n, 1/((gamma+n)(n+1)),
     ...] and every third partial product is kept.  The triples are checked
     in turn, each in full before the next: gamma must not be a nonpositive
-    integer, there must be a term, and gamma's double must not be a
-    nonpositive integer that the sum reaches.  A row whose last coefficient
-    is not finite (a partial product that overflows stays inf or NaN) is
-    refused after the pass.
+    integer, terms must be an int of at least 1, and gamma's double must
+    not be a nonpositive integer that the sum reaches.  A row whose last
+    coefficient is not finite (a partial product that overflows stays inf
+    or NaN) is refused after the pass.
     """
     doubles = []
     for alpha, beta, gamma in triples:
         if gamma <= 0 and not gamma % den:
             raise InputError("gamma must not be a nonpositive integer",
                              {"gamma": Fraction(gamma, den)})
-        if terms < 1:
+        if require_int(terms, "terms") < 1:
             raise InputError("need at least one term")
         a, b, c = ratios_to_doubles((alpha, beta, gamma), den)
         if c <= 0 and c.is_integer() and -c < terms - 1:
@@ -506,15 +515,16 @@ def local_series(system: OkuboSystem, base: str, exponent_index: int,
     """Local solutions of (xI - T) y' = A y at a singular point.
 
     Returns a list of SeriesSolution: two independent solutions for the
-    repeated exponent 0 at a finite base point, one otherwise.
+    repeated exponent 0 at a finite base point, one otherwise.  terms and
+    exponent_index must be ints; a bool is refused, not read as 0 or 1.
     """
     require_admissible(system.a, system.b, system.c, system.d)
     if mode not in _ARITHMETIC:
         raise InputError(f"unknown mode {mode!r}")
-    if terms < 1:
+    if require_int(terms, "terms") < 1:
         raise InputError("need at least one term", {"terms": terms})
     expos = exponents_at(system, base)
-    if not 0 <= exponent_index < len(expos):
+    if not 0 <= require_int(exponent_index, "exponent index") < len(expos):
         raise InputError(f"exponent index {exponent_index} out of range "
                          f"0..{len(expos) - 1}")
     rho = expos[exponent_index]
@@ -639,12 +649,22 @@ class _SplitDenominator:
     The p are the heavy primes of the series' fixed scales (D, q and q_e
     at finite points, L, K and q at infinity), which make up most of the
     bits of every denominator.  Every step factor is split by trial
-    division by them, and all it leaves, big primes included, goes into
-    light, so gcd(light, p) == 1 whatever the split finds.  The gcd of
-    each numerator with den then runs against the small modulus
-    m = light * prod p**min(e_p, k_p), p**k_p < 2**30, and goes on only
-    for a prime that fills its chunk; the gcd of the vector is the gcd of
-    those.  A denominator is the triple (den, light, exponents).
+    division by them (split; a constant one once per series), and all it
+    leaves, big primes included, goes into light, so gcd(light, p) == 1
+    whatever the split finds.  The gcd of each numerator with den then
+    runs against the small modulus m = light * prod p**min(e_p, k_p),
+    p**k_p < 2**30, and goes on only for a prime that fills its chunk; the
+    gcd of the vector is the gcd of those.  A denominator is the triple
+    (den, light, exponents).
+
+    A step's numerators are given as integer rows over a basis of a few
+    big integers, n_i = rows_i . basis: the two solved rows at a finite
+    point, the top pair at infinity, and the start vector as a four-wide
+    basis with identity rows.  Each basis entry is reduced modulo m once
+    and the residues n_i % m are formed from those as small combinations,
+    so a step divides two big integers by m, not four.  Where light is
+    nearly all of den, those divisions were cheap and forming the
+    residues costs a little more than it saves.
     """
 
     def __init__(self, scales):
@@ -657,11 +677,23 @@ class _SplitDenominator:
             self.powers.append(pw)
         self.one = (1, 1, (0,) * len(self.primes))
 
-    def _gcd(self, n: int, m: int, deep: list) -> int:
-        """gcd(den, n) for n != 0, from the small modulus m; ``deep`` holds
-        (p**k_p, powers of p, e_p - k_p) for the primes whose exponent in
-        den passes their chunk."""
-        g = math.gcd(m, n % m)
+    def split(self, f: int) -> tuple:
+        """The nonzero factor f as (f, light part, exponents of the heavy
+        primes), the form of a denominator."""
+        light, exps = abs(f), []
+        for p in self.primes:
+            e = 0
+            while light % p == 0:
+                light //= p
+                e += 1
+            exps.append(e)
+        return f, light, exps
+
+    def _gcd(self, n: int, r: int, m: int, deep: list) -> int:
+        """gcd(den, n) for n != 0, from r = n % m for the small modulus m;
+        ``deep`` holds (p**k_p, powers of p, e_p - k_p) for the primes
+        whose exponent in den passes their chunk."""
+        g = math.gcd(m, r)
         for chunk, pw, rest in deep:
             if g % chunk:
                 continue
@@ -677,29 +709,36 @@ class _SplitDenominator:
                 rest -= c
         return g
 
-    def normalise(self, nums: list, factors, den) -> tuple:
-        """(nums, den) of nums / (den * prod(factors)) in lowest terms, and
-        its entries as reduced Fractions; factors are ints."""
+    def normalise(self, basis, rows, fixed, step: int, den) -> tuple:
+        """(nums, den) of nums / (den * fixed * step) in lowest terms, with
+        nums[i] = rows[i] . basis, and its entries as reduced Fractions;
+        the constant factor ``fixed`` comes split, the step's own is split
+        here."""
         full, light, exps = den
-        exps = list(exps)
-        for f in factors:
-            full *= f
-            f = abs(f)
-            for i, p in enumerate(self.primes):
-                while f % p == 0:
-                    f //= p
-                    exps[i] += 1
-            light *= f
+        value, part, fixed_exps = fixed
+        step, step_light, step_exps = self.split(step)
+        # the small factors multiply together before the one big product
+        full, light = full * (value * step), light * (part * step_light)
+        exps = [e + j + k for e, j, k in zip(exps, fixed_exps, step_exps)]
         if full < 0:
-            nums, full = [-n for n in nums], -full
+            basis, full = [-x for x in basis], -full
         m, deep = light, []
         for e, pw in zip(exps, self.powers):
             top = len(pw) - 1
             m *= pw[min(e, top)]
             if e > top:
                 deep.append((pw[top], pw, e - top))
-        # gcd(0, x) == x: a zero entry drops out of the vector's gcd
-        gs = [self._gcd(n, m, deep) if n else 0 for n in nums]
+        residues = [x % m for x in basis]
+        nums, gs = [], []
+        for row in rows:
+            n = r = 0
+            for c, x, y in zip(row, basis, residues):
+                if c:
+                    n += c * x
+                    r += c * y
+            nums.append(n)
+            # gcd(0, x) == x: a zero entry drops out of the vector's gcd
+            gs.append(self._gcd(n, r % m, m, deep) if n else 0)
         g = math.gcd(*gs)
         if not g:
             return nums, self.one, tuple(Fraction(0) for _ in nums)
@@ -719,7 +758,10 @@ class _SplitDenominator:
 
 
 class _FloatDenominator:
-    """Float mode's normaliser: divides by each step's denominator."""
+    """Float mode's normaliser: divides by each step's denominator.  The
+    float kernels form a step's numerators themselves (building rows as
+    well would only slow them) and pass them as the basis, so rows is
+    never read."""
 
     one = 1
 
@@ -727,24 +769,31 @@ class _FloatDenominator:
         pass
 
     @staticmethod
-    def normalise(nums: list, factors, den) -> tuple:
-        for f in factors:
-            den = den * f
+    def split(f):
+        return f
+
+    @staticmethod
+    def normalise(nums: list, rows, fixed, step, den) -> tuple:
+        den = den * fixed * step
         nums = [n / den for n in nums]
         return nums, 1, tuple(complex(n) for n in nums)
 
+
+#: the rows that give a four-wide basis as the numerators themselves
+_IDENTITY_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 #: what the kernels do by mode: (enter integer numerators over one
 #: positive denominator, carry a step factor num/scale, the normaliser
 #: built from a series' fixed scales, which reduces a step's numerators
 #: over its denominator and leaves a vector as output coefficients).
 #: Exact mode keeps the integers, carries the integer num (the scales
-#: cancel between a step's numerators and its denominator), keeps each
-#: denominator split over the heavy primes of the scales and returns
-#: reduced Fractions, built without a second gcd; float mode rounds every
-#: entry once to a double over 1 and carries the double nearest
+#: cancel between a step's numerators and its denominator), passes a
+#: step's numerators as small rows over the two big integers they combine,
+#: keeps each denominator split over the heavy primes of the scales and
+#: returns reduced Fractions, built without a second gcd; float mode
+#: rounds every entry once to a double over 1, carries the double nearest
 #: num/scale, so no number it handles grows with the height of the
-#: exponents.
+#: exponents, and forms the numerators in the kernel.
 _ARITHMETIC = {
     "exact": (lambda nums, den: (list(nums), den), lambda num, scale: num,
               _SplitDenominator),
@@ -774,20 +823,23 @@ def _finite_coeffs(system: OkuboSystem, base: str, rho: Fraction,
     e = system.a if base == "0" else system.b
     _require_nonzero_steps((rho, rho - e, rho + e), terms)
     enter, factor, normaliser = _ARITHMETIC[mode]
+    exact = mode == "exact"
     flat, dmat = enter(system.coeff.nums, system.coeff.den)
     amat = [flat[4 * i:4 * i + 4] for i in range(4)]
     p, q = rho.numerator, rho.denominator
     ep, eq = e.numerator, e.denominator
     solved, coupled = _FINITE_ROWS[base]
     sign = -1 if base == "1" else 1
-    rows = [amat[i] for i in solved]
+    solved_rows = [amat[i] for i in solved]
     blk = [[amat[k][j] for j in solved] for k in coupled]
     qe = q * eq
     qf, qef = factor(q, q), factor(qe, qe)
     norm = normaliser((dmat, qe))
     nums, den = enter(*common_denominator(start))
-    nums, den, vec = norm.normalise(nums, (den,), norm.one)
+    nums, den, vec = norm.normalise(nums, _IDENTITY_ROWS, norm.one, den,
+                                    norm.one)
     coeffs = [vec]
+    dd = norm.split(dmat * dmat)
     for r in range(terms - 1):
         zq = r * q + p
         s = zq + q
@@ -795,14 +847,21 @@ def _finite_coeffs(system: OkuboSystem, base: str, rho: Fraction,
         zq, s = factor(zq, q), factor(s, q)
         r0, r1 = (sign * (zq * dmat * nums[i]
                           - qf * sum(a * n for a, n in zip(row, nums)))
-                  for i, row in zip(solved, rows))
-        m0 = blk[0][0] * r0 + blk[0][1] * r1
-        m1 = blk[1][0] * r0 + blk[1][1] * r1
+                  for i, row in zip(solved, solved_rows))
         scale = dmat * tm * tp
-        nxt = [0] * 4
-        nxt[solved[0]], nxt[solved[1]] = scale * r0, scale * r1
-        nxt[coupled[0]], nxt[coupled[1]] = qef * tp * m0, qef * tm * m1
-        nums, den, vec = norm.normalise(nxt, (dmat, dmat, s, tm, tp), den)
+        cp, cm = qef * tp, qef * tm
+        if exact:
+            # the four numerators as rows over (r0, r1)
+            basis, rows = (r0, r1), [None] * 4
+            rows[solved[0]], rows[solved[1]] = (scale, 0), (0, scale)
+            rows[coupled[0]] = (cp * blk[0][0], cp * blk[0][1])
+            rows[coupled[1]] = (cm * blk[1][0], cm * blk[1][1])
+        else:
+            basis, rows = [0] * 4, None
+            basis[solved[0]], basis[solved[1]] = scale * r0, scale * r1
+            basis[coupled[0]] = cp * (blk[0][0] * r0 + blk[0][1] * r1)
+            basis[coupled[1]] = cm * (blk[1][0] * r0 + blk[1][1] * r1)
+        nums, den, vec = norm.normalise(basis, rows, dd, s * tm * tp, den)
         coeffs.append(vec)
     return coeffs
 
@@ -829,6 +888,7 @@ def _infinity_coeffs(system: OkuboSystem, sigma: Fraction, h0: list,
     _require_nonzero_steps((sigma - c, sigma + c, sigma - d, sigma + d),
                            terms)
     enter, factor, normaliser = _ARITHMETIC[mode]
+    exact = mode == "exact"
     # the first two columns of N's four coefficients, cleared over one
     # denominator
     nums, lden = system.resolvent.cleared
@@ -844,8 +904,10 @@ def _infinity_coeffs(system: OkuboSystem, sigma: Fraction, h0: list,
               for j in (0, 1)] for i in range(4)] for k in range(4)]
     norm = normaliser((lden, kden, q))
     nums, den = enter(*common_denominator(h0))
-    nums, den, vec = norm.normalise(nums, (den,), norm.one)
+    nums, den, vec = norm.normalise(nums, _IDENTITY_ROWS, norm.one, den,
+                                    norm.one)
     coeffs = [vec]
+    ll = norm.split(lden)
     for s in range(terms - 1):
         zq = s * q + p
         u = factor(-zq - q, q)
@@ -857,10 +919,13 @@ def _infinity_coeffs(system: OkuboSystem, sigma: Fraction, h0: list,
                     + mats[1][i][0]) * u + mats[0][i][0]
             col1 = ((mats[3][i][1] * u + mats[2][i][1]) * u
                     + mats[1][i][1]) * u + mats[0][i][1]
-            nxt.append(zq * (col0 * top0 + col1 * top1))
+            # exact mode: the numerator as a row over (top0, top1)
+            nxt.append((zq * col0, zq * col1) if exact
+                       else zq * (col0 * top0 + col1 * top1))
         w2 = u * u
         quartic_w = (quartic[0] * w2 + quartic[1]) * w2 + quartic[2]
-        nums, den, vec = norm.normalise(nxt, (lden, quartic_w), den)
+        basis, rows = ((top0, top1), nxt) if exact else (nxt, None)
+        nums, den, vec = norm.normalise(basis, rows, ll, quartic_w, den)
         coeffs.append(vec)
     return coeffs
 

@@ -21,7 +21,8 @@ from okubo.dotsenko_fateev import (DFParams, DFTransformReport,
                                    DFSolutionReport, _gauss_on_nodes,
                                    _integrand_factors,
                                    check_df_transformation,
-                                   df_eigenvector_matrix, df_integral_solution,
+                                   df_eigenvector_matrix, df_eigenvector_rows,
+                                   df_integral_solution,
                                    df_residues, euler_reduce,
                                    shifted_eigenvalues,
                                    transition_half_sum_form)
@@ -47,6 +48,16 @@ def gauss_on_nodes(pars, t, terms):
     nums, den = common_denominator([v for par in pars for v in par])
     return _gauss_on_nodes([nums[i:i + 3] for i in range(0, len(nums), 3)],
                            t, terms, den)
+
+
+def integrand_factors(params):
+    """The Gauss-series parameter pairs of the three integrands as
+    Fraction triples: the oracle of df._integrand_factors."""
+    a, b, c, g = params.a, params.b, params.c, params.g
+    gamma = a + c + g / 2 + 1
+    return [((a, -b + 1, gamma), (c, a + b + c + g + 1, gamma)),
+            ((a + 1, -b, gamma), (c, a + b + c + g + 1, gamma)),
+            ((a, -b + 1, gamma), (c + 1, a + b + c + g, gamma))]
 
 
 def charpoly_of_roots(roots):
@@ -133,7 +144,10 @@ def test_solution_matrix_and_integrand_parameters():
     assert m[1, 0] == QUAD_PARAMS.a
     a, b, c, g = (QUAD_PARAMS.a, QUAD_PARAMS.b, QUAD_PARAMS.c, QUAD_PARAMS.g)
     gamma = a + c + g / 2 + 1
-    factors = _integrand_factors(QUAD_PARAMS)
+    pairs, den = _integrand_factors(QUAD_PARAMS)
+    factors = [tuple(tuple(F(v, den) for v in par) for par in pair)
+               for pair in pairs]
+    assert factors == integrand_factors(QUAD_PARAMS)
     assert factors[0] == ((a, -b + 1, gamma), (c, a + b + c + g + 1, gamma))
     assert factors[1] == ((a + 1, -b, gamma), (c, a + b + c + g + 1, gamma))
     assert factors[2] == ((a, -b + 1, gamma), (c + 1, a + b + c + g, gamma))
@@ -152,7 +166,7 @@ def test_integral_against_adaptive_quadrature():
     a, c, g = float(params.a), float(params.c), float(params.g)
     integrals = df_integral_solution(params, x, 64).integrals
     weight = (a + c + g / 2, g / 2 - 1)  # (s^beta at 0, (1-s)^alpha at 1)
-    for k, (par1, par2) in enumerate(_integrand_factors(params)):
+    for k, (par1, par2) in enumerate(integrand_factors(params)):
         c1s = gauss_coefficients(*par1, 200)
         c2s = gauss_coefficients(*par2, 200)
 
@@ -193,11 +207,26 @@ def test_contour_reparametrization_invariance():
     phase = np.exp(1j * np.pi * (g / 2 - 1))
     power = x ** (a + c + g)
     direct = df_integral_solution(params, x, 80).integrals
-    for k, (par1, par2) in enumerate(_integrand_factors(params)):
+    for k, (par1, par2) in enumerate(integrand_factors(params)):
         f1, f2 = gauss_on_nodes([par1, par2], x * u * u, 200)
         smooth = 2 * (1 + u) ** alpha * f1 * f2
         reparam = phase * power * scale * np.sum(weights * smooth)
         assert abs(reparam - direct[k]) < 1e-10 * max(1.0, abs(direct[k]))
+
+
+def test_integral_solution_builds_no_exact_matrix(monkeypatch):
+    # the residues and the eigenvector matrix enter as cleared integer
+    # rows, each entry rounded once
+    def refuse(*args):
+        raise AssertionError("df_integral_solution built a RationalMatrix")
+
+    want = df_integral_solution(QUAD_PARAMS, 0.4)
+    monkeypatch.setattr(RationalMatrix, "__init__", refuse)
+    monkeypatch.setattr(RationalMatrix, "from_integers", classmethod(refuse))
+    assert_same_report(df_integral_solution(QUAD_PARAMS, 0.4), want)
+    with pytest.raises(SingularMatrixError, match="2a\\+g vanishes"):
+        df_integral_solution(DFParams(F(-1, 4), F(1, 5), F(1, 7), F(1, 2)),
+                             0.4)
 
 
 def test_integral_solution_input_errors():
@@ -256,7 +285,7 @@ def reference_integrals(params, x, nodes, terms=160):
     phase = np.exp(1j * np.pi * (g / 2 - 1))
     power = x ** (a + c + g)
     out = np.empty(3, dtype=complex)
-    for k, (par1, par2) in enumerate(_integrand_factors(params)):
+    for k, (par1, par2) in enumerate(integrand_factors(params)):
         f1 = reference_gauss(par1, t, terms)
         f2 = reference_gauss(par2, t, terms)
         out[k] = phase * power * scale * np.sum(w * f1 * f2)
@@ -386,7 +415,7 @@ TERMINATING = [DFParams(F(1, 3), F(1), F(1, 7), F(1, 2)),
 def test_terminating_parameters_have_terminating_factors():
     for params in TERMINATING:
         coeffs = [gauss_coefficients(*par, 8)
-                  for pair in _integrand_factors(params) for par in pair]
+                  for pair in integrand_factors(params) for par in pair]
         assert any(c[-1] == 0 for c in coeffs)
 
 
@@ -395,7 +424,7 @@ def test_real_gauss_pass_is_bit_identical_to_complex_pass():
     nodes = [np.array([1e-300, 0.5, 1 - 2 ** -53]),
              np.linspace(0.0, 0.99, 33)]
     for params in TERMINATING + [PARAMS, QUAD_PARAMS]:
-        pars = list(dict.fromkeys(par for pair in _integrand_factors(params)
+        pars = list(dict.fromkeys(par for pair in integrand_factors(params)
                                   for par in pair))
         for t in nodes + [np.array([rng.uniform(0, 1) for _ in range(50)])]:
             for terms in (1, 2, 160):
@@ -476,26 +505,26 @@ def test_non_finite_rule_is_a_quadrature_error(monkeypatch, part):
 
 
 def _scale_column_1(params):
-    m = df_eigenvector_matrix(params)
-    return RationalMatrix([[m[i, j] * (2 if j == 1 else 1)
-                            for j in range(3)] for i in range(3)])
+    nums, den = df_eigenvector_rows(params)
+    return [x * (2 if k % 3 == 1 else 1) for k, x in enumerate(nums)], den
 
 
 def _swap_columns_0_1(params):
-    m = df_eigenvector_matrix(params)
-    return RationalMatrix([[m[i, 1], m[i, 0], m[i, 2]] for i in range(3)])
+    nums, den = df_eigenvector_rows(params)
+    return [nums[k + j] for k in (0, 3, 6) for j in (1, 0, 2)], den
 
 
 def _shift_a_gamma(params):
-    pairs = [list(pair) for pair in _integrand_factors(params)]
+    pairs, den = _integrand_factors(params)
+    pairs = [list(pair) for pair in pairs]
     alpha, beta, gamma = pairs[1][0]
-    pairs[1][0] = (alpha, beta, gamma + 1)
-    return [tuple(pair) for pair in pairs]
+    pairs[1][0] = (alpha, beta, gamma + den)
+    return [tuple(pair) for pair in pairs], den
 
 
 @pytest.mark.parametrize("name, mutant", [
-    ("df_eigenvector_matrix", _scale_column_1),
-    ("df_eigenvector_matrix", _swap_columns_0_1),
+    ("df_eigenvector_rows", _scale_column_1),
+    ("df_eigenvector_rows", _swap_columns_0_1),
     ("_integrand_factors", _shift_a_gamma)])
 def test_integral_residual_check_fails_on_mutants(monkeypatch, name, mutant):
     # residuals on the mutants: 1.31, 0.83 and 0.084, against 1e-6

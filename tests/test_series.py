@@ -17,6 +17,7 @@ import pytest
 from okubo import hgsystem, series
 from okubo.accessory import (okubo_from_chart, realize_product_system,
                              solve_accessory)
+from okubo.dotsenko_fateev import DFParams, df_integral_solution
 from okubo.errors import (InputError, InternalInconsistency, OkuboError,
                           OutsideDisc, SingularMatrixError)
 from okubo.exact import PolyMatrix, RationalMatrix, common_denominator
@@ -330,8 +331,19 @@ def test_initial_vectors():
     assert sol.coeffs[0] == (1, 0, 0, 0)
 
 
+def negative_step_systems():
+    """Special systems with a = 3/4, b = 5/7 or c = 5/7: an exponent above
+    1/2 makes an early step factor negative at 0, 1 or infinity, so the
+    normaliser flips the sign of the denominator there."""
+    rest = (F(1, 5), F(1, 7), F(1, 11))
+    return [solve_accessory(*abcd)[1] for abcd in
+            [(F(3, 4), *rest), (F(1, 3), F(5, 7), *rest[1:]),
+             (F(1, 3), F(1, 5), F(5, 7), F(1, 11))]]
+
+
 def test_exact_recurrence_has_zero_defect():
-    for system in (special_system(), build_okubo_system(POK)[1]):
+    for system in (special_system(), build_okubo_system(POK)[1],
+                   *negative_step_systems()):
         for base in ("0", "1", "inf"):
             for idx in range(len(exponents_at(system, base))):
                 for sol in local_series(system, base, idx, 60, mode="exact"):
@@ -377,8 +389,9 @@ def test_exact_kernel_matches_fraction_reference():
 
 
 class FractionNormaliser:
-    """The exact normaliser the split denominator replaced: one gcd against
-    the whole denominator per step, then Fraction(n, den) per entry."""
+    """The exact normaliser the split denominator replaced: the numerators
+    rows . basis formed in full, one gcd against the whole denominator per
+    step, then Fraction(n, den) per entry."""
 
     one = 1
 
@@ -386,9 +399,13 @@ class FractionNormaliser:
         pass
 
     @staticmethod
-    def normalise(nums, factors, den):
-        for f in factors:
-            den *= f
+    def split(f):
+        return f
+
+    @staticmethod
+    def normalise(basis, rows, fixed, step, den):
+        nums = [sum(c * x for c, x in zip(row, basis)) for row in rows]
+        den *= fixed * step
         if den < 0:
             nums, den = [-n for n in nums], -den
         g = math.gcd(den, *nums)
@@ -477,14 +494,57 @@ def test_split_reduction_saturated_chunks_and_chained_steps():
             base = rng.choice(pool) * rng.choice((1, 3 ** 18, 3 ** 40))
             nums = [rng.choice((0, 1, -1)) * base
                     * math.prod(rng.choices(pool, k=2)) for _ in range(4)]
-            got = split.normalise(nums, factors, den)
-            want = FractionNormaliser.normalise(nums, factors, ref_den)
+            got = split.normalise(nums, series._IDENTITY_ROWS,
+                                  split.split(factors[0]), factors[1], den)
+            want = FractionNormaliser.normalise(nums, series._IDENTITY_ROWS,
+                                                *factors, ref_den)
             assert_same_reduced(got[2], want[2])
             nums_got, den, _ = got
             nums_want, ref_den, _ = want
             full, light, (e3,) = den
             assert (nums_got, full) == (nums_want, ref_den)
             assert full == light * 3 ** e3 and light % 3 != 0
+
+
+def test_two_integer_reduction_matches_fraction_reference():
+    # chained steps whose four numerators are small rows over a random big
+    # pair, as the kernels pass them: zero rows, step factors of either
+    # sign (the denominator's sign flips), entries divisible by 3**40 (3
+    # fills its chunk, 3**18) and the light prime 65537 > 2**16
+    split = series._SplitDenominator([3 * 5 * 65537])
+    assert split.primes == (3, 5)
+    rng = random.Random(26)
+    pool = [2, 3, 5, 3 ** 7, 65537, 65537 ** 2]
+    flips = deep = 0
+    for _ in range(150):
+        den, ref_den = split.one, FractionNormaliser.one
+        for _ in range(4):
+            factors = [rng.choice((1, -1)) * math.prod(rng.choices(pool, k=3))
+                       for _ in range(2)]
+            shared = rng.choice((1, 3 ** 40, 65537 ** 3))
+            basis = [shared * rng.choice((1, -1))
+                     * rng.getrandbits(rng.choice((8, 300, 3000)))
+                     for _ in range(2)]
+            rows = [[rng.choice((0, 1, -1, 5, 65537, rng.getrandbits(40)))
+                     for _ in range(2)] for _ in range(4)]
+            rows[rng.randrange(4)] = [0, 0]
+            got = split.normalise(basis, rows, split.split(factors[0]),
+                                  factors[1], den)
+            want = FractionNormaliser.normalise(basis, rows, *factors,
+                                                ref_den)
+            assert_same_reduced(got[2], want[2])
+            nums_got, (full, light, (e3, e5)), _ = got
+            nums_want, ref_den, _ = want
+            assert (nums_got, full) == (nums_want, ref_den)
+            assert full == light * 3 ** e3 * 5 ** e5
+            assert light % 3 and light % 5
+            flips += math.prod(factors) < 0
+            # a step that takes more than the chunk 3**18 from den took
+            # 3's power a chunk at a time
+            deep += den[2][0] + sum(split.split(f)[2][0] for f in factors) \
+                - e3 > 18
+            den = got[1]
+    assert flips and deep
 
 
 def test_perturbed_resolvent_is_an_internal_inconsistency(monkeypatch):
@@ -670,6 +730,32 @@ def test_series_json_round_trip_values():
     report = EvalReport((0.5 + 0.25j,), 1e-12, 8)
     out = report.to_json()
     assert out["samples"] == [["0.5", "0.25"]]
+
+
+COUNT_CALLS = {
+    "hyp2f1": ("terms", lambda n: hyp2f1(F(1, 3), F(1, 5), F(1, 7), 0.5, n)),
+    "product_vector_w": ("terms", lambda n: product_vector_w(POK, 0.3, n)),
+    "contiguous_product_vector": (
+        "terms", lambda n: contiguous_product_vector(POK, 0.3, n)),
+    "local_series-terms": (
+        "terms", lambda n: local_series(special_system(), "0", 0, n)),
+    "local_series-index": (
+        "exponent index", lambda n: local_series(special_system(), "0", n, 8)),
+    "df_integral_solution": ("nodes", lambda n: df_integral_solution(
+        DFParams(F(1, 3), F(1, 5), F(1, 7), F(1, 2)), 0.4, n)),
+}
+
+
+@pytest.mark.parametrize("value", [80.5, 80.0, True, "80"])
+@pytest.mark.parametrize("entry", COUNT_CALLS)
+def test_count_arguments_must_be_ints(entry, value):
+    # a float, a bool or a string count is refused, not truncated, read
+    # as 0 or 1, or left to fail as a bare TypeError
+    name, call = COUNT_CALLS[entry]
+    with pytest.raises(InputError, match=f"^{name} must be an integer$") \
+            as err:
+        call(value)
+    assert err.value.context == {name: repr(value)}
 
 
 # -- one-pass evaluation against the per-point loops --------------------------
