@@ -20,8 +20,10 @@ two obstructions
     epsilon = b(a+c) r1 + b(a-c) r2 - a(b+c) r3 - a(b-c) r4,
     delta   = r1 r2 - r3 r4
 
-both vanish.  Solving epsilon = delta = 0 pins r to one point (BC : AD :
-CD : AB) of the ratio line, A..D as in `special_factors`, with a
+both vanish.  epsilon = delta = 0 alone leaves a one-parameter family of
+ratios (a curve at r3 = 1); on it, (BC : AD : CD : AB), A..D as in
+`special_factors`, is the one nondegenerate chart that also meets the
+d-constraint, away from an exceptional set of exponents, and has a
 closed-form coefficient matrix; for the half-sum exponents of the
 hypergeometric product system, that special matrix is diagonally conjugate
 to the coefficient matrix of the product system.
@@ -43,7 +45,7 @@ from .errors import (AdmissibilityError, DConditionError, DegenerateChart,
                      EigenvectorDegeneracy, InputError, InternalInconsistency)
 from .exact import (Poly, PolyMatrix, RationalMatrix, _cross, _poly,
                     common_denominator, left_eigenvectors, poly_adjugate,
-                    to_fraction)
+                    rational_text, to_fraction)
 from .hgsystem import (OKUBO_EXPONENT_WORDS, HGParams, J2, OkuboSystem,
                        _even_quartic, build_okubo_system, lam)
 
@@ -153,7 +155,7 @@ class AccessoryChart:
 
     def _degenerate(self) -> DegenerateChart:
         return DegenerateChart("degenerate chart",
-                               {"r": [str(x) for x in self.r]})
+                               {"r": [rational_text(x) for x in self.r]})
 
     @cached_property
     def _cleared(self) -> tuple:
@@ -246,8 +248,8 @@ class AccessoryChart:
             raise InputError(f"missing chart field {exc}") from exc
 
     def to_json(self) -> dict:
-        return {"a": str(self.a), "b": str(self.b), "c": str(self.c),
-                "d": str(self.d), "r": [str(x) for x in self.r]}
+        return dict({k: rational_text(getattr(self, k)) for k in "abcd"},
+                    r=[rational_text(x) for x in self.r])
 
 
 def solve_r4(a, b, c, d, r1, r2, r3) -> Fraction:
@@ -573,7 +575,8 @@ class SamenessVerdict:
 
     def to_json(self) -> dict:
         return {"verdict": self.verdict,
-                "epsilon": str(self.epsilon), "delta": str(self.delta),
+                "epsilon": rational_text(self.epsilon),
+                "delta": rational_text(self.delta),
                 "point_pair": self.point_pair,
                 "nonzero_minors": [
                     {"indices": key, "coeffs": poly.to_strings()}
@@ -640,8 +643,10 @@ def special_factors(a, b, c, d) -> tuple:
 
 
 def special_ratios(a, b, c, d) -> tuple:
-    """(BC, AD, CD, AB): the one solution of epsilon = delta = 0 up to
-    scale, a chart unless a coordinate is zero, r1 = r2 or r3 = r4."""
+    """(BC, AD, CD, AB): up to scale, the one nondegenerate solution of
+    epsilon = delta = 0 that meets the d-constraint (away from an
+    exceptional set of exponents); a chart unless a coordinate is zero,
+    r1 = r2 or r3 = r4."""
     _, _, (fa, fb, fc, fd), den = _cleared_factors(a, b, c, d)
     den4 = den ** 4
     return (Fraction(fb * fc, den4), Fraction(fa * fd, den4),
@@ -712,7 +717,7 @@ class RealizationReport:
                 "diag": self.diag.to_strings(),
                 "special": self.special.coeff.to_strings(),
                 "product": self.product.coeff.to_strings(),
-                "identities": {k: str(v) for k, v in
+                "identities": {k: rational_text(v) for k, v in
                                self.identity_values.items()}}
 
 

@@ -26,7 +26,7 @@ import sys
 
 from . import accessory, dotsenko_fateev as df, hgsystem, sampling
 from .errors import InputError, OkuboError
-from .exact import matrix_from_json, to_fraction
+from .exact import matrix_from_json, rational_text, to_fraction
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -46,7 +46,7 @@ def _load_json(path: str, kind=dict):
         raise InputError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a too-long integer included
         raise InputError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, kind):
         raise InputError(f"{path} must hold a JSON "
@@ -135,7 +135,7 @@ def cmd_build_product(args):
     return {"params": p.to_json(),
             "residue_at_0": sys_.residue_at_0.to_strings(),
             "residue_at_1": sys_.residue_at_1.to_strings(),
-            "infinity_exponents": [str(e) for e in
+            "infinity_exponents": [rational_text(e) for e in
                                    hgsystem.infinity_exponents(p)]}, EXIT_OK
 
 
@@ -145,8 +145,8 @@ def cmd_build_okubo(args):
     return {"params": p.to_json(),
             "gauge": gauge.to_strings(),
             "coeff": system.coeff.to_strings(),
-            "exponents": {"a": str(system.a), "b": str(system.b),
-                          "c": str(system.c), "d": str(system.d)}}, EXIT_OK
+            "exponents": {k: rational_text(getattr(system, k))
+                          for k in "abcd"}}, EXIT_OK
 
 
 def cmd_recover_chart(args):
@@ -240,7 +240,7 @@ def cmd_df_build(args):
     shifts = df.shifted_eigenvalues(params)
     return {"params": params.to_json(),
             "c0": c0.to_strings(), "c1": c1.to_strings(),
-            "shifted_eigenvalues": {k: [str(x) for x in v]
+            "shifted_eigenvalues": {k: [rational_text(x) for x in v]
                                     for k, v in shifts.items()}}, EXIT_OK
 
 

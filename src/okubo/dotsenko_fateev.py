@@ -54,7 +54,8 @@ from functools import cached_property
 from .errors import (InputError, InternalInconsistency, OutsideDisc,
                      QuadratureError, SingularMatrixError)
 from .exact import (RationalMatrix, cleared_complex_array,
-                    common_denominator, require_int, to_double, to_fraction)
+                    common_denominator, rational_text, require_int,
+                    to_double, to_fraction)
 from .hgsystem import HGParams, build_okubo_system, build_diagonalizer, lam
 
 
@@ -92,8 +93,7 @@ class DFParams:
             raise InputError(f"missing parameter {exc}") from exc
 
     def to_json(self) -> dict:
-        return {"a": str(self.a), "b": str(self.b),
-                "c": str(self.c), "g": str(self.g)}
+        return {k: rational_text(getattr(self, k)) for k in "abcg"}
 
 
 def df_residue_rows(params: DFParams) -> tuple:
@@ -220,7 +220,8 @@ class DFTransformReport:
     def to_json(self) -> dict:
         return {"verdict": self.verdict,
                 "mismatches": [{"part": part, "entry": [i, j],
-                                "got": str(got), "want": str(want)}
+                                "got": rational_text(got),
+                                "want": rational_text(want)}
                                for part, i, j, got, want in self.mismatches]}
 
 

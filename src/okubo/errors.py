@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from fractions import Fraction
+
 
 class OkuboError(Exception):
     """Base class for all errors raised by this package."""
@@ -12,8 +14,14 @@ class OkuboError(Exception):
         self.context = context or {}
 
     def as_json(self):
+        # a rational context value (not a bool) goes through the writer
+        from .exact import rational_text  # exact imports this module
+
+        text = lambda v: (rational_text(v) if isinstance(v, (int, Fraction))
+                          and not isinstance(v, bool) else str(v))
         return {"error": {"code": self.code, "message": self.message,
-                          "context": {k: str(v) for k, v in self.context.items()}}}
+                          "context": {k: text(v)
+                                      for k, v in self.context.items()}}}
 
 
 class InputError(OkuboError):

@@ -37,12 +37,14 @@ it.
 
 Serialization convention: a rational is the string ``"p/q"`` (``"p"`` when
 the denominator is 1), sign on the numerator; a matrix is a JSON array of
-arrays of such strings.
+arrays of such strings.  `rational_text` writes every such string, at any
+length; `to_fraction` reads one, up to MAX_DIGITS digits a part.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from operator import add, mul
 from typing import Iterable, Sequence, Union
@@ -52,15 +54,47 @@ from .errors import (DimensionMismatch, InputError, NotAnEigenvalue,
 
 Scalar = Union[Fraction, int]
 
+#: the read bound of to_fraction: the most digits in the numerator or the
+#: denominator of a rational string, and the largest decimal exponent
+#: magnitude; Python's default int-string conversion limit
+MAX_DIGITS = 4300
+
+
+def rational_text(x: Scalar) -> str:
+    """A rational (Fraction or int) as str(Fraction) writes it, "p/q" or
+    "p", at any length: Decimal prints an int past the digit limit of str()
+    (sys.get_int_max_str_digits(), 4300 by default)."""
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+
+
+def _past_read_bound(text: str) -> bool:
+    """Whether a rational string has more than MAX_DIGITS digits in its
+    numerator or denominator, or a decimal exponent beyond MAX_DIGITS in
+    magnitude, judged from the string before any integer is built."""
+    mantissa, _, exponent = text.lower().partition("e")
+    if any(sum(map(str.isdecimal, part)) > MAX_DIGITS
+           for part in mantissa.split("/")):
+        return True
+    exponent = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    # with no leading zeros, nine digits decide against a bound below 10^8
+    return exponent.isdecimal() and int(exponent[:9]) > MAX_DIGITS
+
 
 def to_fraction(value) -> Fraction:
     """Parse a rational from a string like '-3/7' (or int/Fraction); a
-    bool is refused, not read as 0 or 1."""
+    bool is refused, not read as 0 or 1, and so is a string past the read
+    bound MAX_DIGITS."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if _past_read_bound(value):
+            raise InputError(
+                f"rational past the read bound: more than {MAX_DIGITS} "
+                f"digits in its numerator or denominator, or a decimal "
+                f"exponent beyond {MAX_DIGITS}", {"length": len(value)})
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -246,7 +280,7 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
     def to_strings(self) -> list:
-        return [str(c) for c in self.coeffs]
+        return [rational_text(c) for c in self.coeffs]
 
 
 def _poly(nums: list, den: int) -> Poly:
@@ -361,7 +395,7 @@ class RationalMatrix:
         return f"RationalMatrix([{body}])"
 
     def to_strings(self) -> list:
-        return [[str(x) for x in row] for row in self.rows]
+        return [[rational_text(x) for x in row] for row in self.rows]
 
     def block(self, i0: int, i1: int, j0: int, j1: int) -> "RationalMatrix":
         rows = [row[j0:j1] for row in self._int_rows()[i0:i1]]
@@ -538,7 +572,7 @@ def left_eigenvectors(matrix: RationalMatrix, eigenvalue: Scalar) -> list:
     shifted = matrix - RationalMatrix.identity(matrix.dim).scale(xi)
     basis = shifted.left_null_space()
     if not basis:
-        raise NotAnEigenvalue(f"{xi} is not an eigenvalue")
+        raise NotAnEigenvalue(f"{rational_text(xi)} is not an eigenvalue")
     return basis
 
 

@@ -35,7 +35,8 @@ from operator import mul
 
 from .errors import InputError, InternalInconsistency, SingularMatrixError
 from .exact import (Poly, PolyMatrix, RationalMatrix, _poly,
-                    common_denominator, int_mat_mul, to_fraction)
+                    common_denominator, int_mat_mul, rational_text,
+                    to_fraction)
 
 _SIGN = {"+": 1, "-": -1, "0": 0}
 #: the sign vector of every word of length four over {+, -, 0}
@@ -101,10 +102,10 @@ class HGParams:
                          {"gamma_mode": mode})
 
     def to_json(self) -> dict:
-        return {"alpha1": str(self.alpha1), "alpha2": str(self.alpha2),
-                "beta1": str(self.beta1), "beta2": str(self.beta2),
-                "gamma_mode": "okubo" if self.is_okubo
-                else [str(self.gamma1), str(self.gamma2)]}
+        out = {k: rational_text(getattr(self, k))
+               for k in ("alpha1", "alpha2", "beta1", "beta2")}
+        gammas = [rational_text(self.gamma1), rational_text(self.gamma2)]
+        return dict(out, gamma_mode="okubo" if self.is_okubo else gammas)
 
     @cached_property
     def _half_sums(self) -> dict:
@@ -229,7 +230,8 @@ class OkuboSystem:
                        for i in range(n * n)]:
                 raise InternalInconsistency(
                     "resolvent numerator does not invert zI - A "
-                    f"(c = {self.c}, d = {self.d})")
+                    f"(c = {rational_text(self.c)}, "
+                    f"d = {rational_text(self.d)})")
             prev = cur
         return numer
 

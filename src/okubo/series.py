@@ -102,7 +102,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -111,8 +110,8 @@ import numpy as np
 from .errors import (AdmissibilityError, InputError, InternalInconsistency,
                      OutsideDisc, SingularMatrixError)
 from .exact import (cleared_complex_array, common_denominator, complex_array,
-                    ratio_to_double, ratios_to_doubles, require_int,
-                    to_double)
+                    ratio_to_double, ratios_to_doubles, rational_text,
+                    require_int, to_double)
 from .hgsystem import (DET_DIAGONALIZER_FACTORS, DET_GAUGE_FACTORS, HGParams,
                        OkuboSystem, contiguous_product_rows,
                        diagonalizer_rows, half_sum_numerators,
@@ -483,19 +482,13 @@ class SeriesSolution:
         return acc
 
     def to_json(self) -> dict:
-        return {"base": self.base, "exponent": str(self.exponent),
+        text = rational_text if self.exact else _format_complex
+        return {"base": self.base, "exponent": rational_text(self.exponent),
                 "variable": self.variable, "exact": self.exact,
-                "coeffs": [[_format_number(c) for c in vec]
-                           for vec in self.coeffs]}
+                "coeffs": [[text(c) for c in vec] for vec in self.coeffs]}
 
 
-def _format_number(c) -> str:
-    if isinstance(c, Fraction):
-        # str(Fraction) stops at sys.get_int_max_str_digits() digits (4300
-        # by default), which long exact series pass; Decimal prints an int
-        # of any length, with the same digits
-        num = str(Decimal(c.numerator))
-        return num if c.denominator == 1 else f"{num}/{Decimal(c.denominator)}"
+def _format_complex(c) -> str:
     z = complex(c)
     return f"{format(z.real, '.17g')}{'+' if z.imag >= 0 else '-'}{format(abs(z.imag), '.17g')}j"
 
@@ -592,7 +585,8 @@ def _infinity_start(system: OkuboSystem, sigma: Fraction) -> list:
         if first:
             return [Fraction(x, first) for x in col]
     raise InternalInconsistency(
-        f"resolvent numerator vanishes at -sigma (sigma = {sigma})")
+        "resolvent numerator vanishes at -sigma "
+        f"(sigma = {rational_text(sigma)})")
 
 
 def _require_nonzero_steps(shifts, terms: int):

@@ -31,7 +31,8 @@ from okubo.errors import (AdmissibilityError, DConditionError,
 from okubo.exact import RationalMatrix, left_eigenvectors, to_fraction
 from okubo.hgsystem import J2, OkuboSystem, resolvent_numerator
 from okubo.sampling import (draw_chart, draw_exponents, draw_perturbed_chart,
-                            draw_special_chart, rand_fraction)
+                            draw_special_chart, draw_special_exponents,
+                            rand_fraction)
 
 ABCD = (F(1, 3), F(1, 5), F(1, 7), F(1, 11))
 
@@ -537,6 +538,66 @@ def test_special_ratios_solve_both_obstructions_sympy_oracle():
                                        for x in point)))
         want = tuple(F(str(r.subs(subs))) for r in (r1, r2, r3, r4))
         assert acc.special_ratios(*point) == want
+
+
+def test_special_value_is_the_one_nondegenerate_chart_sympy_elimination():
+    """With r3 = 1, epsilon = delta = 0 alone leaves a curve of charts; the
+    d-constraint cuts it to four, and only the special value is a chart.
+
+    epsilon is linear in r4; with r4 eliminated, delta is linear in r2 and
+    the cleared d-constraint quadratic, and their resultant in r2 is a
+    quartic in r1 with four linear factors."""
+    sympy = pytest.importorskip("sympy")
+    a, b, c, d, r1, r2, r4 = sympy.symbols("a b c d r1 r2 r4")
+    eps = b * (a + c) * r1 + b * (a - c) * r2 - a * (b + c) - a * (b - c) * r4
+    dlt = r1 * r2 - r4
+    # the d-constraint numerator minus d^2 times its denominator
+    dcon = ((a + b + c) ** 2 * r1 - (a - b + c) ** 2 * r1 * r4
+            - (a - b - c) ** 2 * r2 + (a + b - c) ** 2 * r2 * r4
+            - 4 * a * b * (r1 * r2 + r4) - d ** 2 * (r1 - r2) * (1 - r4))
+    r4_eps = sympy.solve(eps, r4)[0]
+    dlt2, dcon2 = (sympy.numer(sympy.together(f.subs(r4, r4_eps)))
+                   for f in (dlt, dcon))
+    assert (sympy.degree(dlt2, r2), sympy.degree(dcon2, r2)) == (1, 2)
+    fb, fd = (a - b - c) ** 2 - d ** 2, (a - b + c) ** 2 - d ** 2
+    roots = (1, (a - c) / (a + c), (b + c) / (b - c), fb / fd)
+    factors = [sympy.numer(sympy.together(r1 - root)) for root in roots]
+    want = -a ** 2 * b * (b - c) * sympy.Mul(*factors)
+    assert sympy.expand(sympy.resultant(dlt2, dcon2, r2) - want) == 0
+
+    # the package's obstructions, d-constraint and special value are the
+    # ones eliminated here
+    args = (a, b, c, d, r1, r2, r4)
+    as_fraction = lambda f: sympy.lambdify(args, f, "math")
+    eps_f, dlt_f, dcon_f = (as_fraction(f) for f in (eps, dlt, dcon))
+    r2_of = as_fraction(sympy.solve(dlt2, r2)[0])
+    r4_of = as_fraction(r4_eps)
+    root_fs = [as_fraction(sympy.sympify(root)) for root in roots]
+    rng = random.Random(3)
+    for _ in range(20):
+        abcd = draw_special_exponents(rng)
+        x, y, z = (rand_fraction(rng) for _ in range(3))
+        chart = AccessoryChart(*abcd, (x, y, 1, z))
+        if x != y and z != 1 and x * y * z:
+            obs = acc.epsilon_delta(chart)
+            point = (*abcd, x, y, z)
+            assert (obs.epsilon, obs.delta) == (eps_f(*point), dlt_f(*point))
+            assert (chart.d_constraint_value() * (x - y) * (1 - z)
+                    == dcon_f(*abcd[:3], 0, x, y, z))
+        charts = []
+        for root_f in root_fs:
+            q = root_f(*abcd, 0, 0, 0)
+            p = r2_of(*abcd, q, 0, 0)
+            charts.append(AccessoryChart(*abcd, (q, p, 1,
+                                                 r4_of(*abcd, q, p, 0))))
+        assert len({ch.r1 for ch in charts}) == 4  # simple roots
+        for degenerate in charts[:3]:
+            with pytest.raises(DegenerateChart):
+                degenerate.check()
+        special = acc.special_ratios(*abcd)
+        assert charts[3].r == tuple(x / special[2] for x in special)
+        charts[3].check()
+        assert acc.epsilon_delta(charts[3]).vanish
 
 
 def stream_digest():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -10,11 +11,11 @@ import numpy as np
 import pytest
 from test_golden import report_pin, sha256, src_env
 
-from okubo import hgsystem, verify
+from okubo import accessory, hgsystem, verify
 from okubo.accessory import solve_accessory
 from okubo.cli import COMMANDS, EXIT_INPUT, EXIT_INTERNAL, FLAGS, main
 from okubo.errors import InternalInconsistency, QuadratureError
-from okubo.exact import RationalMatrix
+from okubo.exact import MAX_DIGITS, RationalMatrix
 from okubo.hgsystem import HGParams, build_okubo_system
 from okubo.sampling import draw_perturbed_chart, rng_for
 from okubo.series import SeriesSolution, local_series
@@ -555,6 +556,73 @@ def test_exact_series_past_int_string_limit(capsys, tmp_path):
 DF_FILE = {"a": "1/3", "b": "1/5", "c": "1/7", "g": "1/2"}
 # valid at r = (1, 2, 3, 4): the d-constraint gives d = 131/231
 CHART_1234 = {"a": "7/3", "b": "1/11", "c": "1/7", "d": "131/231"}
+
+# rationals under the read bound whose reports pass the 4300 digits that
+# str() of an int stops at: 3000 digits, and not an integer
+LONG = "1" * 3000 + "/17"
+LONG_HG = {"alpha1": LONG, "alpha2": "1/7", "beta1": "1/5", "beta2": "1/11"}
+
+
+def long_files(tmp_path) -> None:
+    """The parameter files of test_digit_limit_never_reads_as_a_verdict."""
+    abcd = [F(CHART_1234[k]) for k in "abcd"]
+    r1 = 10 ** 2000 + 1
+    r4 = accessory.solve_r4(*abcd, F(r1), F(2), F(3))
+    files = {
+        # valid, verdict false; its minors pass 4300 digits
+        "chart.json": dict(CHART_1234, r=[str(r1), "2", "3", str(r4)]),
+        # the d-condition fails with a value past 4300 digits
+        "bad.json": dict(CHART_1234, r=[str(r1), "2", "3",
+                                        str(10 ** 3000 + 7)]),
+        "hg.json": LONG_HG,
+        # a sum of alpha1 and beta1 passes 4300 digits in build-product
+        "hg2.json": dict(LONG_HG, beta1="1/" + "9" * 2999 + "7"),
+        "df.json": dict(DF_FILE, a=LONG),
+        "coeff.json": POK_COEFF,
+    }
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    # alpha1 a JSON integer of 5000 digits, which json cannot read
+    (tmp_path / "int.json").write_text(
+        json.dumps(LONG_HG).replace(json.dumps(LONG), "1" * 5000))
+
+
+@pytest.mark.parametrize("argv,want,long", [
+    (["check-same", "--chart", "chart.json"], 1, True),
+    (["check-same", "--chart", "bad.json"], 2, True),
+    (["series", "--chart", "chart.json"], 2, False),
+    (["residual", "--chart", "chart.json"], 2, False),
+    (["recover-chart", "--matrix", "coeff.json", "--a", LONG, "--b", "1/5",
+      "--c", "1/7", "--d", "1/11"], 2, False),
+    (["solve-accessory", "--a", LONG, "--b", "1/5", "--c", "1/7",
+      "--d", "1/11"], 0, True),
+    (["build-product", "--params", "hg2.json"], 0, True),
+    (["build-okubo", "--params", "hg.json"], 0, True),
+    (["verify-realize", "--params", "hg.json"], 0, True),
+    (["v-vector", "--params", "hg.json", "--x", "0.2"], 2, False),
+    (["df-build", "--params", "df.json"], 0, False),
+    (["df-reduce", "--params", "df.json"], 0, True),
+    (["df-verify", "--params", "df.json"], 0, False),
+    (["df-solve", "--params", "df.json", "--x", "0.3"], 2, False),
+    (["build-product", "--params", "int.json"], 2, False),
+], ids=["check-same", "check-same-d-condition", "series", "residual",
+        "recover-chart", "solve-accessory", "build-product", "build-okubo",
+        "verify-realize", "v-vector", "df-build", "df-reduce", "df-verify",
+        "df-solve", "json-integer"])
+def test_digit_limit_never_reads_as_a_verdict(capsys, tmp_path, argv, want,
+                                              long):
+    # every subcommand that reads rationals, on input under the read bound:
+    # the exit code is the verdict or an input error, never 1 for an
+    # escape or 3, with one JSON body on stdout and nothing on stderr
+    long_files(tmp_path)
+    argv = [str(tmp_path / x) if x.endswith(".json") else x for x in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (want, "")
+    body = json.loads(captured.out)
+    assert ("error" in body) == (code == EXIT_INPUT)
+    longest = max(map(len, re.findall(r"\d+", captured.out)), default=0)
+    assert (longest > MAX_DIGITS) == long
 
 
 @pytest.mark.parametrize("argv,flag,content", [

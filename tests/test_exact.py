@@ -19,9 +19,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from okubo.errors import (DimensionMismatch, InputError, NotAnEigenvalue,
                           SingularMatrixError)
-from okubo.exact import (Poly, PolyMatrix, RationalMatrix, left_eigenvectors,
-                         mat_mul, matrix_from_json, poly_adjugate, to_double,
-                         to_fraction)
+from okubo import exact
+from okubo.exact import (MAX_DIGITS, Poly, PolyMatrix, RationalMatrix,
+                         left_eigenvectors, mat_mul, matrix_from_json,
+                         poly_adjugate, rational_text, to_double, to_fraction)
 
 
 def rand_matrix(rng, n, lo=-9, hi=9):
@@ -54,6 +55,34 @@ def test_fraction_parsing():
     for flag in (True, False):
         with pytest.raises(InputError, match="bool"):
             to_fraction(flag)
+
+
+@pytest.mark.parametrize("text", [
+    "1" * 4301, "3/" + "1" * 4301, "0." + "1" * 4301, "1e4301", "2.5E-4301",
+    "1e+0_4301", "1e" + "9" * 40])
+def test_read_bound_refuses_before_building_the_integer(monkeypatch, text):
+    class Unbuilt(F):
+        def __new__(cls, *args):
+            raise AssertionError("the integer was built")
+
+    monkeypatch.setattr(exact, "Fraction", Unbuilt)
+    with pytest.raises(InputError, match=f"read bound.* {MAX_DIGITS} "):
+        to_fraction(text)
+
+
+def test_read_bound_admits_its_limit():
+    assert to_fraction("1e4300") == 10 ** 4300
+    assert to_fraction("1E-4_300") == F(1, 10 ** 4300)
+    nines = "9" * 4300
+    assert to_fraction(f" -{nines}/{nines[:-1]}7 ") == F(-int(nines),
+                                                        int(nines[:-1] + "7"))
+
+
+def test_rational_text_is_str_below_the_limit_and_has_none():
+    for x in (F(-3, 7), F(5), 0, -12, F(10 ** 4299, 3)):
+        assert rational_text(x) == str(x)
+    # built by pow, so no string conversion bounds it
+    assert rational_text(F(-10 ** 5000 - 1, 3)) == "-1" + "0" * 4999 + "1/3"
 
 
 def test_to_double_rounds_once_and_refuses_out_of_range():

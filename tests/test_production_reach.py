@@ -109,6 +109,8 @@ def called(tmp_path_factory) -> set:
                 (0, "verify-realize", "--params", params),
                 (0, "series", "--params", params, "--base", "inf",
                  "--index", "0", "--terms", "80", "--mode", "exact"),
+                (0, "series", "--params", params, "--base", "1",
+                 "--index", "0", "--terms", "20"),
                 (0, "residual", "--chart", chart, "--base", "1", "--index",
                  "0", "--terms", "80", "--seed", "3"),
                 (0, "residual", "--params", params, "--base", "0",
