@@ -47,7 +47,8 @@ from .exact import (Poly, PolyMatrix, RationalMatrix, _cross, _poly,
                     common_denominator, left_eigenvectors, poly_adjugate,
                     rational_text, to_fraction)
 from .hgsystem import (OKUBO_EXPONENT_WORDS, HGParams, J2, OkuboSystem,
-                       _even_quartic, build_okubo_system, lam)
+                       _even_quartic, build_okubo_system, lam,
+                       okubo_shape_fault)
 
 
 # --------------------------------------------------------------------------
@@ -343,14 +344,13 @@ def recover_chart(matrix: RationalMatrix, a, b, c, d) -> tuple:
     from the caller; swapping them is the caller's choice.
     """
     a, b, c, d = (to_fraction(x) for x in (a, b, c, d))
-    if matrix.block(0, 2, 0, 2) != J2.scale(a) or \
-            matrix.block(2, 4, 2, 4) != J2.scale(b):
+    fault = okubo_shape_fault(matrix, a, b, c, d)
+    if fault in ("upper", "lower"):
         raise InputError("matrix does not have the required diagonal blocks",
                          {"a": a, "b": b})
-    cp = matrix.char_poly()
-    if cp != _even_quartic(c, d):
+    if fault:
         raise InputError("matrix is not similar to diag(c*J, d*J)",
-                         {"char_poly": cp.to_strings()})
+                         {"char_poly": matrix.char_poly().to_strings()})
     plus = left_eigenvectors(matrix, c)
     minus = left_eigenvectors(matrix, -c)
     if len(plus) != 1 or len(minus) != 1:

@@ -25,10 +25,11 @@ with shifted-parameter Gauss factors; it is evaluated here by
 Gauss-Jacobi quadrature adapted to the endpoint singularities (after
 t = x s the weight is s^(a+c+g/2) (1-s)^(g/2-1) on [0, 1]), and verified
 by differentiating numerically and substituting into the system.  One
-evaluation builds one rule per node count and sums the four distinct
-Gauss factors of the three integrands in one Horner pass over the nodes
-of every point it needs (two refinements and a four-point stencil), in
-real arithmetic, since the parameters are rational and the nodes real.
+evaluation, at one point or at a tuple of points, builds one rule per
+node count and sums the four distinct Gauss factors of the three
+integrands in one Horner pass over the nodes of every point it needs (at
+each x, two refinements and a four-point stencil), in real arithmetic,
+since the parameters are rational and the nodes real.
 The branch factors (t-x)^(g/2-1) and (x-1)^(b+c) for 0 < x < 1 are taken as
 e^(i pi (g/2-1)) (x-t)^(g/2-1) and e^(i pi (b+c)) (1-x)^(b+c) with real
 positive bases; both are constant phases, which a linear system cannot
@@ -388,7 +389,16 @@ def _prefactor(params: DFParams, x: float) -> complex:
 def df_integral_solution(params: DFParams, x: float,
                          nodes: int = 128) -> DFSolutionReport:
     """Evaluate the integral solution at 0 < x < 1 and report its defect
-    in dz/dx = (C0/x + C1/(x-1)) z.
+    in dz/dx = (C0/x + C1/(x-1)) z: `df_integral_solutions` at the one
+    point x."""
+    return df_integral_solutions(params, (x,), nodes)[0]
+
+
+def df_integral_solutions(params: DFParams, xs: tuple,
+                          nodes: int = 128) -> tuple:
+    """Evaluate the integral solution at each 0 < x < 1 of ``xs`` and
+    report its defect in dz/dx = (C0/x + C1/(x-1)) z, one DFSolutionReport
+    per point, in order.
 
     The integrals run over the segment from 0 to x with the Euler shift
     g/2, by Gauss-Jacobi quadrature on ``nodes`` (at least 4) and on twice
@@ -396,19 +406,26 @@ def df_integral_solution(params: DFParams, x: float,
     integrability).  The quadrature is accepted when doubling the node
     count moves the integrals by less than 1e-8 relative; the derivative
     is a five-point central difference with step 1e-4 x(1-x), its four
-    points on the finer rule.  Each rule is built once, and one Horner
-    pass sums the Gauss factors over the nodes of all six points.
+    points on the finer rule.  The two rules depend on the parameters and
+    the node count alone, so each is built once for all the points, and
+    one Horner pass sums the Gauss factors over the nodes of all six
+    evaluations of every point; each point's numbers are those it gets
+    alone.
 
     A power of x or 1-x that overflows, and a solution whose size
     |x^(a+c) (1-x)^(b+c)| max|I| falls below the smallest normal double
-    (where z would read as zero), are OutsideDisc.
+    (where z would read as zero), are OutsideDisc.  The inputs, every x
+    included, are checked first; then each point in order is checked for
+    refinement and size before any solution is formed, so a refusal
+    there is the first failing point's.
     """
     import numpy as np
 
     if require_int(nodes, "nodes") < 4:
         raise InputError("need at least 4 quadrature nodes", {"nodes": nodes})
-    if not 0 < x < 1:
-        raise InputError("x must lie in (0, 1)", {"x": x})
+    for x in xs:
+        if not 0 < x < 1:
+            raise InputError("x must lie in (0, 1)", {"x": x})
     # the domain tests on the cleared parameters (a, c, g over den > 0)
     (a, _, c, g), den = params._cleared
     if not g > 0:
@@ -418,31 +435,41 @@ def df_integral_solution(params: DFParams, x: float,
                          {"a+c+g/2+1": params.a + params.c + params.g / 2 + 1})
     coarse_rule = _jacobi_rule(params, nodes)
     fine_rule = _jacobi_rule(params, 2 * nodes)
-    h = 1e-4 * x * (1 - x)
-    stencil = [x - 2 * h, x - h, x + h, x + 2 * h]
-    coarse, fine, *at_stencil = _integrals(
-        params, [(x, *coarse_rule), (x, *fine_rule)]
-        + [(xx, *fine_rule) for xx in stencil])
-    denom = max(1.0, float(np.max(np.abs(fine))))
-    diff = float(np.max(np.abs(fine - coarse))) / denom
-    if diff > 1e-8:
-        raise QuadratureError(
-            "quadrature refinements disagree", {"difference": diff})
-
-    prefactor = _prefactor(params, x)
-    magnitude = abs(prefactor) * float(np.max(np.abs(fine)))
-    if magnitude < sys.float_info.min:
-        raise OutsideDisc("the integral solution underflows the double "
-                          "range", {"x": x, "magnitude": magnitude})
+    steps = [1e-4 * x * (1 - x) for x in xs]
+    stencils = [[x - 2 * h, x - h, x + h, x + 2 * h]
+                for x, h in zip(xs, steps)]
+    rows = _integrals(params, [
+        point for x, stencil in zip(xs, stencils)
+        for point in [(x, *coarse_rule), (x, *fine_rule)]
+        + [(xx, *fine_rule) for xx in stencil]])
+    # each point's six rows: coarse and fine at x, then its stencil
+    per_point = [rows[j:j + 6] for j in range(0, len(rows), 6)]
+    checked = []
+    for x, (coarse, fine, *_) in zip(xs, per_point):
+        denom = max(1.0, float(np.max(np.abs(fine))))
+        diff = float(np.max(np.abs(fine - coarse))) / denom
+        if diff > 1e-8:
+            raise QuadratureError(
+                "quadrature refinements disagree", {"difference": diff})
+        prefactor = _prefactor(params, x)
+        magnitude = abs(prefactor) * float(np.max(np.abs(fine)))
+        if magnitude < sys.float_info.min:
+            raise OutsideDisc("the integral solution underflows the double "
+                              "range", {"x": x, "magnitude": magnitude})
+        checked.append((diff, prefactor))
 
     m = cleared_complex_array(*df_eigenvector_rows(params), 3)
-    zs = [_prefactor(params, xx) * (m @ v)
-          for xx, v in zip(stencil, at_stencil)]
-    dz = (zs[0] - 8 * zs[1] + 8 * zs[2] - zs[3]) / (12 * h)
-    z0 = prefactor * (m @ fine)
-    *rows, den = df_residue_rows(params)
-    c0, c1 = (cleared_complex_array(nums, den, 3) for nums in rows)
-    rhs = (c0 / x + c1 / (x - 1)) @ z0
-    residual = float(np.max(np.abs(dz - rhs)))
-    return DFSolutionReport(tuple(fine), tuple(z0), residual,
-                            2 * nodes, diff)
+    *residues, den = df_residue_rows(params)
+    c0, c1 = (cleared_complex_array(nums, den, 3) for nums in residues)
+    reports = []
+    for x, h, stencil, (_, fine, *at_stencil), (diff, prefactor) in zip(
+            xs, steps, stencils, per_point, checked):
+        zs = [_prefactor(params, xx) * (m @ v)
+              for xx, v in zip(stencil, at_stencil)]
+        dz = (zs[0] - 8 * zs[1] + 8 * zs[2] - zs[3]) / (12 * h)
+        z0 = prefactor * (m @ fine)
+        rhs = (c0 / x + c1 / (x - 1)) @ z0
+        residual = float(np.max(np.abs(dz - rhs)))
+        reports.append(DFSolutionReport(tuple(fine), tuple(z0), residual,
+                                        2 * nodes, diff))
+    return tuple(reports)

@@ -12,9 +12,9 @@ runs on Python ints with no per-entry gcd:
 * `mat_mul` and `Poly.__mul__` are integer dot products and
   convolutions over the product of two denominators, and matrix
   sums and differences are taken over the lcm of two denominators;
-* `RationalMatrix.char_poly` runs Leverrier-Faddeev on the integer
-  numerator matrix B, where the divisions by k are exact, and scales
-  coefficient k by den^-k;
+* `RationalMatrix.char_poly` runs Newton's identities on the power
+  sums of the integer numerator matrix B (`int_char_poly`), where the
+  divisions by k are exact, and scales coefficient k by den^-k;
 * `det`, `inverse` and `left_null_space` use fraction-free (Bareiss)
   elimination of B, whose divisions by the previous pivot are exact.
 
@@ -68,6 +68,19 @@ def rational_text(x: Scalar) -> str:
     return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
+def describe(value) -> str:
+    """repr(value), for the context of a refusal.  Where repr would write
+    an int past the digit limit of str() and raise ValueError, an int or
+    Fraction is written by rational_text and any other value is named by
+    its type, so that describing a refused value cannot itself fail."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, (int, Fraction)):
+            return rational_text(value)
+        return f"<{type(value).__name__}>"
+
+
 def _past_read_bound(text: str) -> bool:
     """Whether a rational string has more than MAX_DIGITS digits in its
     numerator or denominator, or a decimal exponent beyond MAX_DIGITS in
@@ -101,7 +114,7 @@ def to_fraction(value) -> Fraction:
             raise InputError(f"not a rational number: {value!r}",
                              {"value": value}) from exc
     raise InputError(f"cannot convert {type(value).__name__} to a rational",
-                     {"value": repr(value)})
+                     {"value": describe(value)})
 
 
 def require_int(value, name: str) -> int:
@@ -109,7 +122,7 @@ def require_int(value, name: str) -> int:
     to_fraction refuses one), is an InputError naming ``name``."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise InputError(f"{name} must be an integer", {name: repr(value)})
+    raise InputError(f"{name} must be an integer", {name: describe(value)})
 
 
 def to_double(value) -> float:
@@ -204,6 +217,37 @@ def int_mat_mul(xs: Sequence[int], ys: Sequence[int], n: int) -> list:
     cols = [ys[j::n] for j in range(n)]
     return [_dot(xs[i:i + n], col) for i in range(0, n * n, n)
             for col in cols]
+
+
+def _trace_of_product(xs: Sequence[int], ys: Sequence[int], n: int) -> int:
+    """tr(X Y) = sum X_ij Y_ji of two n x n integer matrices row by row:
+    n^2 products, where the product X Y takes n^3."""
+    return sum(_dot(xs[i:i + n], ys[i // n::n]) for i in range(0, n * n, n))
+
+
+def int_char_poly(nums: Sequence[int], n: int) -> list:
+    """[1, c_1, ..., c_n] with det(tI - B) = sum c_k t^(n-k), for the n x n
+    integer matrix B given as numerators row by row.
+
+    Newton's identities k c_k = -(c_(k-1) p_1 + ... + c_0 p_k) on the
+    power sums p_k = tr B^k, each division by k exact.  Only B^2, ...,
+    B^h with h = ceil(n/2) are formed, and p_k for k > h is the trace of
+    the product B^h B^(k-h), read without forming it: a 4x4 matrix takes
+    the one product B^2, where Leverrier-Faddeev's M_(k+1) = B M_k + c_k I
+    takes four.  The c_k are the coefficients of one polynomial, so they
+    are the same integers by either recurrence.
+    """
+    h = (n + 1) // 2
+    powers = [None, nums]
+    for _ in range(2, h + 1):
+        powers.append(int_mat_mul(powers[-1], nums, n))
+    sums = [None] + [sum(powers[k][::n + 1]) for k in range(1, h + 1)] + \
+        [_trace_of_product(powers[h], powers[k - h], n)
+         for k in range(h + 1, n + 1)]
+    coeffs = [1]
+    for k in range(1, n + 1):
+        coeffs.append(-sum(map(mul, coeffs[::-1], sums[1:k + 1])) // k)
+    return coeffs
 
 
 class Poly:
@@ -465,23 +509,14 @@ class RationalMatrix:
             [x * den for row in m for x in row[n:]], pivot)
 
     def char_poly(self) -> Poly:
-        """Monic characteristic polynomial det(tI - M), Leverrier-Faddeev.
+        """Monic characteristic polynomial det(tI - M).
 
-        Run on the numerator matrix B = den M: with M_1 = I and
-        M_(k+1) = B M_k + c_k I, the coefficient of t^(n-k) of det(tI - B)
-        is the integer c_k = -tr(B M_k) / k (an exact division), and that
-        of det(tI - M) is c_k / den^k, c_k den^(n-k) over den^n.
+        Run on the numerator matrix B = den M: the coefficient of t^(n-k)
+        of det(tI - B) is the integer c_k of `int_char_poly`, and that of
+        det(tI - M) is c_k / den^k, c_k den^(n-k) over den^n.
         """
         n, den = self.dim, self.den
-        b = self._int_rows()
-        coeffs = [1]
-        acc = [[int(i == j) for j in range(n)] for i in range(n)]
-        for k in range(1, n + 1):
-            acc = [[_dot(row, col) for col in zip(*acc)] for row in b]
-            ck = -sum(acc[i][i] for i in range(n)) // k
-            coeffs.append(ck)
-            for i in range(n):
-                acc[i][i] += ck
+        coeffs = int_char_poly(self.nums, n)
         return _poly([c * den ** (n - k) for k, c in enumerate(coeffs)][::-1],
                      den ** n)
 

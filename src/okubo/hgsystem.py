@@ -32,11 +32,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from operator import mul
+from typing import Optional
 
 from .errors import InputError, InternalInconsistency, SingularMatrixError
 from .exact import (Poly, PolyMatrix, RationalMatrix, _poly,
-                    common_denominator, int_mat_mul, rational_text,
-                    to_fraction)
+                    common_denominator, int_char_poly, int_mat_mul,
+                    rational_text, to_fraction)
 
 _SIGN = {"+": 1, "-": -1, "0": 0}
 #: the sign vector of every word of length four over {+, -, 0}
@@ -195,15 +196,9 @@ class OkuboSystem:
 
     def validate(self) -> None:
         """Check diagonal blocks and the characteristic polynomial."""
-        if self.coeff.block(0, 2, 0, 2) != J2.scale(self.a):
-            raise InternalInconsistency("upper diagonal block is not a*J")
-        if self.coeff.block(2, 4, 2, 4) != J2.scale(self.b):
-            raise InternalInconsistency("lower diagonal block is not b*J")
-        cp = self.coeff.char_poly()
-        want = _even_quartic(self.c, self.d)
-        if cp != want:
-            raise InternalInconsistency(
-                "characteristic polynomial is not (t^2-c^2)(t^2-d^2)")
+        fault = okubo_shape_fault(self.coeff, self.a, self.b, self.c, self.d)
+        if fault:
+            raise InternalInconsistency(_SHAPE_MESSAGES[fault])
 
     @cached_property
     def resolvent(self) -> PolyMatrix:
@@ -242,6 +237,44 @@ def _even_quartic(c: Fraction, d: Fraction) -> Poly:
     (c, d), den = common_denominator((c, d))
     c2, d2, den2 = c * c, d * d, den * den
     return _poly([c2 * d2, 0, -(c2 + d2) * den2, 0, den2 * den2], den2 * den2)
+
+
+#: what OkuboSystem.validate says of each fault of okubo_shape_fault
+_SHAPE_MESSAGES = {
+    "upper": "upper diagonal block is not a*J",
+    "lower": "lower diagonal block is not b*J",
+    "char_poly": "characteristic polynomial is not (t^2-c^2)(t^2-d^2)"}
+
+
+def okubo_shape_fault(matrix: RationalMatrix, a, b, c, d) -> Optional[str]:
+    """The first condition of the Okubo shape that ``matrix`` fails, or
+    None: "upper" when its upper 2x2 diagonal block is not a*J, "lower"
+    when its lower one is not b*J, and "char_poly" when its characteristic
+    polynomial is not (t^2-c^2)(t^2-d^2).  a, b, c, d are rationals.
+
+    Tested on the integers, with no matrix built: each block entry against
+    a or b by cross-multiplication over ``matrix.den``, and the
+    coefficients of det(tI - B) for the numerator matrix B, the one of
+    t^(4-k) over den^k, against the quartic's.
+    """
+    n, nums, den = matrix.dim, matrix.nums, matrix.den
+    for fault, k, x in (("upper", 0, a), ("lower", 2, b)):
+        i = k * (n + 1)  # entry (k, k), the block's top left
+        if (n < k + 2 or nums[i + 1] or nums[i + n]
+                or nums[i] * x.denominator != x.numerator * den
+                or nums[i + n + 1] * x.denominator != -x.numerator * den):
+            return fault
+    if n != 4:
+        return "char_poly"
+    # det(tI - B) = t^4 + t2 t^2 + t1 t + t0, with no t^3 as the blocks
+    # give trace 0; t2 / den^2 and t0 / den^4 must be the quartic's
+    _, _, t2, t1, t0 = int_char_poly(nums, n)
+    want = _even_quartic(c, d)
+    q0, _, q2 = want.nums[:3]
+    if (t1 or t2 * want.den != q2 * den ** 2
+            or t0 * want.den != q0 * den ** 4):
+        return "char_poly"
+    return None
 
 
 def resolvent_numerator(matrix: RationalMatrix, c, d) -> PolyMatrix:

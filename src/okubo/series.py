@@ -110,8 +110,8 @@ import numpy as np
 from .errors import (AdmissibilityError, InputError, InternalInconsistency,
                      OutsideDisc, SingularMatrixError)
 from .exact import (cleared_complex_array, common_denominator, complex_array,
-                    ratio_to_double, ratios_to_doubles, rational_text,
-                    require_int, to_double)
+                    describe, ratio_to_double, ratios_to_doubles,
+                    rational_text, require_int, to_double)
 from .hgsystem import (DET_DIAGONALIZER_FACTORS, DET_GAUGE_FACTORS, HGParams,
                        OkuboSystem, contiguous_product_rows,
                        diagonalizer_rows, half_sum_numerators,
@@ -240,8 +240,10 @@ def hyp2f1_jet(alpha, beta, gamma, x, terms: int,
     try:
         nums, den = common_denominator(params)
     except AttributeError:  # no .denominator: not an int or a Fraction
+        # repr(params), one parameter at a time
         raise InputError("Gauss parameters must be rationals",
-                         {"parameters": repr(params)}) from None
+                         {"parameters": "(" + ", ".join(map(describe, params))
+                          + ")"}) from None
     sums, last = _gauss_jets([nums], x, terms, order, den)
     jet = [s[0] for s in sums] + [None] * (2 - order)
     # the scalar abs: numpy's array abs may round a hypot differently

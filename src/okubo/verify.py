@@ -304,8 +304,9 @@ def check_local_series_residuals(seed: int) -> str:
 def check_df_integral_residual(seed: int) -> str:
     params = df.DFParams(Fraction(1, 3), Fraction(1, 5), Fraction(1, 7),
                          Fraction(1, 2))
-    worst = series.worst_defect(df.df_integral_solution(params, x).residual
-                                for x in (0.3, 0.4, 0.5))
+    worst = series.worst_defect(
+        report.residual
+        for report in df.df_integral_solutions(params, (0.3, 0.4, 0.5)))
     _require(worst <= 1e-6, f"residual {worst:.3e} exceeds 1e-6")
     return f"3 evaluation points, max residual {worst:.2e}"
 

@@ -21,10 +21,11 @@ from okubo.accessory import (AccessoryChart, base_condition_failures,
                              recover_chart, solve_r4, solve_accessory,
                              substantially_same)
 from okubo.errors import (AdmissibilityError, DConditionError,
-                          DegenerateChart, EigenvectorDegeneracy, InputError)
+                          DegenerateChart, EigenvectorDegeneracy, InputError,
+                          InternalInconsistency)
 from okubo.exact import Poly, PolyMatrix, RationalMatrix
-from okubo.hgsystem import (HGParams, J2, build_okubo_system, lam,
-                            resolvent_numerator)
+from okubo.hgsystem import (HGParams, J2, OkuboSystem, build_okubo_system,
+                            lam, resolvent_numerator)
 from okubo.sampling import (draw_chart, draw_exponents, draw_okubo_params,
                             draw_perturbed_chart, draw_special_chart,
                             draw_special_exponents)
@@ -624,3 +625,56 @@ def test_realization_requires_constraint():
         realize_product_system(
             HGParams.generic(F(1, 3), F(1, 7), F(1, 5), F(1, 11),
                              F(3, 7), F(5, 9)))
+
+
+@pytest.mark.parametrize("entry, message", [
+    (0, "upper diagonal block is not a*J"),
+    (4, "upper diagonal block is not a*J"),
+    (11, "lower diagonal block is not b*J"),
+    (15, "lower diagonal block is not b*J"),
+    (2, "characteristic polynomial is not (t^2-c^2)(t^2-d^2)")],
+    ids=["upper-diagonal", "upper-zero", "lower-zero", "lower-diagonal",
+         "off-block"])
+def test_okubo_shape_fails_on_each_condition(entry, message):
+    """One entry of a valid coefficient moved by one: validate and
+    recover_chart each refuse it, on the condition it breaks."""
+    _, system = solve_accessory(*ABCD)
+    coeff = system.coeff
+    nums = list(coeff.nums)
+    nums[entry] += coeff.den
+    moved = RationalMatrix.from_integers(nums, coeff.den)
+    with pytest.raises(InternalInconsistency) as err:
+        OkuboSystem(moved, *ABCD).validate()
+    assert str(err.value) == message
+    with pytest.raises(InputError) as err:
+        recover_chart(moved, *ABCD)
+    if message.startswith("characteristic"):
+        assert moved.char_poly() != coeff.char_poly()
+        assert err.value.message == "matrix is not similar to diag(c*J, d*J)"
+        assert err.value.context == {
+            "char_poly": moved.char_poly().to_strings()}
+    else:
+        assert err.value.message == \
+            "matrix does not have the required diagonal blocks"
+
+
+@pytest.mark.parametrize("coeff, abcd", [
+    # (1/10, 7/10) and (1/5, 7/20) share c d, not c^2 + d^2: t^2 is off
+    (solve_accessory(F(1, 3), F(1, 5), F(1, 10), F(7, 10))[1].coeff,
+     (F(1, 3), F(1, 5), F(1, 5), F(7, 20))),
+    # det(tI - A) = (t^2 - 4)(t^2 - 1) - 24 t: t^1 alone is off
+    (RationalMatrix.from_integers([1, 0, -2, -2, 0, -1, -2, -2,
+                                   -2, 0, 2, 0, 0, 2, 0, -2], 1),
+     (1, 2, 2, 1)),
+    # (1/10, 7/10) and (1/2, 1/2) share c^2 + d^2, not c d: t^0 is off
+    (solve_accessory(F(1, 3), F(1, 5), F(1, 10), F(7, 10))[1].coeff,
+     (F(1, 3), F(1, 5), F(1, 2), F(1, 2)))],
+    ids=["t2", "t1", "t0"])
+def test_okubo_shape_fails_on_each_coefficient(coeff, abcd):
+    """Diagonal blocks a J and b J, and one coefficient of the
+    characteristic polynomial off the quartic's."""
+    with pytest.raises(InternalInconsistency,
+                       match=r"^characteristic polynomial is not"):
+        OkuboSystem(coeff, *abcd).validate()
+    with pytest.raises(InputError, match=r"^matrix is not similar"):
+        recover_chart(coeff, *abcd)

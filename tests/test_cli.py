@@ -668,6 +668,20 @@ def test_json_booleans_are_not_rationals(capsys, tmp_path, argv, flag,
     assert data["error"]["message"] == "cannot convert bool to a rational"
 
 
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 5])
+def test_recover_chart_refuses_other_sizes(capsys, tmp_path, size):
+    # POK_COEFF's entries repeated: its diagonal blocks, where they fit
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps([[POK_COEFF[i % 4][j % 4]
+                                 for j in range(size)]
+                                for i in range(size)]))
+    code, data = run_json(capsys, *RECOVER, "--matrix", str(path))
+    assert code == EXIT_INPUT
+    assert data["error"]["message"] == (
+        "matrix is not similar to diag(c*J, d*J)" if size == 5
+        else "matrix does not have the required diagonal blocks")
+
+
 def test_unreadable_input_files_exit_2(capsys, tmp_path):
     raw = tmp_path / "raw.json"
     raw.write_bytes(b"\xff\xfe")

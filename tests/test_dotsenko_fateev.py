@@ -22,7 +22,7 @@ from okubo.dotsenko_fateev import (DFParams, DFTransformReport,
                                    _integrand_factors,
                                    check_df_transformation,
                                    df_eigenvector_matrix, df_eigenvector_rows,
-                                   df_integral_solution,
+                                   df_integral_solution, df_integral_solutions,
                                    df_residues, euler_reduce,
                                    shifted_eigenvalues,
                                    transition_half_sum_form)
@@ -486,6 +486,56 @@ def test_one_rule_per_node_count_and_one_series_per_factor(monkeypatch):
     # one batched coefficient table carrying the four distinct factors
     assert len(tables) == 1 and len(tables[0]) == 4
     assert len(set(tables[0])) == 4
+
+
+#: a + b = 0: z reads 0 with residual 0 at every x (FOUND 57, not mended)
+ZERO_SOLUTION = DFParams(F(-1), F(1), F(7, 3), F(5, 2))
+#: refinements agree at x = 0.5 and disagree at 0.9 and 0.95
+LATE_D4_MISS = DFParams(F(-13, 9), F(-20), F(37, 7), F(16, 33))
+
+
+def test_one_rule_pair_is_bit_identical_to_one_point_at_a_time():
+    cases = [(QUAD_PARAMS, (0.3, 0.4, 0.5)),
+             (ZERO_SOLUTION, (0.3, 0.5, 0.7))]
+    rng = random.Random(29)
+    while len(cases) < 24:
+        params = draw_df_params(rng)
+        params = DFParams(params.a, params.b, params.c, abs(params.g))
+        xs = tuple(rng.uniform(0.01, 0.99) for _ in range(3))
+        if all(isinstance(outcome(df_integral_solution, params, x),
+                          DFSolutionReport) for x in xs):
+            cases.append((params, xs))
+    for params, xs in cases:
+        got = df_integral_solutions(params, xs)
+        assert [outcome_bits(r) for r in got] == \
+            [outcome_bits(df_integral_solution(params, x)) for x in xs]
+    for report in df_integral_solutions(ZERO_SOLUTION, (0.3, 0.5, 0.7)):
+        assert not any(report.z) and report.residual == 0.0
+
+
+def test_one_rule_pair_refuses_at_the_first_failing_point():
+    xs = (0.5, 0.9, 0.95)
+    alone = [outcome(df_integral_solution, LATE_D4_MISS, x) for x in xs]
+    assert isinstance(alone[0], DFSolutionReport)
+    assert alone[1][0] is QuadratureError and alone[1] != alone[2]
+    with pytest.raises(QuadratureError) as err:
+        df_integral_solutions(LATE_D4_MISS, xs)
+    assert outcome_bits((QuadratureError, err.value.message,
+                         err.value.context)) == outcome_bits(alone[1])
+
+
+def test_one_rule_pair_and_one_series_table_for_all_points(monkeypatch):
+    rules, tables = [], []
+    real_roots = scipy.special.roots_jacobi
+    real_table = series._gauss_table
+    monkeypatch.setattr(scipy.special, "roots_jacobi",
+                        lambda nodes, *ab: rules.append(nodes)
+                        or real_roots(nodes, *ab))
+    monkeypatch.setattr(series, "_gauss_table",
+                        lambda *args: tables.append(args)
+                        or real_table(*args))
+    assert len(df_integral_solutions(QUAD_PARAMS, (0.3, 0.4, 0.5))) == 3
+    assert sorted(rules) == [128, 256] and len(tables) == 1
 
 
 @pytest.mark.parametrize("part", [0, 1], ids=["nodes", "weights"])

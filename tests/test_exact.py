@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from okubo.errors import (DimensionMismatch, InputError, NotAnEigenvalue,
                           SingularMatrixError)
-from okubo import exact
+from okubo import exact, series
 from okubo.exact import (MAX_DIGITS, Poly, PolyMatrix, RationalMatrix,
                          left_eigenvectors, mat_mul, matrix_from_json,
                          poly_adjugate, rational_text, to_double, to_fraction)
@@ -83,6 +83,24 @@ def test_rational_text_is_str_below_the_limit_and_has_none():
         assert rational_text(x) == str(x)
     # built by pow, so no string conversion bounds it
     assert rational_text(F(-10 ** 5000 - 1, 3)) == "-1" + "0" * 4999 + "1/3"
+
+
+#: a Fraction whose repr passes the digit limit of str()
+HUGE_Q = F(10 ** 5000, 3)
+
+
+@pytest.mark.parametrize("refuse, message", [
+    (lambda: series.hyp2f1_jet(HUGE_Q, 0.5, 1, 0.1, 10), "must be rationals"),
+    (lambda: exact.require_int(HUGE_Q, "terms"), "terms must be an integer"),
+    (lambda: series.hyp2f1(F(1, 3), F(1, 5), F(1, 7), 0.1, terms=HUGE_Q),
+     "terms must be an integer"),
+    (lambda: to_fraction([HUGE_Q]), "cannot convert list")],
+    ids=["hyp2f1_jet", "require_int", "hyp2f1-terms", "to_fraction"])
+def test_refusal_describes_a_value_past_the_digit_limit(refuse, message):
+    with pytest.raises(InputError, match=message) as err:
+        refuse()
+    context = err.value.as_json()["error"]["context"]
+    assert context and all(isinstance(v, str) for v in context.values())
 
 
 def test_to_double_rounds_once_and_refuses_out_of_range():

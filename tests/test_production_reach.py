@@ -99,6 +99,7 @@ def called(tmp_path_factory) -> set:
                             {"a": "1/3", "b": "1/5", "c": "1/7",
                              "d": "1/11", "r": ["0", "1", "2", "3"]})
         big = _write(tmp / "big.json", {**PARAMS, "alpha1": str(10 ** 400)})
+        inexact = _write(tmp / "inexact.json", {**PARAMS, "alpha1": 0.5})
         for expected, *argv in [
                 (0, "verify-all", "--seed", "7"),
                 (0, "build-product", "--params", params),
@@ -124,10 +125,11 @@ def called(tmp_path_factory) -> set:
                 (0, "df-reduce", *DF),
                 (0, "df-verify", *DF),
                 (0, "df-solve", "--params", df_params, "--nodes", "16"),
-                # refusals: a chart with r1 = 0, and alpha1 = 10^400
-                # beyond the double range
+                # refusals: a chart with r1 = 0, alpha1 = 10^400 beyond
+                # the double range, and a float alpha1
                 (2, "check-same", "--chart", degenerate),
-                (2, "v-vector", "--params", big, "--x", "0.2")]:
+                (2, "v-vector", "--params", big, "--x", "0.2"),
+                (2, "build-product", "--params", inexact)]:
             run(expected, *argv)
     finally:
         sys.settrace(None)

@@ -94,9 +94,9 @@ def _nan_evaluate(self, points):
     return np.full((2, len(points), 4), complex(math.nan))
 
 
-def _nan_df_report(params, x, nodes=128):
-    return dotsenko_fateev.DFSolutionReport((0j,) * 3, (0j,) * 3, math.nan,
-                                            2 * nodes, 0.0)
+def _nan_df_reports(params, xs, nodes=128):
+    return tuple(dotsenko_fateev.DFSolutionReport(
+        (0j,) * 3, (0j,) * 3, math.nan, 2 * nodes, 0.0) for _ in xs)
 
 
 @pytest.mark.parametrize("check, target, name, make_fake", [
@@ -107,7 +107,7 @@ def _nan_df_report(params, x, nodes=128):
     (verify.check_local_series_residuals, series.SeriesSolution, "evaluate",
      lambda: _nan_evaluate),
     (verify.check_df_integral_residual, dotsenko_fateev,
-     "df_integral_solution", lambda: _nan_df_report)],
+     "df_integral_solutions", lambda: _nan_df_reports)],
     ids=["2a", "2b", "2c", "2d"])
 def test_nan_fails_numeric_criterion(monkeypatch, check, target, name,
                                      make_fake):
