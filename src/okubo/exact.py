@@ -210,19 +210,25 @@ def _dot(xs, ys) -> int:
     return sum(map(mul, xs, ys))
 
 
+def _split_rows(flat: Sequence, n: int) -> list:
+    """The n rows, as slices, of n x n entries stored row by row; none for
+    n = 0."""
+    return [flat[i:i + n] for i in range(0, n * n, n or 1)]
+
+
 def int_mat_mul(xs: Sequence[int], ys: Sequence[int], n: int) -> list:
     """The product of two n x n integer matrices given as numerators row
     by row: mat_mul's kernel, for callers that keep their own
     denominators."""
     cols = [ys[j::n] for j in range(n)]
-    return [_dot(xs[i:i + n], col) for i in range(0, n * n, n)
-            for col in cols]
+    return [_dot(row, col) for row in _split_rows(xs, n) for col in cols]
 
 
 def _trace_of_product(xs: Sequence[int], ys: Sequence[int], n: int) -> int:
     """tr(X Y) = sum X_ij Y_ji of two n x n integer matrices row by row:
     n^2 products, where the product X Y takes n^3."""
-    return sum(_dot(xs[i:i + n], ys[i // n::n]) for i in range(0, n * n, n))
+    return sum(_dot(row, ys[i::n])
+               for i, row in enumerate(_split_rows(xs, n)))
 
 
 def int_char_poly(nums: Sequence[int], n: int) -> list:
@@ -398,23 +404,23 @@ class RationalMatrix:
         nums = []
         for left, right in ((tl, tr), (bl, br)):
             fl, fr = den // left.den, den // right.den
-            for i in range(0, k * k, k):
-                nums += [x * fl for x in left.nums[i:i + k]]
-                nums += [x * fr for x in right.nums[i:i + k]]
+            for lrow, rrow in zip(_split_rows(left.nums, k),
+                                  _split_rows(right.nums, k)):
+                nums += [x * fl for x in lrow]
+                nums += [x * fr for x in rrow]
         return cls.from_integers(nums, den)
 
     # -- basic structure ---------------------------------------------------
     @property
     def rows(self) -> tuple:
         """The entries as reduced Fractions, a tuple of row tuples."""
-        n, den = self.dim, self.den
-        flat = [Fraction(x, den) for x in self.nums]
-        return tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
+        den = self.den
+        return tuple(_split_rows(tuple(Fraction(x, den) for x in self.nums),
+                                 self.dim))
 
     def _int_rows(self) -> list:
         """The numerator rows, as tuples."""
-        n, nums = self.dim, self.nums
-        return [nums[i:i + n] for i in range(0, n * n, n)]
+        return _split_rows(self.nums, self.dim)
 
     def __getitem__(self, idx):
         """Entry (i, j) as a reduced Fraction, built alone; the indices

@@ -50,7 +50,12 @@ J2 = RationalMatrix.diagonal([1, -1])
 
 @dataclass(frozen=True)
 class HGParams:
-    """Parameters of a pair of Gauss hypergeometric functions."""
+    """Parameters of a pair of Gauss hypergeometric functions.
+
+    Beside the fields it is compared, hashed and printed by, an instance
+    keeps what is derived from them once: ``_cleared`` (the parameters
+    over one denominator), ``_half_sums`` and ``_float_plan`` (the
+    parameter-only work of series' float requests)."""
 
     alpha1: Fraction
     alpha2: Fraction
@@ -113,6 +118,14 @@ class HGParams:
         """Signed half-sums by sign word, filled by ``lam`` on first use
         and kept outside the fields the parameters are compared and
         hashed by."""
+        return {}
+
+    @cached_property
+    def _float_plan(self) -> dict:
+        """The parameter-only work of series' float requests (Gauss
+        tables by triple kind and terms, rounded closed-form rows), filled
+        by series on first use, with successes only, and kept outside the
+        compared fields like ``_half_sums``."""
         return {}
 
     @cached_property

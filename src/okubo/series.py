@@ -1,13 +1,15 @@
 """Series evaluation: Gauss series, product vectors, and local solutions.
 
 Every truncated Gauss series is summed by one kernel, _gauss_jets, which
-evaluates k parameter triples at one point: one row-wise
-np.multiply.accumulate over their coefficient factors (_gauss_table, which
-also gives the Dotsenko-Fateev quadrature its rows), one table of powers
-x**n and one row-wise sum per derivative order asked for.  The kernel
-takes one input form: the triples as integer numerators over one
-positive denominator.  hyp2f1_jet clears its rational triple once and is
-the kernel's one-triple case; hyp2f1 asks for the value only.
+evaluates the k parameter triples of a _GaussPlan at one point: one table
+of powers x**n and one row-wise sum per derivative order asked for.  The
+plan holds the parameter-only half: the coefficients, from one row-wise
+np.multiply.accumulate over their factors (_gauss_table, which also gives
+the Dotsenko-Fateev quadrature its rows), and the derivative weights
+c_n n (n-1)..., each order's formed the first time it is asked for.  Its
+triples enter as integer numerators over one positive denominator.
+hyp2f1_jet clears its rational triple once, builds its plan per call and
+is the kernel's one-triple case; hyp2f1 asks for the value only.
 The product vector w = (f1*f2, x*f1'*f2, x*f1*f2', x^2*f1'*f2') is one
 two-triple call, with second derivatives only for w_residual, and its
 contiguous companion v one four-triple call, with first derivatives only
@@ -17,6 +19,15 @@ hgsystem.contiguous_product_matrix (the Gauss contiguous relations), which
 verify 1b checks exactly against R times the inverse of P; w_residual
 takes H0 and H1 from hgsystem.product_residue_rows and v_residual R from
 hgsystem.diagonalizer_rows.
+
+Each HGParams keeps a float plan (HGParams._float_plan, beside _cleared
+and outside the compared fields): the _GaussPlans of its triples by kind
+("w" or "v") and terms, and the rounded rows of H0/H1, R P^{-1} and R
+with the half-sum doubles of v_residual, each built by the first request
+that needs it (_planned).  A later request on the same parameters does
+only the work of its point x: the powers, the row sums and the small
+complex algebra, with the same bits.  Only successes are kept: every
+refusal runs again on every call, in the order it runs without a plan.
 
 A float request builds no exact matrix, and none that answers builds a
 Fraction (a refusal names its parameters as Fractions).  Every rational
@@ -185,30 +196,87 @@ def _gauss_table(triples, terms: int, den: int) -> np.ndarray:
     return factors[:, ::3]
 
 
-def _gauss_jets(triples, x: complex, terms: int, order: int,
-                den: int) -> tuple:
-    """Truncated Gauss series of each triple (given as _gauss_table takes
-    them) and their derivatives up to ``order`` (at most 2) at one point x
-    of the unit disc.
+class _GaussPlan:
+    """The parameter-only half of _gauss_jets for k triples at one number
+    of terms: the _gauss_table rows copied into one compact array (the
+    table is a strided view that would keep the accumulate buffer, three
+    times its size), the exponents n, and the derivative weights
+    c_n n (n-1)...(n-order+1) for n >= order, each order's formed the
+    first time it is asked for."""
+
+    __slots__ = ("n", "_weights")
+
+    def __init__(self, triples, terms: int, den: int):
+        self._weights = [_gauss_table(triples, terms, den).copy()]
+        self.n = np.arange(terms)
+
+    def weights(self, order: int) -> np.ndarray:
+        """Order ``order``'s weights by row: order k multiplies order
+        k - 1's, from n = k on, by n - k + 1, which forms the products of
+        c_n n (n-1)... from the left, as one row-wise expression would."""
+        weights = self._weights
+        while len(weights) <= order:
+            k = len(weights)
+            weights.append(weights[-1][:, 1:] * (self.n[k:] - (k - 1)))
+        return weights[order]
+
+
+def _gauss_jets(plan: _GaussPlan, x: complex, order: int) -> tuple:
+    """Truncated Gauss series of each triple of the plan and their
+    derivatives up to ``order`` (at most 2) at one point x of the unit
+    disc.
 
     Returns one list per order, of Python complexes by triple, and the
-    last summed terms.  The powers x**n are built once; each order is one
-    row-wise sum of (c_n n (n-1)...) x**(n-order), the factors multiplied
-    from the left, so that every row is the sum a single-triple array
+    powers x**n, built once; each order is one row-wise sum of its weights
+    times x**(n-order), so that every row is the sum a single-triple array
     would give.
     """
-    coeffs = _gauss_table(triples, terms, den)
-    n = np.arange(terms)
-    powers = x ** n
-    # np.add.reduce is np.sum without its Python wrapper
-    sums = [np.add.reduce(coeffs * powers, axis=1).tolist()]
-    if order >= 1:
-        sums.append(np.add.reduce(coeffs[:, 1:] * n[1:] * powers[:-1],
+    powers = x ** plan.n
+    sums = []
+    for k in range(order + 1):
+        weights = plan.weights(k)
+        # np.add.reduce is np.sum without its Python wrapper
+        sums.append(np.add.reduce(weights * powers[:weights.shape[1]],
                                   axis=1).tolist())
-    if order >= 2:
-        sums.append(np.add.reduce(coeffs[:, 2:] * n[2:] * (n[2:] - 1)
-                                  * powers[:-2], axis=1).tolist())
-    return sums, coeffs[:, -1] * powers[-1]
+    return sums, powers
+
+
+def _planned(p: HGParams, key, build):
+    """Entry ``key`` of p's float plan (HGParams._float_plan), build(p) on
+    first use.  Only a success is kept: a refusal raises again on the next
+    call, where it raised before."""
+    plan = p._float_plan
+    value = plan.get(key)
+    if value is None:
+        value = plan[key] = build(p)
+    return value
+
+
+def _params_plan(p: HGParams, kind: str, terms) -> _GaussPlan:
+    """The _GaussPlan of a float request's triples: "w" the pair (alpha_j,
+    beta_j, gamma_j), "v" their alpha- and beta-raised companions, alpha + 1
+    and beta + 1 over den."""
+    (a1, a2, b1, b2, g1, g2), den = p._cleared
+    if kind == "w":
+        triples = [(a1, b1, g1), (a2, b2, g2)]
+    else:
+        triples = [(a1 + den, b1, g1), (a1, b1 + den, g1),
+                   (a2 + den, b2, g2), (a2, b2 + den, g2)]
+    return _GaussPlan(triples, terms, den)
+
+
+def _plan_jets(p: HGParams, kind: str, x: complex, terms,
+               order: int) -> list:
+    """_gauss_jets' sums for p's triples of ``kind`` (see _params_plan),
+    their plan kept in p's float plan by kind and terms.  Only a plain int
+    ``terms`` is looked up (True == 1 would find one term's plan); any
+    other builds a plan, which refuses it as _gauss_table does."""
+    if type(terms) is int:
+        plan = _planned(p, (kind, terms),
+                        lambda p: _params_plan(p, kind, terms))
+    else:
+        plan = _params_plan(p, kind, terms)
+    return _gauss_jets(plan, x, order)[0]
 
 
 def _require_unit_disc(x: complex):
@@ -244,8 +312,10 @@ def hyp2f1_jet(alpha, beta, gamma, x, terms: int,
         raise InputError("Gauss parameters must be rationals",
                          {"parameters": "(" + ", ".join(map(describe, params))
                           + ")"}) from None
-    sums, last = _gauss_jets([nums], x, terms, order, den)
+    plan = _GaussPlan([nums], terms, den)
+    sums, powers = _gauss_jets(plan, x, order)
     jet = [s[0] for s in sums] + [None] * (2 - order)
+    last = plan.weights(0)[:, -1] * powers[-1]
     # the scalar abs: numpy's array abs may round a hypot differently
     return GaussJet(*jet, abs(last[0]))
 
@@ -270,9 +340,8 @@ def _w_jet(p: HGParams, x, terms: int, derivative: bool) -> tuple:
     derivative is summed)."""
     x = _as_complex(x)
     _require_unit_disc(x)
-    (a1, a2, b1, b2, g1, g2), den = p._cleared
-    (v1, v2), (d1, d2), *second = _gauss_jets(
-        [(a1, b1, g1), (a2, b2, g2)], x, terms, 1 + derivative, den)[0]
+    (v1, v2), (d1, d2), *second = _plan_jets(p, "w", x, terms,
+                                             1 + derivative)
     w = np.array([
         v1 * v2,
         x * d1 * v2,
@@ -301,10 +370,15 @@ def w_residual(p: HGParams, x, terms: int = 60) -> float:
         raise OutsideDisc("w_residual is undefined at the singular point 0",
                           {"x": x})
     w, dw = _w_jet(p, x, terms, True)
-    *rows, den = product_residue_rows(p)
-    h0, h1 = (cleared_complex_array(nums, den, 4) for nums in rows)
+    h0, h1 = _planned(p, "residue", _residue_doubles)
     rhs = (h0 / x + h1 / (x - 1)) @ w
     return float(np.max(np.abs(dw - rhs)))
+
+
+def _residue_doubles(p: HGParams) -> tuple:
+    """H0 and H1 from product_residue_rows, each entry rounded once."""
+    *rows, den = product_residue_rows(p)
+    return tuple(cleared_complex_array(nums, den, 4) for nums in rows)
 
 
 def _check_off_cut(x: complex):
@@ -329,7 +403,12 @@ def contiguous_product_vector(p: HGParams, x, terms: int = 60) -> np.ndarray:
 
 
 def _prefactor_exponent(p: HGParams) -> float:
-    """gamma1 - 1 as a double, from the cleared parameters."""
+    """gamma1 - 1 as a double, from the cleared parameters, kept in p's
+    float plan."""
+    return _planned(p, "gamma1 - 1", _gamma1_less_one)
+
+
+def _gamma1_less_one(p: HGParams) -> float:
     (*_, g1, _), den = p._cleared
     return ratio_to_double(g1 - den, den)
 
@@ -340,11 +419,7 @@ def _v_jet(p: HGParams, x, terms: int, derivative: bool = True) -> tuple:
     x = _as_complex(x)
     _require_unit_disc(x)
     _check_off_cut(x)
-    # the raised parameters alpha + 1 and beta + 1 over den
-    (a1, a2, b1, b2, g1, g2), den = p._cleared
-    sums = _gauss_jets([(a1 + den, b1, g1), (a1, b1 + den, g1),
-                        (a2 + den, b2, g2), (a2, b2 + den, g2)],
-                       x, terms, int(derivative), den)[0]
+    sums = _plan_jets(p, "v", x, terms, int(derivative))
     f = sums[0]
     # (alpha-raised, alpha-raised), (beta, beta), (alpha, beta), (beta, alpha)
     pairs = [(0, 2), (1, 3), (0, 3), (1, 2)]
@@ -374,14 +449,23 @@ def v_via_transform(p: HGParams, x, terms: int = 60) -> np.ndarray:
     x = _as_complex(x)
     _check_off_cut(x)
     w, _ = _w_jet(p, x, terms, False)
-    nums, den = contiguous_product_rows(p)
+    nums, den = _planned(p, "R P^-1", _contiguous_rows)
+    # the power before the rounding: where both refuse, the power does
+    pref = _power(x, _prefactor_exponent(p))
+    return pref * (_planned(p, "R P^-1 doubles",
+                            lambda p: cleared_complex_array(nums, den, 4))
+                   @ w)
+
+
+def _contiguous_rows(p: HGParams) -> tuple:
+    """contiguous_product_rows, refused where det P or det R = 0."""
+    rows = contiguous_product_rows(p)
     if has_zero_factor(p, DET_GAUGE_FACTORS):
         raise SingularMatrixError("degenerate parameters: det P = 0",
                                   {"det": "0"})
     if has_zero_factor(p, DET_DIAGONALIZER_FACTORS):
         raise SingularMatrixError("degenerate parameters: det R = 0")
-    return (_power(x, _prefactor_exponent(p))
-            * (cleared_complex_array(nums, den, 4) @ w))
+    return rows
 
 
 def relative_gap(direct: np.ndarray, via: np.ndarray) -> float:
@@ -401,10 +485,7 @@ def v_residual(p: HGParams, x, terms: int = 60) -> float:
     defect."""
     x = _as_complex(x)
     v, dv = _v_jet(p, x, terms)
-    r = cleared_complex_array(*diagonalizer_rows(p), 4)
-    (c, d), h = half_sum_numerators(p, ("++--", "+--+"))
-    c, d = ratio_to_double(c, h), ratio_to_double(d, h)
-    diag_exp = np.diag([c, -c, d, -d]).astype(complex)
+    r, diag_exp = _planned(p, "R", _diagonalizer_doubles)
     xit = np.diag([1 / x, 1 / x, 1 / (x - 1), 1 / (x - 1)])
     try:
         solved = np.linalg.solve(r, diag_exp @ v)
@@ -412,6 +493,15 @@ def v_residual(p: HGParams, x, terms: int = 60) -> float:
         raise SingularMatrixError("R is singular in doubles") from exc
     rhs = r @ xit @ solved
     return float(np.max(np.abs(dv - rhs)))
+
+
+def _diagonalizer_doubles(p: HGParams) -> tuple:
+    """R from diagonalizer_rows, each entry rounded once, and
+    diag(c, -c, d, -d) from the half-sums c and d, each rounded once."""
+    r = cleared_complex_array(*diagonalizer_rows(p), 4)
+    (c, d), h = half_sum_numerators(p, ("++--", "+--+"))
+    c, d = ratio_to_double(c, h), ratio_to_double(d, h)
+    return r, np.diag([c, -c, d, -d]).astype(complex)
 
 
 # --------------------------------------------------------------------------

@@ -367,15 +367,26 @@ okubo = st.builds(HGParams.okubo, *[rationals] * 4)
 terms_counts = st.sampled_from([0, 1, 2, 3, 60, 80])
 
 
+def copy_of(p):
+    return HGParams(p.alpha1, p.alpha2, p.beta1, p.beta2, p.gamma1, p.gamma2)
+
+
 def check_requests(p, x, terms):
     # a fresh copy per request: each one clears the parameters itself
-    fresh = lambda: HGParams(p.alpha1, p.alpha2, p.beta1, p.beta2,
-                             p.gamma1, p.gamma2)
     for request, reference, kind in REQUESTS:
         args = ((p.alpha1, p.beta1, p.gamma1) if kind == "triple"
-                else (fresh(),)) + (x, terms)
+                else (copy_of(p),)) + (x, terms)
         assert outcome(request, *args) == outcome(reference, *args), \
             request.__name__
+    # then twice on one object, whose float plan every request before
+    # has filled: each call answers or refuses as a fresh object does
+    shared = copy_of(p)
+    for request, reference, kind in REQUESTS:
+        if kind == "params":
+            want = outcome(reference, copy_of(p), x, terms)
+            for call in ("first", "second"):
+                assert outcome(request, shared, x, terms) == want, \
+                    (request.__name__, call)
 
 
 @settings(max_examples=150, deadline=None)
@@ -660,9 +671,9 @@ def test_contiguous_product_vector_sums_values_only(monkeypatch):
     honest = series._gauss_jets
     orders = []
 
-    def spy(triples, x, terms, order, *rest):
+    def spy(plan, x, order):
         orders.append(order)
-        return honest(triples, x, terms, order, *rest)
+        return honest(plan, x, order)
 
     monkeypatch.setattr(series, "_gauss_jets", spy)
     rng = random.Random(83)
@@ -675,3 +686,100 @@ def test_contiguous_product_vector_sums_values_only(monkeypatch):
         orders.clear()
         assert outcome(series.contiguous_product_vector, p, x, terms) == want
         assert orders == [0]
+
+
+# -- the float plan -----------------------------------------------------------
+
+#: the float requests that take an HGParams, and so its float plan
+PLANNED = [request for request, _, kind in REQUESTS if kind == "params"]
+
+
+def test_warm_plans_answer_as_cold_ones_bit_for_bit():
+    """One object per parameter set through every request at several
+    points and term counts, each call made twice, against a fresh copy
+    per call; hyp2f1, which has no parameter object, twice per point."""
+    rng = random.Random(30)
+    draw = lambda: (rng.choice(SPECIAL) if rng.random() < 0.1
+                    else F(rng.randint(-40, 40), rng.randint(1, 12)))
+    warm = 0
+    for k in range(150):
+        p = (POK if k == 0 else HGParams.okubo(*(draw() for _ in range(4)))
+             if k % 2 else HGParams.generic(*(draw() for _ in range(6))))
+        p = copy_of(p)
+        for _ in range(4):
+            x = rng.choice([complex(rng.uniform(-0.9, 0.9),
+                                    rng.uniform(-0.9, 0.9)),
+                            complex(rng.uniform(0.01, 0.5)), 1e-300j])
+            terms = rng.choice([1, 2, 10, 60, 80])
+            for request in PLANNED:
+                want = outcome(request, copy_of(p), x, terms)
+                assert outcome(request, p, x, terms) == want, request
+                assert outcome(request, p, x, terms) == want, request
+            for request in (series.hyp2f1, series.hyp2f1_jet):
+                args = (p.alpha1, p.beta1, p.gamma1, x, terms)
+                assert outcome(request, *args) == outcome(request, *args)
+        warm += ("v", terms) in p._float_plan and "R" in p._float_plan
+    # the draws reach full plans, not refusals only
+    assert warm > 30
+
+
+def test_a_populated_plan_leaves_equality_hash_and_repr():
+    p, q = copy_of(POK), copy_of(POK)
+    before = repr(p), hash(p), p.to_json()
+    for request in PLANNED:
+        for terms in (1, 60):
+            request(p, 0.3 + 0.2j, terms)
+    assert {("w", 1), ("w", 60), ("v", 1), ("v", 60), "residue",
+            "gamma1 - 1", "R P^-1", "R P^-1 doubles", "R"} == \
+        set(p._float_plan)
+    assert not q._float_plan
+    assert p == q and q == p and hash(p) == hash(q)
+    assert (repr(p), hash(p), p.to_json()) == before == \
+        (repr(q), hash(q), q.to_json())
+    assert len({p, q}) == 1
+
+
+def test_a_bool_terms_is_refused_after_one_terms_plan():
+    p = copy_of(POK)
+    for request in PLANNED:
+        request(p, 0.3 + 0.2j, 1)
+    # True == 1 and hash(True) == hash(1): the lookup must not answer it
+    assert {("w", 1), ("v", 1)} <= set(p._float_plan)
+    for request in PLANNED:
+        want = outcome(request, copy_of(POK), 0.3 + 0.2j, True)
+        assert want[:2] == ("InputError", "terms must be an integer")
+        assert outcome(request, p, 0.3 + 0.2j, True) == want
+
+
+def test_every_float_request_sums_through_one_kernel(monkeypatch):
+    """hyp2f1, w and v all sum through _gauss_jets with a _GaussPlan;
+    a parameter set's plan is reused by its next request, hyp2f1's is
+    built per call (no cache keyed on parameter values)."""
+    honest = series._gauss_jets
+    plans = []
+
+    def spy(plan, x, order):
+        plans.append(plan)
+        return honest(plan, x, order)
+
+    monkeypatch.setattr(series, "_gauss_jets", spy)
+    p, x = copy_of(POK), 0.3 + 0.2j
+    triple = (F(1, 3), F(1, 5), F(1, 7))
+    calls = [(request, (p, x, 60)) for request in PLANNED] + \
+        [(request, (*triple, x, 60)) for request in (series.hyp2f1,
+                                                     series.hyp2f1_jet)]
+    seen = {}
+    for state in ("cold", "warm"):
+        for request, args in calls:
+            plans.clear()
+            request(*args)
+            assert len(plans) == 1, (request.__name__, state)
+            assert type(plans[0]) is series._GaussPlan
+            seen.setdefault(request.__name__, []).append(plans[0])
+    for name, (cold, warm) in seen.items():
+        assert (cold is warm) == (not name.startswith("hyp2f1")), name
+    # no second summing path beside the kernel
+    monkeypatch.setattr(series, "_gauss_jets", None)
+    for request, args in calls:
+        with pytest.raises(TypeError):
+            request(*args)

@@ -730,3 +730,49 @@ def test_canonical_form_and_fraction_boundary():
     assert all(type(x) is F for row in RationalMatrix.identity(3).rows
                for x in row)
     assert RationalMatrix.identity(2).scale(F(4, 6)).den == 3
+
+
+# -- the 0x0 matrix -----------------------------------------------------------
+
+#: every way to build a 0x0 matrix
+EMPTY_CONSTRUCTORS = {
+    "rows": lambda: RationalMatrix([]),
+    "from_integers": lambda: RationalMatrix.from_integers((), 1),
+    "identity": lambda: RationalMatrix.identity(0),
+    "zero": lambda: RationalMatrix.zero(0),
+    "diagonal": lambda: RationalMatrix.diagonal([]),
+    "from_blocks": lambda: RationalMatrix.from_blocks(
+        [[RationalMatrix([])] * 2] * 2),
+    "block": lambda: RationalMatrix.identity(3).block(1, 1, 2, 2),
+    "json": lambda: matrix_from_json([]),
+}
+
+#: what each reader of a 0x0 matrix answers
+EMPTY_READERS = {
+    "rows": (lambda m: m.rows, ()),
+    "det": (lambda m: m.det(), F(1)),
+    "inverse": (lambda m: m.inverse().dim, 0),
+    "to_strings": (lambda m: m.to_strings(), []),
+    "block": (lambda m: m.block(0, 0, 0, 0).dim, 0),
+    "repr": (repr, "RationalMatrix([])"),
+    "trace": (lambda m: m.trace(), F(0)),
+    "char_poly": (lambda m: m.char_poly(), Poly([1])),
+    "left_null_space": (lambda m: m.left_null_space(), []),
+    "to_complex": (lambda m: m.to_complex().shape, (0, 0)),
+    "mat_mul": (lambda m: (m * m).dim, 0),
+    "add": (lambda m: (m + m - m).dim, 0),
+    "neg": (lambda m: (-m).dim, 0),
+    "scale": (lambda m: m.scale(F(2, 3)).nums, ()),
+}
+
+
+@pytest.mark.parametrize("make", EMPTY_CONSTRUCTORS.values(),
+                         ids=EMPTY_CONSTRUCTORS)
+@pytest.mark.parametrize("reader", EMPTY_READERS.values(), ids=EMPTY_READERS)
+def test_empty_matrix_answers_every_reader(make, reader):
+    m = make()
+    assert (m.dim, m.nums, m.den) == (0, (), 1)
+    assert m == RationalMatrix.identity(0)
+    read, want = reader
+    got = read(m)
+    assert got == want and type(got) is type(want)
